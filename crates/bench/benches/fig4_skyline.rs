@@ -1,9 +1,9 @@
-//! FIG4 bench + ablation: skyline algorithms (block-nested-loop vs
-//! sort-filter) over growing point sets in 3 dimensions — the scatter-plot's
-//! Pareto computation.
+//! FIG4 bench: the scatter-plot's Pareto computation over growing point
+//! sets in 3 dimensions — the batch block-nested-loop reference vs. the
+//! incremental `SkylineSet` the planner feeds one point at a time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use poiesis::{pareto_skyline_bnl, pareto_skyline_sorted};
+use poiesis::{pareto_skyline_bnl, SkylineSet};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -22,8 +22,14 @@ fn bench_fig4(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("bnl", n), &pts, |b, pts| {
             b.iter(|| black_box(pareto_skyline_bnl(black_box(pts))))
         });
-        g.bench_with_input(BenchmarkId::new("sorted", n), &pts, |b, pts| {
-            b.iter(|| black_box(pareto_skyline_sorted(black_box(pts))))
+        g.bench_with_input(BenchmarkId::new("skyline_set_insert", n), &pts, |b, pts| {
+            b.iter(|| {
+                let mut s = SkylineSet::new();
+                for (i, p) in pts.iter().enumerate() {
+                    black_box(s.insert(i, p.clone()));
+                }
+                black_box(s.len())
+            })
         });
     }
     g.finish();

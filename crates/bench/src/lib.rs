@@ -17,7 +17,6 @@
 //! | `complexity_sweep` | §2.2 factorial-complexity claim |
 //! | `concurrency_sweep` | §3 concurrent background evaluation claim |
 //! | `baseline_manual` | §1 manual-redesign comparison |
-//! | `streaming_sweep` | streaming engine vs. materialize-all, search strategies |
 //! | `server_load` | HTTP service throughput + latency percentiles (`docs/API.md`) |
 //! | `bench_scenarios` | scenario corpus × strategy sweep with golden-frontier gate (`docs/SCENARIOS.md`) |
 

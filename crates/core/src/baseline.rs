@@ -8,9 +8,10 @@
 //! points instead of enumerating all of them, optionally ignoring the
 //! placement heuristics.
 
+use crate::error::PoiesisError;
 use crate::eval::{characteristic_scores, evaluate_flow, EvalMode};
 use crate::generate::{generate_uncapped, Candidate};
-use crate::planner::{Planner, PlannerError};
+use crate::planner::Planner;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -48,15 +49,15 @@ pub fn manual_redesign(
     strategy: ManualStrategy,
     effort: usize,
     seed: u64,
-) -> Result<ManualOutcome, PlannerError> {
+) -> Result<ManualOutcome, PoiesisError> {
     let flow = planner.flow();
     let catalog = planner.catalog();
     let stats = quality::estimator::source_stats(catalog);
     let baseline = evaluate_flow(flow, catalog, &stats, EvalMode::Estimate, seed)
-        .map_err(|e| PlannerError::Eval(e.to_string()))?;
+        .map_err(|e| PoiesisError::Eval(e.to_string()))?;
 
     let all = generate_uncapped(flow, planner.registry())
-        .map_err(|e| PlannerError::Pattern(e.to_string()))?;
+        .map_err(|e| PoiesisError::Pattern(e.to_string()))?;
     let objective = &planner.config().objective;
     if all.is_empty() {
         let best_scores = vec![100.0; objective.dims()];

@@ -2,9 +2,7 @@
 //!
 //! Planner, builder, manager and DTO failures all surface as
 //! [`PoiesisError`]; the variants are stable so callers (and a future
-//! network service) can match on them instead of scraping messages. The
-//! historical [`PlannerError`](crate::PlannerError) name survives as an
-//! alias — code matching `PlannerError::InvalidFlow(..)` keeps compiling.
+//! network service) can match on them instead of scraping messages.
 
 use crate::manager::SessionId;
 use analysis::Diagnostic;
@@ -16,7 +14,7 @@ use std::fmt;
 /// Everything that can go wrong behind the poiesis facade.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoiesisError {
-    // --- planning-cycle failures (the historical `PlannerError` variants)
+    // --- planning-cycle failures
     /// The initial flow failed validation.
     InvalidFlow(String),
     /// Static analysis found blocking problems; carries every diagnostic

@@ -95,13 +95,11 @@ pub use explore::CombinationIter;
 pub use generate::Candidate;
 pub use manager::{SessionId, SessionManager};
 pub use objective::{Direction, Goal, Objective};
-pub use planner::{Planner, PlannerConfig, PlannerError, PlannerOutcome};
+pub use planner::{Planner, PlannerConfig, PlannerOutcome};
 pub use search::{
     Beam, CombinationSink, Exhaustive, GreedyHillClimb, SearchReport, SearchSpace, SearchStrategy,
     SearchStrategyKind,
 };
 pub use serde::{FromJson, ToJson};
 pub use session::{IterationRecord, Session};
-pub use skyline::{
-    pareto_skyline, pareto_skyline_bnl, pareto_skyline_sorted, Insertion, SkylineSet,
-};
+pub use skyline::{pareto_skyline_bnl, Insertion, SkylineSet};

@@ -10,16 +10,16 @@
 //! [`SkylineSet`]. With [`PlannerConfig::retain_dominated`] off, dominated
 //! designs are dropped the moment the frontier rejects them, so memory is
 //! O(frontier) instead of O(space) and the budget can grow by orders of
-//! magnitude. [`Planner::plan_materialized`] keeps the original
-//! materialize-all path for A/B comparison (see the `streaming_sweep` bin).
+//! magnitude.
 
 use crate::apply::{apply_combination, apply_combination_incremental, CarriedTable, LabelTable};
+use crate::error::PoiesisError;
 use crate::eval::{characteristic_scores, evaluate_flow, Alternative, EvalMode};
-use crate::explore::{enumerate_combinations, theoretical_space, SpaceStats};
+use crate::explore::{theoretical_space, SpaceStats};
 use crate::generate::{generate_candidates, Candidate};
 use crate::objective::Objective;
 use crate::search::{CombinationSink, SearchSpace, SearchStrategy, SearchStrategyKind};
-use crate::skyline::{pareto_skyline, Insertion, SkylineSet};
+use crate::skyline::{Insertion, SkylineSet};
 use datagen::Catalog;
 use etl_model::EtlFlow;
 use fcp::{AppliedPattern, DeploymentPolicy, PatternContext, PatternRegistry};
@@ -27,8 +27,6 @@ use quality::{Characteristic, MeasureVector, QualityReport, SourceStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-pub use crate::error::PoiesisError as PlannerError;
 
 /// Planner configuration (the "user-defined configurations" input of
 /// Fig. 3).
@@ -43,10 +41,9 @@ pub struct PlannerConfig {
     /// Hard cap on enumerated alternatives per cycle. Memory grows with
     /// what is *retained*, not with the budget: with
     /// [`retain_dominated`](Self::retain_dominated) off the engine holds
-    /// O(batch + frontier) flows and this can grow far past the old
-    /// materialize-all ceiling of 5 000; with retention on (the default)
-    /// every admitted alternative is kept, so raise the budget and drop
-    /// dominated designs together.
+    /// O(batch + frontier) flows whatever the budget; with retention on
+    /// (the default) every admitted alternative is kept, so raise the
+    /// budget and drop dominated designs together.
     pub max_alternatives: usize,
     /// How the combination space is walked.
     pub strategy: SearchStrategyKind,
@@ -167,22 +164,25 @@ pub struct PlannerOutcome {
 }
 
 impl PlannerOutcome {
-    /// Assembles an outcome, computing the best-objective-first skyline
-    /// order (the [`Objective::scalarize`] ranking) once.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles an outcome from the engine's harvest, computing the
+    /// best-objective-first skyline order (the [`Objective::scalarize`]
+    /// ranking) once.
     fn assemble(
         objective: &Objective,
         baseline: MeasureVector,
         candidates: Vec<Candidate>,
-        alternatives: Vec<Alternative>,
-        skyline: Vec<usize>,
         stats: SpaceStats,
-        rejected_by_constraints: usize,
-        failed_applications: usize,
-        failed_evaluations: usize,
-        statically_rejected: usize,
-        bound_pruned: usize,
+        harvest: Harvest,
     ) -> Self {
+        let Harvest {
+            alternatives,
+            skyline,
+            rejected_by_constraints,
+            failed_applications,
+            failed_evaluations,
+            statically_rejected,
+            bound_pruned,
+        } = harvest;
         let mut ranked = skyline.clone();
         ranked.sort_by(|&a, &b| {
             let sa = objective.scalarize(&alternatives[a].scores);
@@ -316,13 +316,13 @@ impl Planner {
     }
 
     /// Runs one full planning cycle with the configured search strategy.
-    pub fn plan(&self) -> Result<PlannerOutcome, PlannerError> {
+    pub fn plan(&self) -> Result<PlannerOutcome, PoiesisError> {
         self.plan_with(self.config.strategy.instantiate().as_ref())
     }
 
     /// Runs one full planning cycle with an explicit (possibly
     /// user-defined) search strategy — the streaming engine.
-    pub fn plan_with(&self, strategy: &dyn SearchStrategy) -> Result<PlannerOutcome, PlannerError> {
+    pub fn plan_with(&self, strategy: &dyn SearchStrategy) -> Result<PlannerOutcome, PoiesisError> {
         let (baseline, candidates, schemas) = self.prepare()?;
         let precheck = self.precheck_context()?;
         let delta = self.delta_context(&schemas);
@@ -367,129 +367,23 @@ impl Planner {
             &self.config.objective,
             baseline,
             candidates,
-            harvest.alternatives,
-            harvest.skyline,
             stats,
-            harvest.rejected_by_constraints,
-            harvest.failed_applications,
-            harvest.failed_evaluations,
-            harvest.statically_rejected,
-            harvest.bound_pruned,
+            harvest,
         ))
     }
 
-    /// The original materialize-all pipeline: enumerate every combination,
-    /// clone every flow, evaluate the whole pool, skyline once at the end.
-    /// Kept as the A/B reference for the streaming engine (equal skylines,
-    /// O(space) memory) — see `streaming_sweep` and the equivalence tests.
-    pub fn plan_materialized(&self) -> Result<PlannerOutcome, PlannerError> {
-        let (baseline, candidates, schemas) = self.prepare()?;
-        let (combos, stats) = enumerate_combinations(
-            &candidates,
-            &self.config.policy,
-            self.config.max_alternatives,
-        );
-        let precheck = self.precheck_context()?;
-        let delta = self.delta_context(&schemas);
-        let labels = LabelTable::new(&candidates);
-        let mut flows = Vec::with_capacity(combos.len());
-        let mut cows = Vec::with_capacity(combos.len());
-        let mut metas = Vec::with_capacity(combos.len());
-        let mut failed_applications = 0usize;
-        let mut statically_rejected = 0usize;
-        for combo in &combos {
-            match self.realize_combination(
-                combo,
-                &candidates,
-                &labels,
-                precheck.as_ref(),
-                delta.as_ref(),
-            ) {
-                Realization::Ready {
-                    flow,
-                    applied,
-                    name,
-                    cow,
-                } => {
-                    let descs = applied
-                        .iter()
-                        .map(|a| format!("{} {}", a.pattern, a.point))
-                        .collect::<Vec<_>>();
-                    flows.push(flow);
-                    cows.push(cow);
-                    metas.push((name, descs, combo.clone()));
-                }
-                Realization::Screened => statically_rejected += 1,
-                Realization::ApplyFailed => failed_applications += 1,
-            }
-        }
-
-        let measures = crate::eval::par_map_indexed(flows.len(), self.config.workers, |i| {
-            self.evaluate_combination(&flows[i], delta.as_ref(), cows[i].as_ref())
-        });
-
-        let objective = &self.config.objective;
-        let dimensions = objective.characteristics();
-        let mut alternatives = Vec::with_capacity(flows.len());
-        let mut rejected = 0usize;
-        let mut failed_evaluations = 0usize;
-        for ((flow, (name, applied, combo)), m) in flows.into_iter().zip(metas).zip(measures) {
-            let m = match m {
-                Ok(m) => m,
-                Err(_) => {
-                    failed_evaluations += 1;
-                    continue;
-                }
-            };
-            if !self.config.policy.admits(&baseline, &m) || !objective.admits(&baseline, &m) {
-                rejected += 1;
-                continue;
-            }
-            let scores = characteristic_scores(&m, &baseline, &dimensions);
-            alternatives.push(Alternative {
-                name,
-                flow,
-                applied,
-                combo,
-                measures: m,
-                scores,
-            });
-        }
-
-        let points: Vec<Vec<f64>> = alternatives
-            .iter()
-            .map(|a| objective.oriented(&a.scores))
-            .collect();
-        let skyline = pareto_skyline(&points);
-
-        Ok(PlannerOutcome::assemble(
-            objective,
-            baseline,
-            candidates,
-            alternatives,
-            skyline,
-            stats,
-            rejected,
-            failed_applications,
-            failed_evaluations,
-            statically_rejected,
-            // the materialize-all reference path never prunes
-            0,
-        ))
-    }
-
-    /// The pattern context both pipelines pre-screen candidate
+    /// The pattern context the engine pre-screens candidate
     /// preconditions against, or `None` when
     /// [`PlannerConfig::prescreen`] is off. Built once per cycle over the
     /// base flow — combinations only ever fork the base, so one context
     /// serves every check.
-    fn precheck_context(&self) -> Result<Option<PatternContext<'_>>, PlannerError> {
+    fn precheck_context(&self) -> Result<Option<PatternContext<'_>>, PoiesisError> {
         if !self.config.prescreen {
             return Ok(None);
         }
         PatternContext::new(&self.flow)
             .map(Some)
-            .map_err(|e| PlannerError::Pattern(e.to_string()))
+            .map_err(|e| PoiesisError::Pattern(e.to_string()))
     }
 
     /// The per-cycle incremental-evaluation context, or `None` when delta
@@ -510,8 +404,8 @@ impl Planner {
         })
     }
 
-    /// The shared prescreen → apply → post-screen pipeline of both planner
-    /// paths: checks every candidate's preconditions against the base flow,
+    /// The prescreen → apply → post-screen pipeline of one combination:
+    /// checks every candidate's preconditions against the base flow,
     /// forks and applies the combination, and screens the applied result —
     /// incrementally when a [`DeltaCtx`] is available.
     fn realize_combination(
@@ -615,18 +509,18 @@ impl Planner {
         }
     }
 
-    /// Shared preamble of both pipelines: validate the flow, score the
+    /// The cycle's preamble: validate the flow, score the
     /// baseline, generate candidates. Returns the propagated schema table
     /// so the cycle never re-derives it — validation, the incremental
     /// [`DeltaCtx`] and any later analysis share the one propagation.
     fn prepare(
         &self,
-    ) -> Result<(MeasureVector, Vec<Candidate>, etl_model::SchemaTable), PlannerError> {
+    ) -> Result<(MeasureVector, Vec<Candidate>, etl_model::SchemaTable), PoiesisError> {
         self.flow
             .validate_structure()
-            .map_err(|e| PlannerError::InvalidFlow(e.to_string()))?;
+            .map_err(|e| PoiesisError::InvalidFlow(e.to_string()))?;
         let schemas = etl_model::propagate_schemas(&self.flow)
-            .map_err(|e| PlannerError::InvalidFlow(etl_model::FlowError::Schema(e).to_string()))?;
+            .map_err(|e| PoiesisError::InvalidFlow(etl_model::FlowError::Schema(e).to_string()))?;
         let baseline = evaluate_flow(
             &self.flow,
             &self.catalog,
@@ -634,9 +528,9 @@ impl Planner {
             self.config.eval_mode,
             self.config.seed,
         )
-        .map_err(|e| PlannerError::Eval(e.to_string()))?;
+        .map_err(|e| PoiesisError::Eval(e.to_string()))?;
         let candidates = generate_candidates(&self.flow, &self.registry, &self.config.policy)
-            .map_err(|e| PlannerError::Pattern(e.to_string()))?;
+            .map_err(|e| PoiesisError::Pattern(e.to_string()))?;
         Ok((baseline, candidates, schemas))
     }
 }
@@ -652,8 +546,7 @@ struct DeltaCtx {
 }
 
 /// Outcome of [`Planner::realize_combination`]: an applied flow ready for
-/// evaluation, or a counted rejection (the caller owns the counters — the
-/// streaming engine uses atomics, the materialized path plain integers).
+/// evaluation, or a rejection the engine counts.
 enum Realization {
     /// Applied and screened; evaluate it.
     Ready {
@@ -676,7 +569,7 @@ enum Realization {
 /// retained alternatives, keyed by the combination's global sequence
 /// number (its position in the strategy's submission order, which for
 /// [`Exhaustive`](crate::search::Exhaustive) equals the lazy enumeration
-/// order — so final indices match the materialized path exactly).
+/// order — so final indices are independent of thread scheduling).
 struct EngineState {
     skyline: SkylineSet,
     retained: Vec<(usize, Alternative)>,
@@ -964,37 +857,38 @@ mod tests {
         assert_eq!(out.failed_evaluations, 0);
     }
 
+    /// The textbook batch skyline of every retained alternative's oriented
+    /// scores — a frontier reference that shares none of the engine's
+    /// apply, evaluate or incremental-skyline code.
+    fn batch_skyline(p: &Planner, out: &PlannerOutcome) -> Vec<usize> {
+        let points: Vec<Vec<f64>> = out
+            .alternatives
+            .iter()
+            .map(|a| p.config().objective.oriented(&a.scores))
+            .collect();
+        crate::skyline::pareto_skyline_bnl(&points)
+    }
+
     #[test]
-    fn streaming_matches_materialized_on_fig2() {
-        // The acceptance bar: identical skyline (same alternative names)
-        // from the streaming exhaustive engine and the old path.
+    fn retained_skyline_is_the_batch_skyline_on_fig2() {
+        // With retain_dominated on (the default) every admitted design is
+        // kept, so the incremental frontier must be exactly the batch
+        // frontier of the retained set.
         let p = planner(PlannerConfig::default());
-        let streaming = p.plan().unwrap();
-        let eager = p.plan_materialized().unwrap();
-        assert_eq!(streaming.skyline_names(), eager.skyline_names());
-        // with retain_dominated (default) even the full layout matches
-        assert_eq!(streaming.alternatives.len(), eager.alternatives.len());
-        assert_eq!(streaming.skyline, eager.skyline);
-        for (s, e) in streaming.alternatives.iter().zip(&eager.alternatives) {
-            assert_eq!(s.name, e.name);
-            assert_eq!(s.scores, e.scores);
-        }
-        assert_eq!(streaming.stats, eager.stats);
-        assert_eq!(
-            streaming.rejected_by_constraints,
-            eager.rejected_by_constraints
-        );
+        let out = p.plan().unwrap();
+        assert!(out.alternatives.len() > out.skyline.len());
+        assert_eq!(out.skyline, batch_skyline(&p, &out));
     }
 
     #[test]
     fn dropping_dominated_keeps_only_the_frontier() {
-        let config = PlannerConfig {
+        let lean = planner(PlannerConfig {
             retain_dominated: false,
             ..PlannerConfig::default()
-        };
-        let p = planner(config);
-        let lean = p.plan().unwrap();
-        let full = p.plan_materialized().unwrap();
+        })
+        .plan()
+        .unwrap();
+        let full = planner(PlannerConfig::default()).plan().unwrap();
         // only frontier members retained, but the frontier is identical
         assert_eq!(lean.alternatives.len(), lean.skyline.len());
         assert_eq!(lean.skyline_names(), full.skyline_names());
@@ -1478,37 +1372,31 @@ mod tests {
     fn delta_evaluation_is_bit_identical_to_full() {
         // The tentpole's acceptance bar: with `delta_eval` on (default)
         // every alternative's MeasureVector equals the from-scratch value
-        // exactly — not approximately — and the frontier is unchanged, on
-        // both planner paths.
-        let run = |delta_eval: bool, materialized: bool| {
-            let p = planner(PlannerConfig {
+        // exactly — not approximately — and the frontier is unchanged.
+        let run = |delta_eval: bool| {
+            planner(PlannerConfig {
                 delta_eval,
                 ..PlannerConfig::default()
-            });
-            if materialized {
-                p.plan_materialized().unwrap()
-            } else {
-                p.plan().unwrap()
-            }
+            })
+            .plan()
+            .unwrap()
         };
-        for materialized in [false, true] {
-            let fast = run(true, materialized);
-            let slow = run(false, materialized);
-            assert_eq!(fast.skyline_names(), slow.skyline_names());
-            assert_eq!(fast.skyline, slow.skyline);
-            assert_eq!(fast.alternatives.len(), slow.alternatives.len());
-            for (a, b) in fast.alternatives.iter().zip(&slow.alternatives) {
-                assert_eq!(a.name, b.name);
-                assert_eq!(
-                    a.measures, b.measures,
-                    "delta-evaluated measures must be bit-identical for {}",
-                    a.name
-                );
-            }
-            assert_eq!(fast.statically_rejected, slow.statically_rejected);
-            assert_eq!(fast.failed_applications, slow.failed_applications);
-            assert_eq!(fast.failed_evaluations, slow.failed_evaluations);
+        let fast = run(true);
+        let slow = run(false);
+        assert_eq!(fast.skyline_names(), slow.skyline_names());
+        assert_eq!(fast.skyline, slow.skyline);
+        assert_eq!(fast.alternatives.len(), slow.alternatives.len());
+        for (a, b) in fast.alternatives.iter().zip(&slow.alternatives) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(
+                a.measures, b.measures,
+                "delta-evaluated measures must be bit-identical for {}",
+                a.name
+            );
         }
+        assert_eq!(fast.statically_rejected, slow.statically_rejected);
+        assert_eq!(fast.failed_applications, slow.failed_applications);
+        assert_eq!(fast.failed_evaluations, slow.failed_evaluations);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! until the user considers that the flow adequately satisfies quality
 //! goals."
 
-use crate::planner::{Planner, PlannerError, PlannerOutcome};
+use crate::error::PoiesisError;
+use crate::planner::{Planner, PlannerOutcome};
 use etl_model::EtlFlow;
 
 /// Record of one completed iteration.
@@ -82,8 +83,7 @@ impl Session {
         self.planner.flow()
     }
 
-    /// The wrapped planner (read access for reports, A/B comparisons and
-    /// the legacy materialized pipeline).
+    /// The wrapped planner (read access for reports and benches).
     pub fn planner(&self) -> &Planner {
         &self.planner
     }
@@ -100,7 +100,7 @@ impl Session {
 
     /// Runs one planning cycle (generation → application → estimation →
     /// skyline) without integrating anything yet.
-    pub fn explore(&self) -> Result<PlannerOutcome, PlannerError> {
+    pub fn explore(&self) -> Result<PlannerOutcome, PoiesisError> {
         self.planner.plan()
     }
 
@@ -110,7 +110,7 @@ impl Session {
     pub fn explore_with(
         &self,
         strategy: &dyn crate::search::SearchStrategy,
-    ) -> Result<PlannerOutcome, PlannerError> {
+    ) -> Result<PlannerOutcome, PoiesisError> {
         self.planner.plan_with(strategy)
     }
 
@@ -140,7 +140,7 @@ impl Session {
     /// Convenience loop: run `cycles` iterations, always selecting the
     /// frontier design that best satisfies the objective. Returns the
     /// history length.
-    pub fn auto_run(&mut self, cycles: usize) -> Result<usize, PlannerError> {
+    pub fn auto_run(&mut self, cycles: usize) -> Result<usize, PoiesisError> {
         for _ in 0..cycles {
             let outcome = self.explore()?;
             if outcome.skyline.is_empty() {

@@ -7,9 +7,9 @@
 //! better performance and data quality, and at the same time better
 //! reliability, then ETL1 will not be presented to the user."
 //!
-//! Two algorithms are provided for the ablation bench: block-nested-loop
-//! (the textbook quadratic) and a sort-first variant that is markedly
-//! faster on skew-heavy inputs.
+//! The planner maintains the frontier incrementally with [`SkylineSet`];
+//! the block-nested-loop [`pareto_skyline_bnl`] is the textbook batch
+//! reference it is held to.
 
 /// `a` dominates `b`: at least as good everywhere, strictly better
 /// somewhere (larger is better on every axis).
@@ -27,13 +27,8 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     strictly
 }
 
-/// Default skyline (currently the sorted variant). Returns the indices of
-/// non-dominated points, ascending.
-pub fn pareto_skyline(points: &[Vec<f64>]) -> Vec<usize> {
-    pareto_skyline_sorted(points)
-}
-
 /// Block-nested-loop skyline: compare every point against every other.
+/// Returns the indices of non-dominated points, ascending.
 pub fn pareto_skyline_bnl(points: &[Vec<f64>]) -> Vec<usize> {
     (0..points.len())
         .filter(|&i| {
@@ -43,26 +38,6 @@ pub fn pareto_skyline_bnl(points: &[Vec<f64>]) -> Vec<usize> {
                 .any(|(j, other)| j != i && dominates(other, &points[i]))
         })
         .collect()
-}
-
-/// Sort-filter skyline: process points in decreasing coordinate-sum order;
-/// a point can only be dominated by one that precedes it in that order, so
-/// each point is checked against the (small) running skyline only.
-pub fn pareto_skyline_sorted(points: &[Vec<f64>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..points.len()).collect();
-    order.sort_by(|&a, &b| {
-        let sa: f64 = points[a].iter().sum();
-        let sb: f64 = points[b].iter().sum();
-        sb.total_cmp(&sa).then(a.cmp(&b))
-    });
-    let mut skyline: Vec<usize> = Vec::new();
-    for &i in &order {
-        if !skyline.iter().any(|&s| dominates(&points[s], &points[i])) {
-            skyline.push(i);
-        }
-    }
-    skyline.sort_unstable();
-    skyline
 }
 
 /// Result of one [`SkylineSet::insert`].
@@ -83,12 +58,12 @@ pub enum Insertion {
 /// members are evicted, so the frontier is correct *during* evaluation —
 /// the planner never has to materialise the full point set.
 ///
-/// Equal points follow the batch semantics of [`pareto_skyline_bnl`] /
-/// [`pareto_skyline_sorted`]: they do not dominate each other, so
-/// duplicates coexist on the frontier. For any insertion order, the final
-/// id set equals the batch skyline of the same points (the frontier of a
-/// set is unique) — `skyline_set_agrees_with_batch` below and the
-/// cross-crate proptests hold both algorithms to that.
+/// Equal points follow the batch semantics of [`pareto_skyline_bnl`]: they
+/// do not dominate each other, so duplicates coexist on the frontier. For
+/// any insertion order, the final id set equals the batch skyline of the
+/// same points (the frontier of a set is unique) —
+/// `skyline_set_agrees_with_batch` below and the cross-crate proptests
+/// hold both algorithms to that.
 #[derive(Debug, Clone, Default)]
 pub struct SkylineSet {
     members: Vec<(usize, Vec<f64>)>,
@@ -170,27 +145,34 @@ mod tests {
         // ETL2 same-or-better perf & DQ, strictly better reliability ⇒ ETL1 hidden
         let etl1 = vec![100.0, 100.0, 100.0];
         let etl2 = vec![100.0, 110.0, 120.0];
-        let sky = pareto_skyline(&[etl1, etl2]);
+        let sky = pareto_skyline_bnl(&[etl1, etl2]);
         assert_eq!(sky, vec![1]);
     }
 
     #[test]
     fn incomparable_points_all_survive() {
         let pts = vec![vec![3.0, 1.0], vec![2.0, 2.0], vec![1.0, 3.0]];
-        assert_eq!(pareto_skyline(&pts), vec![0, 1, 2]);
+        assert_eq!(pareto_skyline_bnl(&pts), vec![0, 1, 2]);
     }
 
     #[test]
     fn both_algorithms_agree_on_random_input() {
-        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // the batch reference and the incremental set, fed in a shuffled
+        // order, reach the same frontier
+        use rand::{rngs::SmallRng, seq::SliceRandom, Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(99);
         for dims in [2, 3, 4] {
             let pts: Vec<Vec<f64>> = (0..300)
                 .map(|_| (0..dims).map(|_| rng.gen_range(0.0..100.0)).collect())
                 .collect();
             let bnl = pareto_skyline_bnl(&pts);
-            let sorted = pareto_skyline_sorted(&pts);
-            assert_eq!(bnl, sorted, "dims={dims}");
+            let mut order: Vec<usize> = (0..pts.len()).collect();
+            order.shuffle(&mut rng);
+            let mut set = SkylineSet::new();
+            for i in order {
+                set.insert(i, pts[i].clone());
+            }
+            assert_eq!(set.ids(), bnl, "dims={dims}");
             // skyline is a small fraction of random points
             assert!(bnl.len() < pts.len());
             assert!(!bnl.is_empty());
@@ -201,14 +183,13 @@ mod tests {
     fn duplicates_all_kept() {
         // equal points don't dominate each other, so all stay
         let pts = vec![vec![1.0, 1.0]; 4];
-        assert_eq!(pareto_skyline(&pts).len(), 4);
         assert_eq!(pareto_skyline_bnl(&pts).len(), 4);
     }
 
     #[test]
     fn empty_and_single() {
-        assert!(pareto_skyline(&[]).is_empty());
-        assert_eq!(pareto_skyline(&[vec![1.0]]), vec![0]);
+        assert!(pareto_skyline_bnl(&[]).is_empty());
+        assert_eq!(pareto_skyline_bnl(&[vec![1.0]]), vec![0]);
     }
 
     #[test]
@@ -260,8 +241,7 @@ mod tests {
             for (i, p) in pts.iter().enumerate() {
                 set.insert(i, p.clone());
             }
-            assert_eq!(set.ids(), pareto_skyline_bnl(&pts), "bnl dims={dims}");
-            assert_eq!(set.ids(), pareto_skyline_sorted(&pts), "sorted dims={dims}");
+            assert_eq!(set.ids(), pareto_skyline_bnl(&pts), "dims={dims}");
             // reversed insertion order reaches the same frontier
             let mut rev = SkylineSet::new();
             for (i, p) in pts.iter().enumerate().rev() {

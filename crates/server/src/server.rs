@@ -3,7 +3,8 @@
 //!
 //! The accept loop hands each connection to a fixed pool of worker
 //! threads (sized to [`std::thread::available_parallelism`] by default)
-//! over a **bounded** channel of [`ServerConfig::queue`] slots. When
+//! through a **bounded** hand-off of [`ServerConfig::queue`] waiting
+//! slots, and starts accepting only once every worker has started. When
 //! every worker is busy and the queue is full, the server *sheds*: the
 //! connection is answered immediately with `503` + `Retry-After`
 //! ([`ServerConfig::retry_after`]) and closed, and
@@ -12,8 +13,8 @@
 //! the ones that are not, instead of an unbounded backlog that slowly
 //! times everyone out. Shutdown is graceful and race-free: a
 //! [`ShutdownHandle`] flips an atomic flag and wakes the (blocking)
-//! accept call with a loopback connection; the accept loop then drops
-//! the channel sender, the workers drain in-flight connections and exit,
+//! accept call with a loopback connection; the accept loop then closes
+//! the hand-off, the workers drain in-flight connections and exit,
 //! and [`Server::run`] joins them all before returning. `POST /shutdown`
 //! triggers the same path from the wire — which is how the CI smoke job
 //! stops the binary cleanly.
@@ -21,12 +22,13 @@
 use crate::http::{self, HttpError, Limits, Request, Response};
 use crate::metrics::Metrics;
 use crate::service::{error_body, http_error_response, PlanningService};
+use std::collections::VecDeque;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::sync_channel;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -144,29 +146,30 @@ impl Server {
         let shutdown = self.handle()?;
         let threads = self.config.effective_threads();
         let metrics = Arc::clone(self.service.metrics());
-        let (sender, receiver): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(self.config.queue);
-        let receiver = Arc::new(Mutex::new(receiver));
+        let handoff = Arc::new(Handoff::new(threads));
+        let started = Arc::new(Barrier::new(threads + 1));
 
         let workers: Vec<thread::JoinHandle<()>> = (0..threads)
             .map(|i| {
-                let receiver = Arc::clone(&receiver);
+                let handoff = Arc::clone(&handoff);
+                let started = Arc::clone(&started);
                 let service = Arc::clone(&self.service);
                 let config = self.config.clone();
                 let shutdown = shutdown.clone();
                 let metrics = Arc::clone(&metrics);
                 thread::Builder::new()
                     .name(format!("poiesis-http-{i}"))
-                    .spawn(move || loop {
-                        let stream = match receiver.lock().expect("worker queue").recv() {
-                            Ok(s) => s,
-                            Err(_) => return, // sender dropped: shutdown
-                        };
-                        // a panicking handler must cost one connection, not
-                        // one worker
-                        let _ = catch_unwind(AssertUnwindSafe(|| {
-                            serve_connection(stream, &service, &config, &shutdown, &metrics)
-                        }));
+                    .spawn(move || {
+                        started.wait();
+                        // `None` once the hand-off is closed and drained
+                        while let Some(stream) = handoff.take() {
+                            // a panicking handler must cost one connection,
+                            // not one worker
+                            let _ = catch_unwind(AssertUnwindSafe(|| {
+                                serve_connection(stream, &service, &config, &shutdown, &metrics)
+                            }));
+                            handoff.release();
+                        }
                     })
                     .expect("spawn worker")
             })
@@ -191,21 +194,22 @@ impl Server {
                 .expect("spawn shedder")
         };
 
+        // every worker is running before the first connection is accepted
+        started.wait();
         let mut served = 0usize;
         for stream in self.listener.incoming() {
             if shutdown.is_shutting_down() {
                 break;
             }
             match stream {
-                Ok(stream) => match sender.try_send(stream) {
+                Ok(stream) => match handoff.offer(stream, self.config.queue) {
                     Ok(()) => served += 1,
                     // workers busy and queue full: shed instead of
                     // building an unbounded backlog
-                    Err(TrySendError::Full(stream)) => {
+                    Err(stream) => {
                         metrics.record_shed();
                         let _ = shed_sender.try_send(stream);
                     }
-                    Err(TrySendError::Disconnected(_)) => break,
                 },
                 // accept failures (EMFILE, ECONNABORTED) should not kill
                 // the server; the brief pause keeps a *persistent* error
@@ -217,7 +221,7 @@ impl Server {
                 }
             }
         }
-        drop(sender);
+        handoff.close();
         drop(shed_sender);
         for worker in workers {
             let _ = worker.join();
@@ -241,6 +245,77 @@ impl Server {
             .name("poiesis-accept".to_string())
             .spawn(move || self.run())?;
         Ok((addr, handle, join))
+    }
+}
+
+/// The accept loop's hand-off to the workers: accepted connections
+/// waiting for a worker, and how many workers are free to take one. A
+/// worker counts as idle from the moment it is spawned until it takes a
+/// connection, so admission never depends on how far a worker thread has
+/// been scheduled.
+struct Handoff {
+    state: Mutex<HandoffState>,
+    ready: Condvar,
+}
+
+struct HandoffState {
+    pending: VecDeque<TcpStream>,
+    idle: usize,
+    closed: bool,
+}
+
+impl Handoff {
+    fn new(workers: usize) -> Self {
+        Handoff {
+            state: Mutex::new(HandoffState {
+                pending: VecDeque::new(),
+                idle: workers,
+                closed: false,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Admits `stream` when an idle worker or one of `queue` waiting slots
+    /// is free; hands it back when every worker is busy and the queue is
+    /// full. Each idle worker will take one pending connection, so up to
+    /// `idle + queue` may be pending at once.
+    fn offer(&self, stream: TcpStream, queue: usize) -> Result<(), TcpStream> {
+        let mut state = self.state.lock().expect("handoff");
+        if state.pending.len() >= state.idle + queue {
+            return Err(stream);
+        }
+        state.pending.push_back(stream);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Blocks until a connection is pending and takes it, marking the
+    /// calling worker busy; `None` once the hand-off is closed and drained.
+    fn take(&self) -> Option<TcpStream> {
+        let mut state = self.state.lock().expect("handoff");
+        loop {
+            if let Some(stream) = state.pending.pop_front() {
+                state.idle -= 1;
+                return Some(stream);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self.ready.wait(state).expect("handoff");
+        }
+    }
+
+    /// Marks the calling worker idle again after it finished a connection.
+    fn release(&self) {
+        self.state.lock().expect("handoff").idle += 1;
+    }
+
+    /// Stops admission; workers drain what is pending, then exit.
+    fn close(&self) {
+        self.state.lock().expect("handoff").closed = true;
+        self.ready.notify_all();
     }
 }
 

@@ -442,6 +442,24 @@ fn saturated_workers_shed_with_503_and_retry_after() {
     join.join().unwrap().unwrap();
 }
 
+#[test]
+fn the_first_connection_to_a_fresh_rendezvous_server_is_served() {
+    // a returned `spawn` means every worker is up: the very first peer of
+    // a one-worker, zero-queue server must reach the idle worker, never
+    // the shedder, however the worker thread happens to be scheduled
+    for attempt in 0..50 {
+        let (addr, handle, join) = spawn_server(ServerConfig {
+            threads: 1,
+            queue: 0,
+            ..ServerConfig::default()
+        });
+        let response = raw(addr, b"GET /healthz HTTP/1.1\r\n\r\n", true);
+        assert_eq!(status_of(&response), 200, "attempt {attempt}: {response}");
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
+}
+
 /// A scratch `--state-dir` that cleans up after itself.
 struct Scratch(PathBuf);
 

@@ -17,7 +17,7 @@ fn arb_points(max: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
 proptest! {
     #[test]
     fn skyline_members_are_mutually_incomparable(points in arb_points(120)) {
-        let sky = poiesis::pareto_skyline(&points);
+        let sky = poiesis::pareto_skyline_bnl(&points);
         for (a, &i) in sky.iter().enumerate() {
             for &j in sky.iter().skip(a + 1) {
                 prop_assert!(!poiesis::skyline::dominates(&points[i], &points[j]));
@@ -28,7 +28,7 @@ proptest! {
 
     #[test]
     fn every_non_skyline_point_is_dominated(points in arb_points(80)) {
-        let sky = poiesis::pareto_skyline(&points);
+        let sky = poiesis::pareto_skyline_bnl(&points);
         for i in 0..points.len() {
             if sky.contains(&i) {
                 continue;
@@ -41,11 +41,21 @@ proptest! {
     }
 
     #[test]
-    fn skyline_algorithms_agree(points in arb_points(100)) {
-        prop_assert_eq!(
-            poiesis::pareto_skyline_bnl(&points),
-            poiesis::pareto_skyline_sorted(&points)
-        );
+    fn skyline_algorithms_agree(
+        points in arb_points(100),
+        swaps in proptest::collection::vec(any::<prop::sample::Index>(), 100),
+    ) {
+        // the incremental set reaches the batch frontier for a random
+        // insertion order (a Fisher–Yates shuffle driven by `swaps`)
+        let mut order: Vec<usize> = (0..points.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, swaps[i].index(i + 1));
+        }
+        let mut set = poiesis::SkylineSet::new();
+        for i in order {
+            set.insert(i, points[i].clone());
+        }
+        prop_assert_eq!(set.ids(), poiesis::pareto_skyline_bnl(&points));
     }
 
     #[test]
@@ -57,7 +67,6 @@ proptest! {
             set.insert(i, p.clone());
         }
         prop_assert_eq!(set.ids(), poiesis::pareto_skyline_bnl(&points));
-        prop_assert_eq!(set.ids(), poiesis::pareto_skyline_sorted(&points));
         let mut reversed = poiesis::SkylineSet::new();
         for (i, p) in points.iter().enumerate().rev() {
             reversed.insert(i, p.clone());
@@ -71,36 +80,41 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn streaming_exhaustive_matches_materialized_skyline(
+    fn streaming_exhaustive_matches_batch_skyline(
         depth in 1usize..3,
         top_k in 3usize..7,
         budget in 50usize..400,
-        retain in any::<bool>(),
     ) {
-        let (flow, _) = datagen::fig2::purchases_flow();
-        let catalog = datagen::fig2::purchases_catalog(80, &datagen::DirtProfile::demo(), 3);
-        let registry = fcp::PatternRegistry::standard_for_catalog(&catalog);
-        let mut policy = fcp::DeploymentPolicy::exhaustive(depth);
-        policy.top_k_points_per_pattern = top_k;
-        let config = poiesis::PlannerConfig {
-            policy,
-            max_alternatives: budget,
-            retain_dominated: retain,
-            ..poiesis::PlannerConfig::default()
+        let planner = |retain_dominated: bool| {
+            let (flow, _) = datagen::fig2::purchases_flow();
+            let catalog = datagen::fig2::purchases_catalog(80, &datagen::DirtProfile::demo(), 3);
+            let registry = fcp::PatternRegistry::standard_for_catalog(&catalog);
+            let mut policy = fcp::DeploymentPolicy::exhaustive(depth);
+            policy.top_k_points_per_pattern = top_k;
+            let config = poiesis::PlannerConfig {
+                policy,
+                max_alternatives: budget,
+                retain_dominated,
+                ..poiesis::PlannerConfig::default()
+            };
+            poiesis::Planner::new(flow, catalog, registry, config)
         };
-        let planner = poiesis::Planner::new(flow, catalog, registry, config);
-        let streaming = planner.plan().unwrap();
-        let eager = planner.plan_materialized().unwrap();
-        // identical frontier identity, whatever the budget/policy/retention
-        prop_assert_eq!(streaming.skyline_names(), eager.skyline_names());
-        prop_assert_eq!(&streaming.stats, &eager.stats);
-        if retain {
-            // full layout equivalence when everything is retained
-            prop_assert_eq!(streaming.alternatives.len(), eager.alternatives.len());
-            prop_assert_eq!(&streaming.skyline, &eager.skyline);
-        } else {
-            prop_assert_eq!(streaming.alternatives.len(), streaming.skyline.len());
-        }
+        let retaining = planner(true);
+        let full = retaining.plan().unwrap();
+        // with every admitted design retained, the incremental frontier is
+        // the batch frontier of the retained set's oriented scores
+        let points: Vec<Vec<f64>> = full
+            .alternatives
+            .iter()
+            .map(|a| retaining.config().objective.oriented(&a.scores))
+            .collect();
+        prop_assert_eq!(&full.skyline, &poiesis::pareto_skyline_bnl(&points));
+        // dropping dominated designs keeps the same frontier identity and
+        // walks the same space, whatever the budget or policy
+        let lean = planner(false).plan().unwrap();
+        prop_assert_eq!(lean.skyline_names(), full.skyline_names());
+        prop_assert_eq!(&lean.stats, &full.stats);
+        prop_assert_eq!(lean.alternatives.len(), lean.skyline.len());
     }
 }
 
