@@ -13,10 +13,10 @@
 //!
 //! * [`well_formedness`] — graph shape: emptiness, cycles, weakly-disconnected
 //!   components, source/sink degree rules, operator arity, dangling channels;
-//! * [`dataflow`] — field-level dataflow on top of
-//!   [`etl_model::propagate_schemas`]: unresolved columns, duplicate
-//!   attributes, merge shape mismatches, expression type problems, and dead
-//!   fields never consumed by any downstream operation;
+//! * field-level dataflow on top of [`etl_model::propagate_schemas`] and
+//!   the flow's [`Lineage`]: unresolved columns, duplicate attributes, merge
+//!   shape mismatches, expression type problems, and dead fields no
+//!   operation ever reads;
 //! * [`check_application`] — pattern preconditions: validates an
 //!   [`fcp::ApplicationPoint`] against a pattern's prerequisites before the
 //!   planner clones the flow and applies the combination.
@@ -33,7 +33,8 @@ use etl_model::{
     propagate_schemas, DataType, EdgeId, EtlFlow, FlowError, NodeId, OpKind, Schema, SchemaError,
 };
 use fcp::{ApplicationPoint, Pattern, PatternContext};
-use flowgraph::{has_cycle, reachable_from, topo_sort, weakly_connected_components};
+use flowgraph::{has_cycle, topo_sort, weakly_connected_components};
+use std::collections::BTreeSet;
 use std::fmt;
 
 pub mod bounds;
@@ -226,36 +227,21 @@ pub fn has_errors(diags: &[Diagnostic]) -> bool {
     diags.iter().any(|d| d.severity == Severity::Error)
 }
 
-/// Runs every flow pass — [`well_formedness`], [`dataflow`] and the
+/// Runs every flow pass — [`well_formedness`], field-level dataflow and the
 /// sensitive-data [`lineage::taint`] pass — and returns all findings, errors
-/// first within the original pass order.
+/// first within the original pass order. A schema error (PA010–PA012)
+/// stops the later passes; otherwise [`Lineage`] is built once for both.
 pub fn analyze(flow: &EtlFlow) -> Vec<Diagnostic> {
-    analyze_with(flow, None)
-}
-
-/// [`analyze`] over a schema table the caller already computed (the planner
-/// and session builder carry one), avoiding a second [`propagate_schemas`]
-/// over the same flow. Pass `None` to propagate internally.
-pub fn analyze_with(flow: &EtlFlow, schemas: Option<&etl_model::SchemaTable>) -> Vec<Diagnostic> {
     let mut out = well_formedness(flow);
     if flow.graph.node_count() > 0 && !has_cycle(&flow.graph) {
-        let owned;
-        let table = match schemas {
-            Some(t) => Some(t),
-            None => match propagate_schemas(flow) {
-                Ok(t) => {
-                    owned = t;
-                    Some(&owned)
+        match propagate_schemas(flow) {
+            Ok(table) => {
+                if let Some(lineage) = Lineage::build(flow, &table) {
+                    out.extend(dataflow(flow, &table, &lineage));
+                    out.extend(lineage::taint_with(flow, &lineage));
                 }
-                Err(e) => {
-                    out.push(schema_error_diagnostic(flow, &e));
-                    None
-                }
-            },
-        };
-        if let Some(table) = table {
-            out.extend(dataflow_with(flow, table));
-            out.extend(lineage::taint(flow, table));
+            }
+            Err(e) => out.push(from_flow_error(flow, &FlowError::Schema(e))),
         }
     }
     // Stable sort: errors surface first, ties keep pass order.
@@ -272,102 +258,28 @@ pub fn screen(flow: &EtlFlow) -> Option<Diagnostic> {
     flow.validate().err().map(|e| from_flow_error(flow, &e))
 }
 
-/// [`screen`] for callers that already carry a valid schema table for the
-/// flow: schema propagation is proven, so only the structural half of
-/// validation runs ([`EtlFlow::validate_structure`]).
-pub fn screen_with(flow: &EtlFlow, schemas: Option<&etl_model::SchemaTable>) -> Option<Diagnostic> {
-    match schemas {
-        None => screen(flow),
-        Some(_) => flow
-            .validate_structure()
-            .err()
-            .map(|e| from_flow_error(flow, &e)),
-    }
-}
-
-/// Incremental variant of [`screen`] for a copy-on-write fork of an
-/// already-screened base flow: checks only what the fork's patch can have
-/// changed, in `O(affected region)` instead of `O(flow)`.
+/// Incremental structural screen for a copy-on-write fork of an
+/// already-screened base flow: emptiness, patch-created cycles, and
+/// degree/arity rules at the patch's touched nodes, in `O(affected region)`
+/// instead of `O(flow)`. Callers re-validate schemas over the patch by
+/// repairing the fork's schema table ([`etl_model::repair_table`]).
 ///
-/// * `base_schemas` — the base flow's schema table ([`propagate_schemas`]);
-/// * `delta` — the fork's divergence from the base ([`EtlFlow::delta_since`]).
-///
-/// **Precondition:** `screen(base)` returned `None`. Under it, this accepts a
-/// fork if and only if `screen(fork)` would: degree and kind can change only
-/// at touched nodes (any adjacency edit unshares the slot), a patch-created
-/// cycle always lies inside the touched-descendants region, and schemas of
-/// unaffected nodes are unchanged because the region is successor-closed.
-/// The returned diagnostic may name a different (equally real) finding than
-/// the full screen when several problems coexist.
-pub fn screen_delta(
-    fork: &EtlFlow,
-    base_schemas: &etl_model::SchemaTable,
-    delta: &flowgraph::CowDelta,
-) -> Option<Diagnostic> {
-    let g = &fork.graph;
-    if g.node_count() == 0 {
-        return Some(from_flow_error(fork, &FlowError::Empty));
-    }
-    // One pass detects both patch-created cycles (NotADag: a cycle through
-    // the patch always crosses a touched node) and schema breaks; the cycle
-    // verdict is pulled out first to keep the full screen's precedence
-    // (cycle → arity → schema).
-    let propagated = etl_model::propagate_schemas_delta(fork, base_schemas, delta);
-    if matches!(propagated, Err(etl_model::SchemaError::NotADag)) {
-        return Some(from_flow_error(fork, &FlowError::Cyclic));
-    }
-    if let Some(d) = touched_arity_diag(fork, delta) {
-        return Some(d);
-    }
-    if let Err(e) = propagated {
-        return Some(from_flow_error(fork, &FlowError::Schema(e)));
-    }
-    None
-}
-
-/// The structural half of [`screen_delta`], for callers that have already
-/// re-validated schema propagation over the patch (e.g. by carrying the
-/// fork's schema table through [`etl_model::repair_table`]): emptiness,
-/// patch-created cycles, and degree/arity rules at touched nodes. Same
-/// precondition as [`screen_delta`] — `screen(base)` returned `None`.
+/// **Precondition:** `screen(base)` returned `None`. Under it, degree and
+/// kind can change only at touched nodes (any adjacency edit unshares the
+/// slot), and a patch-created cycle always lies inside the
+/// touched-descendants region.
 pub fn screen_delta_structural(fork: &EtlFlow, delta: &flowgraph::CowDelta) -> Option<Diagnostic> {
-    if fork.graph.node_count() == 0 {
-        return Some(from_flow_error(fork, &FlowError::Empty));
-    }
-    if flowgraph::affected_topo(&fork.graph, &delta.touched_nodes).is_none() {
-        return Some(from_flow_error(fork, &FlowError::Cyclic));
-    }
-    touched_arity_diag(fork, delta)
-}
-
-/// Degree and arity checks restricted to a patch's touched nodes (any
-/// adjacency edit unshares the slot, so only touched nodes can violate).
-fn touched_arity_diag(fork: &EtlFlow, delta: &flowgraph::CowDelta) -> Option<Diagnostic> {
-    let g = &fork.graph;
-    for &n in &delta.touched_nodes {
-        let Some(op) = fork.op(n) else { continue };
-        let ins = g.in_degree(n);
-        let outs = g.out_degree(n);
-        let err = if ins == 0 && !matches!(op.kind, OpKind::Extract { .. }) {
-            Some(FlowError::NonExtractSource(op.name.clone()))
-        } else if outs == 0 && !matches!(op.kind, OpKind::Load { .. }) {
-            Some(FlowError::NonLoadSink(op.name.clone()))
-        } else {
-            let (ilo, ihi) = op.kind.input_arity();
-            let (olo, ohi) = op.kind.output_arity();
-            if ins < ilo || ins > ihi {
-                Some(FlowError::InputArity(op.name.clone(), ins, ilo, ihi))
-            } else if outs < olo || outs > ohi {
-                Some(FlowError::OutputArity(op.name.clone(), outs, olo, ohi))
-            } else {
-                None
-            }
-        };
-        if let Some(e) = err {
-            return Some(from_flow_error(fork, &e));
-        }
-    }
-    None
+    let verdict = if fork.graph.node_count() == 0 {
+        Err(FlowError::Empty)
+    } else if flowgraph::affected_topo(&fork.graph, &delta.touched_nodes).is_none() {
+        Err(FlowError::Cyclic)
+    } else {
+        delta
+            .touched_nodes
+            .iter()
+            .try_for_each(|&n| fork.validate_degree(n))
+    };
+    verdict.err().map(|e| from_flow_error(fork, &e))
 }
 
 // ---------------------------------------------------------------------------
@@ -386,20 +298,16 @@ pub fn well_formedness(flow: &EtlFlow) -> Vec<Diagnostic> {
         );
         return out;
     }
-    let cyclic = match topo_sort(g) {
-        Ok(_) => false,
-        Err(e) => {
-            out.push(
-                Diagnostic::error(
-                    codes::CYCLE,
-                    Location::Node(e.witness),
-                    "flow graph contains a directed cycle",
-                )
-                .with_suggestion("remove the back edge so data flows extract → load only"),
-            );
-            true
-        }
-    };
+    if let Err(e) = topo_sort(g) {
+        out.push(
+            Diagnostic::error(
+                codes::CYCLE,
+                Location::Node(e.witness),
+                "flow graph contains a directed cycle",
+            )
+            .with_suggestion("remove the back edge so data flows extract → load only"),
+        );
+    }
     let components = weakly_connected_components(g);
     if components.len() > 1 {
         out.push(
@@ -476,7 +384,6 @@ pub fn well_formedness(flow: &EtlFlow) -> Vec<Diagnostic> {
             ));
         }
     }
-    let _ = cyclic;
     out
 }
 
@@ -497,28 +404,13 @@ fn arity_text((lo, hi): (usize, usize)) -> String {
 // ---------------------------------------------------------------------------
 // Pass 2: field-level dataflow.
 
-/// Field-level dataflow pass on top of [`propagate_schemas`]: unresolved
-/// columns (PA010), duplicate attributes (PA011), merge mismatches (PA012),
-/// expression type problems (PA013) and dead fields (PA014).
-///
-/// Skips silently when the graph is cyclic or empty — [`well_formedness`]
-/// already owns those findings and schemas cannot propagate.
-pub fn dataflow(flow: &EtlFlow) -> Vec<Diagnostic> {
-    let g = &flow.graph;
-    if g.node_count() == 0 || has_cycle(g) {
-        return Vec::new();
-    }
-    let schemas = match propagate_schemas(flow) {
-        Ok(s) => s,
-        // Propagation stops at the first unresolved reference; report it and
-        // let the user iterate (matching how compilers gate later passes).
-        Err(e) => return vec![schema_error_diagnostic(flow, &e)],
-    };
-    dataflow_with(flow, &schemas)
-}
-
-/// [`dataflow`] over an already-propagated schema table.
-fn dataflow_with(flow: &EtlFlow, schemas: &etl_model::SchemaTable) -> Vec<Diagnostic> {
+/// Field-level dataflow pass over a propagated schema table and its
+/// lineage: expression type problems (PA013) and dead fields (PA014).
+fn dataflow(
+    flow: &EtlFlow,
+    schemas: &etl_model::SchemaTable,
+    lineage: &Lineage,
+) -> Vec<Diagnostic> {
     let g = &flow.graph;
     let mut out = Vec::new();
     for (n, op) in g.nodes() {
@@ -542,7 +434,7 @@ fn dataflow_with(flow: &EtlFlow, schemas: &etl_model::SchemaTable) -> Vec<Diagno
             _ => {}
         }
     }
-    dead_fields(flow, schemas, &mut out);
+    dead_fields(flow, lineage, &mut out);
     out
 }
 
@@ -615,16 +507,33 @@ fn check_arithmetic(
     }
 }
 
-/// Flags fields introduced by an extract or derive that no reachable
-/// downstream operation ever consumes (PA014, warn). "Consumes" includes a
-/// load writing the field out; join renames (`r_` prefixing on clash) are
-/// normalised so a field consumed under its post-join name stays live.
-fn dead_fields(
-    flow: &EtlFlow,
-    schemas: &[Option<std::sync::Arc<Schema>>],
-    out: &mut Vec<Diagnostic>,
-) {
+/// Flags fields introduced by an extract or derive that no operation ever
+/// reads (PA014, warn). A field is read when some operation reads a column
+/// whose [`Lineage`] origins contain it; a load reads everything it writes
+/// out. Lineage follows a field through join renames, and a same-named
+/// column from another source does not keep it alive.
+fn dead_fields(flow: &EtlFlow, lineage: &Lineage, out: &mut Vec<Diagnostic>) {
     let g = &flow.graph;
+    let mut read: BTreeSet<&SourceColumn> = BTreeSet::new();
+    for (n, op) in g.nodes() {
+        let preds: Vec<NodeId> = g.predecessors(n).collect();
+        let whole_input = match &op.kind {
+            OpKind::Load { .. } => true,
+            // FilterNulls with no column list guards every attribute.
+            OpKind::FilterNulls { columns } => columns.is_empty(),
+            _ => false,
+        };
+        if whole_input {
+            if let Some(&p) = preds.first() {
+                read.extend(lineage.columns(p).flat_map(|(_, origins)| origins));
+            }
+        }
+        for (input, column) in consumed_columns(&op.kind) {
+            if let Some(&p) = preds.get(input) {
+                read.extend(lineage.origins(p, column));
+            }
+        }
+    }
     for (n, op) in g.nodes() {
         let introduced: Vec<&str> = match &op.kind {
             OpKind::Extract { schema, .. } => {
@@ -633,32 +542,12 @@ fn dead_fields(
             OpKind::Derive { outputs } => outputs.iter().map(|(c, _)| c.as_str()).collect(),
             _ => continue,
         };
-        if introduced.is_empty() {
-            continue;
-        }
-        let downstream: Vec<NodeId> = reachable_from(g, n)
-            .into_iter()
-            .filter(|&d| d != n)
-            .collect();
         for field in introduced {
-            let live = downstream.iter().any(|&d| {
-                let op = match flow.op(d) {
-                    Some(op) => op,
-                    None => return false,
-                };
-                match &op.kind {
-                    // A load consumes everything it writes out.
-                    OpKind::Load { .. } => schemas[d.index()]
-                        .as_ref()
-                        .is_some_and(|s| s.attrs().iter().any(|a| names_match(&a.name, field))),
-                    // FilterNulls with no column list guards every attribute.
-                    OpKind::FilterNulls { columns } if columns.is_empty() => true,
-                    _ => consumed_columns(&op.kind)
-                        .iter()
-                        .any(|c| names_match(c, field)),
-                }
-            });
-            if !live {
+            let root = SourceColumn {
+                node: n,
+                column: field.to_string(),
+            };
+            if !read.contains(&root) {
                 out.push(
                     Diagnostic::warn(
                         codes::DEAD_FIELD,
@@ -677,31 +566,34 @@ fn dead_fields(
     }
 }
 
-/// Attribute names an operation reads, by kind.
-fn consumed_columns(kind: &OpKind) -> Vec<String> {
+/// Attribute names an operation reads, by kind, as `(input index, name)`.
+fn consumed_columns(kind: &OpKind) -> Vec<(usize, &str)> {
+    fn first(names: &[String]) -> Vec<(usize, &str)> {
+        names.iter().map(|c| (0, c.as_str())).collect()
+    }
     match kind {
         OpKind::Filter { predicate } | OpKind::Router { predicate } => {
-            predicate.columns().into_iter().map(String::from).collect()
+            predicate.columns().into_iter().map(|c| (0, c)).collect()
         }
-        OpKind::Project { keep } => keep.clone(),
+        OpKind::Project { keep } => first(keep),
         OpKind::Derive { outputs } => outputs
             .iter()
-            .flat_map(|(_, e)| e.columns().into_iter().map(String::from))
+            .flat_map(|(_, e)| e.columns().into_iter().map(|c| (0, c)))
             .collect(),
-        OpKind::Convert { column, .. } => vec![column.clone()],
+        OpKind::Convert { column, .. } => vec![(0, column.as_str())],
         OpKind::Join {
             left_key,
             right_key,
-        } => vec![left_key.clone(), right_key.clone()],
+        } => vec![(0, left_key.as_str()), (1, right_key.as_str())],
         OpKind::Aggregate { group_by, aggs } => group_by
             .iter()
-            .cloned()
-            .chain(aggs.iter().map(|(_, _, input)| input.clone()))
+            .map(|g| (0, g.as_str()))
+            .chain(aggs.iter().map(|(_, _, input)| (0, input.as_str())))
             .collect(),
-        OpKind::Sort { by } => by.clone(),
-        OpKind::Dedup { keys } => keys.clone(),
-        OpKind::FilterNulls { columns } => columns.clone(),
-        OpKind::Crosscheck { key, .. } => vec![key.clone()],
+        OpKind::Sort { by } => first(by),
+        OpKind::Dedup { keys } => first(keys),
+        OpKind::FilterNulls { columns } => first(columns),
+        OpKind::Crosscheck { key, .. } => vec![(0, key.as_str())],
         OpKind::Extract { .. }
         | OpKind::Load { .. }
         | OpKind::Split
@@ -710,16 +602,6 @@ fn consumed_columns(kind: &OpKind) -> Vec<String> {
         | OpKind::Checkpoint { .. }
         | OpKind::Encrypt => Vec::new(),
     }
-}
-
-/// `consumed` matches `field` directly or through the join rename scheme
-/// (clashing right-side attributes get `r_` prepended, then underscores
-/// until unique — see `Schema::join_concat`).
-fn names_match(consumed: &str, field: &str) -> bool {
-    consumed == field
-        || consumed
-            .strip_prefix("r_")
-            .is_some_and(|rest| rest.trim_end_matches('_') == field)
 }
 
 // ---------------------------------------------------------------------------
@@ -794,7 +676,7 @@ fn flow_error_diagnostic_at(flow: Option<&EtlFlow>, err: &FlowError) -> Diagnost
         FlowError::Empty => {
             Diagnostic::error(codes::EMPTY_FLOW, Location::Graph, "flow has no operations")
         }
-        FlowError::Cyclic => Diagnostic::error(
+        FlowError::Cyclic | FlowError::Schema(SchemaError::NotADag) => Diagnostic::error(
             codes::CYCLE,
             Location::Graph,
             "flow graph contains a directed cycle",
@@ -830,48 +712,28 @@ fn flow_error_diagnostic_at(flow: Option<&EtlFlow>, err: &FlowError) -> Diagnost
             Location::Graph,
             format!("graph operation failed: {e}"),
         ),
-        FlowError::Schema(e) => schema_error_diagnostic_at(flow, e),
-    }
-}
-
-/// Maps a [`SchemaError`] from [`propagate_schemas`] onto a diagnostic.
-pub fn schema_error_diagnostic(flow: &EtlFlow, err: &SchemaError) -> Diagnostic {
-    schema_error_diagnostic_at(Some(flow), err)
-}
-
-fn schema_error_diagnostic_at(flow: Option<&EtlFlow>, err: &SchemaError) -> Diagnostic {
-    let locate = |name: &str| {
-        flow.map(|f| node_by_name(f, name))
-            .unwrap_or(Location::Graph)
-    };
-    match err {
-        SchemaError::Bind { op, column } | SchemaError::MissingAttr { op, column } => {
-            Diagnostic::error(
-                codes::UNRESOLVED_COLUMN,
-                locate(op),
-                format!("`{op}` references column `{column}` absent from its input schema"),
-            )
-            .with_suggestion(format!(
-                "produce `{column}` upstream or correct the reference"
-            ))
-        }
-        SchemaError::DuplicateAttr { op, column } => Diagnostic::error(
+        FlowError::Schema(
+            SchemaError::Bind { op, column } | SchemaError::MissingAttr { op, column },
+        ) => Diagnostic::error(
+            codes::UNRESOLVED_COLUMN,
+            locate(op),
+            format!("`{op}` references column `{column}` absent from its input schema"),
+        )
+        .with_suggestion(format!(
+            "produce `{column}` upstream or correct the reference"
+        )),
+        FlowError::Schema(SchemaError::DuplicateAttr { op, column }) => Diagnostic::error(
             codes::DUPLICATE_ATTRIBUTE,
             locate(op),
             format!("`{op}` would introduce duplicate attribute `{column}`"),
         )
         .with_suggestion(format!("rename the derived attribute `{column}`")),
-        SchemaError::MergeMismatch { op } => Diagnostic::error(
+        FlowError::Schema(SchemaError::MergeMismatch { op }) => Diagnostic::error(
             codes::MERGE_MISMATCH,
             locate(op),
             format!("inputs of merge `{op}` have mismatching schemas"),
         )
         .with_suggestion("align attribute names and types on every merge input"),
-        SchemaError::NotADag => Diagnostic::error(
-            codes::CYCLE,
-            Location::Graph,
-            "flow graph contains a directed cycle",
-        ),
     }
 }
 
@@ -981,9 +843,12 @@ mod tests {
             .unwrap();
         let delta = good.delta_since(&base);
         assert!(screen(&good).is_none());
-        assert!(screen_delta(&good, &base_schemas, &delta).is_none());
+        assert!(screen_delta_structural(&good, &delta).is_none());
+        assert!(etl_model::propagate_schemas_delta(&good, &base_schemas, &delta).is_ok());
 
-        // Schema-breaking patch: filter over a ghost column.
+        // Schema-breaking patch: filter over a ghost column. It is
+        // structurally sound, so the schema half of the delta screen —
+        // delta propagation or repairing the carried table — rejects it.
         let mut bad = base.fork("bad");
         let e = bad.graph.edge_ids().next().unwrap();
         bad.graph
@@ -995,7 +860,14 @@ mod tests {
             )
             .unwrap();
         let delta = bad.delta_since(&base);
-        let fast = screen_delta(&bad, &base_schemas, &delta).expect("must reject");
+        assert!(screen_delta_structural(&bad, &delta).is_none());
+        let fast = etl_model::propagate_schemas_delta(&bad, &base_schemas, &delta)
+            .expect_err("must reject");
+        let mut table = base_schemas.clone();
+        let repaired = etl_model::repair_table(&bad, &mut table, &delta.touched_nodes)
+            .expect_err("must reject");
+        assert_eq!(fast, repaired);
+        let fast = from_flow_error(&bad, &FlowError::Schema(fast));
         let slow = screen(&bad).expect("must reject");
         assert_eq!(fast.code, slow.code);
         assert_eq!(fast.code, codes::UNRESOLVED_COLUMN);
@@ -1010,7 +882,7 @@ mod tests {
             .unwrap();
         cut.graph.remove_node(load);
         let delta = cut.delta_since(&base);
-        let fast = screen_delta(&cut, &base_schemas, &delta).expect("must reject");
+        let fast = screen_delta_structural(&cut, &delta).expect("must reject");
         let slow = screen(&cut).expect("must reject");
         assert_eq!(fast.code, slow.code);
 
@@ -1027,7 +899,7 @@ mod tests {
             .add_edge(filter, extract, Channel::default())
             .unwrap();
         let delta = cyc.delta_since(&base);
-        let fast = screen_delta(&cyc, &base_schemas, &delta).expect("must reject");
+        let fast = screen_delta_structural(&cyc, &delta).expect("must reject");
         assert_eq!(fast.code, codes::CYCLE);
         assert_eq!(screen(&cyc).unwrap().code, codes::CYCLE);
 
@@ -1035,7 +907,7 @@ mod tests {
         let same = base.fork("same");
         let delta = same.delta_since(&base);
         assert!(delta.is_empty());
-        assert!(screen_delta(&same, &base_schemas, &delta).is_none());
+        assert!(screen_delta_structural(&same, &delta).is_none());
     }
 
     #[test]
@@ -1061,7 +933,7 @@ mod tests {
         let diags = analyze(&f);
         assert!(diags.iter().any(|d| d.code == codes::CYCLE));
         assert!(!diags.iter().any(|d| d.code == codes::UNRESOLVED_COLUMN));
-        assert!(dataflow(&f).is_empty());
+        assert!(!diags.iter().any(|d| d.code.starts_with("PA01")));
     }
 
     #[test]
@@ -1161,7 +1033,7 @@ mod tests {
         let l = f.add_op(Operation::load("dw"));
         f.connect(a, d).unwrap();
         f.connect(d, l).unwrap();
-        assert_eq!(codes_of(&dataflow(&f)), vec![codes::DUPLICATE_ATTRIBUTE]);
+        assert_eq!(codes_of(&analyze(&f)), vec![codes::DUPLICATE_ATTRIBUTE]);
 
         // merge of two different shapes
         let mut f = EtlFlow::new("m");
@@ -1175,7 +1047,7 @@ mod tests {
         f.connect(a, m).unwrap();
         f.connect(b, m).unwrap();
         f.connect(m, l).unwrap();
-        assert_eq!(codes_of(&dataflow(&f)), vec![codes::MERGE_MISMATCH]);
+        assert_eq!(codes_of(&analyze(&f)), vec![codes::MERGE_MISMATCH]);
     }
 
     #[test]
@@ -1186,7 +1058,7 @@ mod tests {
         let c = f.add_op(Operation::load("dw"));
         f.connect(a, b).unwrap();
         f.connect(b, c).unwrap();
-        let diags = dataflow(&f);
+        let diags = analyze(&f);
         let d = diags.iter().find(|d| d.code == codes::EXPR_TYPE).unwrap();
         assert_eq!(d.severity, Severity::Error);
         assert!(d.message.contains("expected bool"));
@@ -1204,7 +1076,7 @@ mod tests {
         let l = f.add_op(Operation::load("dw"));
         f.connect(a, d).unwrap();
         f.connect(d, l).unwrap();
-        let diags = dataflow(&f);
+        let diags = analyze(&f);
         let warn = diags
             .iter()
             .find(|d| d.code == codes::EXPR_TYPE && d.severity == Severity::Warn)
@@ -1225,7 +1097,7 @@ mod tests {
         let l = f.add_op(Operation::load("dw"));
         f.connect(a, p).unwrap();
         f.connect(p, l).unwrap();
-        let diags = dataflow(&f);
+        let diags = analyze(&f);
         let d = diags.iter().find(|d| d.code == codes::DEAD_FIELD).unwrap();
         assert_eq!(d.severity, Severity::Warn);
         assert!(d.message.contains("`price`"));
@@ -1259,10 +1131,59 @@ mod tests {
         f.connect(a, j).unwrap();
         f.connect(b, j).unwrap();
         f.connect(j, l).unwrap();
-        let diags = dataflow(&f);
+        let diags = analyze(&f);
         assert!(
             !diags.iter().any(|d| d.code == codes::DEAD_FIELD),
             "join-renamed field wrongly flagged dead: {diags:?}"
+        );
+    }
+
+    #[test]
+    fn a_right_side_field_renamed_by_a_join_then_projected_away_is_dead() {
+        // b.id becomes `r_id` at the join and the project keeps only a's
+        // `id`: the same name must not keep b's field alive.
+        let mut f = EtlFlow::new("j");
+        let a = f.add_op(Operation::extract(
+            "a",
+            Schema::new(vec![
+                Attribute::required("id", DataType::Int),
+                Attribute::required("k", DataType::Int),
+            ]),
+        ));
+        let b = f.add_op(Operation::extract(
+            "b",
+            Schema::new(vec![
+                Attribute::required("id", DataType::Int),
+                Attribute::required("k2", DataType::Int),
+            ]),
+        ));
+        let j = f.add_op(Operation::new(
+            "J",
+            OpKind::Join {
+                left_key: "k".into(),
+                right_key: "k2".into(),
+            },
+        ));
+        let p = f.add_op(Operation::project(
+            "P",
+            vec!["id".to_string(), "k".to_string()],
+        ));
+        let l = f.add_op(Operation::load("dw"));
+        f.connect(a, j).unwrap();
+        f.connect(b, j).unwrap();
+        f.connect(j, p).unwrap();
+        f.connect(p, l).unwrap();
+        let dead: Vec<_> = analyze(&f)
+            .into_iter()
+            .filter(|d| d.code == codes::DEAD_FIELD)
+            .collect();
+        assert_eq!(dead.len(), 1, "{dead:?}");
+        assert_eq!(dead[0].location, Location::Node(b));
+        assert!(dead[0].message.contains("`id`"), "{}", dead[0].message);
+        assert!(
+            dead[0].message.contains("`EXTRACT b`"),
+            "{}",
+            dead[0].message
         );
     }
 

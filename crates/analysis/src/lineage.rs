@@ -1,223 +1,139 @@
 //! Attribute-level lineage and the sensitive-data taint pass.
 //!
-//! Lineage answers "where does this column come from?": every output column
-//! of every operation is mapped back to the extract columns it originates
-//! from, through joins (including the `r_` rename scheme), derives,
-//! aggregations and merges. The taint pass walks the same mapping forward
-//! from source columns marked [`etl_model::Attribute::sensitive`] and emits
-//! `PA03x`/`PA04x` diagnostics when tainted data reaches a load without
-//! crossing an encryption boundary, each carrying a rustc-style lineage
-//! trace in its notes.
+//! Lineage answers "where does this column come from?". It does not restate
+//! what operators do to columns: [`Lineage::build`] walks the flow once and
+//! reads each operation's [`etl_model::column_sources`], the statement that
+//! sits beside schema propagation, so a new operator kind or a change to
+//! join renaming is made in one place. Every output column of every
+//! operation keeps its [`ColumnSource`] and the set of lineage roots it
+//! originates from: extract attributes, and derived columns (derive
+//! outputs, converted columns), which also carry their inputs' origins.
 //!
-//! Both passes mirror [`etl_model::propagate_schemas`] exactly — one column
-//! mapping function (`column_mappings`) drives both, so lineage can never
-//! disagree with the schema semantics.
+//! Two analyses read the result instead of walking the flow again. The
+//! taint pass follows columns marked [`etl_model::Attribute::sensitive`]
+//! toward the loads and emits `PA03x`/`PA04x` diagnostics when tainted data
+//! reaches a load without crossing an encryption boundary, each carrying a
+//! rustc-style lineage trace in its notes. Dead-field analysis (PA014) asks
+//! whether any operation reads a column whose origins contain a field.
 
 use crate::{codes, Diagnostic, Location};
-use etl_model::{EtlFlow, NodeId, OpKind, Schema, SchemaTable};
+use etl_model::{
+    column_sources, ColumnRef, ColumnSource, EtlFlow, NodeId, OpKind, Schema, SchemaTable,
+};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// One originating source column: an attribute of an extract's schema.
+/// One lineage root: an attribute of an extract's schema, or a column a
+/// derive or convert computes.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SourceColumn {
-    /// The extract node that introduces the column.
+    /// The operation that introduces the column.
     pub node: NodeId,
-    /// The attribute name at the extract.
+    /// The attribute name there.
     pub column: String,
 }
 
-/// How an output column relates to the input columns it maps from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MapKind {
-    /// The value passes through (possibly renamed): copies carry taint.
-    Copy,
-    /// The value is computed from the inputs (derive): carries taint.
-    Derived,
-    /// The value is an aggregate over the inputs (sum/count/…): provenance
-    /// is kept for lineage, but taint is considered sanitized.
-    Aggregated,
+/// One output column of one operation.
+#[derive(Debug, Clone)]
+struct Column {
+    name: String,
+    source: ColumnSource,
+    origins: Arc<BTreeSet<SourceColumn>>,
 }
 
-/// One output column with the `(input index, input column)` pairs it maps
-/// from and how.
-type ColumnMapping = (String, Vec<(usize, String)>, MapKind);
-
-/// For one operation: each output column with the inputs it maps from and
-/// how. Extract columns map from nothing — they are the lineage roots.
-fn column_mappings(kind: &OpKind, inputs: &[&Schema]) -> Vec<ColumnMapping> {
-    let copy_all = |i: usize| -> Vec<ColumnMapping> {
-        inputs
-            .get(i)
-            .map(|s| {
-                s.attrs()
-                    .iter()
-                    .map(|a| (a.name.clone(), vec![(i, a.name.clone())], MapKind::Copy))
-                    .collect()
-            })
-            .unwrap_or_default()
-    };
-    match kind {
-        OpKind::Extract { schema, .. } => schema
-            .attrs()
-            .iter()
-            .map(|a| (a.name.clone(), Vec::new(), MapKind::Copy))
-            .collect(),
-        OpKind::Load { .. }
-        | OpKind::Filter { .. }
-        | OpKind::Router { .. }
-        | OpKind::Sort { .. }
-        | OpKind::Dedup { .. }
-        | OpKind::FilterNulls { .. }
-        | OpKind::Crosscheck { .. }
-        | OpKind::Split
-        | OpKind::Partition
-        | OpKind::Checkpoint { .. }
-        | OpKind::Encrypt
-        | OpKind::Convert { .. } => copy_all(0),
-        OpKind::Merge => {
-            // Merge inputs share attribute names (same_shape), so each output
-            // column unions the same-named column of every input.
-            inputs
-                .first()
-                .map(|s| {
-                    s.attrs()
-                        .iter()
-                        .map(|a| {
-                            (
-                                a.name.clone(),
-                                (0..inputs.len()).map(|i| (i, a.name.clone())).collect(),
-                                MapKind::Copy,
-                            )
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
-        }
-        OpKind::Project { keep } => keep
-            .iter()
-            .map(|k| (k.clone(), vec![(0, k.clone())], MapKind::Copy))
-            .collect(),
-        OpKind::Derive { outputs } => {
-            let mut out = copy_all(0);
-            for (name, expr) in outputs {
-                out.push((
-                    name.clone(),
-                    expr.columns()
-                        .into_iter()
-                        .map(|c| (0, c.to_string()))
-                        .collect(),
-                    MapKind::Derived,
-                ));
-            }
-            out
-        }
-        OpKind::Join { .. } => {
-            // Mirror `Schema::join_concat(right, "r")`: clashing right names
-            // get an `r_` prefix, then trailing underscores until unique.
-            let mut out = copy_all(0);
-            let (Some(left), Some(right)) = (inputs.first(), inputs.get(1)) else {
-                return out;
-            };
-            let mut names: Vec<String> = left.attrs().iter().map(|a| a.name.clone()).collect();
-            for a in right.attrs() {
-                let mut name = if left.contains(&a.name) {
-                    format!("r_{}", a.name)
-                } else {
-                    a.name.clone()
-                };
-                while names.iter().any(|n| n == &name) {
-                    name.push('_');
-                }
-                names.push(name.clone());
-                out.push((name, vec![(1, a.name.clone())], MapKind::Copy));
-            }
-            out
-        }
-        OpKind::Aggregate { group_by, aggs } => {
-            let mut out: Vec<_> = group_by
-                .iter()
-                .map(|g| (g.clone(), vec![(0, g.clone())], MapKind::Copy))
-                .collect();
-            for (name, _, input) in aggs {
-                out.push((name.clone(), vec![(0, input.clone())], MapKind::Aggregated));
-            }
-            out
-        }
-    }
+/// The columns of one operation, by output position.
+#[derive(Debug, Clone)]
+struct NodeColumns {
+    /// Predecessors, in the order [`etl_model::ColumnRef::input`] indexes.
+    preds: Vec<NodeId>,
+    columns: Vec<Column>,
 }
-
-/// Set of originating source columns per output column of one node.
-pub type ColumnOrigins = BTreeMap<String, BTreeSet<SourceColumn>>;
 
 /// The attribute-level lineage of a flow: for every operation, every output
-/// column mapped to the extract columns it originates from. Aggregations
-/// keep provenance (a `SUM(amount)` originates from `amount`); the taint
-/// pass — not lineage — is where aggregation sanitizes.
+/// column with its source and the lineage roots it originates from.
+/// Aggregations keep provenance (a `SUM(amount)` originates from `amount`);
+/// the taint pass — not lineage — is where aggregation sanitizes.
 #[derive(Debug)]
 pub struct Lineage {
-    per_node: Vec<Option<ColumnOrigins>>,
+    /// The topological order the table was built in.
+    order: Vec<NodeId>,
+    per_node: Vec<Option<NodeColumns>>,
 }
 
 impl Lineage {
-    /// Builds the lineage table over an already-propagated schema table
-    /// (predecessor schemas feed the join/merge column mapping). Returns
-    /// `None` when the flow is cyclic — schemas cannot have propagated
-    /// either, and well-formedness owns that finding.
+    /// Builds the lineage table over an already-propagated schema table,
+    /// which names the columns [`column_sources`] places. Returns `None`
+    /// when the flow is cyclic — schemas cannot have propagated either, and
+    /// well-formedness owns that finding.
     pub fn build(flow: &EtlFlow, schemas: &SchemaTable) -> Option<Lineage> {
+        let schema = |n: NodeId| -> Option<&Schema> { schemas.get(n.index())?.as_deref() };
         let order = flow.topo_order().ok()?;
-        let mut per_node: Vec<Option<ColumnOrigins>> = vec![None; flow.graph.node_bound()];
-        for n in order {
+        let mut per_node: Vec<Option<NodeColumns>> = vec![None; flow.graph.node_bound()];
+        for &n in &order {
             let op = flow.op(n)?;
             let preds: Vec<NodeId> = flow.graph.predecessors(n).collect();
-            let inputs: Vec<&Schema> = preds
+            // `None` when the schema table does not cover the flow.
+            let inputs = preds
                 .iter()
-                .filter_map(|p| schemas.get(p.index())?.as_deref())
-                .collect();
-            if inputs.len() != preds.len() {
-                return None; // schema table does not cover the flow
-            }
-            let mut origins: ColumnOrigins = BTreeMap::new();
-            for (out_col, maps, _) in column_mappings(&op.kind, &inputs) {
-                let entry = origins.entry(out_col.clone()).or_default();
-                if maps.is_empty() {
-                    entry.insert(SourceColumn {
-                        node: n,
-                        column: out_col,
-                    });
-                } else {
-                    for (i, in_col) in maps {
-                        if let Some(Some(pred)) = preds.get(i).map(|p| per_node[p.index()].as_ref())
-                        {
-                            if let Some(srcs) = pred.get(&in_col) {
-                                entry.extend(srcs.iter().cloned());
-                            }
+                .map(|&p| schema(p))
+                .collect::<Option<Vec<_>>>()?;
+            let columns = column_sources(&op.kind, &inputs)
+                .into_iter()
+                .zip(schema(n)?.attrs())
+                .map(|(source, attr)| {
+                    let input = |r: &ColumnRef| {
+                        let p = per_node[preds.get(r.input)?.index()].as_ref()?;
+                        p.columns.get(r.attr)
+                    };
+                    let origins = match (&source, source.inputs()) {
+                        // Most columns are plain copies: share the input's set.
+                        (ColumnSource::Copy(_), [r]) => {
+                            input(r).map(|c| Arc::clone(&c.origins)).unwrap_or_default()
                         }
+                        _ => {
+                            let mut origins = BTreeSet::new();
+                            if matches!(source, ColumnSource::Root | ColumnSource::Derived(_)) {
+                                origins.insert(SourceColumn {
+                                    node: n,
+                                    column: attr.name.clone(),
+                                });
+                            }
+                            for c in source.inputs().iter().filter_map(input) {
+                                origins.extend(c.origins.iter().cloned());
+                            }
+                            Arc::new(origins)
+                        }
+                    };
+                    Column {
+                        name: attr.name.clone(),
+                        source,
+                        origins,
                     }
-                }
-            }
-            per_node[n.index()] = Some(origins);
+                })
+                .collect();
+            per_node[n.index()] = Some(NodeColumns { preds, columns });
         }
-        Some(Lineage { per_node })
+        Some(Lineage { order, per_node })
     }
 
-    /// The source columns one output column of `node` originates from.
+    fn node(&self, node: NodeId) -> Option<&NodeColumns> {
+        self.per_node.get(node.index())?.as_ref()
+    }
+
+    /// The lineage roots one output column of `node` originates from.
     /// Empty when the node or column is unknown.
     pub fn origins(&self, node: NodeId, column: &str) -> impl Iterator<Item = &SourceColumn> {
-        self.per_node
-            .get(node.index())
-            .and_then(|o| o.as_ref())
-            .and_then(|o| o.get(column))
+        self.node(node)
+            .and_then(|n| n.columns.iter().find(|c| c.name == column))
             .into_iter()
-            .flatten()
+            .flat_map(|c| c.origins.iter())
     }
 
-    /// Every output column of `node` with its origin set.
+    /// Every output column of `node`, in schema order, with its origins.
     pub fn columns(&self, node: NodeId) -> impl Iterator<Item = (&str, &BTreeSet<SourceColumn>)> {
-        self.per_node
-            .get(node.index())
-            .and_then(|o| o.as_ref())
+        self.node(node)
             .into_iter()
-            .flat_map(|o| o.iter().map(|(c, s)| (c.as_str(), s)))
+            .flat_map(|n| n.columns.iter().map(|c| (c.name.as_str(), &*c.origins)))
     }
 }
 
@@ -236,7 +152,7 @@ type NodeTaint = BTreeMap<String, BTreeMap<SourceColumn, TaintEntry>>;
 /// The sensitive-data taint pass (PA030/PA031/PA040/PA041).
 ///
 /// Columns marked [`etl_model::Attribute::sensitive`] on extract schemata
-/// are tracked through the lineage mapping. Aggregation sanitizes (a sum
+/// are tracked through the flow's [`Lineage`]. Aggregation sanitizes (a sum
 /// over a sensitive column is not itself sensitive); an in-flow `ENCRYPT`
 /// operation or the graph-wide `encrypted` configuration protects. A
 /// sensitive column reaching a load unprotected is PA030 (warn, with the
@@ -244,70 +160,65 @@ type NodeTaint = BTreeMap<String, BTreeMap<SourceColumn, TaintEntry>>;
 /// Redundant in-flow encryption under an encrypted graph is PA040;
 /// encryption configured with nothing sensitive to protect is PA041.
 pub fn taint(flow: &EtlFlow, schemas: &SchemaTable) -> Vec<Diagnostic> {
+    Lineage::build(flow, schemas).map_or_else(Vec::new, |lineage| taint_with(flow, &lineage))
+}
+
+/// [`taint`] over an already-built lineage table.
+pub(crate) fn taint_with(flow: &EtlFlow, lineage: &Lineage) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let Ok(order) = flow.topo_order() else {
-        return out;
-    };
     let mut per_node: Vec<Option<NodeTaint>> = vec![None; flow.graph.node_bound()];
     let mut sensitive_sources = 0usize;
-    for n in order {
-        let Some(op) = flow.op(n) else { continue };
-        let preds: Vec<NodeId> = flow.graph.predecessors(n).collect();
-        let inputs: Vec<&Schema> = preds
-            .iter()
-            .filter_map(|p| schemas.get(p.index())?.as_deref())
-            .collect();
-        if inputs.len() != preds.len() {
-            return out;
-        }
+    for &n in &lineage.order {
+        let (Some(op), Some(node)) = (flow.op(n), lineage.node(n)) else {
+            continue;
+        };
         let mut taints: NodeTaint = BTreeMap::new();
-        for (out_col, maps, kind) in column_mappings(&op.kind, &inputs) {
-            if maps.is_empty() {
-                // Lineage root: an extract attribute.
-                if let OpKind::Extract { schema, .. } = &op.kind {
-                    if schema.attr(&out_col).is_some_and(|a| a.sensitive) {
+        for (i, col) in node.columns.iter().enumerate() {
+            let refs = match &col.source {
+                ColumnSource::Root => {
+                    let sensitive = matches!(&op.kind, OpKind::Extract { schema, .. }
+                        if schema.attrs().get(i).is_some_and(|a| a.sensitive));
+                    if sensitive {
                         sensitive_sources += 1;
-                        taints.entry(out_col.clone()).or_default().insert(
-                            SourceColumn {
-                                node: n,
-                                column: out_col,
-                            },
-                            TaintEntry {
-                                protected: false,
-                                parent: None,
-                            },
-                        );
+                        let origin = SourceColumn {
+                            node: n,
+                            column: col.name.clone(),
+                        };
+                        let source = TaintEntry {
+                            protected: false,
+                            parent: None,
+                        };
+                        taints
+                            .entry(col.name.clone())
+                            .or_default()
+                            .insert(origin, source);
                     }
+                    continue;
                 }
-                continue;
-            }
-            if kind == MapKind::Aggregated {
-                continue; // aggregation sanitizes
-            }
-            for (i, in_col) in maps {
-                let Some(Some(pred_taint)) = preds.get(i).map(|p| per_node[p.index()].as_ref())
-                else {
+                ColumnSource::Aggregated(_) => continue, // aggregation sanitizes
+                ColumnSource::Copy(refs) | ColumnSource::Derived(refs) => refs,
+            };
+            for r in refs {
+                // The referenced input column and the taint it carries.
+                let Some((pred, in_col, incoming)) = node.preds.get(r.input).and_then(|&p| {
+                    let name = &lineage.node(p)?.columns.get(r.attr)?.name;
+                    Some((p, name, per_node[p.index()].as_ref()?.get(name)?))
+                }) else {
                     continue;
                 };
-                let Some(incoming) = pred_taint.get(&in_col) else {
-                    continue;
-                };
-                let entry = taints.entry(out_col.clone()).or_default();
+                let entry = taints.entry(col.name.clone()).or_default();
                 for (origin, state) in incoming {
                     let protected = state.protected || matches!(op.kind, OpKind::Encrypt);
-                    entry
-                        .entry(origin.clone())
-                        .and_modify(|e| {
-                            // An unprotected path dominates a protected one.
-                            if !protected {
-                                e.protected = false;
-                                e.parent = Some((preds[i], in_col.clone()));
-                            }
-                        })
-                        .or_insert(TaintEntry {
-                            protected,
-                            parent: Some((preds[i], in_col.clone())),
-                        });
+                    let parent = Some((pred, in_col.clone()));
+                    let e = entry.entry(origin.clone()).or_insert(TaintEntry {
+                        protected,
+                        parent: parent.clone(),
+                    });
+                    // An unprotected path dominates a protected one.
+                    if !protected {
+                        e.protected = false;
+                        e.parent = parent;
+                    }
                 }
             }
         }

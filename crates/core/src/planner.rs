@@ -74,7 +74,8 @@ pub struct PlannerConfig {
     /// combination then recomputes only the nodes its patch touched plus
     /// their downstream closure — O(patch) instead of O(flow) per
     /// combination — for both the structural/schema screen
-    /// ([`analysis::screen_delta`]) and the measure estimate
+    /// ([`analysis::screen_delta_structural`] over a schema table repaired
+    /// by [`etl_model::repair_table`]) and the measure estimate
     /// ([`quality::estimate_delta`]). The resulting measure vectors are
     /// bit-identical to from-scratch evaluation (enforced by tests), so
     /// this is on by default; turning it off restores full per-combination

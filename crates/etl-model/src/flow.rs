@@ -233,23 +233,34 @@ impl EtlFlow {
         if !is_dag(&self.graph) {
             return Err(FlowError::Cyclic);
         }
-        for (id, op) in self.graph.nodes() {
-            let ins = self.graph.in_degree(id);
-            let outs = self.graph.out_degree(id);
-            if ins == 0 && !matches!(op.kind, OpKind::Extract { .. }) {
-                return Err(FlowError::NonExtractSource(op.name.clone()));
-            }
-            if outs == 0 && !matches!(op.kind, OpKind::Load { .. }) {
-                return Err(FlowError::NonLoadSink(op.name.clone()));
-            }
-            let (ilo, ihi) = op.kind.input_arity();
-            if ins < ilo || ins > ihi {
-                return Err(FlowError::InputArity(op.name.clone(), ins, ilo, ihi));
-            }
-            let (olo, ohi) = op.kind.output_arity();
-            if outs < olo || outs > ohi {
-                return Err(FlowError::OutputArity(op.name.clone(), outs, olo, ohi));
-            }
+        self.graph
+            .node_ids()
+            .try_for_each(|id| self.validate_degree(id))
+    }
+
+    /// The per-operation rules of [`validate_structure`](Self::validate_structure):
+    /// only extracts may lack inputs, only loads may lack outputs, and the
+    /// input and output counts must lie within the kind's arity. A removed
+    /// id passes.
+    pub fn validate_degree(&self, id: NodeId) -> Result<(), FlowError> {
+        let Some(op) = self.op(id) else {
+            return Ok(());
+        };
+        let ins = self.graph.in_degree(id);
+        let outs = self.graph.out_degree(id);
+        if ins == 0 && !matches!(op.kind, OpKind::Extract { .. }) {
+            return Err(FlowError::NonExtractSource(op.name.clone()));
+        }
+        if outs == 0 && !matches!(op.kind, OpKind::Load { .. }) {
+            return Err(FlowError::NonLoadSink(op.name.clone()));
+        }
+        let (ilo, ihi) = op.kind.input_arity();
+        if ins < ilo || ins > ihi {
+            return Err(FlowError::InputArity(op.name.clone(), ins, ilo, ihi));
+        }
+        let (olo, ohi) = op.kind.output_arity();
+        if outs < olo || outs > ohi {
+            return Err(FlowError::OutputArity(op.name.clone(), outs, olo, ohi));
         }
         Ok(())
     }

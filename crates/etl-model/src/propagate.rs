@@ -240,16 +240,6 @@ fn propagate_node(
     })
 }
 
-/// Output schema of one operation given its input schemas (in predecessor
-/// order). Exposed for pattern configuration, which must compute the schema
-/// at an application point before instantiating an FCP there.
-pub fn output_schema(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Schema, SchemaError> {
-    Ok(match propagate_one(name, kind, inputs)? {
-        Propagated::Share(i) => inputs[i].clone(),
-        Propagated::Fresh(s) => s,
-    })
-}
-
 /// How an operation's output schema relates to its inputs: shared verbatim
 /// (passthrough operators) or freshly constructed.
 enum Propagated {
@@ -348,7 +338,7 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
                     column: right_key.clone(),
                 });
             }
-            Fresh(l.join_concat(r, "r"))
+            Fresh(l.join_concat(r))
         }
         OpKind::Aggregate { group_by, aggs } => {
             let s = first(name)?;
@@ -448,6 +438,128 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
             Share(0)
         }
     })
+}
+
+/// One input column of an operation: attribute position `attr` in the
+/// output schema of the operation's `input`-th predecessor (predecessor
+/// order, as [`propagate_schemas`] reads the inputs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnRef {
+    /// Predecessor index.
+    pub input: usize,
+    /// Attribute position in that predecessor's output schema.
+    pub attr: usize,
+}
+
+/// Where one output column of an operation comes from. See
+/// [`column_sources`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ColumnSource {
+    /// An extract attribute: the value enters the flow here.
+    Root,
+    /// The value passes through unchanged. A join may rename it; a merge
+    /// unions the same position of every input.
+    Copy(Vec<ColumnRef>),
+    /// A value computed row by row from the referenced columns: a derive
+    /// output, or a converted column.
+    Derived(Vec<ColumnRef>),
+    /// An aggregate over the referenced column.
+    Aggregated(Vec<ColumnRef>),
+}
+
+impl ColumnSource {
+    /// The input columns this column is computed from (none for a root).
+    pub fn inputs(&self) -> &[ColumnRef] {
+        match self {
+            ColumnSource::Root => &[],
+            ColumnSource::Copy(refs)
+            | ColumnSource::Derived(refs)
+            | ColumnSource::Aggregated(refs) => refs,
+        }
+    }
+}
+
+/// Where each output column of an operation comes from, one entry per
+/// attribute of the output schema [`propagate_schemas`] computes for it, in
+/// the same order. This is the column-level half of `propagate_one`: the
+/// one statement of what each operator does to each column, which lineage,
+/// taint and dead-field analysis read instead of restating it.
+///
+/// `inputs` are the operation's input schemas in predecessor order, ones
+/// it propagates over without error. A join's right-hand columns are the
+/// positions past the left input's; their (possibly renamed) names are
+/// decided by [`Schema::join_concat`] alone. A derive output that reads an
+/// earlier output of the same derive refers to that output's own inputs.
+pub fn column_sources(kind: &OpKind, inputs: &[&Schema]) -> Vec<ColumnSource> {
+    use ColumnSource::{Aggregated, Copy, Derived, Root};
+    let width = |input: usize| inputs.get(input).map_or(0, |s| s.len());
+    let copy_all = |input: usize| -> Vec<ColumnSource> {
+        (0..width(input))
+            .map(|attr| Copy(vec![ColumnRef { input, attr }]))
+            .collect()
+    };
+    // The named attribute of the first input; absent only when the
+    // operation does not propagate over `inputs`.
+    let named = |name: &str| -> Vec<ColumnRef> {
+        inputs
+            .first()
+            .and_then(|s| s.index_of(name))
+            .map(|attr| ColumnRef { input: 0, attr })
+            .into_iter()
+            .collect()
+    };
+    match kind {
+        OpKind::Extract { schema, .. } => vec![Root; schema.len()],
+        OpKind::Load { .. }
+        | OpKind::Filter { .. }
+        | OpKind::Router { .. }
+        | OpKind::Sort { .. }
+        | OpKind::Dedup { .. }
+        | OpKind::FilterNulls { .. }
+        | OpKind::Crosscheck { .. }
+        | OpKind::Split
+        | OpKind::Partition
+        | OpKind::Checkpoint { .. }
+        | OpKind::Encrypt => copy_all(0),
+        OpKind::Convert { column, .. } => {
+            let mut out = copy_all(0);
+            if let Some(r) = named(column).pop() {
+                out[r.attr] = Derived(vec![r]);
+            }
+            out
+        }
+        OpKind::Project { keep } => keep.iter().map(|k| Copy(named(k))).collect(),
+        OpKind::Derive { outputs } => {
+            let mut out = copy_all(0);
+            let base = out.len();
+            for (i, (_, expr)) in outputs.iter().enumerate() {
+                let mut refs = Vec::new();
+                for c in expr.columns() {
+                    match outputs[..i].iter().position(|(name, _)| name == c) {
+                        Some(j) => refs.extend_from_slice(out[base + j].inputs()),
+                        None => refs.extend(named(c)),
+                    }
+                }
+                out.push(Derived(refs));
+            }
+            out
+        }
+        OpKind::Join { .. } => copy_all(0).into_iter().chain(copy_all(1)).collect(),
+        OpKind::Aggregate { group_by, aggs } => group_by
+            .iter()
+            .map(|g| Copy(named(g)))
+            .chain(aggs.iter().map(|(_, _, input)| Aggregated(named(input))))
+            .collect(),
+        OpKind::Merge => (0..width(0))
+            .map(|attr| {
+                Copy(
+                    (0..inputs.len())
+                        .map(|input| ColumnRef { input, attr })
+                        .collect(),
+                )
+            })
+            .collect(),
+    }
 }
 
 /// Merge compatibility: same attribute names and types, position-wise
@@ -693,6 +805,42 @@ mod tests {
             fast[extract.index()].as_ref().unwrap(),
             base_table[extract.index()].as_ref().unwrap()
         ));
+    }
+
+    #[test]
+    fn column_sources_follow_join_positions_and_derive_chains() {
+        let left = base_schema();
+        let right = Schema::new(vec![
+            Attribute::required("id", DataType::Int),
+            Attribute::new("city", DataType::Str),
+        ]);
+        let join = OpKind::Join {
+            left_key: "id".into(),
+            right_key: "id".into(),
+        };
+        let sources = column_sources(&join, &[&left, &right]);
+        // (id, qty, price, r_id, city): right-hand columns sit past the left's.
+        assert_eq!(sources.len(), 5);
+        assert_eq!(
+            sources[3],
+            ColumnSource::Copy(vec![ColumnRef { input: 1, attr: 0 }])
+        );
+
+        // `twice` reads the earlier output `total`, so it refers to
+        // `total`'s own inputs (qty, price).
+        let derive = OpKind::Derive {
+            outputs: vec![
+                ("total".into(), Expr::col("qty").mul(Expr::col("price"))),
+                ("twice".into(), Expr::col("total").mul(Expr::lit_i(2))),
+            ],
+        };
+        let sources = column_sources(&derive, &[&left]);
+        let qty_price = vec![
+            ColumnRef { input: 0, attr: 2 },
+            ColumnRef { input: 0, attr: 1 },
+        ];
+        assert_eq!(sources[3], ColumnSource::Derived(qty_price.clone()));
+        assert_eq!(sources[4], ColumnSource::Derived(qty_price));
     }
 
     #[test]

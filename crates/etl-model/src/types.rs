@@ -204,13 +204,13 @@ impl Schema {
     }
 
     /// Concatenation for joins: right-side attributes that clash with a left
-    /// name get a `prefix_` prepended.
-    pub fn join_concat(&self, right: &Schema, prefix: &str) -> Schema {
+    /// name get `r_` prepended. The one statement of join renaming.
+    pub fn join_concat(&self, right: &Schema) -> Schema {
         let mut attrs = self.attrs.clone();
         for a in &right.attrs {
             let mut a = a.clone();
             if self.contains(&a.name) {
-                a.name = format!("{prefix}_{}", a.name);
+                a.name = format!("r_{}", a.name);
             }
             // A join of dirty sources can still clash after prefixing; keep
             // appending underscores until unique (bounded by attr count).
@@ -327,7 +327,7 @@ mod tests {
             Attribute::new("id", DataType::Int),
             Attribute::new("city", DataType::Str),
         ]);
-        let j = left.join_concat(&right, "r");
+        let j = left.join_concat(&right);
         assert_eq!(j.len(), 5);
         assert!(j.contains("r_id"));
         assert!(j.contains("city"));
