@@ -1205,10 +1205,11 @@ mod tests {
                     Prerequisite::NodeKindIn(vec!["filter"]),
                 ]
             }
-            fn apply(
+            fn apply_unchecked(
                 &self,
                 _flow: &mut EtlFlow,
                 _point: ApplicationPoint,
+                _schemas: &etl_model::SchemaTable,
             ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
                 unreachable!("never applied in this test")
             }

@@ -12,12 +12,17 @@
 //! counters.
 //!
 //! ```text
-//! bench_scenarios [--tiny] [--out BENCH_scenarios.json]
-//!                 [--csv BENCH_scenarios.csv] [--gate committed.json]
+//! bench_scenarios [--tiny] [--out FILE.json] [--csv FILE.csv]
+//!                 [--gate committed.json]
 //! ```
 //!
 //! * `--tiny` runs the CI scale (small catalogs and budgets, seconds not
 //!   minutes); the emitted JSON records which scale produced it.
+//! * Without `--gate`, the run re-baselines: `--out` / `--csv` default to
+//!   the committed baseline of its scale — `BENCH_scenarios.{json,csv}`
+//!   at full scale, `BENCH_scenarios.tiny.{json,csv}` under `--tiny`.
+//!   With `--gate`, only the outputs named explicitly are written, and
+//!   the baseline is read before anything is written.
 //! * `--gate FILE` compares this run against a committed baseline from
 //!   the *same* scale and exits non-zero when any cell's frontier digest
 //!   moved (a determinism or planning regression — digests are
@@ -108,24 +113,56 @@ const CSV_HEADER: &str = "scenario,strategy,enumerated,frontier,secs,combos_per_
                           us_per_combo,digest,statically_rejected,bound_pruned,\
                           rejected_by_constraints,failed_applications,failed_evaluations";
 
-fn opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+/// The value following flag `name`, if the flag is present.
+fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .cloned()
+}
+
+/// Where the sweep writes its `(json, csv)` export. A gate run checks a
+/// committed baseline and writes only the outputs it is given explicitly;
+/// any other run re-baselines its own scale, defaulting to that scale's
+/// committed files, so a tiny run never replaces the full-scale baseline.
+fn output_paths(
+    tiny: bool,
+    out: Option<String>,
+    csv: Option<String>,
+    gate: bool,
+) -> (Option<String>, Option<String>) {
+    if gate {
+        return (out, csv);
+    }
+    let stem = if tiny {
+        "BENCH_scenarios.tiny"
+    } else {
+        "BENCH_scenarios"
+    };
+    (
+        Some(out.unwrap_or_else(|| format!("{stem}.json"))),
+        Some(csv.unwrap_or_else(|| format!("{stem}.csv"))),
+    )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let tiny = args.iter().any(|a| a == "--tiny");
-    let out_path: String = opt(&args, "--out", "BENCH_scenarios.json".to_string());
-    let csv_path: String = opt(&args, "--csv", "BENCH_scenarios.csv".to_string());
-    let gate: Option<String> = args
-        .iter()
-        .position(|a| a == "--gate")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let gate = flag_value(&args, "--gate");
+    let (out_path, csv_path) = output_paths(
+        tiny,
+        flag_value(&args, "--out"),
+        flag_value(&args, "--csv"),
+        gate.is_some(),
+    );
+    // Read the baseline before the sweep writes anything, so an output
+    // path that names the gate file cannot make the run compare against
+    // itself.
+    let committed = gate.as_ref().map(|gate_path| {
+        let text = std::fs::read_to_string(gate_path)
+            .unwrap_or_else(|e| panic!("read gate baseline {gate_path}: {e}"));
+        Value::parse(&text).expect("parse gate baseline")
+    });
 
     let scale = if tiny {
         SweepScale::tiny()
@@ -200,8 +237,10 @@ fn main() {
         csv.push_str(&cell.to_csv());
         csv.push('\n');
     }
-    std::fs::write(&csv_path, csv).expect("write bench csv");
-    println!("\nwrote {csv_path}");
+    if let Some(csv_path) = &csv_path {
+        std::fs::write(csv_path, csv).expect("write bench csv");
+        println!("\nwrote {csv_path}");
+    }
 
     let num = |x: f64| Value::number((x * 1000.0).round() / 1000.0).expect("finite");
     let doc = Value::object([
@@ -215,13 +254,12 @@ fn main() {
             Value::Array(cells.iter().map(Cell::to_json).collect()),
         ),
     ]);
-    std::fs::write(&out_path, format!("{doc}\n")).expect("write bench json");
-    println!("wrote {out_path}");
+    if let Some(out_path) = &out_path {
+        std::fs::write(out_path, format!("{doc}\n")).expect("write bench json");
+        println!("wrote {out_path}");
+    }
 
-    if let Some(gate_path) = gate {
-        let committed = std::fs::read_to_string(&gate_path)
-            .unwrap_or_else(|e| panic!("read gate baseline {gate_path}: {e}"));
-        let committed = Value::parse(&committed).expect("parse gate baseline");
+    if let (Some(gate_path), Some(committed)) = (gate, committed) {
         let base_tiny = committed
             .get("tiny")
             .and_then(|v| v.as_bool("tiny"))
@@ -319,5 +357,52 @@ fn main() {
              vs the grid median ratio {:.0}%)",
             median_ratio * 100.0
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::output_paths;
+
+    fn some(s: &str) -> Option<String> {
+        Some(s.to_string())
+    }
+
+    #[test]
+    fn plain_runs_default_to_their_own_scale() {
+        assert_eq!(
+            output_paths(false, None, None, false),
+            (some("BENCH_scenarios.json"), some("BENCH_scenarios.csv"))
+        );
+        assert_eq!(
+            output_paths(true, None, None, false),
+            (
+                some("BENCH_scenarios.tiny.json"),
+                some("BENCH_scenarios.tiny.csv")
+            )
+        );
+    }
+
+    #[test]
+    fn explicit_outputs_win() {
+        assert_eq!(
+            output_paths(true, some("a.json"), None, false),
+            (some("a.json"), some("BENCH_scenarios.tiny.csv"))
+        );
+        assert_eq!(
+            output_paths(false, some("a.json"), some("b.csv"), true),
+            (some("a.json"), some("b.csv"))
+        );
+    }
+
+    #[test]
+    fn gate_runs_write_only_what_they_are_given() {
+        for tiny in [false, true] {
+            assert_eq!(output_paths(tiny, None, None, true), (None, None));
+            assert_eq!(
+                output_paths(tiny, None, some("b.csv"), true),
+                (None, some("b.csv"))
+            );
+        }
     }
 }

@@ -28,8 +28,8 @@
 //! (`Poiesis::session()` + `Objective`), the same path a network service
 //! will use.
 
-use datagen::{Catalog, DirtProfile, TableSpec};
-use etl_model::{EtlFlow, OpKind};
+use datagen::synthesize_catalog;
+use etl_model::EtlFlow;
 use fcp::DeploymentPolicy;
 use poiesis::{EvalMode, Objective, PlanResponse, Poiesis, SearchStrategyKind, ToJson};
 use quality::{Characteristic, MeasureId};
@@ -247,43 +247,9 @@ fn plan_cmd(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Loads an xLM (`.xlm`/`.xml`) or PDI (`.ktr`) model file.
+/// Loads an xLM (`.xlm`/`.xml`) or PDI (`.ktr`) model file and validates it.
 fn load_model(path: &str) -> Result<EtlFlow, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let flow = if path.ends_with(".ktr") {
-        xlm::pdi::import_ktr(&text).map_err(|e| e.to_string())?
-    } else {
-        xlm::read_flow(&text).map_err(|e| e.to_string())?
-    };
+    let flow = xlm::read_model_file(path)?;
     flow.validate().map_err(|e| format!("invalid model: {e}"))?;
     Ok(flow)
-}
-
-/// Synthesises a catalog for every extract in the flow from its schema.
-fn synthesize_catalog(flow: &EtlFlow, rows: usize) -> Result<Catalog, String> {
-    let mut catalog = Catalog::new();
-    let mut seed = 0xC11u64;
-    for n in flow.ops_of_kind("extract") {
-        let OpKind::Extract { source, schema } = &flow.op(n).expect("live").kind else {
-            unreachable!("ops_of_kind returned a non-extract");
-        };
-        if catalog.table(source).is_some() {
-            continue;
-        }
-        // prefer a non-nullable attribute as the protected key
-        let key = schema
-            .attrs()
-            .iter()
-            .find(|a| !a.nullable)
-            .or_else(|| schema.attrs().first())
-            .map(|a| a.name.clone())
-            .ok_or_else(|| format!("extract `{source}` has an empty schema"))?;
-        catalog.add_generated(
-            &TableSpec::new(source.clone(), schema.clone(), rows, key),
-            &DirtProfile::demo(),
-            seed,
-        );
-        seed = seed.wrapping_add(1);
-    }
-    Ok(catalog)
 }

@@ -1087,10 +1087,11 @@ mod tests {
             ) -> Vec<fcp::ApplicationPoint> {
                 vec![fcp::ApplicationPoint::Graph]
             }
-            fn apply(
+            fn apply_unchecked(
                 &self,
                 flow: &mut EtlFlow,
                 point: fcp::ApplicationPoint,
+                _schemas: &etl_model::SchemaTable,
             ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
                 let n = flow.ops_of_kind("extract")[0];
                 if let etl_model::OpKind::Extract { source, .. } = &mut flow.op_mut(n).unwrap().kind
@@ -1259,10 +1260,11 @@ mod tests {
             ) -> Vec<fcp::ApplicationPoint> {
                 vec![fcp::ApplicationPoint::Graph]
             }
-            fn apply(
+            fn apply_unchecked(
                 &self,
                 _flow: &mut EtlFlow,
                 _point: fcp::ApplicationPoint,
+                _schemas: &etl_model::SchemaTable,
             ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
                 panic!("a prescreened pattern must never reach apply");
             }
@@ -1314,10 +1316,11 @@ mod tests {
             ) -> Vec<fcp::ApplicationPoint> {
                 vec![fcp::ApplicationPoint::Graph]
             }
-            fn apply(
+            fn apply_unchecked(
                 &self,
                 flow: &mut EtlFlow,
                 point: fcp::ApplicationPoint,
+                _schemas: &etl_model::SchemaTable,
             ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
                 let n = flow.ops_of_kind("filter")[0];
                 if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {
@@ -1422,10 +1425,11 @@ mod tests {
             ) -> Vec<fcp::ApplicationPoint> {
                 vec![fcp::ApplicationPoint::Graph]
             }
-            fn apply(
+            fn apply_unchecked(
                 &self,
                 flow: &mut EtlFlow,
                 point: fcp::ApplicationPoint,
+                _schemas: &etl_model::SchemaTable,
             ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
                 let n = flow.ops_of_kind("filter")[0];
                 if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {

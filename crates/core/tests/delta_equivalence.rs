@@ -8,8 +8,9 @@ use datagen::fig2::{purchases_catalog, purchases_flow};
 use datagen::tpcds::{tpcds_catalog, tpcds_flow};
 use datagen::tpch::{tpch_catalog, tpch_flow};
 use datagen::{Catalog, DirtProfile};
-use etl_model::EtlFlow;
-use fcp::{DeploymentPolicy, PatternRegistry};
+use etl_model::{EtlFlow, OpKind, Operation};
+use fcp::custom::FitnessPreset;
+use fcp::{CustomPattern, DeploymentPolicy, PatternRegistry, Prerequisite};
 use poiesis::SearchStrategyKind;
 use poiesis::{Planner, PlannerConfig, PlannerOutcome};
 use proptest::prelude::*;
@@ -154,5 +155,57 @@ fn planner_alternatives_share_untouched_storage_with_the_base() {
             alt.name
         );
         assert!(shared > 0, "{}: fork shares nothing", alt.name);
+    }
+}
+
+#[test]
+fn delta_matches_scratch_with_a_custom_pattern() {
+    // A user-defined pattern's edit runs on the incremental path too: its
+    // `apply_unchecked` configures the interposed op from the carried
+    // schema table, which must agree to the bit with a from-scratch plan.
+    fn plan_with_custom(strategy: SearchStrategyKind, delta_eval: bool) -> PlannerOutcome {
+        let (flow, catalog) = Workload::Demo.build(80);
+        let mut registry = PatternRegistry::standard_for_catalog(&catalog);
+        registry.register(CustomPattern::new(
+            "SortEarly",
+            quality::Characteristic::Manageability,
+            vec![Prerequisite::SchemaHasKeyCandidate],
+            FitnessPreset::NearSources,
+            |schema| {
+                let key = schema
+                    .attrs()
+                    .iter()
+                    .find(|a| !a.nullable)
+                    .map(|a| a.name.clone())
+                    .expect("prerequisite guarantees a key candidate");
+                Operation::new("SORT early", OpKind::Sort { by: vec![key] })
+            },
+        ));
+        let config = PlannerConfig {
+            strategy,
+            delta_eval,
+            max_alternatives: 600,
+            policy: DeploymentPolicy::exhaustive(2),
+            ..PlannerConfig::default()
+        };
+        Planner::new(flow, catalog, registry, config)
+            .plan()
+            .unwrap()
+    }
+
+    for strategy in [
+        SearchStrategyKind::Exhaustive,
+        SearchStrategyKind::Beam { width: 4 },
+        SearchStrategyKind::GreedyHillClimb,
+    ] {
+        let fast = plan_with_custom(strategy, true);
+        let slow = plan_with_custom(strategy, false);
+        assert!(
+            fast.alternatives
+                .iter()
+                .any(|a| a.applied.iter().any(|p| p.contains("SortEarly"))),
+            "{strategy}: the custom pattern was never applied"
+        );
+        assert_bit_identical(&fast, &slow);
     }
 }

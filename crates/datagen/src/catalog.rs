@@ -2,7 +2,7 @@
 
 use crate::dirt::DirtProfile;
 use crate::gen::{generate_table, TableSpec, REQUEST_TIME};
-use etl_model::{Schema, Tuple};
+use etl_model::{EtlFlow, OpKind, Schema, Tuple};
 use std::collections::HashMap;
 
 /// One materialised source table.
@@ -101,6 +101,37 @@ impl Catalog {
     }
 }
 
+/// Synthesises a catalog for every extract in `flow` from its schema:
+/// `rows` rows per distinct source, demo dirt profile, deterministic seeds
+/// — the headless stand-in for a test database behind a loaded model.
+/// Each table's key is its first non-nullable attribute (else its first).
+pub fn synthesize_catalog(flow: &EtlFlow, rows: usize) -> Result<Catalog, String> {
+    let mut catalog = Catalog::new();
+    let mut seed = 0xC11u64;
+    for n in flow.ops_of_kind("extract") {
+        let OpKind::Extract { source, schema } = &flow.op(n).expect("live").kind else {
+            unreachable!("ops_of_kind returned a non-extract");
+        };
+        if catalog.table(source).is_some() {
+            continue;
+        }
+        let key = schema
+            .attrs()
+            .iter()
+            .find(|a| !a.nullable)
+            .or_else(|| schema.attrs().first())
+            .map(|a| a.name.clone())
+            .ok_or_else(|| format!("extract `{source}` has an empty schema"))?;
+        catalog.add_generated(
+            &TableSpec::new(source.clone(), schema.clone(), rows, key),
+            &DirtProfile::demo(),
+            seed,
+        );
+        seed = seed.wrapping_add(1);
+    }
+    Ok(catalog)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,5 +200,36 @@ mod tests {
             .unwrap();
         assert_eq!(c.request_time() - oldest, 180_000);
         assert_eq!(c.oldest_update(&["ghost".to_string()]), None);
+    }
+
+    #[test]
+    fn synthesized_catalog_covers_every_extract_once() {
+        let (flow, _) = crate::fig2::purchases_flow();
+        let sources: std::collections::BTreeSet<String> = flow
+            .ops_of_kind("extract")
+            .into_iter()
+            .filter_map(|n| match &flow.op(n)?.kind {
+                OpKind::Extract { source, .. } => Some(source.clone()),
+                _ => None,
+            })
+            .collect();
+        let c = synthesize_catalog(&flow, 40).unwrap();
+        // one table plus its `ref_` twin per distinct source
+        assert_eq!(c.len(), 2 * sources.len());
+        for source in &sources {
+            let t = c.table(source).unwrap();
+            // the clean twin holds exactly the requested rows (the dirty
+            // table may carry injected duplicates)
+            assert_eq!(c.table(&format!("ref_{source}")).unwrap().rows.len(), 40);
+            assert!(!t.schema.attr(&t.key).unwrap().nullable);
+        }
+        // deterministic: the same flow yields the same rows
+        let again = synthesize_catalog(&flow, 40).unwrap();
+        for source in &sources {
+            assert_eq!(
+                c.table(source).unwrap().rows,
+                again.table(source).unwrap().rows
+            );
+        }
     }
 }

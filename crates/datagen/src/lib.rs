@@ -29,7 +29,7 @@ mod gen;
 pub mod tpcds;
 pub mod tpch;
 
-pub use catalog::{Catalog, Table};
+pub use catalog::{synthesize_catalog, Catalog, Table};
 pub use dirt::DirtProfile;
 pub use gen::{generate_table, TableSpec, REQUEST_TIME};
 

@@ -2,9 +2,7 @@
 //! intermediary data as a savepoint so a downstream failure re-extracts from
 //! the savepoint instead of re-running the whole upstream segment.
 
-use crate::pattern::{
-    interpose_applying, interpose_unchecked, AppliedPattern, Pattern, PatternContext, PatternError,
-};
+use crate::pattern::{interpose_unchecked, AppliedPattern, Pattern, PatternContext, PatternError};
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
 use etl_model::{EtlFlow, OpKind, Operation};
@@ -65,17 +63,6 @@ impl Pattern for AddCheckpoint {
             return 0.0;
         }
         (op.cost.cost_per_tuple_ms / ctx.max_cost_per_tuple()).clamp(0.0, 1.0)
-    }
-
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        let tag = format!("sp_{}", flow.op_count());
-        let op = Operation::new("PERSIST intermediary data", OpKind::Checkpoint { tag })
-            .tag_pattern(self.name());
-        interpose_applying(self, flow, point, op)
     }
 
     fn apply_unchecked(

@@ -6,8 +6,7 @@
 //! "to prevent cumulative side-effects of reduced data quality".
 
 use crate::pattern::{
-    interpose_applying, interpose_unchecked, point_schema_in, AppliedPattern, Pattern,
-    PatternContext, PatternError,
+    interpose_unchecked, point_schema_in, AppliedPattern, Pattern, PatternContext, PatternError,
 };
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
@@ -99,24 +98,6 @@ impl Pattern for FilterNullValues {
         source_proximity_fitness(ctx, point)
     }
 
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        // Configure against the schema at the exact application point:
-        // filter exactly the currently-nullable (non-temporal) attributes.
-        let ctx = PatternContext::new(flow)?;
-        let columns = ctx
-            .point_schema(point)
-            .map(Self::target_columns)
-            .unwrap_or_default();
-        drop(ctx);
-        let op = Operation::new("FILTER null values", OpKind::FilterNulls { columns })
-            .tag_pattern(self.name());
-        interpose_applying(self, flow, point, op)
-    }
-
     fn apply_unchecked(
         &self,
         flow: &mut EtlFlow,
@@ -165,16 +146,6 @@ impl Pattern for RemoveDuplicateEntries {
 
     fn fitness(&self, ctx: &PatternContext<'_>, point: ApplicationPoint) -> f64 {
         source_proximity_fitness(ctx, point)
-    }
-
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        let op = Operation::new("REMOVE duplicate entries", OpKind::Dedup { keys: vec![] })
-            .tag_pattern(self.name());
-        interpose_applying(self, flow, point, op)
     }
 
     fn apply_unchecked(
@@ -273,30 +244,6 @@ impl Pattern for CrosscheckSources {
 
     fn fitness(&self, ctx: &PatternContext<'_>, point: ApplicationPoint) -> f64 {
         source_proximity_fitness(ctx, point)
-    }
-
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        let ctx = PatternContext::new(flow)?;
-        let spec = ctx
-            .point_schema(point)
-            .and_then(|s| self.spec_for(s))
-            .cloned()
-            .ok_or_else(|| PatternError::NotApplicable {
-                pattern: self.name().to_string(),
-                point: point.describe(flow),
-            })?;
-        drop(ctx);
-        let (key, alt_source) = spec;
-        let op = Operation::new(
-            format!("CROSSCHECK against {alt_source}"),
-            OpKind::Crosscheck { alt_source, key },
-        )
-        .tag_pattern(self.name());
-        interpose_applying(self, flow, point, op)
     }
 
     fn apply_unchecked(

@@ -10,31 +10,9 @@ use crate::prereq::Prerequisite;
 use etl_model::{EtlFlow, ResourceClass};
 use quality::{Characteristic, GainProfile, RATIO_CLAMP_MAX};
 
-fn graph_apply(
-    pattern: &dyn Pattern,
-    flow: &mut EtlFlow,
-    point: ApplicationPoint,
-    mutate: impl FnOnce(&mut EtlFlow),
-) -> Result<AppliedPattern, PatternError> {
-    let ctx = PatternContext::new(flow)?;
-    if !pattern.applicable(&ctx, point) {
-        return Err(PatternError::NotApplicable {
-            pattern: pattern.name().to_string(),
-            point: point.describe(flow),
-        });
-    }
-    drop(ctx);
-    mutate(flow);
-    Ok(AppliedPattern {
-        pattern: pattern.name().to_string(),
-        point,
-        added_nodes: vec![],
-    })
-}
-
-/// The unchecked counterpart of [`graph_apply`]: the caller has already
-/// verified applicability on this exact flow state, so the mutation runs
-/// with no context rebuild.
+/// Helper shared by graph-level patterns: the caller has already verified
+/// applicability on this exact flow state, so the configuration change runs
+/// with no context rebuild and adds no nodes.
 fn graph_apply_unchecked(
     pattern: &dyn Pattern,
     flow: &mut EtlFlow,
@@ -71,13 +49,6 @@ impl Pattern for EncryptChannels {
     fn prerequisites(&self) -> Vec<Prerequisite> {
         vec![Prerequisite::IsGraph, Prerequisite::NotEncrypted]
     }
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        graph_apply(self, flow, point, |f| f.config.encrypted = true)
-    }
     fn apply_unchecked(
         &self,
         flow: &mut EtlFlow,
@@ -110,13 +81,6 @@ impl Pattern for EnableAccessControl {
     fn prerequisites(&self) -> Vec<Prerequisite> {
         vec![Prerequisite::IsGraph, Prerequisite::NoAccessControl]
     }
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        graph_apply(self, flow, point, |f| f.config.role_based_access = true)
-    }
     fn apply_unchecked(
         &self,
         flow: &mut EtlFlow,
@@ -143,18 +107,6 @@ impl Pattern for UpgradeResources {
     }
     fn prerequisites(&self) -> Vec<Prerequisite> {
         vec![Prerequisite::IsGraph, Prerequisite::ResourcesUpgradable]
-    }
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        graph_apply(self, flow, point, |f| {
-            f.config.resources = match f.config.resources {
-                ResourceClass::Small => ResourceClass::Medium,
-                ResourceClass::Medium | ResourceClass::Large => ResourceClass::Large,
-            }
-        })
     }
     fn apply_unchecked(
         &self,
@@ -197,15 +149,6 @@ impl Pattern for IncreaseRecurrence {
     }
     fn applicable(&self, ctx: &PatternContext<'_>, point: ApplicationPoint) -> bool {
         matches!(point, ApplicationPoint::Graph) && ctx.flow.config.recurrence_minutes > 30.0
-    }
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        graph_apply(self, flow, point, |f| {
-            f.config.recurrence_minutes = (f.config.recurrence_minutes / 2.0).max(30.0)
-        })
     }
     fn apply_unchecked(
         &self,

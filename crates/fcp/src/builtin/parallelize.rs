@@ -6,7 +6,7 @@
 use crate::pattern::{AppliedPattern, Pattern, PatternContext, PatternError};
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
-use etl_model::{Channel, EtlFlow, NodeId, OpKind, Operation};
+use etl_model::{Channel, EtlFlow, OpKind, Operation};
 use flowgraph::DiGraph;
 use quality::{Characteristic, GainProfile};
 
@@ -45,54 +45,6 @@ impl ParallelizeTask {
     /// Replica count.
     pub fn ways(&self) -> usize {
         self.ways
-    }
-
-    /// The structural edit shared by [`Pattern::apply`] and
-    /// [`Pattern::apply_unchecked`]: replace node `n` with the
-    /// `partition → replicas → merge` donor subgraph (Fig. 2a).
-    fn splice_replicas(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-        n: NodeId,
-    ) -> Result<AppliedPattern, PatternError> {
-        let original = flow.op(n).expect("applicable point is live").clone();
-
-        // The pattern's internal representation is itself a small ETL flow:
-        // partition → replicas → merge (Fig. 2a).
-        let mut donor: DiGraph<Operation, Channel> = DiGraph::new();
-        let part = donor.add_node(
-            Operation::new("HORIZONTAL PARTITION", OpKind::Partition).tag_pattern(self.name()),
-        );
-        let merge = donor.add_node(Operation::new("MERGE", OpKind::Merge).tag_pattern(self.name()));
-        let mut replicas: Vec<NodeId> = Vec::with_capacity(self.ways);
-        for i in 0..self.ways {
-            let mut rep = original.clone();
-            rep.name = format!("{} #{}", original.name, i + 1);
-            rep.from_pattern = Some(self.name().to_string());
-            let r = donor.add_node(rep);
-            donor
-                .add_edge(part, r, Channel::default())
-                .expect("donor wiring");
-            donor
-                .add_edge(r, merge, Channel::default())
-                .expect("donor wiring");
-            replicas.push(r);
-        }
-
-        let (splice, _removed) = flow
-            .graph
-            .replace_node_with_subgraph(n, &donor)
-            .map_err(|e| PatternError::Graph(e.to_string()))?;
-        let added = donor
-            .node_ids()
-            .filter_map(|d| splice.mapped(d))
-            .collect::<Vec<_>>();
-        Ok(AppliedPattern {
-            pattern: self.name().to_string(),
-            point,
-            added_nodes: added,
-        })
     }
 }
 
@@ -139,25 +91,6 @@ impl Pattern for ParallelizeTask {
         }
     }
 
-    fn apply(
-        &self,
-        flow: &mut EtlFlow,
-        point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError> {
-        let ctx = PatternContext::new(flow)?;
-        if !self.applicable(&ctx, point) {
-            return Err(PatternError::NotApplicable {
-                pattern: self.name().to_string(),
-                point: point.describe(flow),
-            });
-        }
-        drop(ctx);
-        let ApplicationPoint::Node(n) = point else {
-            unreachable!("prerequisites enforce a node point");
-        };
-        self.splice_replicas(flow, point, n)
-    }
-
     fn apply_unchecked(
         &self,
         flow: &mut EtlFlow,
@@ -170,7 +103,41 @@ impl Pattern for ParallelizeTask {
                 point: point.describe(flow),
             });
         };
-        self.splice_replicas(flow, point, n)
+        let original = flow.op(n).expect("applicable point is live").clone();
+
+        // The pattern's internal representation is itself a small ETL flow:
+        // partition → replicas → merge (Fig. 2a).
+        let mut donor: DiGraph<Operation, Channel> = DiGraph::new();
+        let part = donor.add_node(
+            Operation::new("HORIZONTAL PARTITION", OpKind::Partition).tag_pattern(self.name()),
+        );
+        let merge = donor.add_node(Operation::new("MERGE", OpKind::Merge).tag_pattern(self.name()));
+        for i in 0..self.ways {
+            let mut rep = original.clone();
+            rep.name = format!("{} #{}", original.name, i + 1);
+            rep.from_pattern = Some(self.name().to_string());
+            let r = donor.add_node(rep);
+            donor
+                .add_edge(part, r, Channel::default())
+                .expect("donor wiring");
+            donor
+                .add_edge(r, merge, Channel::default())
+                .expect("donor wiring");
+        }
+
+        let (splice, _removed) = flow
+            .graph
+            .replace_node_with_subgraph(n, &donor)
+            .map_err(|e| PatternError::Graph(e.to_string()))?;
+        let added = donor
+            .node_ids()
+            .filter_map(|d| splice.mapped(d))
+            .collect::<Vec<_>>();
+        Ok(AppliedPattern {
+            pattern: self.name().to_string(),
+            point,
+            added_nodes: added,
+        })
     }
 }
 

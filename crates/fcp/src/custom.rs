@@ -3,10 +3,12 @@
 //! extending and pre-configuring the existing ones", saved "to the palette
 //! of available patterns for future execution".
 
-use crate::pattern::{interpose_applying, AppliedPattern, Pattern, PatternContext, PatternError};
+use crate::pattern::{
+    interpose_unchecked, point_schema_in, AppliedPattern, Pattern, PatternContext, PatternError,
+};
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
-use etl_model::{EtlFlow, Operation, Schema};
+use etl_model::{EtlFlow, Operation, Schema, SchemaTable};
 use quality::Characteristic;
 
 /// Heuristic presets a custom pattern can choose from.
@@ -106,22 +108,19 @@ impl Pattern for CustomPattern {
         }
     }
 
-    fn apply(
+    fn apply_unchecked(
         &self,
         flow: &mut EtlFlow,
         point: ApplicationPoint,
+        schemas: &SchemaTable,
     ) -> Result<AppliedPattern, PatternError> {
-        let ctx = PatternContext::new(flow)?;
         let schema =
-            ctx.point_schema(point)
-                .cloned()
-                .ok_or_else(|| PatternError::NotApplicable {
-                    pattern: self.name.clone(),
-                    point: point.describe(flow),
-                })?;
-        drop(ctx);
-        let op = (self.template)(&schema).tag_pattern(self.name.clone());
-        interpose_applying(self, flow, point, op)
+            point_schema_in(flow, schemas, point).ok_or_else(|| PatternError::NotApplicable {
+                pattern: self.name.clone(),
+                point: point.describe(flow),
+            })?;
+        let op = (self.template)(schema).tag_pattern(self.name.clone());
+        interpose_unchecked(self, flow, point, op)
     }
 }
 

@@ -28,6 +28,18 @@
 //! * [`DeploymentPolicy`] — which patterns are enabled and how aggressively
 //!   they are deployed.
 //!
+//! # Writing a pattern
+//!
+//! Implement [`Pattern::apply_unchecked`]: it is the one statement of the
+//! pattern's edit, configured from the schema at the application point
+//! ([`point_schema_in`] reads it from the schema table it is given) and run
+//! by the planner without re-checking applicability. Do not override
+//! [`Pattern::apply`]; it is the checked wrapper — it builds a
+//! [`PatternContext`], refuses with [`PatternError::NotApplicable`] where
+//! [`Pattern::applicable`] fails, and otherwise calls `apply_unchecked` with
+//! the context's schema table. Extra conjunctive conditions belong in
+//! `applicable`, so both paths honour them.
+//!
 //! # Example
 //!
 //! ```

@@ -144,23 +144,11 @@ impl<'a> PatternContext<'a> {
         self.schemas
     }
 
-    /// Schema flowing over an edge (= output schema of its source node).
-    pub fn edge_schema(&self, e: etl_model::EdgeId) -> Option<&Schema> {
-        let (src, _) = self.flow.graph.endpoints(e)?;
-        self.schemas[src.index()].as_deref()
-    }
-
-    /// Schema at a point: edge schema, node *input* schema (first
-    /// predecessor's output), or `None` for graph points.
+    /// Schema at a point: edge schema (its source node's output), node
+    /// *input* schema (first predecessor's output), or `None` for graph
+    /// points.
     pub fn point_schema(&self, p: ApplicationPoint) -> Option<&Schema> {
-        match p {
-            ApplicationPoint::Edge(e) => self.edge_schema(e),
-            ApplicationPoint::Node(n) => {
-                let pred = self.flow.graph.predecessors(n).next()?;
-                self.schemas[pred.index()].as_deref()
-            }
-            ApplicationPoint::Graph => None,
-        }
+        point_schema_in(self.flow, &self.schemas, p)
     }
 
     /// Distance of a point from the sources (edge: its source node's
@@ -185,10 +173,10 @@ impl<'a> PatternContext<'a> {
 
 /// A Flow Component Pattern.
 ///
-/// Implementations must keep [`Pattern::apply`] *functionality-preserving*:
-/// the loaded data may only improve (cleaning) or stay equivalent
-/// (parallelism, savepoints, configuration) — never change semantics. The
-/// integration tests assert this per built-in.
+/// Implementations must keep their edit, [`Pattern::apply_unchecked`],
+/// *functionality-preserving*: the loaded data may only improve (cleaning)
+/// or stay equivalent (parallelism, savepoints, configuration) — never
+/// change semantics. The integration tests assert this per built-in.
 pub trait Pattern: Send + Sync {
     /// Unique pattern name (the palette key).
     fn name(&self) -> &str;
@@ -250,37 +238,42 @@ pub trait Pattern: Send + Sync {
         0.5
     }
 
-    /// Applies the pattern at `point`, mutating `flow`.
-    ///
-    /// Implementations re-check applicability (the flow may have changed
-    /// since enumeration) and configure the inserted operations from the
-    /// schema at the exact application point (§3: "configured according to
-    /// the properties … of the initial ETL flow as well as the exact
-    /// application point").
+    /// Applies the pattern at `point`, mutating `flow`: the checked entry
+    /// point. Re-checks [`applicable`](Self::applicable) against the flow as
+    /// it is now (it may have changed since enumeration), then performs the
+    /// edit with [`apply_unchecked`](Self::apply_unchecked) from the schema
+    /// table that check built. Implementations do not override it.
     fn apply(
         &self,
         flow: &mut EtlFlow,
         point: ApplicationPoint,
-    ) -> Result<AppliedPattern, PatternError>;
+    ) -> Result<AppliedPattern, PatternError> {
+        let ctx = PatternContext::new(flow)?;
+        if !self.applicable(&ctx, point) {
+            return Err(PatternError::NotApplicable {
+                pattern: self.name().to_string(),
+                point: point.describe(flow),
+            });
+        }
+        let schemas = ctx.into_schemas();
+        self.apply_unchecked(flow, point, &schemas)
+    }
 
     /// Applies the pattern at `point` *without* re-validating
-    /// applicability. The caller must have just checked
-    /// [`applicable`](Self::applicable) against this exact flow state;
-    /// `schemas` is that check's schema table (dense by node index), so
-    /// implementations can configure inserted operations from the point
-    /// schema without re-propagating the flow. The default conservatively
-    /// delegates to [`apply`](Self::apply) (which re-checks from scratch);
-    /// built-ins override it to skip the O(flow) context rebuild — the hot
-    /// path of the planner's incremental evaluation.
+    /// applicability — the one statement of the pattern's edit. The caller
+    /// must have just checked [`applicable`](Self::applicable) against this
+    /// exact flow state; `schemas` is that check's schema table (dense by
+    /// node index), so the inserted operations are configured from the
+    /// schema at the exact application point (§3: "configured according to
+    /// the properties … of the initial ETL flow as well as the exact
+    /// application point") without re-propagating the flow. This is the
+    /// hot path of the planner's incremental evaluation.
     fn apply_unchecked(
         &self,
         flow: &mut EtlFlow,
         point: ApplicationPoint,
         schemas: &SchemaTable,
-    ) -> Result<AppliedPattern, PatternError> {
-        let _ = schemas;
-        self.apply(flow, point)
-    }
+    ) -> Result<AppliedPattern, PatternError>;
 
     /// True when this pattern's structural edit is confined to the nodes it
     /// reports in [`AppliedPattern::added_nodes`] (plus adjacency rewiring
@@ -294,9 +287,9 @@ pub trait Pattern: Send + Sync {
     }
 }
 
-/// Schema at a point against an externally-carried schema table — the
-/// context-free counterpart of [`PatternContext::point_schema`], used by
-/// [`Pattern::apply_unchecked`] implementations.
+/// Schema at a point against an externally-carried schema table — what
+/// [`PatternContext::point_schema`] reads, and what
+/// [`Pattern::apply_unchecked`] implementations configure their edit from.
 pub fn point_schema_in<'s>(
     flow: &EtlFlow,
     schemas: &'s SchemaTable,
@@ -315,40 +308,8 @@ pub fn point_schema_in<'s>(
     }
 }
 
-/// Helper shared by edge-interposing patterns: re-validates applicability,
-/// splices `op` onto the edge and returns the application record.
-pub(crate) fn interpose_applying(
-    pattern: &dyn Pattern,
-    flow: &mut EtlFlow,
-    point: ApplicationPoint,
-    op: etl_model::Operation,
-) -> Result<AppliedPattern, PatternError> {
-    let ctx = PatternContext::new(flow)?;
-    if !pattern.applicable(&ctx, point) {
-        return Err(PatternError::NotApplicable {
-            pattern: pattern.name().to_string(),
-            point: point.describe(flow),
-        });
-    }
-    let ApplicationPoint::Edge(e) = point else {
-        return Err(PatternError::NotApplicable {
-            pattern: pattern.name().to_string(),
-            point: point.describe(flow),
-        });
-    };
-    let splice = flow
-        .graph
-        .interpose_on_edge(e, op, Default::default(), Default::default())
-        .map_err(|err| PatternError::Graph(err.to_string()))?;
-    Ok(AppliedPattern {
-        pattern: pattern.name().to_string(),
-        point,
-        added_nodes: vec![splice.node],
-    })
-}
-
-/// The unchecked counterpart of [`interpose_applying`]: splices `op` onto
-/// the edge with no context rebuild. Callers must have verified
+/// Helper shared by edge-interposing patterns: splices `op` onto the edge
+/// and returns the application record. Callers must have verified
 /// applicability on this exact flow state.
 pub(crate) fn interpose_unchecked(
     pattern: &dyn Pattern,

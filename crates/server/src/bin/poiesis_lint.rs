@@ -108,10 +108,5 @@ fn load(spec: &str) -> Result<EtlFlow, String> {
             )
         });
     }
-    let text = std::fs::read_to_string(spec).map_err(|e| e.to_string())?;
-    if spec.ends_with(".ktr") {
-        xlm::pdi::import_ktr(&text).map_err(|e| e.to_string())
-    } else {
-        xlm::read_flow(&text).map_err(|e| e.to_string())
-    }
+    xlm::read_model_file(spec)
 }

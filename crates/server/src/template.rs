@@ -12,8 +12,8 @@
 //! `PlanRequest` DTO.
 
 use datagen::fig2::{purchases_catalog, purchases_flow};
-use datagen::{Catalog, DirtProfile, TableSpec};
-use etl_model::{EtlFlow, OpKind};
+use datagen::{Catalog, DirtProfile};
+use etl_model::EtlFlow;
 use poiesis::{Poiesis, SessionBuilder};
 
 /// A reusable (flow, catalog) pair every new session is cloned from.
@@ -42,14 +42,9 @@ impl SessionTemplate {
     /// synthesises `rows` rows for every extract from its schema — the
     /// same headless substitute for a test database the CLI uses.
     pub fn from_model_file(path: &str, rows: usize) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let flow = if path.ends_with(".ktr") {
-            xlm::pdi::import_ktr(&text).map_err(|e| e.to_string())?
-        } else {
-            xlm::read_flow(&text).map_err(|e| e.to_string())?
-        };
+        let flow = xlm::read_model_file(path)?;
         flow.validate().map_err(|e| format!("invalid model: {e}"))?;
-        let catalog = synthesize_catalog(&flow, rows)?;
+        let catalog = datagen::synthesize_catalog(&flow, rows)?;
         Ok(SessionTemplate {
             flow,
             catalog,
@@ -123,35 +118,6 @@ fn looks_like_model_path(name: &str) -> bool {
         || name.ends_with(".xlm")
         || name.ends_with(".xml")
         || name.ends_with(".ktr")
-}
-
-/// Synthesises a catalog for every extract in the flow from its schema
-/// (demo dirt profile, deterministic seeds).
-fn synthesize_catalog(flow: &EtlFlow, rows: usize) -> Result<Catalog, String> {
-    let mut catalog = Catalog::new();
-    let mut seed = 0xC11u64;
-    for n in flow.ops_of_kind("extract") {
-        let OpKind::Extract { source, schema } = &flow.op(n).expect("live").kind else {
-            unreachable!("ops_of_kind returned a non-extract");
-        };
-        if catalog.table(source).is_some() {
-            continue;
-        }
-        let key = schema
-            .attrs()
-            .iter()
-            .find(|a| !a.nullable)
-            .or_else(|| schema.attrs().first())
-            .map(|a| a.name.clone())
-            .ok_or_else(|| format!("extract `{source}` has an empty schema"))?;
-        catalog.add_generated(
-            &TableSpec::new(source.clone(), schema.clone(), rows, key),
-            &DirtProfile::demo(),
-            seed,
-        );
-        seed = seed.wrapping_add(1);
-    }
-    Ok(catalog)
 }
 
 #[cfg(test)]

@@ -15,6 +15,8 @@
 //!   expression, cost annotation and graph-level configuration;
 //! * [`pdi::import_ktr`] — a PDI subset importer mapping common Kettle step
 //!   types onto the operator taxonomy;
+//! * [`read_model_file`] — the one loader of model files, choosing between
+//!   the two by extension;
 //! * [`expr_text`] — a total writer + recursive-descent parser for the
 //!   expression language (xLM stores predicates as text).
 
@@ -26,3 +28,17 @@ mod xlm;
 pub mod xml;
 
 pub use xlm::{read_flow, write_flow, XlmError};
+
+/// Reads a model file: `.ktr` is imported as PDI, anything else is read as
+/// xLM. The flow is returned as parsed, *not* validated: a planner calls
+/// [`etl_model::EtlFlow::validate`] next, while a linter hands a broken
+/// flow to the analyzer to explain what is wrong with it.
+pub fn read_model_file(path: &str) -> Result<etl_model::EtlFlow, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    if path.ends_with(".ktr") {
+        pdi::import_ktr(&text)
+    } else {
+        read_flow(&text)
+    }
+    .map_err(|e| e.to_string())
+}
