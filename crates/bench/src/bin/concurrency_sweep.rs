@@ -1,70 +1,72 @@
 //! CONC — verifies the §3 claim that concurrent background evaluation keeps
-//! the system responsive: sweeps the evaluation-pool width over a fixed
-//! alternative set and reports the speedup series.
+//! the system responsive: times one planning cycle (`Planner::plan`, every
+//! alternative fully simulated) on the planner's own worker pool at
+//! increasing widths, and checks that every width reaches the same frontier.
 
-use bench::{tpcds_setup, SEED};
-use etl_model::EtlFlow;
-use poiesis::eval::{evaluate_pool, EvalMode};
-use poiesis::generate::generate_uncapped;
+use bench::{planner_for, tpcds_setup, SEED};
+use fcp::DeploymentPolicy;
+use poiesis::{EvalMode, PlannerConfig};
 use std::time::Instant;
 
-struct FlowBox(EtlFlow);
-impl AsRef<EtlFlow> for FlowBox {
-    fn as_ref(&self) -> &EtlFlow {
-        &self.0
-    }
-}
+/// Combinations enumerated per cycle (the palette is widened so the
+/// space holds more than this).
+const BUDGET: usize = 2_000;
 
 fn main() {
     let (flow, catalog) = tpcds_setup(1_500);
-    let registry = fcp::PatternRegistry::standard_for_catalog(&catalog);
-    let stats = quality::source_stats(&catalog);
-    // build a deterministic set of ~2000 single-pattern alternatives by
-    // cycling the candidate list
-    let candidates = generate_uncapped(&flow, &registry).unwrap();
-    let mut flows = Vec::new();
-    'outer: loop {
-        for c in &candidates {
-            let mut g = flow.fork(format!("alt_{}", flows.len()));
-            if c.pattern.apply(&mut g, c.point).is_ok() {
-                flows.push(FlowBox(g));
-            }
-            if flows.len() >= 2_000 {
-                break 'outer;
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-    }
-
     println!(
-        "CONC — concurrent evaluation of {} alternatives (simulation mode, TPC-DS scale 1500)\n",
-        flows.len()
+        "CONC — one planning cycle over {BUDGET} combinations, at 1–8 workers \
+         (simulation mode, TPC-DS scale 1500)\n"
     );
     let mut rows = Vec::new();
-    let mut t1 = None;
+    let mut first: Option<(f64, Vec<String>)> = None;
     for workers in [1usize, 2, 4, 8] {
+        let planner = planner_for(
+            flow.clone(),
+            catalog.clone(),
+            PlannerConfig {
+                policy: DeploymentPolicy {
+                    top_k_points_per_pattern: usize::MAX,
+                    min_fitness: 0.0,
+                    ..DeploymentPolicy::balanced()
+                },
+                eval_mode: EvalMode::Simulate,
+                workers,
+                max_alternatives: BUDGET,
+                seed: SEED,
+                ..PlannerConfig::default()
+            },
+        );
         let t0 = Instant::now();
-        let results = evaluate_pool(&flows, &catalog, &stats, EvalMode::Simulate, workers, SEED);
+        let out = planner.plan().expect("planning succeeds");
         let wall = t0.elapsed().as_secs_f64();
-        assert!(results.iter().all(|r| r.is_ok()));
-        let base = *t1.get_or_insert(wall);
+        assert_eq!(out.failed_evaluations, 0, "every simulation succeeds");
+        // every enumerated combination that survived the screens and its
+        // own application was simulated
+        let simulated = out.stats.enumerated - out.statically_rejected - out.failed_applications;
+        let frontier = scenarios::digest::frontier_lines(&out);
+        assert!(!frontier.is_empty(), "the cycle yields a frontier");
+        let (base, reference) = first.get_or_insert_with(|| (wall, frontier.clone()));
+        assert_eq!(
+            &frontier, reference,
+            "{workers} workers reached a different frontier than 1 worker"
+        );
         rows.push(vec![
             workers.to_string(),
             format!("{wall:.2}"),
-            format!("{:.2}x", base / wall),
-            format!("{:.0}", flows.len() as f64 / wall),
+            format!("{:.2}x", *base / wall),
+            format!("{:.0}", simulated as f64 / wall),
         ]);
     }
     print!(
         "{}",
         viz::render_table(&["workers", "wall (s)", "speedup", "alternatives/s"], &rows)
     );
+    println!("\nevery worker count reached the same frontier (names and measure bits)");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!("\ndetected hardware threads: {cores}");
+    println!("detected hardware threads: {cores}");
     if cores > 1 {
         println!(
             "shape: near-linear scaling until the physical core count — the\n\
@@ -74,7 +76,7 @@ fn main() {
         println!(
             "note: this host exposes a single hardware thread, so no wall-clock\n\
              speedup is physically possible here; the sweep still exercises the\n\
-             concurrent-evaluation code path (work-stealing pool, ordered results).\n\
+             planner's concurrent-evaluation path (work-stealing pool, ordered results).\n\
              On a multi-core host the series scales with the worker count."
         );
     }

@@ -1,9 +1,10 @@
 //! `bench` — the experiment harness.
 //!
-//! One binary per paper artefact (see DESIGN.md's experiment index) plus
-//! Criterion micro-benches. Every binary prints the rows/series the paper
-//! reports, regenerated from this reproduction; EXPERIMENTS.md records the
-//! outputs next to the paper's claims.
+//! One binary per paper artefact, plus the scenario sweep, the CLI and the
+//! HTTP load generator. Every figure binary prints the rows/series the
+//! paper reports, regenerated from this reproduction, and asserts the
+//! claim it reproduces. Planning throughput is measured by the separate
+//! `perfbench` crate, the benchmark of record.
 //!
 //! | binary | artefact |
 //! |---|---|

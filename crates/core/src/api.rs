@@ -1070,16 +1070,35 @@ mod tests {
     fn diagnostic_spec_matches_the_error_body_wire_shape() {
         // `analysis` error bodies and lint responses must stay decodable
         // by the same client code
-        let diag = analysis::Diagnostic::error(
-            analysis::codes::UNRESOLVED_COLUMN,
-            analysis::Location::Node(etl_model::NodeId::from_raw(3)),
-            "boom",
-        )
-        .with_suggestion("fix it");
-        assert_eq!(
-            DiagnosticSpec::from_diagnostic(&diag).to_json().to_string(),
-            crate::error::diagnostic_json(&diag).to_string()
-        );
+        let diags = vec![
+            analysis::Diagnostic::error(
+                analysis::codes::UNRESOLVED_COLUMN,
+                analysis::Location::Node(etl_model::NodeId::from_raw(3)),
+                "boom",
+            )
+            .with_suggestion("fix it")
+            .with_note("lineage: a -> b")
+            .with_note("second note"),
+            analysis::Diagnostic::error(
+                analysis::codes::UNRESOLVED_COLUMN,
+                analysis::Location::Graph,
+                "plain",
+            ),
+        ];
+        let body = PoiesisError::Analysis(diags.clone()).to_json();
+        let decoded: Vec<DiagnosticSpec> = body
+            .get("diagnostics")
+            .unwrap()
+            .as_array("diagnostics")
+            .unwrap()
+            .iter()
+            .map(|v| DiagnosticSpec::from_json(v).unwrap())
+            .collect();
+        let expected: Vec<DiagnosticSpec> =
+            diags.iter().map(DiagnosticSpec::from_diagnostic).collect();
+        assert_eq!(decoded, expected);
+        assert_eq!(decoded[0].notes.len(), 2);
+        assert_eq!(decoded[0].suggestion.as_deref(), Some("fix it"));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! [`PoiesisError`]; the variants are stable so callers (and a future
 //! network service) can match on them instead of scraping messages.
 
+use crate::api::DiagnosticSpec;
 use crate::manager::SessionId;
 use analysis::Diagnostic;
 use etl_model::{FlowError, SchemaError};
@@ -143,50 +144,18 @@ impl ToJson for PoiesisError {
             PoiesisError::Analysis(diags) => {
                 fields.push((
                     "diagnostics".to_string(),
-                    Value::Array(diags.iter().map(diagnostic_json).collect()),
+                    Value::Array(
+                        diags
+                            .iter()
+                            .map(|d| DiagnosticSpec::from_diagnostic(d).to_json())
+                            .collect(),
+                    ),
                 ));
             }
             _ => {}
         }
         Value::object(fields)
     }
-}
-
-/// The wire form of one diagnostic: `code`, `severity`, `message`, the
-/// location split into `location` kind + optional `node`/`edge` index, and
-/// `suggestion` when present.
-pub(crate) fn diagnostic_json(d: &Diagnostic) -> Value {
-    let mut fields = vec![
-        ("code".to_string(), Value::String(d.code.to_string())),
-        (
-            "severity".to_string(),
-            Value::String(d.severity.name().to_string()),
-        ),
-        ("message".to_string(), Value::String(d.message.clone())),
-    ];
-    match d.location {
-        analysis::Location::Graph => {
-            fields.push(("location".to_string(), Value::String("graph".to_string())));
-        }
-        analysis::Location::Node(n) => {
-            fields.push(("location".to_string(), Value::String("node".to_string())));
-            fields.push(("node".to_string(), Value::Number(n.index() as f64)));
-        }
-        analysis::Location::Edge(e) => {
-            fields.push(("location".to_string(), Value::String("edge".to_string())));
-            fields.push(("edge".to_string(), Value::Number(e.index() as f64)));
-        }
-    }
-    if let Some(s) = &d.suggestion {
-        fields.push(("suggestion".to_string(), Value::String(s.clone())));
-    }
-    if !d.notes.is_empty() {
-        fields.push((
-            "notes".to_string(),
-            Value::Array(d.notes.iter().map(|n| Value::String(n.clone())).collect()),
-        ));
-    }
-    Value::object(fields)
 }
 
 impl From<FlowError> for PoiesisError {

@@ -6,8 +6,10 @@
 //! alternative flows that have to be concurrently evaluated. Therefore, we
 //! employ Amazon Cloud elastic infrastructures, by launching processing
 //! nodes that run in the background". The laptop-scale substitution is a
-//! `std::thread::scope` worker pool; the concurrency-sweep bench measures
-//! its scaling.
+//! `std::thread::scope` worker pool ([`PlannerConfig::workers`] wide); the
+//! `concurrency_sweep` binary times a planning cycle at several widths.
+//!
+//! [`PlannerConfig::workers`]: crate::PlannerConfig::workers
 
 use datagen::Catalog;
 use etl_model::EtlFlow;
@@ -74,7 +76,8 @@ pub fn evaluate_flow(
 /// workers pull indices from a shared atomic cursor and own their results
 /// outright until the channel is drained after the scope — no per-slot
 /// locking. `workers <= 1` (or `n <= 1`) degenerates to a sequential loop.
-/// Shared by [`evaluate_pool`] and the planner's streaming engine.
+/// The planner's streaming engine evaluates each submitted batch of
+/// combinations through it.
 pub(crate) fn par_map_indexed<T: Send>(
     n: usize,
     workers: usize,
@@ -112,26 +115,6 @@ pub(crate) fn par_map_indexed<T: Send>(
         .collect()
 }
 
-/// Evaluates many flows on a scoped worker pool, preserving input order.
-///
-/// `workers == 1` degenerates to sequential evaluation (the baseline of the
-/// concurrency sweep).
-pub fn evaluate_pool<F>(
-    flows: &[F],
-    catalog: &Catalog,
-    stats: &HashMap<String, SourceStats>,
-    mode: EvalMode,
-    workers: usize,
-    seed: u64,
-) -> Vec<Result<MeasureVector, simulator::SimError>>
-where
-    F: AsRef<EtlFlow> + Sync,
-{
-    par_map_indexed(flows.len(), workers, |i| {
-        evaluate_flow(flows[i].as_ref(), catalog, stats, mode, seed)
-    })
-}
-
 /// Computes characteristic scores for the scatter-plot axes.
 pub fn characteristic_scores(
     measures: &MeasureVector,
@@ -158,13 +141,6 @@ mod tests {
         (f, cat, stats)
     }
 
-    struct FlowBox(EtlFlow);
-    impl AsRef<EtlFlow> for FlowBox {
-        fn as_ref(&self) -> &EtlFlow {
-            &self.0
-        }
-    }
-
     #[test]
     fn estimate_and_simulate_modes_fill_measures() {
         let (f, cat, stats) = setup();
@@ -178,35 +154,31 @@ mod tests {
     #[test]
     fn pool_preserves_order_and_matches_sequential() {
         let (f, cat, stats) = setup();
-        let flows: Vec<FlowBox> = (0..20)
+        let flows: Vec<EtlFlow> = (0..20)
             .map(|i| {
                 let mut g = f.fork(format!("v{i}"));
-                // vary the flows slightly so results differ
+                // vary the flows so results differ by index
                 if i % 2 == 0 {
                     g.config.encrypted = true;
                 }
-                FlowBox(g)
+                g
             })
             .collect();
-        let seq = evaluate_pool(&flows, &cat, &stats, EvalMode::Estimate, 1, 3);
-        let par = evaluate_pool(&flows, &cat, &stats, EvalMode::Estimate, 4, 3);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!(a.get(MeasureId::CycleTimeMs), b.get(MeasureId::CycleTimeMs));
-        }
-        // encrypted variants are slower — order preserved means alternating
-        let c0 = par[0]
-            .as_ref()
-            .unwrap()
-            .get(MeasureId::CycleTimeMs)
-            .unwrap();
-        let c1 = par[1]
-            .as_ref()
-            .unwrap()
-            .get(MeasureId::CycleTimeMs)
-            .unwrap();
-        assert!(c0 > c1);
+        let cycle_time = |i: usize| {
+            let v = evaluate_flow(&flows[i], &cat, &stats, EvalMode::Estimate, 3).unwrap();
+            (i, v.get(MeasureId::CycleTimeMs).unwrap())
+        };
+        let seq = par_map_indexed(flows.len(), 1, cycle_time);
+        let par = par_map_indexed(flows.len(), 4, cycle_time);
+        assert_eq!(seq, par);
+        // results land in index order, whichever worker produced them
+        assert!(par.iter().enumerate().all(|(i, &(j, _))| i == j));
+        // encrypted (even) variants are slower than their plain neighbours
+        assert!(par[0].1 > par[1].1);
+        // more workers than items, and the empty and single-item maps
+        assert_eq!(par_map_indexed(3, 8, |i| i * 10), vec![0, 10, 20]);
+        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(1, 4, |i| i + 7), vec![7]);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub struct PlannerConfig {
     /// combination — for both the structural/schema screen
     /// ([`analysis::screen_delta_structural`] over a schema table repaired
     /// by [`etl_model::repair_table`]) and the measure estimate
-    /// ([`quality::estimate_delta`]). The resulting measure vectors are
+    /// ([`quality::estimate_delta_with`]). The resulting measure vectors are
     /// bit-identical to from-scratch evaluation (enforced by tests), so
     /// this is on by default; turning it off restores full per-combination
     /// re-evaluation for A/B timing. Ignored in [`EvalMode::Simulate`].
@@ -478,29 +478,23 @@ impl Planner {
     }
 
     /// Scores one realized combination: delta estimation against the
-    /// cached baseline when available, full evaluation otherwise. Both
-    /// produce bit-identical measure vectors.
+    /// cached baseline and the fork's copy-on-write delta when a
+    /// [`DeltaCtx`] is active, full evaluation otherwise. Both produce
+    /// bit-identical measure vectors.
     fn evaluate_combination(
         &self,
         flow: &EtlFlow,
-        delta: Option<&DeltaCtx>,
-        cow: Option<&etl_model::CowDelta>,
+        delta: Option<(&DeltaCtx, &etl_model::CowDelta)>,
     ) -> Result<MeasureVector, simulator::SimError> {
-        match (delta, cow) {
-            (Some(d), Some(cd)) => Ok(quality::estimate_delta_with(
+        match delta {
+            Some((d, cow)) => Ok(quality::estimate_delta_with(
                 flow,
                 &self.flow,
                 &d.baseline,
                 &self.stats_cache,
-                cd,
+                cow,
             )),
-            (Some(d), None) => Ok(quality::estimate_delta(
-                flow,
-                &self.flow,
-                &d.baseline,
-                &self.stats_cache,
-            )),
-            _ => evaluate_flow(
+            None => evaluate_flow(
                 flow,
                 &self.catalog,
                 &self.stats_cache,
@@ -722,17 +716,14 @@ impl<'a> StreamingEngine<'a> {
                 return None;
             }
         };
-        let measures =
-            match self
-                .planner
-                .evaluate_combination(&flow, self.delta.as_ref(), cow.as_ref())
-            {
-                Ok(m) => m,
-                Err(_) => {
-                    self.failed_evaluations.fetch_add(1, Ordering::Relaxed);
-                    return None;
-                }
-            };
+        let delta = self.delta.as_ref().zip(cow.as_ref());
+        let measures = match self.planner.evaluate_combination(&flow, delta) {
+            Ok(m) => m,
+            Err(_) => {
+                self.failed_evaluations.fetch_add(1, Ordering::Relaxed);
+                return None;
+            }
+        };
         let objective = &self.planner.config.objective;
         if !self.planner.config.policy.admits(self.baseline, &measures)
             || !objective.admits(self.baseline, &measures)

@@ -288,7 +288,7 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
 
 /// Cached per-node estimates of a base flow, reusable across every
 /// copy-on-write fork of that base within one exploration cycle.
-/// Build once with [`estimate_baseline`], consume with [`estimate_delta`].
+/// Build once with [`estimate_baseline`], consume with [`estimate_delta_with`].
 pub struct EstimateBaseline {
     est: Vec<NodeEst>,
     redo_contrib: Vec<f64>,
@@ -343,6 +343,8 @@ pub fn estimate_baseline(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -
 
 /// Estimates a copy-on-write fork of `base` by re-propagating only over the
 /// fork's touched nodes and their descendants, composing with `baseline`.
+/// `delta` is `fork.delta_since(base)`; the planner computes it once per
+/// combination and shares it between the post-screen and this estimate.
 ///
 /// Returns a `MeasureVector` **bit-identical** to `estimate(fork, stats)`:
 /// unaffected nodes' estimates are reused verbatim (their inputs are
@@ -353,18 +355,6 @@ pub fn estimate_baseline(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -
 /// Falls back to the full pass when the fork's `FlowConfig` differs from the
 /// base's (graph-level patterns change global speed/tax multipliers, which
 /// invalidates every cached timing) or when the base was cyclic.
-pub fn estimate_delta(
-    fork: &EtlFlow,
-    base: &EtlFlow,
-    baseline: &EstimateBaseline,
-    stats: &HashMap<String, SourceStats>,
-) -> MeasureVector {
-    estimate_delta_with(fork, base, baseline, stats, &fork.delta_since(base))
-}
-
-/// [`estimate_delta`] against a caller-supplied delta — the planner computes
-/// `fork.delta_since(base)` once per combination and shares it between the
-/// post-screen and this estimate.
 pub fn estimate_delta_with(
     fork: &EtlFlow,
     base: &EtlFlow,
@@ -708,20 +698,20 @@ mod tests {
         let router = cp.ops_of_kind("router")[0];
         cp.op_mut(router).unwrap().cost.failure_rate = 0.3;
 
-        let fast = estimate_delta(&cp, &f, &baseline, &stats);
+        let fast = estimate_delta_with(&cp, &f, &baseline, &stats, &cp.delta_since(&f));
         let slow = estimate(&cp, &stats);
         assert_eq!(fast, slow, "delta and scratch must agree to the bit");
 
         // Config change → falls back to full estimate, still identical.
         let mut enc = f.fork("enc");
         enc.config.encrypted = true;
-        let fast = estimate_delta(&enc, &f, &baseline, &stats);
+        let fast = estimate_delta_with(&enc, &f, &baseline, &stats, &enc.delta_since(&f));
         assert_eq!(fast, estimate(&enc, &stats));
 
         // Untouched fork: composing with the baseline reproduces the base.
         let same = f.fork("same");
         assert_eq!(
-            estimate_delta(&same, &f, &baseline, &stats),
+            estimate_delta_with(&same, &f, &baseline, &stats, &same.delta_since(&f)),
             estimate(&f, &stats)
         );
     }

@@ -50,8 +50,7 @@ pub mod static_measures;
 
 pub use bound::GainProfile;
 pub use estimator::{
-    estimate, estimate_baseline, estimate_delta, estimate_delta_with, source_stats,
-    EstimateBaseline, SourceStats,
+    estimate, estimate_baseline, estimate_delta_with, source_stats, EstimateBaseline, SourceStats,
 };
 pub use measure::{Characteristic, MeasureId, MeasureVector, RATIO_CLAMP_MAX, RATIO_CLAMP_MIN};
 pub use report::{relative_change, QualityReport, RelativeChange};

@@ -313,22 +313,28 @@ impl Response {
     }
 }
 
-/// The reason phrase for the status codes this server emits.
+/// Every status code this server emits, with its reason phrase.
+pub const STATUS_REASONS: [(u16, &str); 11] = [
+    (200, "OK"),
+    (201, "Created"),
+    (400, "Bad Request"),
+    (404, "Not Found"),
+    (405, "Method Not Allowed"),
+    (408, "Request Timeout"),
+    (409, "Conflict"),
+    (413, "Payload Too Large"),
+    (431, "Request Header Fields Too Large"),
+    (500, "Internal Server Error"),
+    (503, "Service Unavailable"),
+];
+
+/// The reason phrase for a status code this server emits ([`STATUS_REASONS`]),
+/// `Unknown` for any other.
 pub fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        201 => "Created",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        409 => "Conflict",
-        413 => "Payload Too Large",
-        431 => "Request Header Fields Too Large",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
+    STATUS_REASONS
+        .iter()
+        .find(|(code, _)| *code == status)
+        .map_or("Unknown", |(_, phrase)| phrase)
 }
 
 /// Serializes `response` onto the wire. `keep_alive` controls the

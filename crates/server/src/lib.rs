@@ -7,8 +7,8 @@
 //! [`poiesis::SessionManager`] owns many concurrent sessions behind
 //! opaque handles and speaks serializable `PlanRequest`/`PlanResponse`
 //! DTOs — so this crate is deliberately *thin*: a hand-rolled, bounded
-//! HTTP implementation ([`http`]), a pure routing layer ([`service`])
-//! mapping REST-ish endpoints onto
+//! HTTP implementation ([`http`]), one route table ([`route`]), a pure
+//! routing layer ([`service`]) mapping REST-ish endpoints onto
 //! `create`/`explore`/`select`/`history`/`close`, a thread-pool accept
 //! loop with a bounded queue, `503` load shedding and graceful shutdown
 //! ([`server`]), an atomic-counter metrics registry behind `GET /metrics`
@@ -66,6 +66,7 @@ pub mod clock;
 pub mod http;
 pub mod metrics;
 pub mod persist;
+pub mod route;
 pub mod server;
 pub mod service;
 pub mod template;
@@ -75,6 +76,7 @@ pub use clock::{Clock, SystemClock};
 pub use http::{HttpError, Limits, Request, Response};
 pub use metrics::Metrics;
 pub use persist::{LoadedState, StateStore, TornWrite, TornWriteHook};
+pub use route::Route;
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use service::{status_for, PlanningService};
 pub use template::SessionTemplate;

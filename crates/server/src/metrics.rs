@@ -14,28 +14,14 @@
 //! `docs/OPERATIONS.md`; the names and label sets there are a contract,
 //! pinned by the integration tests.
 
+use crate::http::STATUS_REASONS;
+use crate::route::Route;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// The endpoint shapes requests are counted under. `Other` covers
-/// unroutable paths and requests that failed HTTP parsing.
-const ROUTES: [&str; 11] = [
-    "healthz",
-    "metrics",
-    "sessions_list",
-    "session_create",
-    "explore",
-    "select",
-    "lint",
-    "history",
-    "close",
-    "shutdown",
-    "other",
-];
-
-/// Every status code this server emits; the final slot collects anything
-/// unexpected so a count is never silently dropped.
-const STATUSES: [u16; 12] = [200, 201, 400, 404, 405, 408, 409, 413, 431, 500, 503, 0];
+/// Status slots: one per code in [`STATUS_REASONS`], plus a final slot
+/// that collects anything unexpected so a count is never silently dropped.
+const STATUS_SLOTS: usize = STATUS_REASONS.len() + 1;
 
 /// Upper bounds (seconds) of the planning-cycle latency histogram; an
 /// implicit `+Inf` bucket follows. Spans sub-5 ms demo cycles up to
@@ -44,33 +30,13 @@ const CYCLE_BUCKETS: [f64; 11] = [
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 ];
 
-/// Maps a request to its route slot (index into [`ROUTES`]).
-/// Allocation-free: this runs once per request, including the /healthz
-/// fast path.
-fn route_index(method: &str, path: &str) -> usize {
-    let mut parts = path.split('/').filter(|s| !s.is_empty());
-    let segments = (parts.next(), parts.next(), parts.next(), parts.next());
-    match (method, segments) {
-        ("GET", (Some("healthz"), None, _, _)) => 0,
-        ("GET", (Some("metrics"), None, _, _)) => 1,
-        ("GET", (Some("sessions"), None, _, _)) => 2,
-        ("POST", (Some("sessions"), None, _, _)) => 3,
-        ("POST", (Some("sessions"), Some(_), Some("explore"), None)) => 4,
-        ("POST", (Some("sessions"), Some(_), Some("select"), None)) => 5,
-        ("POST", (Some("sessions"), Some(_), Some("lint"), None)) => 6,
-        ("GET", (Some("sessions"), Some(_), Some("history"), None)) => 7,
-        ("DELETE", (Some("sessions"), Some(_), None, _)) => 8,
-        ("POST", (Some("shutdown"), None, _, _)) => 9,
-        _ => ROUTES.len() - 1,
-    }
-}
-
-/// Maps a status code to its slot (index into [`STATUSES`]).
+/// Maps a status code to its slot (index into [`STATUS_REASONS`], or the
+/// final catch-all slot).
 fn status_index(status: u16) -> usize {
-    STATUSES
+    STATUS_REASONS
         .iter()
-        .position(|&s| s == status)
-        .unwrap_or(STATUSES.len() - 1)
+        .position(|&(code, _)| code == status)
+        .unwrap_or(STATUS_SLOTS - 1)
 }
 
 /// A fixed-bucket latency histogram (Prometheus `histogram` semantics:
@@ -118,12 +84,12 @@ impl Histogram {
 /// [`PlanningService`](crate::PlanningService)) shares.
 ///
 /// ```
-/// use poiesis_server::Metrics;
+/// use poiesis_server::{Metrics, Route};
 /// use std::time::Duration;
 ///
 /// let metrics = Metrics::new();
-/// metrics.record_request("GET", "/healthz", 200);
-/// metrics.record_request("POST", "/sessions/3/explore", 200);
+/// metrics.record_request(Route::parse("GET", "/healthz"), 200);
+/// metrics.record_request(Route::parse("POST", "/sessions/3/explore"), 200);
 /// metrics.observe_cycle(Duration::from_millis(12));
 ///
 /// let text = metrics.render(1);
@@ -134,7 +100,7 @@ impl Histogram {
 /// ```
 pub struct Metrics {
     started: Instant,
-    requests: [[AtomicU64; STATUSES.len()]; ROUTES.len()],
+    requests: [[AtomicU64; STATUS_SLOTS]; Route::LABELS.len()],
     in_flight: AtomicU64,
     connections: AtomicU64,
     shed: AtomicU64,
@@ -170,10 +136,9 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Counts one served request under its route and status.
-    pub fn record_request(&self, method: &str, path: &str, status: u16) {
-        self.requests[route_index(method, path)][status_index(status)]
-            .fetch_add(1, Ordering::Relaxed);
+    /// Counts one served request under its route's label and its status.
+    pub fn record_request(&self, route: Route<'_>, status: u16) {
+        self.requests[route.label_index()][status_index(status)].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one accepted connection.
@@ -253,17 +218,15 @@ impl Metrics {
 
         out.push_str("# HELP poiesis_http_requests_total Requests served, by route and status.\n");
         out.push_str("# TYPE poiesis_http_requests_total counter\n");
-        for (r, route) in ROUTES.iter().enumerate() {
-            for (s, status) in STATUSES.iter().enumerate() {
+        for (r, route) in Route::LABELS.iter().enumerate() {
+            for s in 0..STATUS_SLOTS {
                 let n = self.requests[r][s].load(Ordering::Relaxed);
                 if n == 0 {
                     continue;
                 }
-                let status = if *status == 0 {
-                    "other".to_string()
-                } else {
-                    status.to_string()
-                };
+                let status = STATUS_REASONS
+                    .get(s)
+                    .map_or("other".to_string(), |(code, _)| code.to_string());
                 out.push_str(&format!(
                     "poiesis_http_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}\n"
                 ));
@@ -385,14 +348,15 @@ mod tests {
             ("GET", "/nope", "other"),
             ("PATCH", "/sessions", "other"),
         ] {
-            assert_eq!(ROUTES[route_index(method, path)], want, "{method} {path}");
+            let route = Route::parse(method, path);
+            assert_eq!(Route::LABELS[route.label_index()], want, "{method} {path}");
         }
     }
 
     #[test]
     fn unexpected_statuses_collect_under_other() {
         let m = Metrics::new();
-        m.record_request("GET", "/healthz", 418);
+        m.record_request(Route::Healthz, 418);
         assert!(m
             .render(0)
             .contains("poiesis_http_requests_total{route=\"healthz\",status=\"other\"} 1"));

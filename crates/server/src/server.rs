@@ -21,6 +21,7 @@
 
 use crate::http::{self, HttpError, Limits, Request, Response};
 use crate::metrics::Metrics;
+use crate::route::Route;
 use crate::service::{error_body, http_error_response, PlanningService};
 use std::collections::VecDeque;
 use std::io::{self, BufReader};
@@ -376,17 +377,19 @@ fn serve_connection(
                 // report the failure if the socket still listens, then
                 // hang up — a half-parsed stream cannot be resynchronized
                 let response = http_error_response(&e);
-                metrics.record_request("", "", response.status);
+                // an unparsable request addresses no route
+                metrics.record_request(Route::NotFound, response.status);
                 let _ = http::write_response(&mut writer, &response, false);
                 return;
             }
         };
         let keep_alive = request.keep_alive;
+        let route = Route::parse(&request.method, &request.path);
         let response = {
             let _in_flight = metrics.in_flight_guard();
-            dispatch(&request, service, shutdown)
+            dispatch(route, &request, service, shutdown)
         };
-        metrics.record_request(&request.method, &request.path, response.status);
+        metrics.record_request(route, response.status);
         if http::write_response(&mut writer, &response, keep_alive).is_err() {
             return;
         }
@@ -396,19 +399,23 @@ fn serve_connection(
     }
 }
 
-/// Routes the one server-level endpoint (`POST /shutdown`), everything
-/// else goes to the service.
-fn dispatch(request: &Request, service: &PlanningService, shutdown: &ShutdownHandle) -> Response {
-    if request.path == "/shutdown" {
-        return if request.method == "POST" {
+/// Serves the one server-level endpoint (`POST /shutdown`); every other
+/// route goes to the service.
+fn dispatch(
+    route: Route<'_>,
+    request: &Request,
+    service: &PlanningService,
+    shutdown: &ShutdownHandle,
+) -> Response {
+    match route {
+        Route::Shutdown => {
             shutdown.shutdown();
             Response::json(200, "{\"shutting_down\":true}")
-        } else {
-            Response::json(
-                405,
-                error_body("method_not_allowed", "shutdown requires POST"),
-            )
-        };
+        }
+        Route::ShutdownNotAllowed => Response::json(
+            405,
+            error_body("method_not_allowed", "shutdown requires POST"),
+        ),
+        _ => service.respond(route, request),
     }
-    service.handle(request)
 }

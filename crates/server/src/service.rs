@@ -11,6 +11,7 @@
 use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
 use crate::persist::StateStore;
+use crate::route::Route;
 use poiesis::{
     FromJson, IterationRecord, ManagerSnapshot, PlanRequest, PoiesisError, SessionId,
     SessionManager, SessionSnapshot, ToJson,
@@ -230,34 +231,31 @@ impl PlanningService {
     /// Routes one request. Never panics on hostile input; unroutable
     /// paths and methods produce `404` / `405` JSON errors.
     pub fn handle(&self, request: &Request) -> Response {
-        let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-        let method = request.method.as_str();
-        match (method, segments.as_slice()) {
-            ("GET", ["healthz"]) => self.healthz(),
-            ("GET", ["metrics"]) => self.scrape(),
-            ("GET", ["sessions"]) => self.list(),
-            ("POST", ["sessions"]) => self.create(request),
-            ("POST", ["sessions", id, "explore"]) => self.with_id(id, |id| self.explore(id)),
-            ("POST", ["sessions", id, "select"]) => self.with_id(id, |id| self.select(id, request)),
-            ("POST", ["sessions", id, "lint"]) => self.with_id(id, |id| self.lint(id)),
-            ("GET", ["sessions", id, "history"]) => self.with_id(id, |id| self.history(id)),
-            ("DELETE", ["sessions", id]) => self.with_id(id, |id| self.close(id)),
-            // known paths with the wrong verb are 405, unknown paths 404
-            (
-                _,
-                ["healthz"]
-                | ["metrics"]
-                | ["sessions"]
-                | ["sessions", _]
-                | ["sessions", _, "explore" | "select" | "lint" | "history"],
-            ) => Response::json(
+        self.respond(Route::parse(&request.method, &request.path), request)
+    }
+
+    /// Serves `request` along its already-parsed `route` (the connection
+    /// loop parses it once and also labels the request's metrics with
+    /// it). The service has no shutdown, so `/shutdown` is a `404` here.
+    pub fn respond(&self, route: Route<'_>, request: &Request) -> Response {
+        match route {
+            Route::Healthz => self.healthz(),
+            Route::Metrics => self.scrape(),
+            Route::SessionsList => self.list(),
+            Route::SessionCreate => self.create(request),
+            Route::Explore(id) => self.with_id(id, |id| self.explore(id)),
+            Route::Select(id) => self.with_id(id, |id| self.select(id, request)),
+            Route::Lint(id) => self.with_id(id, |id| self.lint(id)),
+            Route::History(id) => self.with_id(id, |id| self.history(id)),
+            Route::Close(id) => self.with_id(id, |id| self.close(id)),
+            Route::NotAllowed => Response::json(
                 405,
                 error_body(
                     "method_not_allowed",
-                    &format!("{} is not supported on {}", method, request.path),
+                    &format!("{} is not supported on {}", request.method, request.path),
                 ),
             ),
-            _ => Response::json(
+            Route::Shutdown | Route::ShutdownNotAllowed | Route::NotFound => Response::json(
                 404,
                 error_body("not_found", &format!("no route for {}", request.path)),
             ),
