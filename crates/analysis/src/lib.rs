@@ -262,7 +262,9 @@ pub fn screen(flow: &EtlFlow) -> Option<Diagnostic> {
 /// already-screened base flow: emptiness, patch-created cycles, and
 /// degree/arity rules at the patch's touched nodes, in `O(affected region)`
 /// instead of `O(flow)`. Callers re-validate schemas over the patch by
-/// repairing the fork's schema table ([`etl_model::repair_table`]).
+/// repairing the fork's schema table ([`etl_model::repair_table`]); when the
+/// repair reports `false`, a full [`etl_model::propagate_schemas`] gives
+/// the schema verdict.
 ///
 /// **Precondition:** `screen(base)` returned `None`. Under it, degree and
 /// kind can change only at touched nodes (any adjacency edit unshares the
@@ -844,11 +846,17 @@ mod tests {
         let delta = good.delta_since(&base);
         assert!(screen(&good).is_none());
         assert!(screen_delta_structural(&good, &delta).is_none());
-        assert!(etl_model::propagate_schemas_delta(&good, &base_schemas, &delta).is_ok());
+        let mut table = base_schemas.clone();
+        assert!(etl_model::repair_table(
+            &good,
+            &mut table,
+            &delta.touched_nodes
+        ));
 
         // Schema-breaking patch: filter over a ghost column. It is
-        // structurally sound, so the schema half of the delta screen —
-        // delta propagation or repairing the carried table — rejects it.
+        // structurally sound, so the schema half of the delta screen
+        // rejects it: the repair of the carried table reports `false`, and
+        // the full propagation it falls back to names the error.
         let mut bad = base.fork("bad");
         let e = bad.graph.edge_ids().next().unwrap();
         bad.graph
@@ -861,16 +869,17 @@ mod tests {
             .unwrap();
         let delta = bad.delta_since(&base);
         assert!(screen_delta_structural(&bad, &delta).is_none());
-        let fast = etl_model::propagate_schemas_delta(&bad, &base_schemas, &delta)
-            .expect_err("must reject");
         let mut table = base_schemas.clone();
-        let repaired = etl_model::repair_table(&bad, &mut table, &delta.touched_nodes)
-            .expect_err("must reject");
-        assert_eq!(fast, repaired);
-        let fast = from_flow_error(&bad, &FlowError::Schema(fast));
+        assert!(!etl_model::repair_table(
+            &bad,
+            &mut table,
+            &delta.touched_nodes
+        ));
+        let propagated = propagate_schemas(&bad).expect_err("must reject");
+        let propagated = from_flow_error(&bad, &FlowError::Schema(propagated));
         let slow = screen(&bad).expect("must reject");
-        assert_eq!(fast.code, slow.code);
-        assert_eq!(fast.code, codes::UNRESOLVED_COLUMN);
+        assert_eq!(propagated.code, slow.code);
+        assert_eq!(propagated.code, codes::UNRESOLVED_COLUMN);
 
         // Structure-breaking patch: removing the load leaves a non-load sink.
         let mut cut = base.fork("cut");

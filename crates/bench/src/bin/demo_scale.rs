@@ -6,7 +6,6 @@
 use bench::{planner_for, tpcds_setup, tpch_setup};
 use fcp::DeploymentPolicy;
 use poiesis::PlannerConfig;
-use std::time::Instant;
 
 fn main() {
     println!("DEMO-SCALE — alternatives generated from the two demo flows\n");
@@ -30,9 +29,7 @@ fn main() {
                 ..PlannerConfig::default()
             },
         );
-        let t0 = Instant::now();
         let out = planner.plan().expect("planning succeeds");
-        let wall = t0.elapsed();
         rows.push(vec![
             name.to_string(),
             ops.to_string(),
@@ -41,7 +38,6 @@ fn main() {
             format!("{:.0}", out.stats.theoretical),
             out.alternatives.len().to_string(),
             out.skyline.len().to_string(),
-            format!("{:.2}", wall.as_secs_f64()),
         ]);
         assert!(ops >= 20, "{name} must have tens of operators");
         assert!(sources >= 3, "{name} must extract from multiple sources");
@@ -62,7 +58,6 @@ fn main() {
                 "theoretical space",
                 "alternatives",
                 "skyline",
-                "wall (s)"
             ],
             &rows
         )

@@ -2,7 +2,7 @@
 //! flow by applying a combination of candidates to a fork of the base flow.
 
 use crate::generate::Candidate;
-use etl_model::{EtlFlow, SchemaTable};
+use etl_model::{EtlFlow, NodeId, SchemaTable};
 use fcp::{ApplicationPoint, AppliedPattern, PatternContext, PatternError};
 
 /// Applies a combination of candidates to a fork of `base`, named `name`.
@@ -57,22 +57,23 @@ pub enum CarriedTable {
 /// `base_schemas` is `base`'s schema table, computed once per planning
 /// cycle. The fork starts with an `Arc`-shared clone of that table; after
 /// each application the table is repaired in place via
-/// [`etl_model::repair_table`], seeded from the nodes that application
-/// added — O(patch) for schema-passthrough patterns, O(downstream of the
-/// patch) only when schemas genuinely changed. Each candidate's full
-/// [`Pattern::applicable`](fcp::Pattern::applicable) check runs against the
-/// carried table (built-ins add conjunctive schema conditions beyond their
-/// declared prerequisites), then
+/// [`etl_model::repair_table`] — O(patch) for schema-passthrough patterns,
+/// O(downstream of the patch) only when schemas genuinely changed. The
+/// repair is seeded from the nodes that application added when its pattern
+/// declares [`patch_confined_to_added_nodes`](fcp::Pattern::patch_confined_to_added_nodes),
+/// else from every node the fork has touched since `base`. When the repair
+/// reports `false` (it gave up, or met a schema error it cannot vouch for),
+/// the table is re-propagated from scratch and that verdict counts. Each
+/// candidate's full [`Pattern::applicable`](fcp::Pattern::applicable) check
+/// runs against the carried table (built-ins add conjunctive schema
+/// conditions beyond their declared prerequisites), then
 /// [`Pattern::apply_unchecked`](fcp::Pattern::apply_unchecked) performs the
-/// structural edit without rebuilding an O(flow) context. If a repair gives
-/// up or errors mid-combination, the table is rebuilt by a topologically
-/// ordered [`etl_model::propagate_schemas_delta`] — repair's worklist may
-/// transiently mix settled and unsettled inputs at a confluence, so only
-/// the ordered rebuild's verdict counts. Application order and failure
-/// behaviour match [`apply_combination`] exactly — the planner's
-/// equivalence tests assert bit-identical alternatives and rejection
-/// counts. The returned [`CarriedTable`] reports whether the final table is
-/// exact, letting the post-screen skip schema propagation entirely.
+/// structural edit without rebuilding an O(flow) context. Application
+/// order and failure behaviour match [`apply_combination`] exactly — the
+/// planner's equivalence tests assert bit-identical alternatives and
+/// rejection counts. The returned [`CarriedTable`] reports whether the
+/// final table is exact, letting the post-screen skip schema propagation
+/// entirely.
 pub fn apply_combination_incremental(
     base: &EtlFlow,
     combo: &[&Candidate],
@@ -86,45 +87,12 @@ pub fn apply_combination_incremental(
         .copied()
         .partition(|c| c.point != ApplicationPoint::Graph);
     let mut table = base_schemas.clone();
-    // Seeds for repairing the table after the previous application. A
-    // pattern that opts into `patch_confined_to_added_nodes` lets us seed
-    // the repair from just the nodes it added — no delta derivation at all.
-    // Otherwise the fork's cumulative copy-on-write delta is the sound seed
-    // set for *any* mutation (an application that edits an operation in
-    // place unshares its slot, so it is touched even though it added no
-    // nodes).
-    enum Seeds {
-        Confined(Vec<etl_model::NodeId>),
-        Cumulative,
-    }
-    // Full rebuild when a repair gives up (patch-created cycle) or hits an
-    // error: repair's worklist may transiently mix settled and unsettled
-    // inputs at a confluence, so only the topologically ordered rebuild's
-    // verdict counts.
-    let rebuild = |flow: &EtlFlow, table: &mut SchemaTable| -> Result<(), etl_model::SchemaError> {
-        *table = etl_model::propagate_schemas_delta(flow, base_schemas, &flow.delta_since(base))?;
-        Ok(())
-    };
-    let mut pending: Option<Seeds> = None;
+    // Seeds for repairing the table after the last application.
+    let mut pending: Option<Vec<NodeId>> = None;
     for c in structural.into_iter().chain(graph_level) {
-        match pending.take() {
-            None => {}
-            Some(Seeds::Confined(seeds)) => {
-                let repaired = etl_model::repair_table(&flow, &mut table, &seeds);
-                if !matches!(repaired, Ok(true)) {
-                    rebuild(&flow, &mut table).map_err(|e| PatternError::Graph(e.to_string()))?;
-                }
-            }
-            Some(Seeds::Cumulative) => {
-                let cow = flow.delta_since(base);
-                if !matches!(
-                    etl_model::repair_table(&flow, &mut table, &cow.touched_nodes),
-                    Ok(true)
-                ) {
-                    table = etl_model::propagate_schemas_delta(&flow, base_schemas, &cow)
-                        .map_err(|e| PatternError::Graph(e.to_string()))?;
-                }
-            }
+        if let Some(seeds) = pending.take() {
+            repair_or_propagate(&flow, &mut table, &seeds)
+                .map_err(|e| PatternError::Graph(e.to_string()))?;
         }
         let ctx = PatternContext::with_schemas(&flow, table);
         if !c.pattern.applicable(&ctx, c.point) {
@@ -135,36 +103,37 @@ pub fn apply_combination_incremental(
         }
         table = ctx.into_schemas();
         let a = c.pattern.apply_unchecked(&mut flow, c.point, &table)?;
+        // An edit confined to the added nodes needs no delta derivation;
+        // any other edit (e.g. one that rewrites an operation in place)
+        // unshares what it touched, so the fork's delta covers it.
         pending = Some(if c.pattern.patch_confined_to_added_nodes() {
-            Seeds::Confined(a.added_nodes.clone())
+            a.added_nodes.clone()
         } else {
-            Seeds::Cumulative
+            flow.delta_since(base).touched_nodes
         });
         applied.push(a);
     }
-    // The final repair: the fork's delta is derived once regardless (the
-    // caller needs it for screening and delta estimation), but confined
-    // seeds still pay off by keeping the repair worklist to the last patch.
-    let cow = flow.delta_since(base);
-    let exact = match pending {
-        None => true,
-        Some(Seeds::Confined(seeds)) => {
-            matches!(etl_model::repair_table(&flow, &mut table, &seeds), Ok(true))
-        }
-        Some(Seeds::Cumulative) => matches!(
-            etl_model::repair_table(&flow, &mut table, &cow.touched_nodes),
-            Ok(true)
-        ),
-    };
-    let carried = if exact {
-        CarriedTable::Exact { table, cow }
-    } else {
-        match etl_model::propagate_schemas_delta(&flow, base_schemas, &cow) {
-            Ok(t) => CarriedTable::Exact { table: t, cow },
-            Err(e) => CarriedTable::Broken(e),
-        }
+    let carried = match pending.map_or(Ok(()), |s| repair_or_propagate(&flow, &mut table, &s)) {
+        Ok(()) => CarriedTable::Exact {
+            table,
+            cow: flow.delta_since(base),
+        },
+        Err(e) => CarriedTable::Broken(e),
     };
     Ok((flow, applied, carried))
+}
+
+/// Makes `table` exact for `flow` after one application: repairs it from
+/// `seeds`, else re-propagates the whole flow, whose error is the verdict.
+fn repair_or_propagate(
+    flow: &EtlFlow,
+    table: &mut SchemaTable,
+    seeds: &[NodeId],
+) -> Result<(), etl_model::SchemaError> {
+    if !etl_model::repair_table(flow, table, seeds) {
+        *table = etl_model::propagate_schemas(flow)?;
+    }
+    Ok(())
 }
 
 /// Derives a deterministic alternative name from the combination.

@@ -75,7 +75,8 @@ pub struct PlannerConfig {
     /// their downstream closure — O(patch) instead of O(flow) per
     /// combination — for both the structural/schema screen
     /// ([`analysis::screen_delta_structural`] over a schema table repaired
-    /// by [`etl_model::repair_table`]) and the measure estimate
+    /// by [`etl_model::repair_table`], or re-propagated from scratch when
+    /// a repair reports `false`) and the measure estimate
     /// ([`quality::estimate_delta_with`]). The resulting measure vectors are
     /// bit-identical to from-scratch evaluation (enforced by tests), so
     /// this is on by default; turning it off restores full per-combination

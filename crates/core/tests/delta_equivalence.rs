@@ -8,6 +8,7 @@ use datagen::fig2::{purchases_catalog, purchases_flow};
 use datagen::tpcds::{tpcds_catalog, tpcds_flow};
 use datagen::tpch::{tpch_catalog, tpch_flow};
 use datagen::{Catalog, DirtProfile};
+use etl_model::expr::Expr;
 use etl_model::{EtlFlow, OpKind, Operation};
 use fcp::custom::FitnessPreset;
 use fcp::{CustomPattern, DeploymentPolicy, PatternRegistry, Prerequisite};
@@ -205,6 +206,85 @@ fn delta_matches_scratch_with_a_custom_pattern() {
                 .iter()
                 .any(|a| a.applied.iter().any(|p| p.contains("SortEarly"))),
             "{strategy}: the custom pattern was never applied"
+        );
+        assert_bit_identical(&fast, &slow);
+    }
+}
+
+/// Appends a constant audit column to an existing derive — an edit of an
+/// operation in place that widens every downstream schema. It keeps the
+/// default `patch_confined_to_added_nodes() == false`, so the incremental
+/// applier must seed its schema repair from the fork's whole delta.
+struct AuditStamp;
+
+impl fcp::Pattern for AuditStamp {
+    fn name(&self) -> &str {
+        "AuditStamp"
+    }
+
+    fn improves(&self) -> quality::Characteristic {
+        quality::Characteristic::Manageability
+    }
+
+    fn prerequisites(&self) -> Vec<Prerequisite> {
+        vec![
+            Prerequisite::IsNode,
+            Prerequisite::NodeKindIn(vec!["derive"]),
+        ]
+    }
+
+    fn apply_unchecked(
+        &self,
+        flow: &mut EtlFlow,
+        point: fcp::ApplicationPoint,
+        _schemas: &etl_model::SchemaTable,
+    ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
+        let fcp::ApplicationPoint::Node(n) = point else {
+            unreachable!("prerequisites admit node points only");
+        };
+        let op = flow.graph.node_mut(n).expect("live node");
+        let OpKind::Derive { outputs } = &mut op.kind else {
+            unreachable!("prerequisites admit derives only");
+        };
+        outputs.push((format!("audit_{}", n.index()), Expr::lit_i(1)));
+        Ok(fcp::AppliedPattern {
+            pattern: self.name().to_string(),
+            point,
+            added_nodes: Vec::new(),
+        })
+    }
+}
+
+#[test]
+fn delta_matches_scratch_with_an_in_place_editing_pattern() {
+    fn plan_with_stamp(strategy: SearchStrategyKind, delta_eval: bool) -> PlannerOutcome {
+        let (flow, catalog) = Workload::Demo.build(80);
+        let mut registry = PatternRegistry::standard_for_catalog(&catalog);
+        registry.register(AuditStamp);
+        let config = PlannerConfig {
+            strategy,
+            delta_eval,
+            max_alternatives: 600,
+            policy: DeploymentPolicy::exhaustive(2),
+            ..PlannerConfig::default()
+        };
+        Planner::new(flow, catalog, registry, config)
+            .plan()
+            .unwrap()
+    }
+
+    for strategy in [
+        SearchStrategyKind::Exhaustive,
+        SearchStrategyKind::Beam { width: 4 },
+        SearchStrategyKind::GreedyHillClimb,
+    ] {
+        let fast = plan_with_stamp(strategy, true);
+        let slow = plan_with_stamp(strategy, false);
+        assert!(
+            fast.alternatives
+                .iter()
+                .any(|a| a.applied.iter().any(|p| p.contains("AuditStamp"))),
+            "{strategy}: no combination with the in-place edit reached evaluation"
         );
         assert_bit_identical(&fast, &slow);
     }

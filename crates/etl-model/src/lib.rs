@@ -53,8 +53,8 @@ mod value;
 pub use flow::{Channel, EtlFlow, FlowConfig, FlowError, ResourceClass};
 pub use op::{AggFunc, CostParams, OpKind, Operation};
 pub use propagate::{
-    column_sources, propagate_schemas, propagate_schemas_delta, repair_table, ColumnRef,
-    ColumnSource, SchemaError, SchemaTable,
+    column_sources, propagate_schemas, repair_table, ColumnRef, ColumnSource, SchemaError,
+    SchemaTable,
 };
 pub use types::{Attribute, DataType, Schema};
 pub use value::{Tuple, Value};

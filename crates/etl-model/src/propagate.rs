@@ -6,7 +6,7 @@ use crate::expr::BindError;
 use crate::flow::EtlFlow;
 use crate::op::OpKind;
 use crate::types::Schema;
-use flowgraph::{affected_topo, CowDelta, NodeId};
+use flowgraph::NodeId;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -78,8 +78,10 @@ fn bind_err(op: &str, e: BindError) -> SchemaError {
 /// Dense schema table indexed by [`flowgraph::NodeId::index`]: the output
 /// schema of every live operation, `None` for removed ids. Schemas are
 /// `Arc`-shared — passthrough operators (filter, sort, checkpoint, …) reuse
-/// their input's allocation, and [`propagate_schemas_delta`] reuses a base
-/// table's entries for unaffected nodes.
+/// their input's allocation. A table carried across pattern applications
+/// is brought up to date by [`repair_table`], which keeps the entries of
+/// nodes a patch leaves unaffected; when the repair reports `false`, the
+/// carried table is replaced by a fresh [`propagate_schemas`].
 pub type SchemaTable = Vec<Option<Arc<Schema>>>;
 
 /// Computes the output schema of every operation, in a dense table indexed
@@ -93,85 +95,26 @@ pub fn propagate_schemas(flow: &EtlFlow) -> Result<SchemaTable, SchemaError> {
     Ok(out)
 }
 
-/// Recomputes the schema table of a copy-on-write fork against its base's
-/// table, re-propagating only over the affected region (the fork's touched
-/// nodes and their descendants). Produces a table equal to
-/// [`propagate_schemas`] on the fork, in `O(affected region)` worst case —
-/// and in `O(patch)` for the common case of schema-passthrough patches,
-/// because the walk stops descending once recomputed schemas converge back
-/// to the base's.
+/// Repairs a schema table **in place** after a structural patch, seeded
+/// from the nodes the patch touched — the `O(patch)` alternative to
+/// [`propagate_schemas`] when the caller applies patterns one at a time and
+/// carries the table across steps.
 ///
-/// Soundness: an unaffected node's entire ancestry is unaffected (the region
-/// is successor-closed), so its base schema is still exact; affected nodes
-/// are recomputed in topological order over inputs that are either base
-/// schemas or freshly recomputed ones. The early stop is sound because a
-/// structurally untouched node whose inputs all equal the base's recomputes
-/// to exactly its base schema (propagation is a pure function of the
-/// operation and its input schemas) — its base entry, validated when the
-/// base table was built, is reused verbatim. A recomputed schema that is
-/// structurally equal to the base entry is canonicalised to the base's
-/// `Arc`, so downstream sharing (and the stop condition) keeps working.
-pub fn propagate_schemas_delta(
-    flow: &EtlFlow,
-    base_table: &[Option<Arc<Schema>>],
-    delta: &CowDelta,
-) -> Result<SchemaTable, SchemaError> {
-    let order = affected_topo(&flow.graph, &delta.touched_nodes).ok_or(SchemaError::NotADag)?;
-    let bound = flow.graph.node_bound();
-    let mut out: SchemaTable = vec![None; bound];
-    for n in flow.graph.node_ids() {
-        if let Some(s) = base_table.get(n.index()).and_then(|s| s.as_ref()) {
-            out[n.index()] = Some(Arc::clone(s));
-        }
-    }
-    let mut touched = vec![false; bound];
-    for n in &delta.touched_nodes {
-        touched[n.index()] = true;
-    }
-    // `changed[i]` = node i's table entry semantically differs from the base.
-    let mut changed = vec![false; bound];
-    for n in order {
-        let must_recompute = touched[n.index()]
-            || out[n.index()].is_none()
-            || flow.graph.predecessors(n).any(|p| changed[p.index()]);
-        if !must_recompute {
-            continue;
-        }
-        let fresh = propagate_node(flow, n, &out)?;
-        match base_table.get(n.index()).and_then(|s| s.as_ref()) {
-            Some(b) if Arc::ptr_eq(&fresh, b) => out[n.index()] = Some(fresh),
-            Some(b) if **b == *fresh => out[n.index()] = Some(Arc::clone(b)),
-            _ => {
-                changed[n.index()] = true;
-                out[n.index()] = Some(fresh);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Repairs a schema table **in place** after one structural patch, seeded
-/// from the patch's added nodes — the `O(patch)` alternative to
-/// [`propagate_schemas_delta`] when the caller applies patterns one at a
-/// time and carries the table across steps.
-///
-/// Computes the added nodes' entries, then ripples through successors only
-/// while recomputed schemas actually differ from the carried entries; a
+/// Computes the seeds' entries, then ripples through successors only while
+/// recomputed schemas actually differ from the carried entries; a
 /// schema-passthrough patch (checkpoint, dedup, parallelise, …) converges
 /// after the added nodes plus one confirming recompute per boundary
 /// successor. Entries of removed ids are cleared, matching what a fresh
 /// propagation would produce.
 ///
-/// Returns `Ok(true)` when the table is exact, `Ok(false)` when the walk
-/// gave up (work cap hit — e.g. a patch-created cycle, or seeds that don't
-/// cover every added node); the caller must then rebuild the table from
-/// scratch. `Err` carries a genuine schema error, exactly the one a full
-/// propagation over the patched region would report.
-pub fn repair_table(
-    flow: &EtlFlow,
-    table: &mut SchemaTable,
-    seeds: &[NodeId],
-) -> Result<bool, SchemaError> {
+/// Returns `true` when the table is exact — equal to `propagate_schemas`
+/// on `flow`. Returns `false` when the walk gave up (work cap hit — e.g. a
+/// patch-created cycle, or seeds that don't cover every added node) or hit
+/// a schema error; the table is then unspecified and the caller must run
+/// [`propagate_schemas`], whose verdict is the authoritative one. An error
+/// is never reported from here because the worklist may transiently
+/// combine settled and unsettled inputs at a confluence.
+pub fn repair_table(flow: &EtlFlow, table: &mut SchemaTable, seeds: &[NodeId]) -> bool {
     let bound = flow.graph.node_bound();
     if table.len() < bound {
         table.resize(bound, None);
@@ -192,7 +135,7 @@ pub fn repair_table(
     let mut budget = 2 * flow.graph.edge_count() + flow.graph.node_count() + 8;
     while let Some(n) = queue.pop_front() {
         if budget == 0 {
-            return Ok(false);
+            return false;
         }
         budget -= 1;
         if flow
@@ -204,7 +147,9 @@ pub fn repair_table(
             queue.push_back(n);
             continue;
         }
-        let fresh = propagate_node(flow, n, table)?;
+        let Ok(fresh) = propagate_node(flow, n, table) else {
+            return false;
+        };
         let same = table[n.index()]
             .as_ref()
             .is_some_and(|old| Arc::ptr_eq(old, &fresh) || **old == *fresh);
@@ -213,7 +158,7 @@ pub fn repair_table(
             queue.extend(flow.graph.successors(n));
         }
     }
-    Ok(true)
+    true
 }
 
 /// One node's output schema against a partially-filled table (predecessor
@@ -772,39 +717,84 @@ mod tests {
         assert!(Arc::ptr_eq(e.as_ref().unwrap(), l.as_ref().unwrap()));
     }
 
-    #[test]
-    fn delta_propagation_equals_full_recompute() {
-        let base = flow_one(Operation::filter("f", Expr::col("qty").gt(Expr::lit_i(0))));
-        let base_table = propagate_schemas(&base).unwrap();
-        // Fork and interpose a derive on the filter → load edge.
+    /// Forks `base` and interposes `op` on the edge out of its filter,
+    /// returning the fork and the nodes the patch touched.
+    fn interpose_after_filter(base: &EtlFlow, op: Operation) -> (EtlFlow, Vec<NodeId>) {
         let mut fork = base.fork("alt");
         let filter = fork.ops_of_kind("filter")[0];
         let edge = fork.graph.out_edges(filter).next().unwrap();
         fork.graph
             .interpose_on_edge(
                 edge,
-                Operation::derive(
-                    "d",
-                    vec![("total".into(), Expr::col("qty").mul(Expr::col("price")))],
-                ),
+                op,
                 crate::flow::Channel::default(),
                 crate::flow::Channel::default(),
             )
             .unwrap();
-        let delta = fork.delta_since(&base);
-        assert!(!delta.is_empty());
-        let fast = propagate_schemas_delta(&fork, &base_table, &delta).unwrap();
-        let full = propagate_schemas(&fork).unwrap();
-        assert_eq!(fast.len(), full.len());
-        for (a, b) in fast.iter().zip(full.iter()) {
-            assert_eq!(a.as_deref(), b.as_deref());
+        let touched = fork.delta_since(base).touched_nodes;
+        assert!(!touched.is_empty());
+        (fork, touched)
+    }
+
+    #[test]
+    fn delta_propagation_equals_full_recompute() {
+        let base = flow_one(Operation::filter("f", Expr::col("qty").gt(Expr::lit_i(0))));
+        let base_table = propagate_schemas(&base).unwrap();
+        // A passthrough checkpoint and a schema-extending derive.
+        for op in [
+            Operation::new("cp", OpKind::Checkpoint { tag: "cp".into() }),
+            Operation::derive(
+                "d",
+                vec![("total".into(), Expr::col("qty").mul(Expr::col("price")))],
+            ),
+        ] {
+            let (fork, touched) = interpose_after_filter(&base, op);
+            let mut table = base_table.clone();
+            assert!(repair_table(&fork, &mut table, &touched));
+            let full = propagate_schemas(&fork).unwrap();
+            assert_eq!(table.len(), full.len());
+            for (a, b) in table.iter().zip(full.iter()) {
+                assert_eq!(a.as_deref(), b.as_deref());
+            }
+            // The untouched prefix keeps the base table's allocation.
+            let extract = fork.ops_of_kind("extract")[0];
+            assert!(Arc::ptr_eq(
+                table[extract.index()].as_ref().unwrap(),
+                base_table[extract.index()].as_ref().unwrap()
+            ));
         }
-        // Unaffected prefix reuses the base table's allocations verbatim.
-        let extract = fork.ops_of_kind("extract")[0];
-        assert!(Arc::ptr_eq(
-            fast[extract.index()].as_ref().unwrap(),
-            base_table[extract.index()].as_ref().unwrap()
+    }
+
+    #[test]
+    fn repair_reports_a_ghost_column_as_inexact() {
+        let base = flow_one(Operation::filter("f", Expr::col("qty").gt(Expr::lit_i(0))));
+        let mut table = propagate_schemas(&base).unwrap();
+        let ghost = Operation::filter("g", Expr::col("ghost").gt(Expr::lit_i(0)));
+        let (fork, touched) = interpose_after_filter(&base, ghost);
+        assert!(!repair_table(&fork, &mut table, &touched));
+        assert!(matches!(
+            propagate_schemas(&fork),
+            Err(SchemaError::Bind { .. })
         ));
+    }
+
+    #[test]
+    fn repair_gives_up_on_a_patch_created_cycle() {
+        let base = flow_one(Operation::filter("f", Expr::col("qty").gt(Expr::lit_i(0))));
+        let mut table = propagate_schemas(&base).unwrap();
+        let cp = Operation::new("cp", OpKind::Checkpoint { tag: "cp".into() });
+        let (mut fork, _) = interpose_after_filter(&base, cp);
+        // Close a loop through a new node: neither end of it ever settles.
+        let cp = fork.ops_of_kind("checkpoint")[0];
+        let back = fork.add_op(Operation::new(
+            "back",
+            OpKind::Checkpoint { tag: "back".into() },
+        ));
+        fork.connect(cp, back).unwrap();
+        fork.connect(back, cp).unwrap();
+        let touched = fork.delta_since(&base).touched_nodes;
+        assert!(!repair_table(&fork, &mut table, &touched));
+        assert_eq!(propagate_schemas(&fork), Err(SchemaError::NotADag));
     }
 
     #[test]

@@ -80,9 +80,9 @@ impl<'a> PatternContext<'a> {
 
     /// Builds the context around an already-computed schema table — the
     /// cheap constructor behind incremental combination application: the
-    /// caller carries the table across successive pattern applications
-    /// (via `propagate_schemas_delta`) instead of re-propagating the whole
-    /// flow. Cost landmarks are computed lazily, only if a fitness
+    /// caller carries the table across successive pattern applications,
+    /// repairing it with `repair_table` and re-propagating the whole flow
+    /// only when a repair reports `false`. Cost landmarks are computed lazily, only if a fitness
     /// heuristic asks for them. `schemas` must be `flow`'s own table, dense
     /// by node index.
     pub fn with_schemas(flow: &'a EtlFlow, schemas: SchemaTable) -> Self {

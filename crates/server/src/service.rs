@@ -83,8 +83,13 @@ pub fn http_error_response(error: &HttpError) -> Response {
 /// [`SessionManager::snapshot_session`]), then the whole file is
 /// rewritten from the cache. Without it, every mutation would have to
 /// lock *all* slots and would stall behind any in-flight planning cycle.
-/// The surrounding mutex serializes capture-then-save, so a slower
-/// writer can never clobber a newer snapshot on disk.
+/// The capture happens while the surrounding mutex is held, so each
+/// capture-then-save is one step: a persist that captures later also
+/// saves later, and a session closed before a capture is never written
+/// back. Lock order is persistence → slot; nothing takes them the other
+/// way round. The price: a persist of a session that another request is
+/// exploring waits for that cycle with the mutex held, and other
+/// sessions' persists queue behind it.
 struct Persistence {
     store: StateStore,
     sessions: BTreeMap<u64, SessionSnapshot>,
@@ -192,10 +197,10 @@ impl PlanningService {
     /// skipped — the close's own persist covers it.
     fn persist_session(&self, id: SessionId) {
         let Some(store) = &self.store else { return };
+        let mut persistence = store.lock().expect("state store");
         let Ok(snapshot) = self.manager.snapshot_session(id) else {
             return;
         };
-        let mut persistence = store.lock().expect("state store");
         persistence.sessions.insert(id.raw(), snapshot);
         self.save(&mut persistence);
     }
@@ -743,6 +748,65 @@ mod tests {
         assert!(on_disk.sessions.is_empty());
         // …but the handle counter survives, so handles are never reused
         assert!(on_disk.next_id > id as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_cycles_and_closes_leave_the_snapshot_current() {
+        use crate::persist::StateStore;
+        let dir = std::env::temp_dir().join(format!("poiesis-svc-race-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+
+        let svc = PlanningService::new(SessionTemplate::demo(80))
+            .with_store(StateStore::open(&dir).unwrap())
+            .unwrap();
+        let ids: Vec<usize> = (0..4)
+            .map(|_| {
+                let created = svc.handle(&request("POST", "/sessions", ""));
+                json(&created)
+                    .get("session")
+                    .unwrap()
+                    .as_usize("session")
+                    .unwrap()
+            })
+            .collect();
+        // Three threads run explore/select cycles on every session while a
+        // fourth runs one cycle on half of them and closes each, so its
+        // closes race the others' selects. Any request may lose its race
+        // (404, 409), but the file must end up matching the manager.
+        let cycle = |id: usize| {
+            svc.handle(&request("POST", &format!("/sessions/{id}/explore"), ""));
+            let select = format!("/sessions/{id}/select");
+            svc.handle(&request("POST", &select, "{\"rank\":0}"));
+        };
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..2 {
+                        ids.iter().for_each(|&id| cycle(id));
+                    }
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                for &id in &ids[..2] {
+                    cycle(id);
+                    svc.handle(&request("DELETE", &format!("/sessions/{id}"), ""));
+                }
+            });
+        });
+
+        let on_disk = StateStore::open(&dir).unwrap().load().unwrap().unwrap();
+        let live = svc.manager().ids();
+        assert_eq!(live.len(), 2);
+        let disk_ids: Vec<u64> = on_disk.sessions.iter().map(|s| s.id).collect();
+        let live_ids: Vec<u64> = live.iter().map(|id| id.raw()).collect();
+        assert_eq!(disk_ids, live_ids);
+        for (snapshot, &id) in on_disk.sessions.iter().zip(&live) {
+            assert_eq!(snapshot.history, svc.manager().history(id).unwrap());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
