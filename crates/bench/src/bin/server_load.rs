@@ -4,7 +4,7 @@
 //! ```text
 //! server_load [--addr host:port] [--clients 8] [--requests 200]
 //!             [--mode health|cycle] [--rows 80] [--budget 200]
-//!             [--queue N] [--state-dir dir]
+//!             [--queue N] [--state-dir dir] [--preload N]
 //! ```
 //!
 //! With no `--addr` the generator self-hosts a server in-process (demo
@@ -12,7 +12,10 @@
 //! `--queue` bounds its accept queue (default 256) and `--state-dir`
 //! turns on snapshot persistence — point both at the same workload to
 //! measure what durability costs (see the capacity-planning section of
-//! `docs/OPERATIONS.md`). Two workloads:
+//! `docs/OPERATIONS.md`). `--preload N` creates, explores and selects N
+//! sessions before timing starts and leaves them open, so a durable run
+//! shows how a mutation's cost depends on how many sessions the state
+//! directory already holds. Two workloads:
 //!
 //! * `health` — `GET /healthz` per request: measures the raw HTTP layer
 //!   (parse, route, respond) without planning work;
@@ -64,6 +67,7 @@ fn main() {
         "--budget",
         "--queue",
         "--state-dir",
+        "--preload",
     ];
     let mut i = 0;
     while i < args.len() {
@@ -71,7 +75,8 @@ fn main() {
             eprintln!("error: unknown flag `{}`", args[i]);
             eprintln!(
                 "usage: server_load [--addr host:port] [--clients N] [--requests N] \
-                 [--mode health|cycle] [--rows N] [--budget N] [--queue N] [--state-dir dir]"
+                 [--mode health|cycle] [--rows N] [--budget N] [--queue N] [--state-dir dir] \
+                 [--preload N]"
             );
             std::process::exit(1);
         }
@@ -128,6 +133,16 @@ fn main() {
         budget,
         ..PlanRequest::default()
     };
+    let preload: usize = opt(&args, "--preload", 0);
+    if preload > 0 {
+        let mut client = Client::connect(addr.as_str()).expect("connect");
+        for _ in 0..preload {
+            let id = client.create(Some(&plan)).expect("preload create");
+            client.explore(id).expect("preload explore");
+            client.select(id, 0).expect("preload select");
+        }
+        println!("  preloaded {preload} open sessions");
+    }
     let wall = Instant::now();
     let workers: Vec<_> = (0..clients)
         .map(|_| {

@@ -40,8 +40,6 @@ pub enum CarriedTable {
     /// The table is exact for the returned flow — structurally equal to
     /// `propagate_schemas(&flow)`. Callers can skip schema re-validation.
     Exact {
-        /// The fork's final schema table.
-        table: SchemaTable,
         /// The fork's copy-on-write delta against the base, as of the last
         /// application — shared so callers don't recompute it.
         cow: etl_model::CowDelta,
@@ -115,7 +113,6 @@ pub fn apply_combination_incremental(
     }
     let carried = match pending.map_or(Ok(()), |s| repair_or_propagate(&flow, &mut table, &s)) {
         Ok(()) => CarriedTable::Exact {
-            table,
             cow: flow.delta_since(base),
         },
         Err(e) => CarriedTable::Broken(e),

@@ -457,7 +457,7 @@ impl Planner {
                 }
                 Some(flow.delta_since(&self.flow))
             }
-            Some(CarriedTable::Exact { cow, .. }) => {
+            Some(CarriedTable::Exact { cow }) => {
                 if precheck.is_some() && analysis::screen_delta_structural(&flow, &cow).is_some() {
                     return Realization::Screened;
                 }

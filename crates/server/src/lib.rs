@@ -75,7 +75,7 @@ pub use client::{Client, ClientError, HttpResponse, RetryPolicy};
 pub use clock::{Clock, SystemClock};
 pub use http::{HttpError, Limits, Request, Response};
 pub use metrics::Metrics;
-pub use persist::{LoadedState, StateStore, TornWrite, TornWriteHook};
+pub use persist::{Recovered, StateStore, TornWrite, TornWriteHook};
 pub use route::Route;
 pub use server::{Server, ServerConfig, ShutdownHandle};
 pub use service::{status_for, PlanningService};

@@ -6,7 +6,7 @@
 //! Requests are counted per *route* (the endpoint shape, e.g. `explore`)
 //! and *status* (the exact code served); planning-cycle wall times feed a
 //! fixed-bucket histogram; the accept loop reports connections and load
-//! shedding; the persistence layer reports snapshot writes. Gauges that
+//! shedding; the persistence layer reports state writes and their times. Gauges that
 //! mirror live state (session count, uptime) are sampled at scrape time
 //! rather than maintained incrementally.
 //!
@@ -23,9 +23,9 @@ use std::time::{Duration, Instant};
 /// that collects anything unexpected so a count is never silently dropped.
 const STATUS_SLOTS: usize = STATUS_REASONS.len() + 1;
 
-/// Upper bounds (seconds) of the planning-cycle latency histogram; an
-/// implicit `+Inf` bucket follows. Spans sub-5 ms demo cycles up to
-/// multi-second simulation-mode cycles.
+/// Upper bounds (seconds) of the planning-cycle and state-write latency
+/// histograms; an implicit `+Inf` bucket follows. Spans sub-5 ms demo
+/// cycles up to multi-second simulation-mode cycles.
 const CYCLE_BUCKETS: [f64; 11] = [
     0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 ];
@@ -105,6 +105,7 @@ pub struct Metrics {
     connections: AtomicU64,
     shed: AtomicU64,
     cycle: Histogram,
+    snapshot_write: Histogram,
     snapshot_writes: AtomicU64,
     snapshot_errors: AtomicU64,
     snapshot_quarantines: AtomicU64,
@@ -121,6 +122,7 @@ impl Default for Metrics {
             connections: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             cycle: Histogram::default(),
+            snapshot_write: Histogram::default(),
             snapshot_writes: AtomicU64::new(0),
             snapshot_errors: AtomicU64::new(0),
             snapshot_quarantines: AtomicU64::new(0),
@@ -171,9 +173,12 @@ impl Metrics {
         self.cycle.observe(duration);
     }
 
-    /// Counts one session-state snapshot write; `ok = false` counts an
-    /// error instead (the write failed and durable state is stale).
-    pub fn record_snapshot_write(&self, ok: bool) {
+    /// Counts one mutation's durable state write (a create, select or
+    /// close) and feeds its time into the write histogram; `ok = false`
+    /// counts an error instead (the write failed and durable state is
+    /// stale).
+    pub fn record_snapshot_write(&self, ok: bool, took: Duration) {
+        self.snapshot_write.observe(took);
         if ok {
             self.snapshot_writes.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -181,8 +186,8 @@ impl Metrics {
         }
     }
 
-    /// Counts one snapshot rejected at startup (parse or consistency
-    /// failure) and moved aside as `sessions.json.corrupt`.
+    /// Counts one session file rejected at startup (parse, consistency
+    /// or restore failure) and moved aside as `<id>.json.corrupt`.
     pub fn record_snapshot_quarantine(&self) {
         self.snapshot_quarantines.fetch_add(1, Ordering::Relaxed);
     }
@@ -263,13 +268,20 @@ impl Metrics {
         out.push_str(&format!("poiesis_sessions_live {live_sessions}\n"));
 
         out.push_str(
-            "# HELP poiesis_snapshot_writes_total Session-state snapshot files written.\n",
+            "# HELP poiesis_snapshot_writes_total Durable state writes, one per create, select or close.\n",
         );
         out.push_str("# TYPE poiesis_snapshot_writes_total counter\n");
         out.push_str(&format!(
             "poiesis_snapshot_writes_total {}\n",
             self.snapshot_writes.load(Ordering::Relaxed)
         ));
+
+        out.push_str(
+            "# HELP poiesis_snapshot_write_seconds Durable state write time per create, select or close.\n",
+        );
+        out.push_str("# TYPE poiesis_snapshot_write_seconds histogram\n");
+        self.snapshot_write
+            .render(&mut out, "poiesis_snapshot_write_seconds");
 
         out.push_str("# HELP poiesis_snapshot_errors_total Snapshot writes that failed.\n");
         out.push_str("# TYPE poiesis_snapshot_errors_total counter\n");
@@ -279,7 +291,7 @@ impl Metrics {
         ));
 
         out.push_str(
-            "# HELP poiesis_snapshot_quarantined_total Snapshots rejected at startup and moved to sessions.json.corrupt.\n",
+            "# HELP poiesis_snapshot_quarantined_total Session files rejected at startup and moved to <id>.json.corrupt.\n",
         );
         out.push_str("# TYPE poiesis_snapshot_quarantined_total counter\n");
         out.push_str(&format!(
@@ -377,6 +389,23 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_writes_are_counted_and_timed() {
+        let m = Metrics::new();
+        m.record_snapshot_write(true, Duration::from_micros(500)); // ≤ 0.005
+        m.record_snapshot_write(false, Duration::from_millis(20)); // ≤ 0.025
+        let text = m.render(0);
+        assert!(text.contains("poiesis_snapshot_writes_total 1"));
+        assert!(text.contains("poiesis_snapshot_errors_total 1"));
+        assert!(text.contains("poiesis_snapshot_write_seconds_bucket{le=\"0.005\"} 1"));
+        assert!(text.contains("poiesis_snapshot_write_seconds_bucket{le=\"0.025\"} 2"));
+        assert!(text.contains("poiesis_snapshot_write_seconds_count 2"));
+        assert!(text.contains(
+            "# HELP poiesis_snapshot_quarantined_total Session files rejected at startup \
+             and moved to <id>.json.corrupt."
+        ));
+    }
+
+    #[test]
     fn in_flight_guard_is_balanced_even_across_drops() {
         let m = Metrics::new();
         {
@@ -398,7 +427,9 @@ mod tests {
             "poiesis_cycle_duration_seconds_count",
             "poiesis_sessions_live",
             "poiesis_snapshot_writes_total",
+            "poiesis_snapshot_write_seconds_count",
             "poiesis_snapshot_errors_total",
+            "poiesis_snapshot_quarantined_total",
             "poiesis_static_rejections_total",
             "poiesis_bound_pruned_total",
             "poiesis_uptime_seconds",

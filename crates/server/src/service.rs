@@ -14,12 +14,11 @@ use crate::persist::StateStore;
 use crate::route::Route;
 use poiesis::{
     FromJson, IterationRecord, ManagerSnapshot, PlanRequest, PoiesisError, SessionId,
-    SessionManager, SessionSnapshot, ToJson,
+    SessionManager, ToJson,
 };
 use serde::json::Value;
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::template::SessionTemplate;
 
@@ -75,35 +74,23 @@ pub fn http_error_response(error: &HttpError) -> Response {
     Response::json(error.status(), error_body(code, &error.to_string()))
 }
 
-/// The durable half of a persistent service: the store plus a cache of
-/// every live session's latest snapshot, keyed by handle.
-///
-/// The cache is what makes persistence O(mutated session): after a
-/// mutation only that session is re-captured (locking only its slot —
-/// [`SessionManager::snapshot_session`]), then the whole file is
-/// rewritten from the cache. Without it, every mutation would have to
-/// lock *all* slots and would stall behind any in-flight planning cycle.
-/// The capture happens while the surrounding mutex is held, so each
-/// capture-then-save is one step: a persist that captures later also
-/// saves later, and a session closed before a capture is never written
-/// back. Lock order is persistence → slot; nothing takes them the other
-/// way round. The price: a persist of a session that another request is
-/// exploring waits for that cycle with the mutex held, and other
-/// sessions' persists queue behind it.
-struct Persistence {
-    store: StateStore,
-    sessions: BTreeMap<u64, SessionSnapshot>,
-}
-
 /// Stateless-per-request facade over one [`SessionManager`] and one
 /// [`SessionTemplate`], with shared [`Metrics`] and optional durable
-/// state (a [`StateStore`] rewritten after every mutation).
+/// state (a [`StateStore`] that each mutation writes one session to).
 pub struct PlanningService {
     manager: SessionManager,
     template: SessionTemplate,
     metrics: Arc<Metrics>,
     /// `Some` when `--state-dir` is set.
-    store: Option<Mutex<Persistence>>,
+    ///
+    /// A persist captures its session while holding this mutex, so each
+    /// capture-then-write is one step: a persist that captures later also
+    /// writes later, and a session closed before a capture is never
+    /// written back. Lock order is store → slot; nothing takes them the
+    /// other way round. The price: a persist of a session that another
+    /// request is exploring waits for that cycle with the mutex held, and
+    /// other sessions' persists queue behind it.
+    store: Option<Mutex<StateStore>>,
 }
 
 impl PlanningService {
@@ -117,59 +104,62 @@ impl PlanningService {
         }
     }
 
-    /// Makes the service durable: reloads any snapshot in `store`
-    /// (resuming every persisted session mid-iteration) and rewrites the
-    /// snapshot after each state-changing request from now on.
+    /// Makes the service durable: restores every session file in
+    /// `store` (resuming each session mid-iteration) and, from now on,
+    /// writes the mutated session's file after each state-changing
+    /// request.
     ///
-    /// A snapshot that fails the parse gate, the
-    /// [`poiesis::ManagerSnapshot::validate`] consistency gate, or
-    /// session restoration is **quarantined** (moved to
-    /// `sessions.json.corrupt`, counted in
-    /// `poiesis_snapshot_quarantined_total`, logged to stderr) and the
-    /// service starts empty — a partially-applied snapshot never loads,
-    /// and the evidence is preserved instead of silently overwritten.
-    /// Only an I/O failure on the quarantine itself aborts startup.
+    /// A session file that fails its parse, its
+    /// [`poiesis::SessionSnapshot::validate`] check, the handle checks
+    /// (handle matches the file name, below the `next_id` high-water
+    /// mark) or restoration is **quarantined** alone: moved to
+    /// `sessions/<id>.json.corrupt`, counted in
+    /// `poiesis_snapshot_quarantined_total` and logged to stderr, while
+    /// every other session loads. A `sessions.json` from the earlier
+    /// whole-registry format is not read; startup logs a warning naming
+    /// it. Only an I/O failure on listing the directory or on a
+    /// quarantine aborts startup.
     pub fn with_store(mut self, store: StateStore) -> Result<Self, String> {
-        use crate::persist::LoadedState;
-        let mut sessions = BTreeMap::new();
-        let loaded = store
-            .load_or_quarantine()
-            .map_err(|e| format!("quarantining {}: {e}", store.path().display()))?;
-        match loaded {
-            LoadedState::Absent => {}
-            LoadedState::Quarantined {
-                reason,
-                quarantined_to,
-            } => {
+        let quarantine_error = |e| format!("quarantining in {}: {e}", store.path().display());
+        let recovered = store.load_or_quarantine().map_err(quarantine_error)?;
+        if let Some(legacy) = &recovered.legacy {
+            eprintln!(
+                "poiesis_server: warning: ignoring {} from the earlier whole-registry \
+                 format; sessions now live in {}",
+                legacy.display(),
+                store.path().display()
+            );
+        }
+        for (to, reason) in &recovered.quarantined {
+            eprintln!(
+                "poiesis_server: rejected {reason}; quarantined to {}",
+                to.display()
+            );
+            self.metrics.record_snapshot_quarantine();
+        }
+        // An empty snapshot carries the high-water mark into the manager.
+        let template = &self.template;
+        let high_water = ManagerSnapshot {
+            next_id: recovered.next_id,
+            sessions: Vec::new(),
+        };
+        let manager = SessionManager::from_snapshot(&high_water, || template.builder())
+            .expect("an empty snapshot always restores");
+        for session in &recovered.sessions {
+            if let Err(e) = manager.restore(session, template.builder()) {
+                let to = store
+                    .quarantine_session(session.id)
+                    .map_err(quarantine_error)?;
                 eprintln!(
-                    "poiesis_server: rejected snapshot ({reason}); \
-                     quarantined to {} and starting empty",
-                    quarantined_to.display()
+                    "poiesis_server: session {} failed to restore ({e}); quarantined to {}",
+                    session.id,
+                    to.display()
                 );
                 self.metrics.record_snapshot_quarantine();
             }
-            LoadedState::Snapshot(snapshot) => {
-                let template = &self.template;
-                match SessionManager::from_snapshot(&snapshot, || template.builder()) {
-                    Ok(manager) => {
-                        self.manager = manager;
-                        sessions = snapshot.sessions.into_iter().map(|s| (s.id, s)).collect();
-                    }
-                    Err(e) => {
-                        store
-                            .quarantine()
-                            .map_err(|e| format!("quarantining {}: {e}", store.path().display()))?;
-                        eprintln!(
-                            "poiesis_server: snapshot failed to restore ({e}); \
-                             quarantined to {} and starting empty",
-                            store.quarantine_path().display()
-                        );
-                        self.metrics.record_snapshot_quarantine();
-                    }
-                }
-            }
         }
-        self.store = Some(Mutex::new(Persistence { store, sessions }));
+        self.manager = manager;
+        self.store = Some(Mutex::new(store));
         Ok(self)
     }
 
@@ -191,46 +181,50 @@ impl PlanningService {
         self.manager.len()
     }
 
-    /// Re-captures the just-mutated session (locking only its slot) into
-    /// the snapshot cache and rewrites the durable file, if persistence
-    /// is on. A session that vanished concurrently (racing close) is
-    /// skipped — the close's own persist covers it.
-    fn persist_session(&self, id: SessionId) {
+    /// Writes the just-mutated session's file, if persistence is on.
+    /// A create (`created`) first makes sure the `next_id` high-water mark
+    /// covers its handle, so the handle is never issued again even if the
+    /// session is closed or lost. The capture locks only the session's slot; a session
+    /// that vanished concurrently (racing close) is not written — the
+    /// close's own persist covers it.
+    fn persist_session(&self, id: SessionId, created: bool) {
         let Some(store) = &self.store else { return };
-        let mut persistence = store.lock().expect("state store");
-        let Ok(snapshot) = self.manager.snapshot_session(id) else {
-            return;
-        };
-        persistence.sessions.insert(id.raw(), snapshot);
-        self.save(&mut persistence);
+        let store = store.lock().expect("state store");
+        let start = Instant::now();
+        let mut result = Ok(());
+        if created {
+            result = store.reserve_handle(id.raw());
+        }
+        match self.manager.snapshot_session(id) {
+            Ok(snapshot) if result.is_ok() => result = store.write_session(&snapshot),
+            // closed meanwhile, and nothing was written: no write to count
+            Err(_) if !created => return,
+            _ => {}
+        }
+        self.record_write(&store, result, start.elapsed());
     }
 
-    /// Drops the closed session from the snapshot cache and rewrites the
-    /// durable file, if persistence is on.
+    /// Deletes the closed session's file, if persistence is on.
     fn persist_close(&self, id: SessionId) {
         let Some(store) = &self.store else { return };
-        let mut persistence = store.lock().expect("state store");
-        persistence.sessions.remove(&id.raw());
-        self.save(&mut persistence);
+        let store = store.lock().expect("state store");
+        let start = Instant::now();
+        let result = store.remove_session(id.raw());
+        self.record_write(&store, result, start.elapsed());
     }
 
-    /// Rewrites the snapshot file from the cache. Failures are counted
+    /// Counts and times one durable write. Failures are counted
     /// (`poiesis_snapshot_errors_total`) and logged, not propagated: the
     /// in-memory session already advanced and the client's response must
     /// reflect that.
-    fn save(&self, persistence: &mut Persistence) {
-        let snapshot = ManagerSnapshot {
-            next_id: self.manager.next_handle(),
-            sessions: persistence.sessions.values().cloned().collect(),
-        };
-        let result = persistence.store.save(&snapshot);
+    fn record_write(&self, store: &StateStore, result: std::io::Result<()>, took: Duration) {
         if let Err(e) = &result {
             eprintln!(
-                "poiesis_server: snapshot write to {} failed: {e}",
-                persistence.store.path().display()
+                "poiesis_server: state write in {} failed: {e}",
+                store.path().display()
             );
         }
-        self.metrics.record_snapshot_write(result.is_ok());
+        self.metrics.record_snapshot_write(result.is_ok(), took);
     }
 
     /// Routes one request. Never panics on hostile input; unroutable
@@ -330,7 +324,7 @@ impl PlanningService {
             .create_from_request(self.template.builder(), &plan_request)
         {
             Ok(id) => {
-                self.persist_session(id);
+                self.persist_session(id, true);
                 Response::json(
                     201,
                     Value::object([("session".to_string(), Value::Number(id.raw() as f64))])
@@ -369,7 +363,7 @@ impl PlanningService {
         };
         match self.manager.select(id, rank) {
             Ok(record) => {
-                self.persist_session(id);
+                self.persist_session(id, false);
                 Response::json(200, selection_body(id, &record))
             }
             Err(e) => plan_error(&e),
@@ -711,43 +705,80 @@ mod tests {
         );
     }
 
-    #[test]
-    fn mutations_rewrite_the_durable_snapshot() {
-        use crate::persist::StateStore;
-        let dir = std::env::temp_dir().join(format!("poiesis-svc-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-
-        let svc = PlanningService::new(SessionTemplate::demo(80))
-            .with_store(StateStore::open(&dir).unwrap())
-            .unwrap();
+    fn created_id(svc: &PlanningService) -> u64 {
         let created = svc.handle(&request("POST", "/sessions", ""));
-        assert_eq!(created.status, 201);
-        let on_disk = StateStore::open(&dir).unwrap().load().unwrap().unwrap();
-        assert_eq!(on_disk.sessions.len(), 1);
-
-        // a second service over the same store resumes the session, and a
-        // mutation on it must not drop the restored session from the file
-        // (the snapshot cache is seeded from the loaded snapshot)
-        let resumed = PlanningService::new(SessionTemplate::demo(80))
-            .with_store(StateStore::open(&dir).unwrap())
-            .unwrap();
-        assert_eq!(resumed.live_sessions(), 1);
-        let second = resumed.handle(&request("POST", "/sessions", ""));
-        assert_eq!(second.status, 201);
-        let on_disk = StateStore::open(&dir).unwrap().load().unwrap().unwrap();
-        assert_eq!(on_disk.sessions.len(), 2);
-
-        // closing rewrites the snapshot down to zero sessions
-        let id = json(&created)
+        assert_eq!(created.status, 201, "{}", created.body);
+        json(&created)
             .get("session")
             .unwrap()
             .as_usize("session")
-            .unwrap();
-        svc.handle(&request("DELETE", &format!("/sessions/{id}"), ""));
-        let on_disk = StateStore::open(&dir).unwrap().load().unwrap().unwrap();
-        assert!(on_disk.sessions.is_empty());
+            .unwrap() as u64
+    }
+
+    fn durable(dir: &std::path::Path) -> PlanningService {
+        PlanningService::new(SessionTemplate::demo(80))
+            .with_store(StateStore::open(dir).unwrap())
+            .unwrap()
+    }
+
+    #[test]
+    fn mutations_rewrite_the_durable_snapshot() {
+        let dir = std::env::temp_dir().join(format!("poiesis-svc-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+
+        let svc = durable(&dir);
+        let first = created_id(&svc);
+        let store = StateStore::open(&dir).unwrap();
+        assert!(store.session_path(first).exists(), "create writes its file");
+        assert_eq!(store.load().unwrap().unwrap().sessions.len(), 1);
+        drop(svc);
+
+        // a second service over the same store resumes the session, and a
+        // mutation on another session leaves the restored one's file alone
+        let resumed = durable(&dir);
+        assert_eq!(resumed.live_sessions(), 1);
+        let restored_bytes = std::fs::read(store.session_path(first)).unwrap();
+        let second = created_id(&resumed);
+        resumed.handle(&request("POST", &format!("/sessions/{second}/explore"), ""));
+        let selected = resumed.handle(&request(
+            "POST",
+            &format!("/sessions/{second}/select"),
+            "{\"rank\":0}",
+        ));
+        assert_eq!(selected.status, 200, "{}", selected.body);
+        let on_disk = store.load().unwrap().unwrap();
+        assert_eq!(on_disk.sessions.len(), 2);
+        assert_eq!(on_disk.sessions[1].history.len(), 1, "select rewrote it");
+        assert_eq!(
+            std::fs::read(store.session_path(first)).unwrap(),
+            restored_bytes
+        );
+
+        // closing deletes the session's file…
+        resumed.handle(&request("DELETE", &format!("/sessions/{first}"), ""));
+        assert!(!store.session_path(first).exists());
+        let on_disk = store.load().unwrap().unwrap();
+        assert_eq!(on_disk.sessions.len(), 1);
         // …but the handle counter survives, so handles are never reused
-        assert!(on_disk.next_id > id as u64);
+        assert!(on_disk.next_id > second);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn closing_the_highest_handle_never_lets_a_restart_reissue_it() {
+        let dir = std::env::temp_dir().join(format!("poiesis-svc-hw-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+
+        let svc = durable(&dir);
+        let low = created_id(&svc);
+        let high = created_id(&svc);
+        svc.handle(&request("DELETE", &format!("/sessions/{high}"), ""));
+        drop(svc);
+
+        let restarted = durable(&dir);
+        assert_eq!(restarted.live_sessions(), 1);
+        assert_eq!(restarted.manager().ids(), vec![SessionId::from_raw(low)]);
+        assert!(created_id(&restarted) > high, "a closed handle came back");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -811,31 +842,37 @@ mod tests {
     }
 
     #[test]
-    fn startup_quarantines_bad_snapshots_and_serves_empty() {
-        use crate::persist::StateStore;
+    fn startup_quarantines_a_bad_session_file_and_serves_the_rest() {
         let dir = std::env::temp_dir().join(format!("poiesis-svc-q-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
-        // a torn write left half a JSON document behind
+        let svc = durable(&dir);
+        let (torn, intact) = (created_id(&svc), created_id(&svc));
+        drop(svc);
+        // a torn write left half a JSON document in one session's file
         let store = StateStore::open(&dir).unwrap();
-        std::fs::write(store.path(), "{\"next_id\":3,\"sess").unwrap();
-        let svc = PlanningService::new(SessionTemplate::demo(80))
-            .with_store(store)
-            .expect("startup must survive a torn snapshot");
-        assert_eq!(svc.live_sessions(), 0, "partial state never loads");
-        let reopened = StateStore::open(&dir).unwrap();
-        assert!(reopened.quarantine_path().exists(), "evidence preserved");
-        assert!(!reopened.path().exists(), "live path cleared");
+        std::fs::write(store.session_path(torn), "{\"id\":0,\"base_na").unwrap();
+
+        let svc = durable(&dir);
+        assert_eq!(
+            svc.manager().ids(),
+            vec![SessionId::from_raw(intact)],
+            "only the torn session is lost"
+        );
+        assert!(store.quarantine_path(torn).exists(), "evidence preserved");
+        assert!(!store.session_path(torn).exists(), "live path cleared");
         assert!(svc
             .metrics()
             .render(0)
             .contains("poiesis_snapshot_quarantined_total 1"));
+        let gone = svc.handle(&request("GET", &format!("/sessions/{torn}/history"), ""));
+        assert_eq!(gone.status, 404);
 
-        // the quarantined service is immediately usable and durable again
-        let created = svc.handle(&request("POST", "/sessions", ""));
-        assert_eq!(created.status, 201, "{}", created.body);
-        let on_disk = StateStore::open(&dir).unwrap().load().unwrap().unwrap();
-        assert_eq!(on_disk.sessions.len(), 1);
+        // the service is immediately usable and durable again, and the
+        // quarantined handle is not reissued
+        let created = created_id(&svc);
+        assert!(created > intact);
+        assert_eq!(store.load().unwrap().unwrap().sessions.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -511,7 +511,7 @@ fn a_killed_server_resumes_sessions_from_its_state_dir() {
         join.join().unwrap().unwrap();
         (id, history, frontier)
     };
-    assert!(scratch.0.join("sessions.json").exists());
+    assert!(scratch.0.join(format!("sessions/{id}.json")).exists());
 
     // ----- incarnation 2: same state dir, fresh process state
     let (addr, handle, join) = spawn_persistent_server(&scratch.0);

@@ -12,14 +12,20 @@
 //!    back *one* cycle — to the previous durable state — never to an
 //!    in-between one).
 //! 2. **No handle reuse**: session handles stay unique and monotonic
-//!    across restarts within one snapshot lineage.
-//! 3. **No partial snapshot ever loads**: a torn final write must be
-//!    quarantined at startup (`sessions.json.corrupt`), counted in
-//!    `poiesis_snapshot_quarantined_total`, and the server starts empty.
-//! 4. **Failures are typed**: every client-visible failure is an I/O
+//!    across every restart, quarantines included.
+//! 3. **No partial session ever loads, and a fault costs one session**:
+//!    a torn final write must quarantine the torn session's file alone
+//!    (`sessions/<id>.json.corrupt`), counted in
+//!    `poiesis_snapshot_quarantined_total`; that session is gone (`404`)
+//!    and every other session still serves.
+//! 4. **Untouched sessions recover bit-identical**: a bystander session,
+//!    created and selected once before the first fault and never touched
+//!    again, keeps its file byte-for-byte and its history after every
+//!    restart, a quarantine included.
+//! 5. **Failures are typed**: every client-visible failure is an I/O
 //!    error or a documented wire-error body — never a hang past the
 //!    read timeout, never an undecodable success body.
-//! 5. **Waits are virtual**: every `Retry-After` second the client
+//! 6. **Waits are virtual**: every `Retry-After` second the client
 //!    honoured is on the [`SimClock`], none on the wall clock.
 //!
 //! A failing run returns a [`LabFailure`] that prints the seed, the
@@ -29,7 +35,7 @@
 use crate::clock::SimClock;
 use crate::plan::{FaultPlan, ProcessFault};
 use crate::proxy::FaultProxy;
-use poiesis::{FromJson, IterationRecord, ManagerSnapshot, PlanResponse, ToJson};
+use poiesis::{FromJson, IterationRecord, PlanResponse, SessionSnapshot, ToJson};
 use poiesis_server::{
     Client, ClientError, Clock, PlanningService, RetryPolicy, Server, ServerConfig,
     SessionTemplate, ShutdownHandle, StateStore, SystemClock, TornWrite, TornWriteHook,
@@ -270,32 +276,36 @@ fn control_run(cfg: &LabConfig, seed: u64) -> Result<Control, String> {
 }
 
 /// The injected recovery bug for the mutation canary: with
-/// `SIMLAB_MUTATE` set, every restart first tampers with the on-disk
-/// snapshot (bumping the last recorded score) in a way that still passes
-/// the snapshot consistency check — only the control-run comparison can
-/// catch it. CI asserts the lab *fails* under this mutation.
+/// `SIMLAB_MUTATE` set, every restart first tampers with the workload
+/// session's file (bumping the last recorded score) in a way that still
+/// passes the startup checks — only the control-run comparison can catch
+/// it. CI asserts the lab *fails* under this mutation.
 fn mutation_enabled() -> bool {
     std::env::var_os("SIMLAB_MUTATE").is_some_and(|v| !v.is_empty())
 }
 
-fn mutate_snapshot(dir: &Path) {
-    let path = dir.join("sessions.json");
-    let Ok(text) = fs::read_to_string(&path) else {
+fn mutate_snapshot(path: &Path) {
+    let Ok(text) = fs::read_to_string(path) else {
         return;
     };
-    let Ok(mut snapshot) = ManagerSnapshot::from_json_str(&text) else {
+    let Ok(mut session) = SessionSnapshot::from_json_str(&text) else {
         return;
     };
-    for session in snapshot.sessions.iter_mut().rev() {
-        if let Some(last) = session.history.last_mut() {
-            match last.scores.first_mut() {
-                Some(score) => *score += 1.0,
-                None => last.selected.push('~'),
-            }
-            let _ = fs::write(&path, snapshot.to_json_string());
-            return;
+    if let Some(last) = session.history.last_mut() {
+        match last.scores.first_mut() {
+            Some(score) => *score += 1.0,
+            None => last.selected.push('~'),
         }
+        let _ = fs::write(path, session.to_json_string());
     }
+}
+
+/// The session the workload never touches after setting it up: its
+/// handle, its history, and its file's bytes as of its one select.
+struct Bystander {
+    id: u64,
+    history: Vec<IterationRecord>,
+    file: Vec<u8>,
 }
 
 /// What a failed client op tells the runner to do next.
@@ -329,9 +339,13 @@ struct Lab<'a> {
     plan: &'a FaultPlan,
     control: &'a Control,
     dir: PathBuf,
+    /// The state directory's layout (paths only; the server owns the
+    /// store it writes through).
+    layout: StateStore,
     proxy: FaultProxy,
     workload: Client,
     incarnation: Option<Incarnation>,
+    bystander: Option<Bystander>,
     sid: u64,
     seen_handles: BTreeSet<u64>,
     completed: usize,
@@ -418,6 +432,78 @@ impl Lab<'_> {
                 self.cfg.op_attempts
             ),
         ))
+    }
+
+    /// Creates, explores and selects the bystander through the oracle,
+    /// then records what it must recover to.
+    fn set_up_bystander(&mut self) -> Result<(), LabFailure> {
+        let stage = "bystander";
+        let mut oracle = self.oracle()?;
+        let id = oracle
+            .create(None)
+            .map_err(|e| self.fail(stage, format!("create: {e}")))?;
+        self.note_new_handle(stage, id)?;
+        oracle
+            .explore(id)
+            .map_err(|e| self.fail(stage, format!("explore: {e}")))?;
+        let record = oracle
+            .select(id, 0)
+            .map_err(|e| self.fail(stage, format!("select: {e}")))?;
+        let file = fs::read(self.layout.session_path(id))
+            .map_err(|e| self.fail(stage, format!("reading its file: {e}")))?;
+        self.bystander = Some(Bystander {
+            id,
+            history: vec![record],
+            file,
+        });
+        Ok(())
+    }
+
+    /// Invariant 4: the bystander's file and history are unchanged.
+    fn check_bystander(&self, oracle: &mut Client) -> Result<(), LabFailure> {
+        let stage = "bystander";
+        let bystander = self.bystander.as_ref().expect("bystander set up");
+        let file = fs::read(self.layout.session_path(bystander.id)).map_err(|e| {
+            self.fail(
+                stage,
+                format!("untouched session {} lost its file: {e}", bystander.id),
+            )
+        })?;
+        if file != bystander.file {
+            return Err(self.fail(
+                stage,
+                format!("untouched session {}'s file changed on disk", bystander.id),
+            ));
+        }
+        let history = oracle.history(bystander.id).map_err(|e| {
+            self.fail(
+                stage,
+                format!(
+                    "untouched session {} lost across restart: {e}",
+                    bystander.id
+                ),
+            )
+        })?;
+        if history != bystander.history {
+            return Err(self.fail(
+                stage,
+                format!(
+                    "untouched session {} recovered a different history",
+                    bystander.id
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Quarantined files in the state directory.
+    fn corrupt_files(&self) -> Vec<PathBuf> {
+        fs::read_dir(self.layout.path())
+            .into_iter()
+            .flatten()
+            .filter_map(|entry| entry.ok().map(|e| e.path()))
+            .filter(|path| path.extension().is_some_and(|x| x == "corrupt"))
+            .collect()
     }
 
     fn op_create(&mut self, stage: &str) -> Result<(), LabFailure> {
@@ -585,51 +671,59 @@ impl Lab<'_> {
         incarnation.kill();
         self.restarts += 1;
         if mutation_enabled() {
-            mutate_snapshot(&self.dir);
+            mutate_snapshot(&self.layout.session_path(self.sid));
         }
         let incarnation =
             Incarnation::start(&self.dir, self.cfg).map_err(|e| self.fail("restart", e))?;
         self.proxy.set_backend(incarnation.addr);
         self.incarnation = Some(incarnation);
         let mut oracle = self.oracle()?;
-        let corrupt = self.dir.join("sessions.json.corrupt");
+        self.check_bystander(&mut oracle)?;
+        let corrupt = self.corrupt_files();
         if expect_quarantine {
-            if !corrupt.exists() {
+            let torn = self.layout.quarantine_path(self.sid);
+            if corrupt != [torn.clone()] {
                 return Err(self.fail(
                     "restart",
-                    "torn final snapshot was not quarantined at startup",
+                    format!(
+                        "a torn final write must quarantine {} alone, found {corrupt:?}",
+                        torn.display()
+                    ),
                 ));
             }
-            let live = oracle
-                .healthz()
-                .map_err(|e| self.fail("restart", format!("healthz after quarantine: {e}")))?;
-            if live != 0 {
-                return Err(self.fail(
-                    "restart",
-                    format!("server restored {live} session(s) from a mangled snapshot"),
-                ));
+            match oracle.history(self.sid) {
+                Err(ClientError::Api { status: 404, .. }) => {}
+                other => {
+                    return Err(self.fail(
+                        "restart",
+                        format!(
+                            "session {} was restored from a mangled file: {other:?}",
+                            self.sid
+                        ),
+                    ))
+                }
             }
             let counted = oracle
                 .metric_value("poiesis_snapshot_quarantined_total")
                 .map_err(|e| self.fail("restart", format!("quarantine metric: {e}")))?;
-            if counted < 1.0 {
+            if counted != 1.0 {
                 return Err(self.fail(
                     "restart",
-                    "quarantine happened but poiesis_snapshot_quarantined_total is 0",
+                    format!("one file was quarantined but poiesis_snapshot_quarantined_total is {counted}"),
                 ));
             }
-            let _ = fs::remove_file(&corrupt);
+            let _ = fs::remove_file(&torn);
             self.quarantines += 1;
-            // The snapshot lineage ends here: handles may legally restart.
-            self.seen_handles.clear();
+            // Only the torn session is gone; handles stay unique, so the
+            // replacement must still be issued a fresh one.
             self.completed = 0;
             self.op_create("create (post-quarantine)")?;
             return Ok(());
         }
-        if corrupt.exists() {
+        if !corrupt.is_empty() {
             return Err(self.fail(
                 "restart",
-                "a cleanly written snapshot was quarantined on restart",
+                format!("a cleanly written session file was quarantined: {corrupt:?}"),
             ));
         }
         let history = match oracle.history(self.sid) {
@@ -705,14 +799,17 @@ pub fn run_seed(seed: u64, cfg: &LabConfig) -> Result<LabReport, LabFailure> {
     )
     .map_err(|e| bare_failure("setup", format!("workload client: {e}")))?;
 
+    let layout = StateStore::open(&dir).map_err(|e| bare_failure("setup", format!("{e}")))?;
     let mut lab = Lab {
         cfg,
         plan: &plan,
         control: &control,
         dir: dir.clone(),
+        layout,
         proxy,
         workload,
         incarnation: Some(incarnation),
+        bystander: None,
         sid: 0,
         seen_handles: BTreeSet::new(),
         completed: 0,
@@ -721,8 +818,10 @@ pub fn run_seed(seed: u64, cfg: &LabConfig) -> Result<LabReport, LabFailure> {
         restarts: 0,
     };
 
-    // ---- nominal workload: create, then explore/select until the
-    // workload has cfg.cycles durable cycles, then read history back.
+    // ---- the bystander, then the nominal workload: create, then
+    // explore/select until the workload has cfg.cycles durable cycles,
+    // then read history back.
+    lab.set_up_bystander()?;
     lab.arm_before_op(0);
     lab.op_create("create")?;
     lab.fault_after_op(0)?;
@@ -810,22 +909,19 @@ mod tests {
             integrated: vec!["p".to_string()],
             scores: vec![0.5],
         };
-        let snapshot = ManagerSnapshot {
-            next_id: 2,
-            sessions: vec![poiesis::SessionSnapshot {
-                id: 1,
-                base_name: "flow".to_string(),
-                flow_xlm: "<xlm/>".to_string(),
-                request: poiesis::PlanRequest::default(),
-                history: vec![record.clone()],
-            }],
+        let session = SessionSnapshot {
+            id: 1,
+            base_name: "flow".to_string(),
+            flow_xlm: "<xlm/>".to_string(),
+            request: poiesis::PlanRequest::default(),
+            history: vec![record.clone()],
         };
-        fs::write(dir.join("sessions.json"), snapshot.to_json_string()).unwrap();
-        mutate_snapshot(&dir);
-        let tampered =
-            ManagerSnapshot::from_json_str(&fs::read_to_string(dir.join("sessions.json")).unwrap())
-                .unwrap();
-        assert!(tampered.validate().is_ok(), "tamper must stay consistent");
+        let store = StateStore::open(&dir).unwrap();
+        store.write_next_id(2).unwrap();
+        store.write_session(&session).unwrap();
+        mutate_snapshot(&store.session_path(1));
+        // the strict load runs every startup check: the tamper passes them
+        let tampered = store.load().expect("tamper must stay loadable").unwrap();
         assert_ne!(
             tampered.sessions[0].history[0], record,
             "tamper must diverge from the original"

@@ -70,20 +70,20 @@ pub enum ProcessFault {
     /// `--state-dir`. Recovery must land on a state bit-identical to the
     /// control run at the recovered cycle count.
     KillRestart,
-    /// Arm a torn write for the op's snapshot save — the crash happens
-    /// *before* the temp file is renamed, so the previous snapshot
-    /// survives intact — then kill and restart. Recovery rolls back to
-    /// the previous consistent state.
+    /// Arm a torn write for the op's session-file write — the crash
+    /// happens *before* the temp file is renamed, so the session's
+    /// previous file survives intact — then kill and restart. Recovery
+    /// rolls back to the previous consistent state.
     TornTempThenKill {
-        /// Bytes of the new snapshot that reach the temp file.
+        /// Bytes of the new session file that reach the temp file.
         keep_bytes: usize,
     },
-    /// Arm a torn write that lands partial bytes in the *final* snapshot
-    /// path (a non-atomic rename, a lying disk), then kill and restart.
-    /// Startup must quarantine the mangled file and serve empty rather
-    /// than load half a snapshot.
+    /// Arm a torn write that lands partial bytes in the session's *final*
+    /// file (a non-atomic rename, a lying disk), then kill and restart.
+    /// Startup must quarantine that file alone rather than load half a
+    /// session, and serve every other session.
     TornFinalThenKill {
-        /// Bytes of the snapshot that reach `sessions.json`.
+        /// Bytes of the session file that reach `sessions/<id>.json`.
         keep_bytes: usize,
     },
 }
