@@ -53,25 +53,29 @@ pub enum CarriedTable {
 /// O(patch) instead of O(flow) per application.
 ///
 /// `base_schemas` is `base`'s schema table, computed once per planning
-/// cycle. The fork starts with an `Arc`-shared clone of that table; after
-/// each application the table is repaired in place via
+/// cycle. The fork starts with an `Arc`-shared clone of that table, and
+/// each candidate, in [`apply_combination`]'s order, runs one step (see
+/// `apply_step`): the candidate's full
+/// [`Pattern::applicable`](fcp::Pattern::applicable) check against the
+/// carried table (built-ins add conjunctive schema conditions beyond their
+/// declared prerequisites), the structural edit through
+/// [`Pattern::apply_unchecked`](fcp::Pattern::apply_unchecked) without
+/// rebuilding an O(flow) context, and an in-place repair of the table via
 /// [`etl_model::repair_table`] — O(patch) for schema-passthrough patterns,
 /// O(downstream of the patch) only when schemas genuinely changed. The
 /// repair is seeded from the nodes that application added when its pattern
 /// declares [`patch_confined_to_added_nodes`](fcp::Pattern::patch_confined_to_added_nodes),
 /// else from every node the fork has touched since `base`. When the repair
 /// reports `false` (it gave up, or met a schema error it cannot vouch for),
-/// the table is re-propagated from scratch and that verdict counts. Each
-/// candidate's full [`Pattern::applicable`](fcp::Pattern::applicable) check
-/// runs against the carried table (built-ins add conjunctive schema
-/// conditions beyond their declared prerequisites), then
-/// [`Pattern::apply_unchecked`](fcp::Pattern::apply_unchecked) performs the
-/// structural edit without rebuilding an O(flow) context. Application
-/// order and failure behaviour match [`apply_combination`] exactly — the
-/// planner's equivalence tests assert bit-identical alternatives and
-/// rejection counts. The returned [`CarriedTable`] reports whether the
-/// final table is exact, letting the post-screen skip schema propagation
-/// entirely.
+/// the table is re-propagated from scratch and that verdict counts.
+/// Application order and failure behaviour match [`apply_combination`]
+/// exactly — the planner's equivalence tests assert bit-identical
+/// alternatives and rejection counts. The returned [`CarriedTable`] reports
+/// whether the final table is exact, letting the post-screen skip schema
+/// propagation entirely.
+///
+/// The planner runs the same step through a `PrefixStack`, which reuses
+/// the applied prefix a combination shares with the one before it.
 pub fn apply_combination_incremental(
     base: &EtlFlow,
     combo: &[&Candidate],
@@ -80,44 +84,70 @@ pub fn apply_combination_incremental(
 ) -> Result<(EtlFlow, Vec<AppliedPattern>, CarriedTable), PatternError> {
     let mut flow = base.fork(name);
     let mut applied = Vec::with_capacity(combo.len());
-    let (structural, graph_level): (Vec<&Candidate>, Vec<&Candidate>) = combo
-        .iter()
-        .copied()
-        .partition(|c| c.point != ApplicationPoint::Graph);
-    let mut table = base_schemas.clone();
-    // Seeds for repairing the table after the last application.
-    let mut pending: Option<Vec<NodeId>> = None;
-    for c in structural.into_iter().chain(graph_level) {
-        if let Some(seeds) = pending.take() {
-            repair_or_propagate(&flow, &mut table, &seeds)
-                .map_err(|e| PatternError::Graph(e.to_string()))?;
-        }
-        let ctx = PatternContext::with_schemas(&flow, table);
-        if !c.pattern.applicable(&ctx, c.point) {
-            return Err(PatternError::NotApplicable {
-                pattern: c.pattern.name().to_string(),
-                point: c.point.describe(&flow),
-            });
-        }
-        table = ctx.into_schemas();
-        let a = c.pattern.apply_unchecked(&mut flow, c.point, &table)?;
-        // An edit confined to the added nodes needs no delta derivation;
-        // any other edit (e.g. one that rewrites an operation in place)
-        // unshares what it touched, so the fork's delta covers it.
-        pending = Some(if c.pattern.patch_confined_to_added_nodes() {
-            a.added_nodes.clone()
-        } else {
-            flow.delta_since(base).touched_nodes
-        });
+    let mut repaired: Result<SchemaTable, etl_model::SchemaError> = Ok(base_schemas.clone());
+    for c in application_order(combo, |c| c.point == ApplicationPoint::Graph) {
+        // a step whose repair erred leaves no table for the next one
+        let table = repaired.map_err(|e| PatternError::Graph(e.to_string()))?;
+        let (a, r) = apply_step(base, &mut flow, table, c)?;
         applied.push(a);
+        repaired = r;
     }
-    let carried = match pending.map_or(Ok(()), |s| repair_or_propagate(&flow, &mut table, &s)) {
-        Ok(()) => CarriedTable::Exact {
+    let carried = carried(base, &flow, repaired);
+    Ok((flow, applied, carried))
+}
+
+/// The [`CarriedTable`] verdict on `flow` from its last step's repair.
+fn carried(
+    base: &EtlFlow,
+    flow: &EtlFlow,
+    repaired: Result<SchemaTable, etl_model::SchemaError>,
+) -> CarriedTable {
+    match repaired {
+        Ok(_) => CarriedTable::Exact {
             cow: flow.delta_since(base),
         },
         Err(e) => CarriedTable::Broken(e),
+    }
+}
+
+/// The order a combination's candidates are applied in: structural
+/// (node/edge) ones in combination order, then graph-level ones, so that
+/// graph patterns see the final topology.
+fn application_order<'a, T: Copy>(
+    combo: &'a [T],
+    graph_level: impl Fn(T) -> bool + Copy + 'a,
+) -> impl Iterator<Item = T> + 'a {
+    let structural = combo.iter().copied().filter(move |&t| !graph_level(t));
+    structural.chain(combo.iter().copied().filter(move |&t| graph_level(t)))
+}
+
+/// One step of the incremental apply: checks `c` against `flow`'s exact
+/// schema `table`, edits `flow`, and makes the table exact for the edited
+/// flow — or returns the schema error a full propagation of it reports.
+fn apply_step(
+    base: &EtlFlow,
+    flow: &mut EtlFlow,
+    table: SchemaTable,
+    c: &Candidate,
+) -> Result<(AppliedPattern, Result<SchemaTable, etl_model::SchemaError>), PatternError> {
+    let ctx = PatternContext::with_schemas(flow, table);
+    if !c.pattern.applicable(&ctx, c.point) {
+        return Err(PatternError::NotApplicable {
+            pattern: c.pattern.name().to_string(),
+            point: c.point.describe(flow),
+        });
+    }
+    let mut table = ctx.into_schemas();
+    let a = c.pattern.apply_unchecked(flow, c.point, &table)?;
+    // An edit confined to the added nodes needs no delta derivation; any
+    // other edit (e.g. one that rewrites an operation in place) unshares
+    // what it touched, so the fork's delta covers it.
+    let repaired = if c.pattern.patch_confined_to_added_nodes() {
+        repair_or_propagate(flow, &mut table, &a.added_nodes)
+    } else {
+        repair_or_propagate(flow, &mut table, &flow.delta_since(base).touched_nodes)
     };
-    Ok((flow, applied, carried))
+    Ok((a, repaired.map(|()| table)))
 }
 
 /// Makes `table` exact for `flow` after one application: repairs it from
@@ -131,6 +161,125 @@ fn repair_or_propagate(
         *table = etl_model::propagate_schemas(flow)?;
     }
     Ok(())
+}
+
+/// A worker's cache of applied prefixes: [`apply_combination_incremental`]
+/// for combinations given as candidate indices, reusing every step the
+/// combination's application order shares with the previous one.
+///
+/// Every search strategy builds a combination by extending a parent —
+/// consecutive k-subsets of the exhaustive cursor share their first k−1
+/// candidates, beam and greedy extend their survivors — so a stack of the
+/// last combination's applied prefixes turns ≈k steps per combination into
+/// ≈1. Level `i` holds the state after applying the first `i + 1`
+/// candidates of that order, or the marker that a step up to it failed.
+/// The stack never holds a combination's last step: its fork is the
+/// result, moved to the caller. Each level is a copy-on-write fork of the
+/// level below it, so a step never mutates the state it extends and every
+/// fork's [`delta_since`](EtlFlow::delta_since) the base is the one a
+/// single fork of the base would report.
+///
+/// A stack serves one base flow and one base schema table; build a new one
+/// when either changes.
+#[derive(Default)]
+pub(crate) struct PrefixStack {
+    /// `(candidate index, state)` per level; `None` marks a failed step,
+    /// and only the top level can be one.
+    levels: Vec<(usize, Option<Level>)>,
+    /// Application order of the current combination (reused buffer).
+    order: Vec<usize>,
+    /// Steps run so far — how many applications the reuse left to do.
+    #[cfg(test)]
+    steps: usize,
+}
+
+/// An applied prefix: the fork after its last step, that step's record and
+/// the fork's exact schema table.
+struct Level {
+    flow: EtlFlow,
+    applied: AppliedPattern,
+    table: SchemaTable,
+}
+
+impl PrefixStack {
+    /// Applies `combo` (indices into `candidates`) to a fork of `base` named
+    /// `name`, with the outcome of [`apply_combination_incremental`]:
+    /// `None` where that returns an error, else the alternative, its
+    /// applied patterns in application order and the carried table's
+    /// verdict.
+    pub(crate) fn apply(
+        &mut self,
+        base: &EtlFlow,
+        base_schemas: &SchemaTable,
+        candidates: &[Candidate],
+        combo: &[usize],
+        name: String,
+    ) -> Option<(EtlFlow, Vec<AppliedPattern>, CarriedTable)> {
+        self.order.clear();
+        self.order.extend(application_order(combo, |i| {
+            candidates[i].point == ApplicationPoint::Graph
+        }));
+        let Some((&last, prefix)) = self.order.split_last() else {
+            let flow = base.fork(name);
+            let cow = flow.delta_since(base);
+            return Some((flow, Vec::new(), CarriedTable::Exact { cow }));
+        };
+        let shared = self
+            .levels
+            .iter()
+            .zip(prefix)
+            .take_while(|((i, _), j)| i == *j)
+            .count();
+        self.levels.truncate(shared);
+        for &i in &prefix[shared..] {
+            let (mut flow, table) = self.fork_top(base, base_schemas, String::new())?;
+            #[cfg(test)]
+            {
+                self.steps += 1;
+            }
+            let level = match apply_step(base, &mut flow, table, &candidates[i]) {
+                Ok((applied, Ok(table))) => Some(Level {
+                    flow,
+                    applied,
+                    table,
+                }),
+                // a failed step, or a repair error the next step would meet
+                _ => None,
+            };
+            self.levels.push((i, level));
+        }
+        let (mut flow, table) = self.fork_top(base, base_schemas, name)?;
+        #[cfg(test)]
+        {
+            self.steps += 1;
+        }
+        let (a, repaired) = apply_step(base, &mut flow, table, &candidates[last]).ok()?;
+        let mut applied = Vec::with_capacity(self.order.len());
+        applied.extend(
+            self.levels
+                .iter()
+                .flat_map(|(_, l)| l)
+                .map(|l| l.applied.clone()),
+        );
+        applied.push(a);
+        let carried = carried(base, &flow, repaired);
+        Some((flow, applied, carried))
+    }
+
+    /// A fork of the top level named `name`, with its exact schema table —
+    /// the base's when the stack is empty — or `None` when that level
+    /// failed.
+    fn fork_top(
+        &self,
+        base: &EtlFlow,
+        base_schemas: &SchemaTable,
+        name: String,
+    ) -> Option<(EtlFlow, SchemaTable)> {
+        match self.levels.last() {
+            None => Some((base.fork(name), base_schemas.clone())),
+            Some((_, level)) => level.as_ref().map(|l| (l.flow.fork(name), l.table.clone())),
+        }
+    }
 }
 
 /// Derives a deterministic alternative name from the combination.
@@ -192,7 +341,7 @@ mod tests {
     use crate::generate::generate_uncapped;
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
-    use fcp::PatternRegistry;
+    use fcp::{DeploymentPolicy, PatternRegistry};
 
     fn setup() -> (EtlFlow, Vec<Candidate>) {
         let (f, _) = purchases_flow();
@@ -294,6 +443,174 @@ mod tests {
             .find(|c| c.pattern.name() != a.pattern.name())
             .unwrap();
         assert_eq!(combination_name(&f, &[a, b]), combination_name(&f, &[b, a]));
+    }
+
+    /// An outcome in comparable form: the flow's debug print, its applied
+    /// patterns, and the carried table's verdict.
+    type Outcome = Option<(String, Vec<String>, String)>;
+
+    fn comparable(result: Option<(EtlFlow, Vec<AppliedPattern>, CarriedTable)>) -> Outcome {
+        result.map(|(flow, applied, carried)| {
+            let verdict = match carried {
+                CarriedTable::Exact { cow } => format!("exact {cow:?}"),
+                CarriedTable::Broken(e) => format!("broken {e}"),
+            };
+            let applied = applied.iter().map(|a| format!("{a:?}")).collect();
+            (format!("{flow:?}"), applied, verdict)
+        })
+    }
+
+    /// Applies `combo` on `stack` and asserts the outcome equals the
+    /// one-shot incremental apply's; returns it.
+    fn stack_apply(
+        stack: &mut PrefixStack,
+        base: &EtlFlow,
+        candidates: &[Candidate],
+        combo: &[usize],
+    ) -> Outcome {
+        let schemas = etl_model::propagate_schemas(base).unwrap();
+        let name = format!("combo{combo:?}");
+        let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
+        let one_shot = apply_combination_incremental(base, &refs, name.clone(), &schemas).ok();
+        let stacked = stack.apply(base, &schemas, candidates, combo, name);
+        let (stacked, one_shot) = (comparable(stacked), comparable(one_shot));
+        assert_eq!(stacked, one_shot, "stack diverged on {combo:?}");
+        stacked
+    }
+
+    #[test]
+    fn prefix_stack_keys_levels_by_application_order() {
+        let (f, cands) = setup();
+        let graph = |i: &usize| cands[*i].point == ApplicationPoint::Graph;
+        let g = (0..cands.len())
+            .find(graph)
+            .expect("a graph-level candidate");
+        let structural: Vec<usize> = (0..cands.len()).filter(|i| !graph(i)).collect();
+        let (a, c, d) = (structural[0], structural[1], structural[2]);
+        let mut stack = PrefixStack::default();
+        // applied as [a, c, G], then [a, d, G]: only `a` is shared
+        assert!(stack_apply(&mut stack, &f, &cands, &[a, g, c]).is_some());
+        assert_eq!(stack.steps, 3);
+        assert!(stack_apply(&mut stack, &f, &cands, &[a, g, d]).is_some());
+        assert_eq!(stack.steps, 5);
+        // [a, d, G, c] extends nothing stacked past `a, d`
+        stack_apply(&mut stack, &f, &cands, &[a, d, c, g]);
+        assert_eq!(stack.steps, 7);
+    }
+
+    #[test]
+    fn prefix_stack_matches_the_one_shot_apply_on_an_exhaustive_walk() {
+        let (f, cands) = setup();
+        let policy = DeploymentPolicy::exhaustive(3);
+        let mut stack = PrefixStack::default();
+        let mut applied = 0;
+        for combo in crate::explore::CombinationIter::new(&cands, &policy, 1500) {
+            applied += usize::from(stack_apply(&mut stack, &f, &cands, &combo).is_some());
+        }
+        assert!(applied > 500, "only {applied} combinations applied");
+    }
+
+    /// A test pattern at a fixed point whose edit either fails outright or
+    /// leaves a filter reading a column no schema has.
+    struct Faulty {
+        breaks_schema: bool,
+    }
+
+    impl fcp::Pattern for Faulty {
+        fn name(&self) -> &str {
+            if self.breaks_schema {
+                "GhostFilter"
+            } else {
+                "Refused"
+            }
+        }
+
+        fn improves(&self) -> quality::Characteristic {
+            quality::Characteristic::DataQuality
+        }
+
+        fn prerequisites(&self) -> Vec<fcp::Prerequisite> {
+            Vec::new()
+        }
+
+        fn apply_unchecked(
+            &self,
+            flow: &mut EtlFlow,
+            point: ApplicationPoint,
+            _schemas: &SchemaTable,
+        ) -> Result<AppliedPattern, PatternError> {
+            if !self.breaks_schema {
+                return Err(PatternError::Graph("refused".into()));
+            }
+            let n = flow.ops_of_kind("filter")[0];
+            if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {
+                *predicate = etl_model::expr::Expr::col("__ghost__");
+            }
+            Ok(AppliedPattern {
+                pattern: self.name().to_string(),
+                point,
+                added_nodes: Vec::new(),
+            })
+        }
+    }
+
+    #[test]
+    fn prefix_stack_fails_on_failed_or_broken_prefixes_and_breaks_on_the_last() {
+        let (f, mut cands) = setup();
+        let filter = f.ops_of_kind("filter")[0];
+        let faulty = |breaks_schema, point| Candidate {
+            pattern: std::sync::Arc::new(Faulty { breaks_schema }),
+            point,
+            fitness: 0.0,
+        };
+        let n = cands.len();
+        cands.push(faulty(false, ApplicationPoint::Node(filter)));
+        cands.push(faulty(true, ApplicationPoint::Node(filter)));
+        cands.push(faulty(true, ApplicationPoint::Graph));
+        let (refused, ghost, ghost_g) = (n, n + 1, n + 2);
+        let graph = |i: &usize| cands[*i].point == ApplicationPoint::Graph;
+        let g = (0..n).find(graph).expect("a graph-level candidate");
+        let s = (0..n).find(|i| !graph(i)).expect("a structural candidate");
+        let mut stack = PrefixStack::default();
+
+        // a failed step fails every combination that extends it, and the
+        // failure is stacked: the sibling runs no step
+        assert_eq!(stack_apply(&mut stack, &f, &cands, &[refused, s]), None);
+        let steps = stack.steps;
+        assert_eq!(stack_apply(&mut stack, &f, &cands, &[refused, g]), None);
+        assert_eq!(stack.steps, steps);
+
+        // a broken prefix fails too, structural or graph-level
+        assert_eq!(stack_apply(&mut stack, &f, &cands, &[ghost, s]), None);
+        assert_eq!(stack_apply(&mut stack, &f, &cands, &[s, ghost_g, g]), None);
+
+        // a broken last step reports the schema error
+        for combo in [vec![s, ghost], vec![ghost_g], vec![s, g, ghost_g]] {
+            let (_, applied, verdict) = stack_apply(&mut stack, &f, &cands, &combo).unwrap();
+            assert_eq!(applied.len(), combo.len());
+            assert!(verdict.starts_with("broken"), "{combo:?}: {verdict}");
+        }
+    }
+
+    #[test]
+    fn prefix_stack_runs_about_one_step_per_combination() {
+        let (f, _) = setup();
+        let cat = purchases_catalog(100, &DirtProfile::demo(), 1);
+        let reg = PatternRegistry::standard_for_catalog(&cat);
+        let policy = DeploymentPolicy::exhaustive(3);
+        let cands = crate::generate::generate_candidates(&f, &reg, &policy).unwrap();
+        let schemas = etl_model::propagate_schemas(&f).unwrap();
+        let labels = LabelTable::new(&cands);
+        let mut stack = PrefixStack::default();
+        let mut combos = 0;
+        for combo in crate::explore::CombinationIter::new(&cands, &policy, usize::MAX) {
+            let name = labels.name(&f, &combo);
+            stack.apply(&f, &schemas, &cands, &combo, name);
+            combos += 1;
+        }
+        let per_combo = stack.steps as f64 / combos as f64;
+        assert!(combos > 1000, "a depth-3 cycle of {combos} combinations");
+        assert!(per_combo <= 1.3, "{per_combo:.2} steps per combination");
     }
 
     #[test]

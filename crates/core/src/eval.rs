@@ -72,48 +72,59 @@ pub fn evaluate_flow(
     }
 }
 
-/// Order-preserving parallel map over `0..n` on a scoped worker pool:
-/// workers pull indices from a shared atomic cursor and own their results
-/// outright until the channel is drained after the scope — no per-slot
-/// locking. `workers <= 1` (or `n <= 1`) degenerates to a sequential loop.
-/// The planner's streaming engine evaluates each submitted batch of
-/// combinations through it.
-pub(crate) fn par_map_indexed<T: Send>(
+/// Order-preserving parallel map over `0..n` on a scoped worker pool, with
+/// one `state()` per worker that `f` gets `&mut` access to. Workers pull
+/// contiguous chunks of indices from a shared atomic cursor — neighbouring
+/// indices, which the planner's strategies fill with sibling combinations,
+/// share a worker's state — and own their results outright until the
+/// channel is drained after the scope: no per-slot locking. Several chunks
+/// per worker keep the load balanced. `workers <= 1` (or `n <= 1`)
+/// degenerates to a sequential loop over one state. The planner's
+/// streaming engine evaluates each submitted batch of combinations through
+/// it, each worker applying on its own [`PrefixStack`](crate::apply::PrefixStack).
+pub(crate) fn par_map_indexed<S, T: Send>(
     n: usize,
     workers: usize,
-    f: impl Fn(usize) -> T + Sync,
+    state: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize) -> T + Sync,
 ) -> Vec<T> {
     let workers = workers.max(1).min(n);
     if workers <= 1 {
-        return (0..n).map(f).collect();
+        let mut s = state();
+        return (0..n).map(|i| f(&mut s, i)).collect();
     }
+    let chunk = n.div_ceil(workers * CHUNKS_PER_WORKER);
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
+    let (tx, rx) = mpsc::channel::<(usize, Vec<T>)>();
     std::thread::scope(|scope| {
         for _ in 0..workers {
             let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            let (next, state, f) = (&next, &state, &f);
+            scope.spawn(move || {
+                let mut s = state();
+                loop {
+                    let start = next.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    let out = (start..n.min(start + chunk))
+                        .map(|i| f(&mut s, i))
+                        .collect();
+                    tx.send((start, out)).expect("receiver outlives the scope");
                 }
-                tx.send((i, f(i))).expect("receiver outlives the scope");
             });
         }
     });
     drop(tx);
-    let mut results: Vec<Option<T>> = Vec::new();
-    results.resize_with(n, || None);
-    for (i, r) in rx {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every index mapped"))
-        .collect()
+    let mut chunks: Vec<(usize, Vec<T>)> = rx.into_iter().collect();
+    chunks.sort_unstable_by_key(|&(start, _)| start);
+    chunks.into_iter().flat_map(|(_, out)| out).collect()
 }
+
+/// How many chunks [`par_map_indexed`] cuts per worker: enough that the
+/// last chunk's tail stays short when per-index cost varies (simulation),
+/// few enough that re-applying a chunk's first prefix stays negligible.
+const CHUNKS_PER_WORKER: usize = 32;
 
 /// Computes characteristic scores for the scatter-plot axes.
 pub fn characteristic_scores(
@@ -168,17 +179,36 @@ mod tests {
             let v = evaluate_flow(&flows[i], &cat, &stats, EvalMode::Estimate, 3).unwrap();
             (i, v.get(MeasureId::CycleTimeMs).unwrap())
         };
-        let seq = par_map_indexed(flows.len(), 1, cycle_time);
-        let par = par_map_indexed(flows.len(), 4, cycle_time);
+        let seq = par_map_indexed(flows.len(), 1, || (), |_, i| cycle_time(i));
+        let par = par_map_indexed(flows.len(), 4, || (), |_, i| cycle_time(i));
         assert_eq!(seq, par);
         // results land in index order, whichever worker produced them
         assert!(par.iter().enumerate().all(|(i, &(j, _))| i == j));
         // encrypted (even) variants are slower than their plain neighbours
         assert!(par[0].1 > par[1].1);
         // more workers than items, and the empty and single-item maps
-        assert_eq!(par_map_indexed(3, 8, |i| i * 10), vec![0, 10, 20]);
-        assert_eq!(par_map_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(par_map_indexed(1, 4, |i| i + 7), vec![7]);
+        assert_eq!(par_map_indexed(3, 8, || (), |_, i| i * 10), vec![0, 10, 20]);
+        assert_eq!(par_map_indexed(0, 4, || (), |_, i| i), Vec::<usize>::new());
+        assert_eq!(par_map_indexed(1, 4, || (), |_, i| i + 7), vec![7]);
+    }
+
+    #[test]
+    fn pool_hands_workers_contiguous_chunks_of_their_own_state() {
+        // Each worker's state remembers the last index it mapped; an index
+        // whose predecessor went elsewhere starts a chunk. Neighbours must
+        // mostly share a state, or a prefix cache per worker never hits.
+        let starts = par_map_indexed(
+            512,
+            4,
+            || None,
+            |last: &mut Option<usize>, i| {
+                let starts_chunk = *last != i.checked_sub(1);
+                *last = Some(i);
+                starts_chunk
+            },
+        );
+        let chunks = starts.iter().filter(|&&s| s).count();
+        assert!(chunks <= 4 * CHUNKS_PER_WORKER, "{chunks} chunks");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! O(frontier) instead of O(space) and the budget can grow by orders of
 //! magnitude.
 
-use crate::apply::{apply_combination, apply_combination_incremental, CarriedTable, LabelTable};
+use crate::apply::{apply_combination, CarriedTable, LabelTable, PrefixStack};
 use crate::error::PoiesisError;
 use crate::eval::{characteristic_scores, evaluate_flow, Alternative, EvalMode};
 use crate::explore::{theoretical_space, SpaceStats};
@@ -68,19 +68,20 @@ pub struct PlannerConfig {
     /// apply- or evaluation-time failures. On by default; turning it off
     /// restores the historical fail-at-evaluation behaviour.
     pub prescreen: bool,
-    /// Incremental (delta) evaluation of [`EvalMode::Estimate`] cycles.
-    /// The base flow's estimator state ([`quality::EstimateBaseline`]) and
-    /// `Arc`-shared schema table are computed once per cycle; each
-    /// combination then recomputes only the nodes its patch touched plus
-    /// their downstream closure — O(patch) instead of O(flow) per
-    /// combination — for both the structural/schema screen
-    /// ([`analysis::screen_delta_structural`] over a schema table repaired
-    /// by [`etl_model::repair_table`], or re-propagated from scratch when
-    /// a repair reports `false`) and the measure estimate
-    /// ([`quality::estimate_delta_with`]). The resulting measure vectors are
-    /// bit-identical to from-scratch evaluation (enforced by tests), so
-    /// this is on by default; turning it off restores full per-combination
-    /// re-evaluation for A/B timing. Ignored in [`EvalMode::Simulate`].
+    /// Incremental application and screening of [`EvalMode::Estimate`]
+    /// cycles. The base flow's `Arc`-shared schema table is computed once
+    /// per cycle; each worker applies combinations on a prefix stack that
+    /// keeps the applied state a combination shares with its predecessor,
+    /// so a combination costs about one pattern application plus one
+    /// schema repair by [`etl_model::repair_table`] (re-propagated from
+    /// scratch when a repair reports `false`). The post-screen then checks
+    /// only the patched region's structure
+    /// ([`analysis::screen_delta_structural`]). Every fork is estimated
+    /// from scratch with [`quality::estimate`] in either mode. The
+    /// resulting alternatives are bit-identical to the non-incremental
+    /// path (enforced by tests), so this is on by default; turning it off
+    /// restores [`apply_combination`] plus a full [`analysis::screen`] per
+    /// combination. Ignored in [`EvalMode::Simulate`].
     pub delta_eval: bool,
     /// Bound-based dominance pre-pruning: before a combination is even
     /// forked, its sound optimistic score bound
@@ -327,7 +328,10 @@ impl Planner {
     pub fn plan_with(&self, strategy: &dyn SearchStrategy) -> Result<PlannerOutcome, PoiesisError> {
         let (baseline, candidates, schemas) = self.prepare()?;
         let precheck = self.precheck_context()?;
-        let delta = self.delta_context(&schemas);
+        // `prepare` propagated the table once for the whole cycle; the
+        // incremental apply carries it from there.
+        let schemas = (self.config.delta_eval && self.config.eval_mode == EvalMode::Estimate)
+            .then_some(schemas);
         let labels = LabelTable::new(&candidates);
         // The pruner activates only where a skipped combination is provably
         // unobservable — see [`PlannerConfig::bound_prune`].
@@ -340,7 +344,7 @@ impl Planner {
             &baseline,
             &candidates,
             precheck,
-            delta,
+            schemas,
             labels,
             bound_prune,
         );
@@ -388,35 +392,19 @@ impl Planner {
             .map_err(|e| PoiesisError::Pattern(e.to_string()))
     }
 
-    /// The per-cycle incremental-evaluation context, or `None` when delta
-    /// evaluation does not apply (disabled, or the cycle simulates). Both
-    /// parts are O(flow) once: the estimator baseline caches every node's
-    /// measure contributions, the schema table `Arc`-shares every node's
-    /// output schema; per-combination work then touches only the patch and
-    /// its downstream closure.
-    fn delta_context(&self, schemas: &etl_model::SchemaTable) -> Option<DeltaCtx> {
-        if !self.config.delta_eval || self.config.eval_mode != EvalMode::Estimate {
-            return None;
-        }
-        // `prepare` already propagated the table once for the whole cycle;
-        // the `Arc`-shared slots make this clone O(nodes) pointer bumps.
-        Some(DeltaCtx {
-            baseline: quality::estimate_baseline(&self.flow, &self.stats_cache),
-            schemas: schemas.clone(),
-        })
-    }
-
     /// The prescreen → apply → post-screen pipeline of one combination:
     /// checks every candidate's preconditions against the base flow,
     /// forks and applies the combination, and screens the applied result —
-    /// incrementally when a [`DeltaCtx`] is available.
+    /// incrementally on `stack` when the cycle carries the base's schema
+    /// table (`schemas`).
     fn realize_combination(
         &self,
+        stack: &mut PrefixStack,
         combo: &[usize],
         candidates: &[Candidate],
         labels: &LabelTable,
         precheck: Option<&PatternContext<'_>>,
-        delta: Option<&DeltaCtx>,
+        schemas: Option<&etl_model::SchemaTable>,
     ) -> Realization {
         let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
         if let Some(ctx) = precheck {
@@ -430,14 +418,15 @@ impl Planner {
             }
         }
         let name = labels.name(&self.flow, combo);
-        // With a delta context, apply incrementally: the base schema table
-        // is carried across the combination's applications (O(patch) per
-        // step) instead of re-propagated from scratch inside each pattern.
-        let (flow, applied, carried) = match delta {
-            Some(d) => {
-                match apply_combination_incremental(&self.flow, &refs, name.clone(), &d.schemas) {
-                    Ok((f, a, c)) => (f, a, Some(c)),
-                    Err(_) => return Realization::ApplyFailed,
+        // With the base schema table, apply incrementally: the table is
+        // carried across the combination's applications (O(patch) per step)
+        // instead of re-propagated from scratch inside each pattern, and
+        // the stack reuses the steps shared with the previous combination.
+        let (flow, applied, carried) = match schemas {
+            Some(schemas) => {
+                match stack.apply(&self.flow, schemas, candidates, combo, name.clone()) {
+                    Some((f, a, c)) => (f, a, Some(c)),
+                    None => return Realization::ApplyFailed,
                 }
             }
             None => match apply_combination(&self.flow, &refs, name.clone()) {
@@ -446,69 +435,48 @@ impl Planner {
             },
         };
         // structural screen: an applied flow that no longer validates would
-        // only fail later (and more expensively) inside evaluation. With a
-        // delta context the incremental apply has already settled the
-        // schema verdict and computed the fork's copy-on-write delta, so
-        // only the patched region's structure is checked here.
-        let cow = match carried {
-            Some(CarriedTable::Broken(_)) => {
-                if precheck.is_some() {
-                    return Realization::Screened;
+        // only fail later (and more expensively) inside evaluation. The
+        // incremental apply has already settled the schema verdict and
+        // computed the fork's copy-on-write delta, so only the patched
+        // region's structure is checked there.
+        if precheck.is_some() {
+            let invalid = match carried {
+                Some(CarriedTable::Broken(_)) => true,
+                Some(CarriedTable::Exact { cow }) => {
+                    analysis::screen_delta_structural(&flow, &cow).is_some()
                 }
-                Some(flow.delta_since(&self.flow))
+                None => analysis::screen(&flow).is_some(),
+            };
+            if invalid {
+                return Realization::Screened;
             }
-            Some(CarriedTable::Exact { cow }) => {
-                if precheck.is_some() && analysis::screen_delta_structural(&flow, &cow).is_some() {
-                    return Realization::Screened;
-                }
-                Some(cow)
-            }
-            None => {
-                if precheck.is_some() && analysis::screen(&flow).is_some() {
-                    return Realization::Screened;
-                }
-                None
-            }
-        };
+        }
         Realization::Ready {
             flow,
             applied,
             name,
-            cow,
         }
     }
 
-    /// Scores one realized combination: delta estimation against the
-    /// cached baseline and the fork's copy-on-write delta when a
-    /// [`DeltaCtx`] is active, full evaluation otherwise. Both produce
-    /// bit-identical measure vectors.
-    fn evaluate_combination(
-        &self,
-        flow: &EtlFlow,
-        delta: Option<(&DeltaCtx, &etl_model::CowDelta)>,
-    ) -> Result<MeasureVector, simulator::SimError> {
-        match delta {
-            Some((d, cow)) => Ok(quality::estimate_delta_with(
-                flow,
-                &self.flow,
-                &d.baseline,
-                &self.stats_cache,
-                cow,
-            )),
-            None => evaluate_flow(
-                flow,
-                &self.catalog,
-                &self.stats_cache,
-                self.config.eval_mode,
-                self.config.seed,
-            ),
-        }
+    /// Scores one realized combination from scratch: [`quality::estimate`]
+    /// in [`EvalMode::Estimate`], a simulation otherwise. On the scenario
+    /// flows a full estimate is cheaper than a delta one against a cached
+    /// baseline, whose per-call clones of O(flow) state cost more than the
+    /// nodes it skips.
+    fn evaluate_combination(&self, flow: &EtlFlow) -> Result<MeasureVector, simulator::SimError> {
+        evaluate_flow(
+            flow,
+            &self.catalog,
+            &self.stats_cache,
+            self.config.eval_mode,
+            self.config.seed,
+        )
     }
 
     /// The cycle's preamble: validate the flow, score the
     /// baseline, generate candidates. Returns the propagated schema table
-    /// so the cycle never re-derives it — validation, the incremental
-    /// [`DeltaCtx`] and any later analysis share the one propagation.
+    /// so the cycle never re-derives it — validation and the incremental
+    /// apply share the one propagation.
     fn prepare(
         &self,
     ) -> Result<(MeasureVector, Vec<Candidate>, etl_model::SchemaTable), PoiesisError> {
@@ -531,16 +499,6 @@ impl Planner {
     }
 }
 
-/// Per-cycle incremental-evaluation state (the copy-on-write/delta
-/// tentpole): the base flow's cached estimator contributions and its
-/// `Arc`-shared schema table. Combinations fork the base flow, so their
-/// [`CowDelta`](etl_model::CowDelta) recovers exactly the patched slots and
-/// everything outside the patch's downstream closure is reused verbatim.
-struct DeltaCtx {
-    baseline: quality::EstimateBaseline,
-    schemas: etl_model::SchemaTable,
-}
-
 /// Outcome of [`Planner::realize_combination`]: an applied flow ready for
 /// evaluation, or a rejection the engine counts.
 enum Realization {
@@ -549,9 +507,6 @@ enum Realization {
         flow: EtlFlow,
         applied: Vec<AppliedPattern>,
         name: String,
-        /// The fork's copy-on-write delta (present iff a [`DeltaCtx`] was
-        /// active), reused by the measure estimate.
-        cow: Option<etl_model::CowDelta>,
     },
     /// Dropped by the static pre- or post-screen.
     Screened,
@@ -598,9 +553,10 @@ struct StreamingEngine<'a> {
     /// Base-flow pattern context the static pre-screen checks candidate
     /// preconditions against; `None` when pre-screening is disabled.
     precheck: Option<PatternContext<'a>>,
-    /// Incremental-evaluation context ([`PlannerConfig::delta_eval`]);
-    /// `None` when delta evaluation does not apply to this cycle.
-    delta: Option<DeltaCtx>,
+    /// The base flow's schema table, carried by the incremental apply
+    /// ([`PlannerConfig::delta_eval`]); `None` when it does not apply to
+    /// this cycle.
+    schemas: Option<etl_model::SchemaTable>,
     /// Candidate labels, derived and ranked once per cycle.
     labels: LabelTable,
     /// Per-candidate static gain profiles, present iff the bound-based
@@ -629,7 +585,7 @@ impl<'a> StreamingEngine<'a> {
         baseline: &'a MeasureVector,
         candidates: &'a [Candidate],
         precheck: Option<PatternContext<'a>>,
-        delta: Option<DeltaCtx>,
+        schemas: Option<etl_model::SchemaTable>,
         labels: LabelTable,
         bound_prune: bool,
     ) -> Self {
@@ -646,7 +602,7 @@ impl<'a> StreamingEngine<'a> {
             dimensions: planner.config.objective.characteristics(),
             retain_dominated: planner.config.retain_dominated,
             precheck,
-            delta,
+            schemas,
             labels,
             gain_profiles,
             state: Mutex::new(EngineState {
@@ -661,9 +617,10 @@ impl<'a> StreamingEngine<'a> {
         }
     }
 
-    /// Applies, evaluates and skyline-feeds one combination; returns its
-    /// objective, or `None` when it failed or was rejected.
-    fn process(&self, seq: usize, combo: &[usize]) -> Option<f64> {
+    /// Applies (on the worker's `stack`), evaluates and skyline-feeds one
+    /// combination; returns its objective, or `None` when it failed or was
+    /// rejected.
+    fn process(&self, stack: &mut PrefixStack, seq: usize, combo: &[usize]) -> Option<f64> {
         // Bound-based dominance pre-prune: the combination's sound optimistic
         // score bound is offered to the live frontier *before* the fork. A
         // dominated bound proves the real point (never better per axis)
@@ -695,19 +652,19 @@ impl<'a> StreamingEngine<'a> {
                 return None;
             }
         }
-        let (flow, applied, name, cow) = match self.planner.realize_combination(
+        let (flow, applied, name) = match self.planner.realize_combination(
+            stack,
             combo,
             self.candidates,
             &self.labels,
             self.precheck.as_ref(),
-            self.delta.as_ref(),
+            self.schemas.as_ref(),
         ) {
             Realization::Ready {
                 flow,
                 applied,
                 name,
-                cow,
-            } => (flow, applied, name, cow),
+            } => (flow, applied, name),
             Realization::Screened => {
                 self.statically_rejected.fetch_add(1, Ordering::Relaxed);
                 return None;
@@ -717,8 +674,7 @@ impl<'a> StreamingEngine<'a> {
                 return None;
             }
         };
-        let delta = self.delta.as_ref().zip(cow.as_ref());
-        let measures = match self.planner.evaluate_combination(&flow, delta) {
+        let measures = match self.planner.evaluate_combination(&flow) {
             Ok(m) => m,
             Err(_) => {
                 self.failed_evaluations.fetch_add(1, Ordering::Relaxed);
@@ -810,9 +766,12 @@ impl CombinationSink for EngineSink<'_, '_> {
         let engine = self.engine;
         let base_seq = self.next_seq;
         self.next_seq += combos.len();
-        crate::eval::par_map_indexed(combos.len(), engine.planner.config.workers, |i| {
-            engine.process(base_seq + i, &combos[i])
-        })
+        crate::eval::par_map_indexed(
+            combos.len(),
+            engine.planner.config.workers,
+            PrefixStack::default,
+            |stack, i| engine.process(stack, base_seq + i, &combos[i]),
+        )
     }
 }
 

@@ -12,6 +12,8 @@ use etl_model::expr::Expr;
 use etl_model::{EtlFlow, OpKind, Operation};
 use fcp::custom::FitnessPreset;
 use fcp::{CustomPattern, DeploymentPolicy, PatternRegistry, Prerequisite};
+use poiesis::apply::apply_combination;
+use poiesis::generate::Candidate;
 use poiesis::SearchStrategyKind;
 use poiesis::{Planner, PlannerConfig, PlannerOutcome};
 use proptest::prelude::*;
@@ -56,6 +58,29 @@ fn plan(workload: Workload, strategy: SearchStrategyKind, delta_eval: bool) -> P
     Planner::new(flow, catalog, registry, config)
         .plan()
         .unwrap()
+}
+
+/// An exhaustive policy of `depth` over the two fittest points per
+/// pattern: few enough candidates that a 600-combination budget reaches
+/// the deepest subsets, whose applied prefixes the planner reuses.
+fn deep_policy(depth: usize) -> DeploymentPolicy {
+    DeploymentPolicy {
+        top_k_points_per_pattern: 2,
+        ..DeploymentPolicy::exhaustive(depth)
+    }
+}
+
+/// A planner over `workload` with `extra` patterns registered beside the
+/// standard palette.
+fn deep_planner(
+    workload: Workload,
+    extra: fn(&mut PatternRegistry),
+    config: PlannerConfig,
+) -> Planner {
+    let (flow, catalog) = workload.build(80);
+    let mut registry = PatternRegistry::standard_for_catalog(&catalog);
+    extra(&mut registry);
+    Planner::new(flow, catalog, registry, config)
 }
 
 /// The equality the whole PR hangs on: every retained alternative carries a
@@ -287,5 +312,177 @@ fn delta_matches_scratch_with_an_in_place_editing_pattern() {
             "{strategy}: no combination with the in-place edit reached evaluation"
         );
         assert_bit_identical(&fast, &slow);
+    }
+}
+
+#[test]
+fn delta_matches_scratch_at_depths_three_and_four() {
+    // Deeper combinations share longer applied prefixes with their
+    // predecessors: every strategy must still reach the scratch outcome.
+    for workload in [Workload::Demo, Workload::Tpch, Workload::Tpcds] {
+        for depth in [3, 4] {
+            for strategy in [
+                SearchStrategyKind::Exhaustive,
+                SearchStrategyKind::Beam { width: 4 },
+                SearchStrategyKind::GreedyHillClimb,
+            ] {
+                let run = |delta_eval: bool| {
+                    let config = PlannerConfig {
+                        strategy,
+                        delta_eval,
+                        max_alternatives: 600,
+                        policy: deep_policy(depth),
+                        ..PlannerConfig::default()
+                    };
+                    deep_planner(workload, |_| {}, config).plan().unwrap()
+                };
+                let fast = run(true);
+                assert_bit_identical(&fast, &run(false));
+                if strategy == SearchStrategyKind::Exhaustive {
+                    assert!(
+                        fast.alternatives.iter().any(|a| a.combo.len() == depth),
+                        "{workload:?}/{strategy}: no depth-{depth} alternative"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn delta_outcomes_do_not_depend_on_the_worker_count() {
+    // Each worker applies on its own prefix stack over contiguous chunks;
+    // the outcome must be the single-worker scratch outcome at any width.
+    for strategy in [
+        SearchStrategyKind::Exhaustive,
+        SearchStrategyKind::Beam { width: 8 },
+        SearchStrategyKind::GreedyHillClimb,
+    ] {
+        let run = |delta_eval: bool, workers: usize| {
+            let config = PlannerConfig {
+                strategy,
+                delta_eval,
+                workers,
+                max_alternatives: 600,
+                policy: deep_policy(3),
+                ..PlannerConfig::default()
+            };
+            deep_planner(Workload::Tpch, |_| {}, config).plan().unwrap()
+        };
+        let slow = run(false, 1);
+        for workers in [1, 2, 4] {
+            assert_bit_identical(&run(true, workers), &slow);
+        }
+    }
+}
+
+#[test]
+fn beam_extensions_of_survivors_match_scratch() {
+    // Beam extends each kept survivor by every higher-indexed candidate,
+    // so a depth-d batch is runs of siblings under d−1 shared candidates.
+    // (A width-1 beam keeps the best singleton, which may have no
+    // higher-indexed candidate to extend it with.)
+    for width in [3, 8] {
+        let run = |delta_eval: bool| {
+            let config = PlannerConfig {
+                strategy: SearchStrategyKind::Beam { width },
+                delta_eval,
+                max_alternatives: 2000,
+                policy: DeploymentPolicy::exhaustive(4),
+                ..PlannerConfig::default()
+            };
+            deep_planner(Workload::Tpcds, |_| {}, config)
+                .plan()
+                .unwrap()
+        };
+        let fast = run(true);
+        assert!(
+            fast.alternatives.iter().any(|a| a.combo.len() == 4),
+            "beam:{width} never extended to depth 4"
+        );
+        assert_bit_identical(&fast, &run(false));
+    }
+}
+
+fn register_custom_patterns(registry: &mut PatternRegistry) {
+    registry.register(AuditStamp);
+    registry.register(CustomPattern::new(
+        "SortEarly",
+        quality::Characteristic::Manageability,
+        vec![Prerequisite::SchemaHasKeyCandidate],
+        FitnessPreset::NearSources,
+        |schema| {
+            let key = schema
+                .attrs()
+                .iter()
+                .find(|a| !a.nullable)
+                .map(|a| a.name.clone())
+                .expect("prerequisite guarantees a key candidate");
+            Operation::new("SORT early", OpKind::Sort { by: vec![key] })
+        },
+    ));
+}
+
+#[test]
+fn delta_matches_scratch_with_custom_in_place_edits_at_depth_three() {
+    // An in-place edit on a stacked prefix unshares the edited operation
+    // in the child's fork only; deeper siblings must still agree.
+    for strategy in [
+        SearchStrategyKind::Exhaustive,
+        SearchStrategyKind::Beam { width: 4 },
+        SearchStrategyKind::GreedyHillClimb,
+    ] {
+        let run = |delta_eval: bool| {
+            let config = PlannerConfig {
+                strategy,
+                delta_eval,
+                max_alternatives: 600,
+                policy: deep_policy(3),
+                ..PlannerConfig::default()
+            };
+            deep_planner(Workload::Demo, register_custom_patterns, config)
+                .plan()
+                .unwrap()
+        };
+        let fast = run(true);
+        if strategy == SearchStrategyKind::Exhaustive {
+            assert!(
+                fast.alternatives
+                    .iter()
+                    .any(|a| a.combo.len() == 3
+                        && a.applied.iter().any(|p| p.contains("AuditStamp"))),
+                "no depth-3 combination with the in-place edit"
+            );
+        }
+        assert_bit_identical(&fast, &run(false));
+    }
+}
+
+#[test]
+fn retained_alternatives_equal_their_from_base_application() {
+    // Copy-on-write aliasing: a retained alternative is a fork of a stacked
+    // prefix that later siblings forked and edited too (in place, for
+    // AuditStamp). None of their edits may reach it: each retained flow
+    // must equal the one `apply_combination` builds from the base alone.
+    for workers in [1, 2] {
+        let config = PlannerConfig {
+            workers,
+            max_alternatives: 600,
+            policy: deep_policy(3),
+            ..PlannerConfig::default()
+        };
+        let planner = deep_planner(Workload::Demo, register_custom_patterns, config);
+        let out = planner.plan().unwrap();
+        assert!(out.alternatives.iter().any(|a| a.combo.len() == 3));
+        for alt in &out.alternatives {
+            let refs: Vec<&Candidate> = alt.combo.iter().map(|&i| &out.candidates[i]).collect();
+            let (oracle, _) = apply_combination(planner.flow(), &refs, alt.name.clone()).unwrap();
+            assert_eq!(
+                format!("{:?}", alt.flow),
+                format!("{oracle:?}"),
+                "{} diverged from its from-base application",
+                alt.name
+            );
+        }
     }
 }
