@@ -325,51 +325,9 @@ pub fn well_formedness(flow: &EtlFlow) -> Vec<Diagnostic> {
         );
     }
     for (n, op) in g.nodes() {
-        let indeg = g.in_degree(n);
-        let outdeg = g.out_degree(n);
-        // Source/sink role rules come first: they explain *why* the arity is
-        // off for a degree-0 node, so the arity checks skip that axis.
-        let extract = matches!(op.kind, OpKind::Extract { .. });
-        let load = matches!(op.kind, OpKind::Load { .. });
-        if indeg == 0 && !extract {
-            out.push(
-                Diagnostic::error(
-                    codes::NON_EXTRACT_SOURCE,
-                    Location::Node(n),
-                    format!("`{}` has no inputs but is not an extract", op.name),
-                )
-                .with_suggestion("connect an upstream operation or make it an EXTRACT"),
-            );
-        } else if !within(indeg, op.kind.input_arity()) {
-            out.push(Diagnostic::error(
-                codes::INPUT_ARITY,
-                Location::Node(n),
-                format!(
-                    "`{}` has {indeg} inputs, expected {}",
-                    op.name,
-                    arity_text(op.kind.input_arity())
-                ),
-            ));
-        }
-        if outdeg == 0 && !load {
-            out.push(
-                Diagnostic::error(
-                    codes::NON_LOAD_SINK,
-                    Location::Node(n),
-                    format!("`{}` has no outputs but is not a load", op.name),
-                )
-                .with_suggestion("connect a downstream operation or make it a LOAD"),
-            );
-        } else if !within(outdeg, op.kind.output_arity()) {
-            out.push(Diagnostic::error(
-                codes::OUTPUT_ARITY,
-                Location::Node(n),
-                format!(
-                    "`{}` has {outdeg} outputs, expected {}",
-                    op.name,
-                    arity_text(op.kind.output_arity())
-                ),
-            ));
+        for violation in flow.degree_violations(n).into_iter().flatten() {
+            let err = violation.into_error(&op.name);
+            out.push(diagnostic_for(&err, |_| Location::Node(n)));
         }
     }
     // Dangling channels cannot be built through the public API (node removal
@@ -387,10 +345,6 @@ pub fn well_formedness(flow: &EtlFlow) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-fn within(actual: usize, (lo, hi): (usize, usize)) -> bool {
-    actual >= lo && actual <= hi
 }
 
 fn arity_text((lo, hi): (usize, usize)) -> String {
@@ -609,10 +563,10 @@ fn consumed_columns(kind: &OpKind) -> Vec<(usize, &str)> {
 // ---------------------------------------------------------------------------
 // Pass 3: pattern preconditions.
 
-/// Validates one pattern application point before the planner clones the
-/// flow: the point must still exist (PA020) and every prerequisite of the
-/// pattern must hold there (PA021). Returns all violations (a planner only
-/// needs `!is_empty()`; a lint consumer wants the full list).
+/// Validates one pattern application point: the point must still exist
+/// (PA020) and every prerequisite of the pattern must hold there (PA021).
+/// Returns all violations. These are the checks the default
+/// [`Pattern::applicable`] makes, itemised for a tool that reports them.
 pub fn check_application(
     ctx: &PatternContext<'_>,
     pattern: &dyn Pattern,
@@ -659,21 +613,19 @@ pub fn check_application(
 /// the full analyzer would emit for the same defect, resolving operation
 /// names back to node locations where possible.
 pub fn from_flow_error(flow: &EtlFlow, err: &FlowError) -> Diagnostic {
-    flow_error_diagnostic_at(Some(flow), err)
+    diagnostic_for(err, |name| node_by_name(flow, name))
 }
 
 /// [`from_flow_error`] without a flow to resolve locations against —
 /// everything points at [`Location::Graph`]. This is what error conversions
 /// in layers that no longer hold the flow use.
 pub fn flow_error_diagnostic(err: &FlowError) -> Diagnostic {
-    flow_error_diagnostic_at(None, err)
+    diagnostic_for(err, |_| Location::Graph)
 }
 
-fn flow_error_diagnostic_at(flow: Option<&EtlFlow>, err: &FlowError) -> Diagnostic {
-    let locate = |name: &str| {
-        flow.map(|f| node_by_name(f, name))
-            .unwrap_or(Location::Graph)
-    };
+/// The diagnostic for `err`, located by `locate` from the operation name
+/// the error carries.
+fn diagnostic_for(err: &FlowError, locate: impl Fn(&str) -> Location) -> Diagnostic {
     match err {
         FlowError::Empty => {
             Diagnostic::error(codes::EMPTY_FLOW, Location::Graph, "flow has no operations")
@@ -687,12 +639,14 @@ fn flow_error_diagnostic_at(flow: Option<&EtlFlow>, err: &FlowError) -> Diagnost
             codes::NON_EXTRACT_SOURCE,
             locate(name),
             format!("`{name}` has no inputs but is not an extract"),
-        ),
+        )
+        .with_suggestion("connect an upstream operation or make it an EXTRACT"),
         FlowError::NonLoadSink(name) => Diagnostic::error(
             codes::NON_LOAD_SINK,
             locate(name),
             format!("`{name}` has no outputs but is not a load"),
-        ),
+        )
+        .with_suggestion("connect a downstream operation or make it a LOAD"),
         FlowError::InputArity(name, actual, lo, hi) => Diagnostic::error(
             codes::INPUT_ARITY,
             locate(name),
@@ -1007,6 +961,33 @@ mod tests {
         f.connect(r, l).unwrap();
         let diags = well_formedness(&f);
         assert!(diags.iter().any(|d| d.code == codes::OUTPUT_ARITY));
+    }
+
+    #[test]
+    fn a_node_breaking_both_sides_reports_both() {
+        // a join fed by one extract and feeding nothing: input arity on one
+        // side, a non-load sink on the other
+        let mut f = EtlFlow::new("both");
+        let a = f.add_op(Operation::extract("src", schema()));
+        let j = f.add_op(Operation::new(
+            "J",
+            OpKind::Join {
+                left_key: "id".into(),
+                right_key: "id".into(),
+            },
+        ));
+        f.connect(a, j).unwrap();
+        let at_join: Vec<&str> = well_formedness(&f)
+            .iter()
+            .filter(|d| d.location == Location::Node(j))
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(at_join, vec![codes::INPUT_ARITY, codes::NON_LOAD_SINK]);
+        // the first of them is what the flow-level check reports
+        assert_eq!(
+            f.validate_degree(j),
+            Err(FlowError::InputArity("J".into(), 1, 2, 2))
+        );
     }
 
     #[test]

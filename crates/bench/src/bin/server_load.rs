@@ -26,7 +26,7 @@
 //! connection; per-request wall times are merged and reported as
 //! req/s plus p50/p90/p99/max latency, followed by a `/metrics` scrape
 //! summary (requests served, connections shed, snapshot writes, and
-//! combinations pruned by the static pre-screen).
+//! combinations pruned by the static screen).
 
 use poiesis::PlanRequest;
 use poiesis_server::{Client, PlanningService, Server, ServerConfig, SessionTemplate, StateStore};

@@ -394,7 +394,8 @@ pub struct PlanResponse {
     pub failed_applications: usize,
     /// Alternatives whose evaluation errored.
     pub failed_evaluations: usize,
-    /// Combinations pruned by the static pre-screen before evaluation.
+    /// Combinations whose applied flow failed the static screen, pruned
+    /// before evaluation.
     pub statically_rejected: usize,
     /// Combinations skipped by the bound-based dominance pre-pruner: their
     /// optimistic score bound was already dominated by the frontier.
@@ -881,67 +882,16 @@ impl FromJson for SessionSnapshot {
     }
 }
 
-/// The durable form of a whole
-/// [`SessionManager`](crate::SessionManager): every live session plus the
-/// handle counter (so handles are never reused across restarts).
+/// Every live session of a [`SessionManager`](crate::SessionManager) plus
+/// its handle counter, as [`SessionManager::snapshot`](crate::SessionManager::snapshot)
+/// captures them. Durable state is kept one [`SessionSnapshot`] per file;
+/// this whole-registry form has no codec of its own.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ManagerSnapshot {
     /// The next handle the manager would issue.
     pub next_id: u64,
     /// All live sessions, ascending by handle.
     pub sessions: Vec<SessionSnapshot>,
-}
-
-impl ToJson for ManagerSnapshot {
-    fn to_json(&self) -> Value {
-        Value::object([
-            ("next_id".to_string(), int(self.next_id as usize)),
-            (
-                "sessions".to_string(),
-                Value::Array(self.sessions.iter().map(|s| s.to_json()).collect()),
-            ),
-        ])
-    }
-}
-
-impl ManagerSnapshot {
-    /// Internal-consistency check across the whole snapshot: per-session
-    /// [`SessionSnapshot::validate`] plus the manager-level invariants —
-    /// unique handles, and a `next_id` strictly above every issued handle
-    /// (anything else would let a restored manager *reuse* a handle,
-    /// silently aliasing a dead session). Loaders
-    /// (`poiesis-server`'s `StateStore`) call this before restoring and
-    /// quarantine snapshots that fail it.
-    pub fn validate(&self) -> Result<(), String> {
-        let mut seen = std::collections::BTreeSet::new();
-        for session in &self.sessions {
-            if !seen.insert(session.id) {
-                return Err(format!("duplicate session handle {}", session.id));
-            }
-            if session.id >= self.next_id {
-                return Err(format!(
-                    "session handle {} >= next_id {} — restored handles would be reused",
-                    session.id, self.next_id
-                ));
-            }
-            session.validate()?;
-        }
-        Ok(())
-    }
-}
-
-impl FromJson for ManagerSnapshot {
-    fn from_json(v: &Value) -> Result<Self, JsonError> {
-        Ok(ManagerSnapshot {
-            next_id: v.get("next_id")?.as_usize("next_id")? as u64,
-            sessions: v
-                .get("sessions")?
-                .as_array("sessions")?
-                .iter()
-                .map(SessionSnapshot::from_json)
-                .collect::<Result<_, JsonError>>()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1013,12 +963,8 @@ mod tests {
                 scores: vec![120.0, 100.0],
             }],
         };
-        let manager = ManagerSnapshot {
-            next_id: 8,
-            sessions: vec![snapshot],
-        };
-        let back = ManagerSnapshot::from_json_str(&manager.to_json_string()).unwrap();
-        assert_eq!(back, manager);
+        let back = SessionSnapshot::from_json_str(&snapshot.to_json_string()).unwrap();
+        assert_eq!(back, snapshot);
     }
 
     #[test]
@@ -1145,36 +1091,20 @@ mod tests {
 
     #[test]
     fn consistent_snapshots_validate() {
-        let snapshot = ManagerSnapshot {
-            next_id: 5,
-            sessions: vec![plausible_session(1, 2), plausible_session(4, 0)],
-        };
-        assert_eq!(snapshot.validate(), Ok(()));
-        assert_eq!(ManagerSnapshot::default().validate(), Ok(()));
+        assert_eq!(plausible_session(1, 2).validate(), Ok(()));
+        assert_eq!(plausible_session(4, 0).validate(), Ok(()));
     }
 
     #[test]
     fn inconsistent_snapshots_fail_validation_with_the_violation_named() {
-        // duplicate handles
-        let snapshot = ManagerSnapshot {
-            next_id: 5,
-            sessions: vec![plausible_session(1, 0), plausible_session(1, 0)],
-        };
-        assert!(snapshot.validate().unwrap_err().contains("duplicate"));
-        // handle reuse: next_id not above an issued handle
-        let snapshot = ManagerSnapshot {
-            next_id: 2,
-            sessions: vec![plausible_session(2, 0)],
-        };
-        assert!(snapshot.validate().unwrap_err().contains("reused"));
         // history with a gap (cycle 2 lost — the classic torn recovery)
         let mut bad = plausible_session(1, 3);
         bad.history.remove(1);
-        let snapshot = ManagerSnapshot {
-            next_id: 2,
-            sessions: vec![bad],
-        };
-        assert!(snapshot.validate().unwrap_err().contains("cycle"));
+        assert!(bad.validate().unwrap_err().contains("cycle"));
+        // a record that selected nothing
+        let mut bad = plausible_session(1, 1);
+        bad.history[0].selected.clear();
+        assert!(bad.validate().unwrap_err().contains("selected nothing"));
         // an empty flow document can never rebuild a session
         let mut bad = plausible_session(1, 0);
         bad.flow_xlm = "  ".into();

@@ -28,7 +28,8 @@ pub fn apply_combination(
     for c in structural.into_iter().chain(graph_level) {
         applied.push(c.pattern.apply(&mut flow, c.point)?);
     }
-    // Validity of the result is checked by the planner's static pre-screen
+    // Each `apply` checks its pattern's preconditions on the flow it edits.
+    // Validity of the result is checked by the planner's static post-screen
     // (`PlannerConfig::prescreen`), not asserted here: a pattern that breaks
     // the flow must surface as a counted rejection, never a panic.
     Ok((flow, applied))

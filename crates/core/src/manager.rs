@@ -98,6 +98,15 @@ impl SessionManager {
         SessionManager::default()
     }
 
+    /// An empty manager that issues handles from `next_id` on: how a
+    /// restarted service resumes above every handle it issued before.
+    pub fn with_next_handle(next_id: u64) -> Self {
+        SessionManager {
+            slots: RwLock::default(),
+            next_id: AtomicU64::new(next_id),
+        }
+    }
+
     /// Validates `builder` and registers the resulting session, returning
     /// its handle.
     pub fn create(&self, builder: SessionBuilder) -> Result<SessionId, PoiesisError> {
@@ -221,7 +230,8 @@ impl SessionManager {
 
     // ------------------------------------------------------- persistence
 
-    /// Captures every live session as a serializable [`ManagerSnapshot`]:
+    /// Captures every live session as a [`ManagerSnapshot`] of
+    /// serializable [`SessionSnapshot`]s:
     /// the current flow as an xLM document, the planner configuration as
     /// the [`PlanRequest`] that reproduces it, the iteration history, and
     /// the handle counter (so restored managers never reuse handles).
@@ -231,7 +241,7 @@ impl SessionManager {
     /// `select`, and exploration's determinism makes that lossless.
     ///
     /// ```
-    /// use poiesis::{Poiesis, SessionManager, ToJson, FromJson, ManagerSnapshot};
+    /// use poiesis::{FromJson, Poiesis, SessionManager, SessionSnapshot, ToJson};
     /// use datagen::fig2::{purchases_catalog, purchases_flow};
     /// use datagen::DirtProfile;
     ///
@@ -242,10 +252,15 @@ impl SessionManager {
     /// let manager = SessionManager::new();
     /// let id = manager.create(base().budget(200)).unwrap();
     ///
-    /// // snapshot → JSON text → restore: the session survives, handle intact
-    /// let text = manager.snapshot().to_json_string();
-    /// let snapshot = ManagerSnapshot::from_json_str(&text).unwrap();
-    /// let restored = SessionManager::from_snapshot(&snapshot, base).unwrap();
+    /// // snapshot → one JSON document per session → restore: the session
+    /// // survives, handle intact
+    /// let snapshot = manager.snapshot();
+    /// let restored = SessionManager::with_next_handle(snapshot.next_id);
+    /// for session in &snapshot.sessions {
+    ///     let text = session.to_json_string();
+    ///     let session = SessionSnapshot::from_json_str(&text).unwrap();
+    ///     restored.restore(&session, base()).unwrap();
+    /// }
     /// assert_eq!(restored.ids(), vec![id]);
     /// assert!(restored.explore(id).is_ok());
     /// ```
@@ -260,16 +275,10 @@ impl SessionManager {
             .into_iter()
             .map(|(id, slot)| snapshot_slot(id, &slot.lock().expect("session slot")))
             .collect();
-        let snapshot = ManagerSnapshot {
+        ManagerSnapshot {
             next_id: self.next_handle(),
             sessions,
-        };
-        debug_assert!(
-            snapshot.validate().is_ok(),
-            "a live manager produced an inconsistent snapshot: {:?}",
-            snapshot.validate()
-        );
-        snapshot
+        }
     }
 
     /// Captures one session, locking only its slot — what an incremental
@@ -328,23 +337,6 @@ impl SessionManager {
         Ok(SessionId(snapshot.id))
     }
 
-    /// Rebuilds a whole manager from a [`ManagerSnapshot`], calling `base`
-    /// once per session for a fresh template builder. All-or-nothing: the
-    /// first session that fails to restore aborts the rebuild.
-    pub fn from_snapshot(
-        snapshot: &ManagerSnapshot,
-        base: impl Fn() -> SessionBuilder,
-    ) -> Result<SessionManager, PoiesisError> {
-        let manager = SessionManager::new();
-        for session in &snapshot.sessions {
-            manager.restore(session, base())?;
-        }
-        manager
-            .next_id
-            .fetch_max(snapshot.next_id, Ordering::SeqCst);
-        Ok(manager)
-    }
-
     /// Clones the slot handle out of the registry so the registry lock is
     /// released before any long-running work.
     fn slot(&self, id: SessionId) -> Result<Arc<Mutex<Slot>>, PoiesisError> {
@@ -368,6 +360,20 @@ mod tests {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(120, &DirtProfile::demo(), 5);
         Poiesis::session().flow(f).catalog(cat).budget(400)
+    }
+
+    /// Restores `snapshot` the way a restarting service does: a manager
+    /// issuing handles from the snapshot's counter, and each session
+    /// rebuilt from its own JSON document.
+    fn restore_all(snapshot: &ManagerSnapshot) -> SessionManager {
+        use crate::{FromJson, ToJson};
+        let manager = SessionManager::with_next_handle(snapshot.next_id);
+        for session in &snapshot.sessions {
+            let text = session.to_json_string();
+            let session = SessionSnapshot::from_json_str(&text).unwrap();
+            manager.restore(&session, builder()).unwrap();
+        }
+        manager
     }
 
     #[test]
@@ -439,7 +445,6 @@ mod tests {
 
     #[test]
     fn snapshot_round_trip_preserves_the_skyline() {
-        use crate::{FromJson, ToJson};
         let mgr = SessionManager::new();
         let id = mgr.create(builder()).unwrap();
         // advance the session one full cycle so the snapshot carries an
@@ -449,9 +454,7 @@ mod tests {
         let before = mgr.explore(id).unwrap();
 
         // snapshot → JSON text → restore (through the real wire form)
-        let text = mgr.snapshot().to_json_string();
-        let snapshot = crate::ManagerSnapshot::from_json_str(&text).unwrap();
-        let restored = SessionManager::from_snapshot(&snapshot, builder).unwrap();
+        let restored = restore_all(&mgr.snapshot());
 
         assert_eq!(restored.ids(), vec![id]);
         assert_eq!(restored.history(id).unwrap(), mgr.history(id).unwrap());
@@ -489,7 +492,7 @@ mod tests {
         let mgr = SessionManager::new();
         let id = mgr.create(builder()).unwrap();
         mgr.explore(id).unwrap();
-        let restored = SessionManager::from_snapshot(&mgr.snapshot(), builder).unwrap();
+        let restored = restore_all(&mgr.snapshot());
         // select before a fresh explore is the documented 409, not a replay
         assert_eq!(
             restored.select(id, 0),
@@ -503,7 +506,7 @@ mod tests {
         let a = mgr.create(builder()).unwrap();
         let b = mgr.create(builder()).unwrap();
         mgr.close(a).unwrap();
-        let restored = SessionManager::from_snapshot(&mgr.snapshot(), builder).unwrap();
+        let restored = restore_all(&mgr.snapshot());
         let c = restored.create(builder()).unwrap();
         assert!(c > b, "fresh handle {c} must exceed restored {b}");
     }
@@ -515,7 +518,7 @@ mod tests {
         let mut snapshot = mgr.snapshot();
         snapshot.sessions[0].flow_xlm = "<not-xlm/>".to_string();
         assert!(matches!(
-            SessionManager::from_snapshot(&snapshot, builder),
+            SessionManager::new().restore(&snapshot.sessions[0], builder()),
             Err(PoiesisError::Snapshot(_))
         ));
         // restoring onto an occupied handle is rejected, not overwritten

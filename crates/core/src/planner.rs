@@ -22,7 +22,7 @@ use crate::search::{CombinationSink, SearchSpace, SearchStrategy, SearchStrategy
 use crate::skyline::{Insertion, SkylineSet};
 use datagen::Catalog;
 use etl_model::EtlFlow;
-use fcp::{AppliedPattern, DeploymentPolicy, PatternContext, PatternRegistry};
+use fcp::{AppliedPattern, DeploymentPolicy, PatternRegistry};
 use quality::{Characteristic, MeasureVector, QualityReport, SourceStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,28 +60,29 @@ pub struct PlannerConfig {
     pub objective: Objective,
     /// RNG seed forwarded to simulation-mode evaluation.
     pub seed: u64,
-    /// Statically pre-screen every combination before evaluation: pattern
-    /// preconditions are checked against the base flow before the clone,
-    /// and the applied result is validated before the (much more expensive)
-    /// evaluation. Skipped combinations are counted in
-    /// [`PlannerOutcome::statically_rejected`] instead of surfacing as
-    /// apply- or evaluation-time failures. On by default; turning it off
-    /// restores the historical fail-at-evaluation behaviour.
+    /// Statically screen every applied combination before evaluation: an
+    /// applied flow that no longer validates is counted in
+    /// [`PlannerOutcome::statically_rejected`] instead of failing inside
+    /// the (much more expensive) evaluation. Pattern preconditions are not
+    /// screened here: each application checks its pattern's
+    /// [`applicable`](fcp::Pattern::applicable) on the flow it edits. On by
+    /// default; turning it off restores the historical fail-at-evaluation
+    /// behaviour.
     pub prescreen: bool,
-    /// Incremental application and screening of [`EvalMode::Estimate`]
-    /// cycles. The base flow's `Arc`-shared schema table is computed once
-    /// per cycle; each worker applies combinations on a prefix stack that
-    /// keeps the applied state a combination shares with its predecessor,
-    /// so a combination costs about one pattern application plus one
-    /// schema repair by [`etl_model::repair_table`] (re-propagated from
-    /// scratch when a repair reports `false`). The post-screen then checks
-    /// only the patched region's structure
-    /// ([`analysis::screen_delta_structural`]). Every fork is estimated
-    /// from scratch with [`quality::estimate`] in either mode. The
-    /// resulting alternatives are bit-identical to the non-incremental
-    /// path (enforced by tests), so this is on by default; turning it off
-    /// restores [`apply_combination`] plus a full [`analysis::screen`] per
-    /// combination. Ignored in [`EvalMode::Simulate`].
+    /// Incremental application and screening. The base flow's
+    /// `Arc`-shared schema table is computed once per cycle; each worker
+    /// applies combinations on a prefix stack that keeps the applied state
+    /// a combination shares with its predecessor, so a combination costs
+    /// about one pattern application plus one schema repair by
+    /// [`etl_model::repair_table`] (re-propagated from scratch when a
+    /// repair reports `false`). The post-screen then checks only the
+    /// patched region's structure ([`analysis::screen_delta_structural`]).
+    /// Every fork is scored from scratch in either mode, by
+    /// [`quality::estimate`] or by simulation ([`EvalMode`]). The resulting
+    /// alternatives are bit-identical to the non-incremental path (enforced
+    /// by tests), so this is on by default; turning it off restores
+    /// [`apply_combination`] plus a full [`analysis::screen`] per
+    /// combination, the oracle the tests compare against.
     pub delta_eval: bool,
     /// Bound-based dominance pre-pruning: before a combination is even
     /// forked, its sound optimistic score bound
@@ -143,17 +144,20 @@ pub struct PlannerOutcome {
     pub stats: SpaceStats,
     /// Alternatives rejected by policy measure constraints.
     pub rejected_by_constraints: usize,
-    /// Combinations that failed during application (conflicts discovered
-    /// at apply time).
+    /// Combinations that failed during application: a candidate whose
+    /// pattern is not [`applicable`](fcp::Pattern::applicable) on the flow
+    /// it would edit (a conflict with an earlier candidate, or a point its
+    /// preconditions do not hold at), or an edit that errored.
     pub failed_applications: usize,
     /// Alternatives whose evaluation errored; they are skipped rather than
     /// aborting the cycle, so one bad simulation no longer discards
     /// thousands of good designs.
     pub failed_evaluations: usize,
-    /// Combinations pruned by the static pre-screen
-    /// ([`PlannerConfig::prescreen`]) before any evaluation: a pattern
-    /// precondition did not hold on the base flow, or the applied result
-    /// failed flow validation.
+    /// Combinations dropped by the static post-screen
+    /// ([`PlannerConfig::prescreen`]) before any evaluation: the applied
+    /// result failed flow validation. A candidate whose preconditions do
+    /// not hold fails its application and counts in
+    /// [`failed_applications`](Self::failed_applications) instead.
     pub statically_rejected: usize,
     /// Combinations skipped by the bound-based dominance pre-pruner
     /// ([`PlannerConfig::bound_prune`]): their optimistic score bound was
@@ -327,11 +331,9 @@ impl Planner {
     /// user-defined) search strategy — the streaming engine.
     pub fn plan_with(&self, strategy: &dyn SearchStrategy) -> Result<PlannerOutcome, PoiesisError> {
         let (baseline, candidates, schemas) = self.prepare()?;
-        let precheck = self.precheck_context()?;
         // `prepare` propagated the table once for the whole cycle; the
         // incremental apply carries it from there.
-        let schemas = (self.config.delta_eval && self.config.eval_mode == EvalMode::Estimate)
-            .then_some(schemas);
+        let schemas = self.config.delta_eval.then_some(schemas);
         let labels = LabelTable::new(&candidates);
         // The pruner activates only where a skipped combination is provably
         // unobservable — see [`PlannerConfig::bound_prune`].
@@ -339,15 +341,8 @@ impl Planner {
             && !self.config.retain_dominated
             && !strategy.uses_steering()
             && self.config.eval_mode == EvalMode::Estimate;
-        let engine = StreamingEngine::new(
-            self,
-            &baseline,
-            &candidates,
-            precheck,
-            schemas,
-            labels,
-            bound_prune,
-        );
+        let engine =
+            StreamingEngine::new(self, &baseline, &candidates, schemas, labels, bound_prune);
         let space = SearchSpace {
             candidates: &candidates,
             policy: &self.config.policy,
@@ -378,45 +373,21 @@ impl Planner {
         ))
     }
 
-    /// The pattern context the engine pre-screens candidate
-    /// preconditions against, or `None` when
-    /// [`PlannerConfig::prescreen`] is off. Built once per cycle over the
-    /// base flow — combinations only ever fork the base, so one context
-    /// serves every check.
-    fn precheck_context(&self) -> Result<Option<PatternContext<'_>>, PoiesisError> {
-        if !self.config.prescreen {
-            return Ok(None);
-        }
-        PatternContext::new(&self.flow)
-            .map(Some)
-            .map_err(|e| PoiesisError::Pattern(e.to_string()))
-    }
-
-    /// The prescreen → apply → post-screen pipeline of one combination:
-    /// checks every candidate's preconditions against the base flow,
-    /// forks and applies the combination, and screens the applied result —
-    /// incrementally on `stack` when the cycle carries the base's schema
-    /// table (`schemas`).
+    /// The apply → post-screen pipeline of one combination: forks and
+    /// applies the combination — incrementally on `stack` when the cycle
+    /// carries the base's schema table (`schemas`) — and screens the
+    /// applied result. Each application checks its pattern's
+    /// [`applicable`](fcp::Pattern::applicable) against the flow it edits,
+    /// so a candidate whose preconditions do not hold fails here as an
+    /// application.
     fn realize_combination(
         &self,
         stack: &mut PrefixStack,
         combo: &[usize],
         candidates: &[Candidate],
         labels: &LabelTable,
-        precheck: Option<&PatternContext<'_>>,
         schemas: Option<&etl_model::SchemaTable>,
     ) -> Realization {
-        let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
-        if let Some(ctx) = precheck {
-            // precondition screen: every candidate must hold on the base
-            // flow *before* we pay for the fork
-            if refs
-                .iter()
-                .any(|c| !analysis::check_application(ctx, c.pattern.as_ref(), c.point).is_empty())
-            {
-                return Realization::Screened;
-            }
-        }
         let name = labels.name(&self.flow, combo);
         // With the base schema table, apply incrementally: the table is
         // carried across the combination's applications (O(patch) per step)
@@ -429,17 +400,20 @@ impl Planner {
                     None => return Realization::ApplyFailed,
                 }
             }
-            None => match apply_combination(&self.flow, &refs, name.clone()) {
-                Ok((f, a)) => (f, a, None),
-                Err(_) => return Realization::ApplyFailed,
-            },
+            None => {
+                let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
+                match apply_combination(&self.flow, &refs, name.clone()) {
+                    Ok((f, a)) => (f, a, None),
+                    Err(_) => return Realization::ApplyFailed,
+                }
+            }
         };
         // structural screen: an applied flow that no longer validates would
         // only fail later (and more expensively) inside evaluation. The
         // incremental apply has already settled the schema verdict and
         // computed the fork's copy-on-write delta, so only the patched
         // region's structure is checked there.
-        if precheck.is_some() {
+        if self.config.prescreen {
             let invalid = match carried {
                 Some(CarriedTable::Broken(_)) => true,
                 Some(CarriedTable::Exact { cow }) => {
@@ -508,9 +482,11 @@ enum Realization {
         applied: Vec<AppliedPattern>,
         name: String,
     },
-    /// Dropped by the static pre- or post-screen.
+    /// Dropped by the static post-screen: the applied flow does not
+    /// validate.
     Screened,
-    /// The application itself failed (conflicting candidates).
+    /// The application itself failed: a candidate was not applicable on
+    /// the flow it would edit, or its edit errored.
     ApplyFailed,
 }
 
@@ -550,9 +526,6 @@ struct StreamingEngine<'a> {
     /// Goal axes, resolved from the objective once per cycle.
     dimensions: Vec<Characteristic>,
     retain_dominated: bool,
-    /// Base-flow pattern context the static pre-screen checks candidate
-    /// preconditions against; `None` when pre-screening is disabled.
-    precheck: Option<PatternContext<'a>>,
     /// The base flow's schema table, carried by the incremental apply
     /// ([`PlannerConfig::delta_eval`]); `None` when it does not apply to
     /// this cycle.
@@ -584,7 +557,6 @@ impl<'a> StreamingEngine<'a> {
         planner: &'a Planner,
         baseline: &'a MeasureVector,
         candidates: &'a [Candidate],
-        precheck: Option<PatternContext<'a>>,
         schemas: Option<etl_model::SchemaTable>,
         labels: LabelTable,
         bound_prune: bool,
@@ -601,7 +573,6 @@ impl<'a> StreamingEngine<'a> {
             candidates,
             dimensions: planner.config.objective.characteristics(),
             retain_dominated: planner.config.retain_dominated,
-            precheck,
             schemas,
             labels,
             gain_profiles,
@@ -657,7 +628,6 @@ impl<'a> StreamingEngine<'a> {
             combo,
             self.candidates,
             &self.labels,
-            self.precheck.as_ref(),
             self.schemas.as_ref(),
         ) {
             Realization::Ready {
@@ -1192,7 +1162,8 @@ mod tests {
     fn non_applicable_points_are_prescreened() {
         // A pattern that advertises points without honouring its own
         // prerequisites (a buggy `candidate_points` override): the
-        // precondition screen must drop those combinations before apply.
+        // application's `applicable` check must fail those combinations
+        // before the pattern's edit runs.
         struct WrongPoint;
         impl fcp::Pattern for WrongPoint {
             fn name(&self) -> &str {
@@ -1217,7 +1188,7 @@ mod tests {
                 _point: fcp::ApplicationPoint,
                 _schemas: &etl_model::SchemaTable,
             ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
-                panic!("a prescreened pattern must never reach apply");
+                panic!("an inapplicable point must never reach apply_unchecked");
             }
         }
 
@@ -1235,12 +1206,46 @@ mod tests {
         let p = Planner::new(f, cat, reg, config);
         let out = p.plan().unwrap();
         assert!(
-            out.statically_rejected > 0,
-            "the wrong point must be pruned"
+            out.failed_applications > 0,
+            "the wrong point must fail its application"
         );
-        assert_eq!(out.failed_applications, 0);
+        assert_eq!(out.statically_rejected, 0);
         assert_eq!(out.failed_evaluations, 0);
         assert!(!out.alternatives.is_empty(), "good designs must survive");
+    }
+
+    /// A pattern whose application breaks the flow: it rewrites the
+    /// filter predicate over a column that does not exist.
+    struct GhostColumn;
+    impl fcp::Pattern for GhostColumn {
+        fn name(&self) -> &str {
+            "GhostColumn"
+        }
+        fn improves(&self) -> Characteristic {
+            Characteristic::DataQuality
+        }
+        fn prerequisites(&self) -> Vec<fcp::Prerequisite> {
+            vec![]
+        }
+        fn candidate_points(&self, _ctx: &fcp::PatternContext<'_>) -> Vec<fcp::ApplicationPoint> {
+            vec![fcp::ApplicationPoint::Graph]
+        }
+        fn apply_unchecked(
+            &self,
+            flow: &mut EtlFlow,
+            point: fcp::ApplicationPoint,
+            _schemas: &etl_model::SchemaTable,
+        ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
+            let n = flow.ops_of_kind("filter")[0];
+            if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {
+                *predicate = etl_model::expr::Expr::col("__ghost__");
+            }
+            Ok(fcp::AppliedPattern {
+                pattern: "GhostColumn".into(),
+                point,
+                added_nodes: vec![],
+            })
+        }
     }
 
     #[test]
@@ -1250,41 +1255,6 @@ mod tests {
         // screen on, the broken designs are counted as static rejections
         // and evaluation never sees them; with it off, the same workload
         // pays for the failures at evaluation time.
-        struct GhostColumn;
-        impl fcp::Pattern for GhostColumn {
-            fn name(&self) -> &str {
-                "GhostColumn"
-            }
-            fn improves(&self) -> Characteristic {
-                Characteristic::DataQuality
-            }
-            fn prerequisites(&self) -> Vec<fcp::Prerequisite> {
-                vec![]
-            }
-            fn candidate_points(
-                &self,
-                _ctx: &fcp::PatternContext<'_>,
-            ) -> Vec<fcp::ApplicationPoint> {
-                vec![fcp::ApplicationPoint::Graph]
-            }
-            fn apply_unchecked(
-                &self,
-                flow: &mut EtlFlow,
-                point: fcp::ApplicationPoint,
-                _schemas: &etl_model::SchemaTable,
-            ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
-                let n = flow.ops_of_kind("filter")[0];
-                if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {
-                    *predicate = etl_model::expr::Expr::col("__ghost__");
-                }
-                Ok(fcp::AppliedPattern {
-                    pattern: "GhostColumn".into(),
-                    point,
-                    added_nodes: vec![],
-                })
-            }
-        }
-
         let run = |prescreen: bool| {
             let (f, _) = purchases_flow();
             let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
@@ -1359,41 +1329,6 @@ mod tests {
         // The delta post-screen must reject exactly the combinations the
         // full screen rejects (a pattern whose application breaks schema
         // consistency), with identical counters.
-        struct GhostColumn;
-        impl fcp::Pattern for GhostColumn {
-            fn name(&self) -> &str {
-                "GhostColumn"
-            }
-            fn improves(&self) -> Characteristic {
-                Characteristic::DataQuality
-            }
-            fn prerequisites(&self) -> Vec<fcp::Prerequisite> {
-                vec![]
-            }
-            fn candidate_points(
-                &self,
-                _ctx: &fcp::PatternContext<'_>,
-            ) -> Vec<fcp::ApplicationPoint> {
-                vec![fcp::ApplicationPoint::Graph]
-            }
-            fn apply_unchecked(
-                &self,
-                flow: &mut EtlFlow,
-                point: fcp::ApplicationPoint,
-                _schemas: &etl_model::SchemaTable,
-            ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
-                let n = flow.ops_of_kind("filter")[0];
-                if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {
-                    *predicate = etl_model::expr::Expr::col("__ghost__");
-                }
-                Ok(fcp::AppliedPattern {
-                    pattern: "GhostColumn".into(),
-                    point,
-                    added_nodes: vec![],
-                })
-            }
-        }
-
         let run = |delta_eval: bool| {
             let (f, _) = purchases_flow();
             let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
@@ -1413,5 +1348,46 @@ mod tests {
         assert_eq!(fast.statically_rejected, slow.statically_rejected);
         assert_eq!(fast.failed_evaluations, 0);
         assert_eq!(fast.skyline_names(), slow.skyline_names());
+    }
+
+    #[test]
+    fn simulate_cycles_on_the_prefix_stack_equal_the_oracle() {
+        // Simulate cycles apply on the prefix stack too. They must equal the
+        // `delta_eval: false` oracle (`apply_combination` plus a full
+        // screen) exactly, broken applications included.
+        let run = |delta_eval: bool| {
+            let (f, _) = purchases_flow();
+            let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
+            let mut reg = PatternRegistry::standard_for_catalog(&cat);
+            reg.register(GhostColumn);
+            let config = PlannerConfig {
+                eval_mode: EvalMode::Simulate,
+                policy: DeploymentPolicy::exhaustive(2),
+                delta_eval,
+                ..PlannerConfig::default()
+            };
+            Planner::new(f, cat, reg, config).plan().unwrap()
+        };
+        let stack = run(true);
+        let oracle = run(false);
+        assert!(!stack.stats.truncated, "the whole space is walked");
+        assert!(stack.statically_rejected > 0, "broken flows must be pruned");
+        assert_eq!(stack.stats, oracle.stats);
+        assert_eq!(stack.skyline, oracle.skyline);
+        assert_eq!(stack.alternatives.len(), oracle.alternatives.len());
+        let bits = |m: &MeasureVector| -> Vec<(MeasureId, u64)> {
+            m.iter().map(|(id, v)| (id, v.to_bits())).collect()
+        };
+        for (a, b) in stack.alternatives.iter().zip(&oracle.alternatives) {
+            assert_eq!(a.name, b.name);
+            assert_eq!(bits(&a.measures), bits(&b.measures), "for {}", a.name);
+        }
+        assert_eq!(stack.statically_rejected, oracle.statically_rejected);
+        assert_eq!(stack.failed_applications, oracle.failed_applications);
+        assert_eq!(stack.failed_evaluations, oracle.failed_evaluations);
+        assert_eq!(
+            stack.rejected_by_constraints,
+            oracle.rejected_by_constraints
+        );
     }
 }

@@ -126,6 +126,34 @@ impl fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
+/// One side of an operation's degree rule that the operation breaks, as
+/// [`EtlFlow::degree_violations`] reports it: the [`FlowError`] without the
+/// operation's name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DegreeViolation {
+    /// No inputs, but not an extract.
+    NonExtractSource,
+    /// No outputs, but not a load.
+    NonLoadSink,
+    /// Input count outside the kind's arity. `(actual, min, max)`.
+    InputArity(usize, usize, usize),
+    /// Output count outside the kind's arity. `(actual, min, max)`.
+    OutputArity(usize, usize, usize),
+}
+
+impl DegreeViolation {
+    /// The error this violation is for the operation named `name`.
+    pub fn into_error(self, name: &str) -> FlowError {
+        let name = name.to_string();
+        match self {
+            DegreeViolation::NonExtractSource => FlowError::NonExtractSource(name),
+            DegreeViolation::NonLoadSink => FlowError::NonLoadSink(name),
+            DegreeViolation::InputArity(a, lo, hi) => FlowError::InputArity(name, a, lo, hi),
+            DegreeViolation::OutputArity(a, lo, hi) => FlowError::OutputArity(name, a, lo, hi),
+        }
+    }
+}
+
 impl From<GraphError> for FlowError {
     fn from(e: GraphError) -> Self {
         FlowError::Graph(e)
@@ -238,31 +266,44 @@ impl EtlFlow {
             .try_for_each(|id| self.validate_degree(id))
     }
 
-    /// The per-operation rules of [`validate_structure`](Self::validate_structure):
-    /// only extracts may lack inputs, only loads may lack outputs, and the
-    /// input and output counts must lie within the kind's arity. A removed
-    /// id passes.
+    /// The per-operation rules of [`validate_structure`](Self::validate_structure),
+    /// as the first of [`degree_violations`](Self::degree_violations).
     pub fn validate_degree(&self, id: NodeId) -> Result<(), FlowError> {
+        let [input, output] = self.degree_violations(id);
+        match (input.or(output), self.op(id)) {
+            (Some(v), Some(op)) => Err(v.into_error(&op.name)),
+            _ => Ok(()),
+        }
+    }
+
+    /// The degree rules of one operation, `[input side, output side]`:
+    /// only extracts may lack inputs, only loads may lack outputs, and the
+    /// input and output counts must lie within the kind's arity. A side
+    /// whose degree is 0 against its role reports the role violation, not
+    /// the arity one. A removed id breaks none. Allocation-free, so
+    /// screens can run it for every touched node.
+    pub fn degree_violations(&self, id: NodeId) -> [Option<DegreeViolation>; 2] {
         let Some(op) = self.op(id) else {
-            return Ok(());
+            return [None, None];
         };
-        let ins = self.graph.in_degree(id);
-        let outs = self.graph.out_degree(id);
-        if ins == 0 && !matches!(op.kind, OpKind::Extract { .. }) {
-            return Err(FlowError::NonExtractSource(op.name.clone()));
-        }
-        if outs == 0 && !matches!(op.kind, OpKind::Load { .. }) {
-            return Err(FlowError::NonLoadSink(op.name.clone()));
-        }
+        let (ins, outs) = (self.graph.in_degree(id), self.graph.out_degree(id));
         let (ilo, ihi) = op.kind.input_arity();
-        if ins < ilo || ins > ihi {
-            return Err(FlowError::InputArity(op.name.clone(), ins, ilo, ihi));
-        }
         let (olo, ohi) = op.kind.output_arity();
-        if outs < olo || outs > ohi {
-            return Err(FlowError::OutputArity(op.name.clone(), outs, olo, ohi));
-        }
-        Ok(())
+        let input = if ins == 0 && !matches!(op.kind, OpKind::Extract { .. }) {
+            Some(DegreeViolation::NonExtractSource)
+        } else if !(ilo..=ihi).contains(&ins) {
+            Some(DegreeViolation::InputArity(ins, ilo, ihi))
+        } else {
+            None
+        };
+        let output = if outs == 0 && !matches!(op.kind, OpKind::Load { .. }) {
+            Some(DegreeViolation::NonLoadSink)
+        } else if !(olo..=ohi).contains(&outs) {
+            Some(DegreeViolation::OutputArity(outs, olo, ohi))
+        } else {
+            None
+        };
+        [input, output]
     }
 
     /// Operations in topological order; requires an acyclic flow.

@@ -50,7 +50,7 @@ mod propagate;
 mod types;
 mod value;
 
-pub use flow::{Channel, EtlFlow, FlowConfig, FlowError, ResourceClass};
+pub use flow::{Channel, DegreeViolation, EtlFlow, FlowConfig, FlowError, ResourceClass};
 pub use op::{AggFunc, CostParams, OpKind, Operation};
 pub use propagate::{
     column_sources, propagate_schemas, repair_table, ColumnRef, ColumnSource, SchemaError,

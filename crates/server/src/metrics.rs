@@ -192,8 +192,8 @@ impl Metrics {
         self.snapshot_quarantines.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts combinations pruned by the planner's static pre-screen
-    /// during one explore cycle.
+    /// Counts combinations pruned by the planner's static screen during
+    /// one explore cycle.
     pub fn record_static_rejections(&self, n: usize) {
         if n > 0 {
             self.static_rejections
@@ -300,7 +300,7 @@ impl Metrics {
         ));
 
         out.push_str(
-            "# HELP poiesis_static_rejections_total Combinations pruned by the static pre-screen before evaluation.\n",
+            "# HELP poiesis_static_rejections_total Combinations whose applied flow failed the static screen before evaluation.\n",
         );
         out.push_str("# TYPE poiesis_static_rejections_total counter\n");
         out.push_str(&format!(

@@ -34,9 +34,8 @@
 //! (the evidence is kept, never silently deleted) and reported, while
 //! every other session loads. A fault therefore costs the session it
 //! touched, not the registry. A corrupt `next_id` is quarantined the same
-//! way and rebuilt above the highest handle on disk. The strict
-//! [`StateStore::load`] (error, no quarantine) remains for callers that
-//! want to inspect rather than recover.
+//! way and rebuilt above the highest handle on disk. This is the one way
+//! state is read back.
 //!
 //! A `sessions.json` left by the earlier whole-registry format is not
 //! read; startup reports it so an operator can see why its sessions are
@@ -129,15 +128,25 @@ pub struct Recovered {
 ///
 /// ```
 /// use poiesis_server::StateStore;
-/// use poiesis::ManagerSnapshot;
+/// use poiesis::{PlanRequest, SessionSnapshot};
 ///
 /// let dir = std::env::temp_dir().join(format!("poiesis-doc-{}", std::process::id()));
 /// let store = StateStore::open(&dir).unwrap();
-/// assert!(store.load().unwrap().is_none()); // nothing persisted yet
+/// let fresh = store.load_or_quarantine().unwrap();
+/// assert!(fresh.sessions.is_empty()); // nothing persisted yet
 ///
-/// store.save(&ManagerSnapshot::default()).unwrap();
-/// let restored = store.load().unwrap().expect("snapshot exists");
-/// assert_eq!(restored.sessions.len(), 0);
+/// let session = SessionSnapshot {
+///     id: 0,
+///     base_name: "purchases".into(),
+///     flow_xlm: "<design/>".into(),
+///     request: PlanRequest::default(),
+///     history: Vec::new(),
+/// };
+/// store.reserve_handle(session.id).unwrap();
+/// store.write_session(&session).unwrap();
+/// let restored = store.load_or_quarantine().unwrap();
+/// assert_eq!(restored.sessions, vec![session]);
+/// assert!(restored.quarantined.is_empty());
 /// # std::fs::remove_dir_all(&dir).ok();
 /// ```
 #[derive(Debug)]
@@ -268,33 +277,6 @@ impl StateStore {
             }
         }
         Ok(())
-    }
-
-    /// Reads the durable state strictly. `Ok(None)` when nothing has ever
-    /// been written; any unreadable, corrupt or inconsistent file is a
-    /// loud error and every file is left untouched. Startup paths want
-    /// [`load_or_quarantine`](Self::load_or_quarantine) instead.
-    pub fn load(&self) -> Result<Option<ManagerSnapshot>, String> {
-        let ids = self
-            .session_ids()
-            .map_err(|e| format!("listing {}: {e}", self.dir.display()))?;
-        let next_id = match self.read_next_id()? {
-            Some(next_id) => next_id,
-            None if ids.is_empty() => return Ok(None),
-            None => {
-                return Err(format!(
-                    "{} has sessions but no {NEXT_ID}",
-                    self.dir.display()
-                ))
-            }
-        };
-        // Each file passes every check `ManagerSnapshot::validate` makes;
-        // handles are unique because file names are.
-        let sessions = ids
-            .into_iter()
-            .map(|id| self.read_session(id, next_id))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some(ManagerSnapshot { next_id, sessions }))
     }
 
     /// The startup gate: loads every session file that passes its checks
@@ -441,17 +423,33 @@ mod tests {
         }
     }
 
+    /// What [`StateStore::load_or_quarantine`] recovers from a store
+    /// whose files all pass their checks; asserts that none was
+    /// quarantined.
+    fn clean_load(store: &StateStore) -> ManagerSnapshot {
+        let recovered = store.load_or_quarantine().unwrap();
+        assert!(
+            recovered.quarantined.is_empty(),
+            "{:?}",
+            recovered.quarantined
+        );
+        ManagerSnapshot {
+            next_id: recovered.next_id,
+            sessions: recovered.sessions,
+        }
+    }
+
     #[test]
     fn load_of_a_fresh_store_is_none_and_save_round_trips() {
         let dir = scratch("fresh");
         let store = StateStore::open(&dir).unwrap();
-        assert_eq!(store.load().unwrap(), None);
+        assert_eq!(store.load_or_quarantine().unwrap(), Recovered::default());
         let snapshot = ManagerSnapshot {
             next_id: 3,
             sessions: vec![session(0, 1), session(2, 0)],
         };
         store.save(&snapshot).unwrap();
-        assert_eq!(store.load().unwrap(), Some(snapshot));
+        assert_eq!(clean_load(&store), snapshot);
         // one file per session, and the temp files never linger
         assert!(store.session_path(0).exists() && store.session_path(2).exists());
         assert!(!store.path().join("0.json.tmp").exists());
@@ -461,19 +459,8 @@ mod tests {
             sessions: vec![session(2, 1)],
         };
         store.save(&smaller).unwrap();
-        assert_eq!(store.load().unwrap(), Some(smaller));
+        assert_eq!(clean_load(&store), smaller);
         assert!(!store.session_path(0).exists());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_snapshots_error_instead_of_serving_empty() {
-        let dir = scratch("corrupt");
-        let store = StateStore::open(&dir).unwrap();
-        store.write_next_id(1).unwrap();
-        fs::write(store.session_path(0), "{definitely not a snapshot").unwrap();
-        assert!(store.load().unwrap_err().contains("corrupt"));
-        assert!(store.session_path(0).exists(), "strict load moves nothing");
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -521,7 +508,6 @@ mod tests {
         gapped.history.remove(0);
         store.write_session(&gapped).unwrap();
         store.write_session(&session(2, 1)).unwrap();
-        assert!(store.load().unwrap_err().contains("inconsistent"));
 
         let recovered = store.load_or_quarantine().unwrap();
         assert_eq!(recovered.sessions, vec![session(2, 1)]);
@@ -554,10 +540,7 @@ mod tests {
         hook.arm(TornWrite::TempOnly { keep_bytes: 4 });
         store.write_session(&session(0, 2)).unwrap();
         assert!(!hook.is_armed(), "hook disarms after one write");
-        assert_eq!(
-            store.load().unwrap().unwrap().sessions,
-            vec![a.clone(), b.clone()]
-        );
+        assert_eq!(clean_load(&store).sessions, vec![a.clone(), b.clone()]);
 
         // Final: torn bytes land in 0.json — only that session is
         // quarantined on load, the other restores
@@ -569,7 +552,7 @@ mod tests {
 
         // the next honest write re-establishes durability
         store.write_session(&a).unwrap();
-        assert_eq!(store.load().unwrap().unwrap().sessions, vec![a, b]);
+        assert_eq!(clean_load(&store).sessions, vec![a, b]);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -583,7 +566,7 @@ mod tests {
         assert!(!store.session_path(0).exists());
         // removing twice is not an error: a racing close already did it
         store.remove_session(0).unwrap();
-        let state = store.load().unwrap().unwrap();
+        let state = clean_load(&store);
         assert!(state.sessions.is_empty());
         assert_eq!(state.next_id, 1, "the high-water mark outlives the file");
         fs::remove_dir_all(&dir).ok();
@@ -593,7 +576,7 @@ mod tests {
     fn handles_are_reserved_a_block_at_a_time() {
         let dir = scratch("reserve");
         let store = StateStore::open(&dir).unwrap();
-        let mark = || store.load().unwrap().unwrap().next_id;
+        let mark = || clean_load(&store).next_id;
         store.reserve_handle(0).unwrap();
         assert_eq!(mark(), HANDLE_BLOCK);
         // covered handles write nothing
@@ -618,7 +601,7 @@ mod tests {
         assert_eq!(recovered.sessions, vec![session(3, 1)]);
         assert_eq!(recovered.quarantined.len(), 1);
         assert!(store.path().join("next_id.corrupt").exists());
-        assert_eq!(store.load().unwrap().unwrap().next_id, 4);
+        assert_eq!(clean_load(&store).next_id, 4);
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -626,18 +609,19 @@ mod tests {
     fn a_legacy_registry_file_and_foreign_names_are_not_read() {
         let dir = scratch("legacy");
         fs::create_dir_all(&dir).unwrap();
-        let old = ManagerSnapshot {
-            next_id: 1,
-            sessions: vec![session(0, 1)],
-        };
-        fs::write(dir.join("sessions.json"), old.to_json_string()).unwrap();
+        let old = format!(
+            "{{\"next_id\":1,\"sessions\":[{}]}}",
+            session(0, 1).to_json_string()
+        );
+        fs::write(dir.join("sessions.json"), old).unwrap();
         let store = StateStore::open(&dir).unwrap();
         // nor is a file whose name is not a handle's canonical form
         fs::write(store.path().join("00.json"), "{}").unwrap();
-        assert_eq!(store.load().unwrap(), None);
         let recovered = store.load_or_quarantine().unwrap();
         assert_eq!(recovered.legacy, Some(dir.join("sessions.json")));
         assert!(recovered.sessions.is_empty());
+        assert!(recovered.quarantined.is_empty());
+        assert_eq!(recovered.next_id, 0);
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,9 @@
 //! The accept loop hands each connection to a fixed pool of worker
 //! threads (sized to [`std::thread::available_parallelism`] by default)
 //! through a **bounded** hand-off of [`ServerConfig::queue`] waiting
-//! slots, and starts accepting only once every worker has started. When
+//! slots; a worker counts as idle from the moment it is spawned, so a
+//! connection accepted before any worker has been scheduled still waits
+//! for one instead of being shed. When
 //! every worker is busy and the queue is full, the server *sheds*: the
 //! connection is answered immediately with `503` + `Retry-After`
 //! ([`ServerConfig::retry_after`]) and closed, and
@@ -29,7 +31,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
-use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -148,12 +150,10 @@ impl Server {
         let threads = self.config.effective_threads();
         let metrics = Arc::clone(self.service.metrics());
         let handoff = Arc::new(Handoff::new(threads));
-        let started = Arc::new(Barrier::new(threads + 1));
 
         let workers: Vec<thread::JoinHandle<()>> = (0..threads)
             .map(|i| {
                 let handoff = Arc::clone(&handoff);
-                let started = Arc::clone(&started);
                 let service = Arc::clone(&self.service);
                 let config = self.config.clone();
                 let shutdown = shutdown.clone();
@@ -161,7 +161,6 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("poiesis-http-{i}"))
                     .spawn(move || {
-                        started.wait();
                         // `None` once the hand-off is closed and drained
                         while let Some(stream) = handoff.take() {
                             // a panicking handler must cost one connection,
@@ -195,8 +194,6 @@ impl Server {
                 .expect("spawn shedder")
         };
 
-        // every worker is running before the first connection is accepted
-        started.wait();
         let mut served = 0usize;
         for stream in self.listener.incoming() {
             if shutdown.is_shutting_down() {

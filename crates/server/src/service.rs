@@ -13,8 +13,7 @@ use crate::metrics::Metrics;
 use crate::persist::StateStore;
 use crate::route::Route;
 use poiesis::{
-    FromJson, IterationRecord, ManagerSnapshot, PlanRequest, PoiesisError, SessionId,
-    SessionManager, ToJson,
+    FromJson, IterationRecord, PlanRequest, PoiesisError, SessionId, SessionManager, ToJson,
 };
 use serde::json::Value;
 use std::sync::{Arc, Mutex};
@@ -137,16 +136,9 @@ impl PlanningService {
             );
             self.metrics.record_snapshot_quarantine();
         }
-        // An empty snapshot carries the high-water mark into the manager.
-        let template = &self.template;
-        let high_water = ManagerSnapshot {
-            next_id: recovered.next_id,
-            sessions: Vec::new(),
-        };
-        let manager = SessionManager::from_snapshot(&high_water, || template.builder())
-            .expect("an empty snapshot always restores");
+        let manager = SessionManager::with_next_handle(recovered.next_id);
         for session in &recovered.sessions {
-            if let Err(e) = manager.restore(session, template.builder()) {
+            if let Err(e) = manager.restore(session, self.template.builder()) {
                 let to = store
                     .quarantine_session(session.id)
                     .map_err(quarantine_error)?;
@@ -721,6 +713,18 @@ mod tests {
             .unwrap()
     }
 
+    /// The sessions on disk, as a restart would load them; asserts that
+    /// every file passes the startup checks.
+    fn on_disk(store: &StateStore) -> crate::persist::Recovered {
+        let recovered = store.load_or_quarantine().unwrap();
+        assert!(
+            recovered.quarantined.is_empty(),
+            "{:?}",
+            recovered.quarantined
+        );
+        recovered
+    }
+
     #[test]
     fn mutations_rewrite_the_durable_snapshot() {
         let dir = std::env::temp_dir().join(format!("poiesis-svc-{}", std::process::id()));
@@ -730,7 +734,7 @@ mod tests {
         let first = created_id(&svc);
         let store = StateStore::open(&dir).unwrap();
         assert!(store.session_path(first).exists(), "create writes its file");
-        assert_eq!(store.load().unwrap().unwrap().sessions.len(), 1);
+        assert_eq!(on_disk(&store).sessions.len(), 1);
         drop(svc);
 
         // a second service over the same store resumes the session, and a
@@ -746,9 +750,9 @@ mod tests {
             "{\"rank\":0}",
         ));
         assert_eq!(selected.status, 200, "{}", selected.body);
-        let on_disk = store.load().unwrap().unwrap();
-        assert_eq!(on_disk.sessions.len(), 2);
-        assert_eq!(on_disk.sessions[1].history.len(), 1, "select rewrote it");
+        let state = on_disk(&store);
+        assert_eq!(state.sessions.len(), 2);
+        assert_eq!(state.sessions[1].history.len(), 1, "select rewrote it");
         assert_eq!(
             std::fs::read(store.session_path(first)).unwrap(),
             restored_bytes
@@ -757,10 +761,10 @@ mod tests {
         // closing deletes the session's file…
         resumed.handle(&request("DELETE", &format!("/sessions/{first}"), ""));
         assert!(!store.session_path(first).exists());
-        let on_disk = store.load().unwrap().unwrap();
-        assert_eq!(on_disk.sessions.len(), 1);
+        let state = on_disk(&store);
+        assert_eq!(state.sessions.len(), 1);
         // …but the handle counter survives, so handles are never reused
-        assert!(on_disk.next_id > second);
+        assert!(state.next_id > second);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -829,13 +833,13 @@ mod tests {
             });
         });
 
-        let on_disk = StateStore::open(&dir).unwrap().load().unwrap().unwrap();
+        let state = on_disk(&StateStore::open(&dir).unwrap());
         let live = svc.manager().ids();
         assert_eq!(live.len(), 2);
-        let disk_ids: Vec<u64> = on_disk.sessions.iter().map(|s| s.id).collect();
+        let disk_ids: Vec<u64> = state.sessions.iter().map(|s| s.id).collect();
         let live_ids: Vec<u64> = live.iter().map(|id| id.raw()).collect();
         assert_eq!(disk_ids, live_ids);
-        for (snapshot, &id) in on_disk.sessions.iter().zip(&live) {
+        for (snapshot, &id) in state.sessions.iter().zip(&live) {
             assert_eq!(snapshot.history, svc.manager().history(id).unwrap());
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -872,7 +876,7 @@ mod tests {
         // quarantined handle is not reissued
         let created = created_id(&svc);
         assert!(created > intact);
-        assert_eq!(store.load().unwrap().unwrap().sessions.len(), 2);
+        assert_eq!(on_disk(&store).sessions.len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -920,8 +920,13 @@ mod tests {
         store.write_next_id(2).unwrap();
         store.write_session(&session).unwrap();
         mutate_snapshot(&store.session_path(1));
-        // the strict load runs every startup check: the tamper passes them
-        let tampered = store.load().expect("tamper must stay loadable").unwrap();
+        // the startup load runs every check: the tamper passes them
+        let tampered = store.load_or_quarantine().unwrap();
+        assert!(
+            tampered.quarantined.is_empty(),
+            "tamper must stay loadable: {:?}",
+            tampered.quarantined
+        );
         assert_ne!(
             tampered.sessions[0].history[0], record,
             "tamper must diverge from the original"
