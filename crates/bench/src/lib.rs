@@ -19,7 +19,7 @@
 //! | `concurrency_sweep` | §3 concurrent background evaluation claim |
 //! | `baseline_manual` | §1 manual-redesign comparison |
 //! | `server_load` | HTTP service throughput + latency percentiles (`docs/API.md`) |
-//! | `bench_scenarios` | scenario corpus × strategy sweep with golden-frontier gate (`docs/SCENARIOS.md`) |
+//! | `bench_scenarios` | full-scale scenario corpus × strategy sweep: digests, counters, combos/s (`docs/SCENARIOS.md`) |
 
 #![forbid(unsafe_code)]
 

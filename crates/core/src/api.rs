@@ -1,7 +1,7 @@
 //! Serializable plan DTOs — the wire boundary of the facade.
 //!
-//! A future network service wraps the [`SessionManager`](crate::SessionManager)
-//! and speaks these types: a [`PlanRequest`] carries everything a client
+//! The HTTP service (`poiesis_server::PlanningService`) wraps the
+//! [`SessionManager`](crate::SessionManager) and speaks these types: a [`PlanRequest`] carries everything a client
 //! may configure (objective, strategy, budget, evaluation mode), a
 //! [`PlanResponse`] carries everything worth showing (the Fig. 4 frontier
 //! as [`AlternativeSummary`] rows plus cycle statistics). Both round-trip

@@ -1,9 +1,8 @@
-//! Handle-based, thread-safe session management — the unit a future
-//! network service will wrap.
+//! Handle-based, thread-safe session management — the unit the HTTP
+//! service (`poiesis_server::PlanningService`) wraps.
 //!
-//! The ROADMAP's north star is a system "serving heavy traffic from
-//! millions of users"; the paper's GUI holds exactly one iterative session.
-//! A [`SessionManager`] bridges the two: it owns many concurrent
+//! The paper's GUI holds exactly one iterative session; the service
+//! serves many at once. A [`SessionManager`] bridges the two: it owns many concurrent
 //! [`Session`]s behind opaque [`SessionId`] handles and exposes the whole
 //! iterative loop (`create` → `explore` → `select` → `history` → `close`)
 //! over serializable DTOs. Internally the registry is a read-write-locked

@@ -1,13 +1,16 @@
 //! The deterministic sweep runner: one pinned planner configuration
-//! shared by the `bench_scenarios` bin, the golden-frontier tests and
-//! the CI gate, so all three measure *the same cells*.
+//! shared by the golden-frontier tests (tiny scale), the `bench_scenarios`
+//! bin and `perfbench` (both full scale), so all of them measure *the
+//! same cells*.
 //!
 //! Determinism contract: `workers = 1` (score arithmetic happens in
 //! enumeration order), fixed catalog seeds (per scenario), fixed planner
 //! seed, and `retain_dominated = false` (the frontier is the output).
 //! Under that configuration two runs of [`run_cell`] produce
 //! bit-identical frontiers — asserted by the proptests and by the sweep
-//! bin running every cell twice.
+//! bin running every cell at least three times; CI diffs the full-scale
+//! run's digests and counters against the committed
+//! `BENCH_scenarios.csv`.
 
 use crate::digest::frontier_digest;
 use crate::Scenario;
@@ -25,26 +28,24 @@ pub struct SweepScale {
     pub rows: usize,
     /// Hard cap on enumerated combinations per cell.
     pub budget: usize,
-    /// Label recorded in the emitted JSON (`tiny` / `full`).
-    pub label: &'static str,
 }
 
 impl SweepScale {
-    /// CI scale: seconds for the whole grid.
+    /// Golden-test scale: the grid the frontier snapshots pin, in about
+    /// a second.
     pub fn tiny() -> Self {
         SweepScale {
             rows: 24,
             budget: 400,
-            label: "tiny",
         }
     }
 
-    /// Committed-trajectory scale (regenerate with `bench_scenarios`).
+    /// Benchmark scale: the grid of `BENCH_scenarios.{json,csv}`
+    /// (regenerate with `bench_scenarios`) and of `perfbench`.
     pub fn full() -> Self {
         SweepScale {
             rows: 96,
             budget: 4000,
-            label: "full",
         }
     }
 }

@@ -2,8 +2,8 @@
 //! JSON transport over the planning engine.
 //!
 //! The paper demonstrates quality-goal-driven ETL redesign as an
-//! *interactive tool*; the ROADMAP's north star is the same capability
-//! serving heavy traffic. The facade layer already did the hard part —
+//! *interactive tool*; [`PlanningService`] serves the same capability
+//! to many concurrent clients. The facade layer already did the hard part —
 //! [`poiesis::SessionManager`] owns many concurrent sessions behind
 //! opaque handles and speaks serializable `PlanRequest`/`PlanResponse`
 //! DTOs — so this crate is deliberately *thin*: a hand-rolled, bounded

@@ -16,7 +16,9 @@
 //! times everyone out. Shutdown is graceful and race-free: a
 //! [`ShutdownHandle`] flips an atomic flag and wakes the (blocking)
 //! accept call with a loopback connection; the accept loop then closes
-//! the hand-off, the workers drain in-flight connections and exit,
+//! the hand-off, the workers answer every request whose bytes have
+//! arrived (pending connections included), close each keep-alive
+//! connection that sits idle between requests within 50 ms, and exit,
 //! and [`Server::run`] joins them all before returning. `POST /shutdown`
 //! triggers the same path from the wire — which is how the CI smoke job
 //! stops the binary cleanly.
@@ -26,14 +28,18 @@ use crate::metrics::Metrics;
 use crate::route::Route;
 use crate::service::{error_body, http_error_response, PlanningService};
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::sync_channel;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How often a worker waiting on an idle keep-alive connection checks
+/// whether shutdown was requested.
+const IDLE_POLL: Duration = Duration::from_millis(50);
 
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
@@ -51,7 +57,7 @@ pub struct ServerConfig {
     /// Per-request size bounds.
     pub limits: Limits,
     /// Socket read timeout — the cap on how long a slow or stalled peer
-    /// can hold a worker mid-request.
+    /// can hold a worker mid-request, or an idle one between requests.
     pub read_timeout: Duration,
 }
 
@@ -359,7 +365,6 @@ fn serve_connection(
     metrics: &Metrics,
 ) {
     metrics.record_connection();
-    let _ = stream.set_read_timeout(Some(config.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut writer = match stream.try_clone() {
         Ok(w) => w,
@@ -367,7 +372,9 @@ fn serve_connection(
     };
     let mut reader = BufReader::new(stream);
     loop {
-        let request = match http::read_request(&mut reader, &config.limits) {
+        let request = match await_request(&mut reader, config, shutdown)
+            .and_then(|()| http::read_request(&mut reader, &config.limits))
+        {
             Ok(request) => request,
             Err(HttpError::Closed) => return,
             Err(e) => {
@@ -394,6 +401,49 @@ fn serve_connection(
             return;
         }
     }
+}
+
+/// Waits for the first byte of the connection's next request, checking
+/// for shutdown every [`IDLE_POLL`], so that an idle keep-alive client
+/// cannot hold a worker past shutdown. Bytes that have arrived are always
+/// served; a connection still idle once shutdown is requested ends with
+/// `Closed`, one idle for the whole read timeout with `Timeout`, as a
+/// stalled read would. A closed peer is left for `read_request` to see.
+fn await_request(
+    reader: &mut BufReader<TcpStream>,
+    config: &ServerConfig,
+    shutdown: &ShutdownHandle,
+) -> Result<(), HttpError> {
+    if !reader.buffer().is_empty() {
+        return Ok(());
+    }
+    let deadline = Instant::now() + config.read_timeout;
+    let waited = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break Err(HttpError::Timeout);
+        }
+        let _ = reader.get_ref().set_read_timeout(Some(left.min(IDLE_POLL)));
+        match reader.fill_buf() {
+            Ok(_) => break Ok(()),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                if shutdown.is_shutting_down() {
+                    break Err(HttpError::Closed);
+                }
+            }
+            // a reset peer just ends the connection
+            Err(_) => break Err(HttpError::Closed),
+        }
+    };
+    let _ = reader.get_ref().set_read_timeout(Some(config.read_timeout));
+    waited
 }
 
 /// Serves the one server-level endpoint (`POST /shutdown`); every other

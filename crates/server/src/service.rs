@@ -90,6 +90,10 @@ pub struct PlanningService {
     /// request is exploring waits for that cycle with the mutex held, and
     /// other sessions' persists queue behind it.
     store: Option<Mutex<StateStore>>,
+    /// The cap on a created session's `workers`: each explore spawns up
+    /// to that many threads per batch, so a remote client gets at most
+    /// one per core.
+    max_workers: usize,
 }
 
 impl PlanningService {
@@ -100,6 +104,7 @@ impl PlanningService {
             template,
             metrics: Arc::new(Metrics::new()),
             store: None,
+            max_workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 
@@ -299,7 +304,7 @@ impl PlanningService {
     }
 
     fn create(&self, request: &Request) -> Response {
-        let plan_request = if request.body.is_empty() {
+        let mut plan_request = if request.body.is_empty() {
             PlanRequest::default()
         } else {
             let text = match request.body_str() {
@@ -311,6 +316,7 @@ impl PlanningService {
                 Err(e) => return plan_error(&PoiesisError::from(e)),
             }
         };
+        plan_request.workers = plan_request.workers.min(self.max_workers);
         match self
             .manager
             .create_from_request(self.template.builder(), &plan_request)
@@ -695,6 +701,29 @@ mod tests {
             (r.status, error_code(&r)),
             (405, "method_not_allowed".into())
         );
+    }
+
+    #[test]
+    fn create_caps_planning_workers_at_the_core_count() {
+        let svc = service();
+        let body = PlanRequest {
+            workers: 1_000_000,
+            ..PlanRequest::default()
+        }
+        .to_json_string();
+        let created = svc.handle(&request("POST", "/sessions", &body));
+        assert_eq!(created.status, 201, "{}", created.body);
+        let id = json(&created)
+            .get("session")
+            .unwrap()
+            .as_usize("session")
+            .unwrap() as u64;
+        let cores = std::thread::available_parallelism().unwrap().get();
+        let snapshot = svc
+            .manager()
+            .snapshot_session(SessionId::from_raw(id))
+            .unwrap();
+        assert_eq!(snapshot.request.workers, cores);
     }
 
     fn created_id(svc: &PlanningService) -> u64 {

@@ -3,7 +3,8 @@
 //! These are the acceptance tests of the wire contract: a full
 //! create → explore → select → history → close round-trip, ≥ 8 concurrent
 //! client threads, equality of the HTTP-obtained skyline with the
-//! in-process facade skyline, graceful shutdown, the documented
+//! in-process facade skyline, graceful shutdown (which does not wait
+//! out idle keep-alive clients), the documented
 //! behaviour for malformed wire input (truncated requests, bad JSON,
 //! unknown handles, oversized payloads), `503` load shedding under
 //! saturated workers, `/metrics` content, and kill-and-restart session
@@ -17,7 +18,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const ROWS: usize = 80;
 
@@ -167,6 +168,44 @@ fn graceful_shutdown_over_the_wire() {
         }
     };
     assert!(refused, "server still serving after shutdown");
+}
+
+#[test]
+fn shutdown_closes_idle_keep_alive_clients_and_answers_arrived_requests() {
+    // one worker, one waiting slot, the default 10 s read timeout
+    let (addr, handle, join) = spawn_server(ServerConfig {
+        threads: 1,
+        queue: 1,
+        read_timeout: Duration::from_secs(10),
+        ..ServerConfig::default()
+    });
+    // an idle keep-alive client holds the only worker
+    let mut idle = Client::connect(addr).expect("connect");
+    assert_eq!(idle.healthz().unwrap(), 0);
+    // a complete request waits in the one slot — the next peer is shed,
+    // so the first one was admitted
+    let mut pending = TcpStream::connect(addr).expect("connect");
+    pending
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    pending
+        .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .unwrap();
+    let shed = raw(addr, b"GET /healthz HTTP/1.1\r\n\r\n", true);
+    assert_eq!(status_of(&shed), 503, "{shed}");
+
+    let start = Instant::now();
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "shutdown waited {took:?} for an idle keep-alive client"
+    );
+    let mut response = String::new();
+    pending.read_to_string(&mut response).unwrap();
+    assert_eq!(status_of(&response), 200, "{response}");
+    drop(idle);
 }
 
 // ---------------------------------------------------------------- hostile
