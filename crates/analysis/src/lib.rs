@@ -37,10 +37,8 @@ use flowgraph::{has_cycle, topo_sort, weakly_connected_components};
 use std::collections::BTreeSet;
 use std::fmt;
 
-pub mod bounds;
 pub mod lineage;
 
-pub use bounds::{combination_gain, optimistic_scores};
 pub use lineage::{Lineage, SourceColumn};
 
 /// Stable diagnostic codes. Codes are append-only: a published `PAxxx` never

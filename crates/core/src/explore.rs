@@ -48,8 +48,8 @@ pub fn combination_valid(combo: &[&Candidate], policy: &DeploymentPolicy) -> boo
 
 /// Lazy k-subset cursor over the combination space: yields valid
 /// combinations (ascending candidate-index vectors) on demand, for
-/// `k = 1..=policy.combination_depth(n)`, in the same lexicographic order
-/// the eager enumeration used, stopping after `budget` valid combinations.
+/// `k = 1..=policy.combination_depth(n)`, in lexicographic order within
+/// each size, stopping after `budget` valid combinations.
 ///
 /// Nothing is materialised: memory is O(depth) regardless of how large the
 /// space is, which is what lets the streaming planner walk budgets of 100k+
@@ -137,8 +137,8 @@ impl Iterator for CombinationIter<'_> {
             let combo: Vec<&Candidate> = self.idx.iter().map(|&i| &self.candidates[i]).collect();
             let valid = combination_valid(&combo, self.policy);
             if valid && self.yielded >= self.budget {
-                // the eager semantics: budget full and one more valid combo
-                // exists ⇒ the enumeration was truncated
+                // budget full and one more valid combo exists ⇒ the
+                // enumeration was truncated
                 self.truncated = true;
                 self.k = 0;
                 return None;
@@ -159,23 +159,6 @@ impl Iterator for CombinationIter<'_> {
         }
         None
     }
-}
-
-/// Enumerates all valid combinations of size `1..=policy.max_patterns_per_flow`
-/// over `candidates`, stopping after `budget` combinations.
-///
-/// Eager compatibility wrapper over [`CombinationIter`] — prefer the
-/// iterator (or the streaming planner) for large budgets. Returns
-/// `(combinations, stats)` where each combination is a vector of candidate
-/// indices (ascending).
-pub fn enumerate_combinations(
-    candidates: &[Candidate],
-    policy: &DeploymentPolicy,
-    budget: usize,
-) -> (Vec<Vec<usize>>, SpaceStats) {
-    let mut iter = CombinationIter::new(candidates, policy, budget);
-    let combos: Vec<Vec<usize>> = iter.by_ref().collect();
-    (combos, iter.stats())
 }
 
 /// `Σ_{k=1..depth} C(n, k)` — the raw size of the combination space.
@@ -206,6 +189,45 @@ mod tests {
         generate_uncapped(&f, &reg).unwrap()
     }
 
+    /// Drains a cursor: its combinations and its final stats.
+    fn walk(
+        cands: &[Candidate],
+        policy: &DeploymentPolicy,
+        budget: usize,
+    ) -> (Vec<Vec<usize>>, SpaceStats) {
+        let mut iter = CombinationIter::new(cands, policy, budget);
+        let combos = iter.by_ref().collect();
+        (combos, iter.stats())
+    }
+
+    /// Every k-subset of `0..n` for `k = 1..=depth`, ascending by size and
+    /// lexicographic within a size, built by recursion rather than by the
+    /// cursor's `advance`.
+    fn all_subsets(n: usize, depth: usize) -> Vec<Vec<usize>> {
+        fn extend(
+            start: usize,
+            n: usize,
+            k: usize,
+            prefix: &mut Vec<usize>,
+            out: &mut Vec<Vec<usize>>,
+        ) {
+            if prefix.len() == k {
+                out.push(prefix.clone());
+                return;
+            }
+            for i in start..n {
+                prefix.push(i);
+                extend(i + 1, n, k, prefix, out);
+                prefix.pop();
+            }
+        }
+        let mut out = Vec::new();
+        for k in 1..=depth {
+            extend(0, n, k, &mut Vec::new(), &mut out);
+        }
+        out
+    }
+
     #[test]
     fn binomial_space() {
         assert_eq!(theoretical_space(5, 1), 5.0);
@@ -219,7 +241,7 @@ mod tests {
         let cands = candidates();
         let mut policy = fcp::DeploymentPolicy::exhaustive(1);
         policy.max_patterns_per_flow = 1;
-        let (combos, stats) = enumerate_combinations(&cands, &policy, usize::MAX);
+        let (combos, stats) = walk(&cands, &policy, usize::MAX);
         assert_eq!(combos.len(), cands.len());
         assert!(!stats.truncated);
         assert_eq!(stats.conflicts, 0);
@@ -229,7 +251,7 @@ mod tests {
     fn depth_two_grows_quadratically() {
         let cands = candidates();
         let policy = fcp::DeploymentPolicy::exhaustive(2);
-        let (combos, stats) = enumerate_combinations(&cands, &policy, usize::MAX);
+        let (combos, stats) = walk(&cands, &policy, usize::MAX);
         let n = cands.len();
         // upper bound: n + C(n,2); conflicts remove some
         assert!(combos.len() <= n + n * (n - 1) / 2);
@@ -276,7 +298,7 @@ mod tests {
     fn budget_truncates() {
         let cands = candidates();
         let policy = fcp::DeploymentPolicy::exhaustive(3);
-        let (combos, stats) = enumerate_combinations(&cands, &policy, 50);
+        let (combos, stats) = walk(&cands, &policy, 50);
         assert_eq!(combos.len(), 50);
         assert!(stats.truncated);
     }
@@ -284,22 +306,48 @@ mod tests {
     #[test]
     fn empty_candidates_yield_empty_space() {
         let policy = fcp::DeploymentPolicy::balanced();
-        let (combos, stats) = enumerate_combinations(&[], &policy, 100);
+        let (combos, stats) = walk(&[], &policy, 100);
         assert!(combos.is_empty());
         assert_eq!(stats.theoretical, 0.0);
     }
 
     #[test]
     fn lazy_iterator_matches_eager_enumeration() {
+        // Brute force: filter every k-subset through `combination_valid`,
+        // keep the first `budget` valid ones, and count the conflicts seen
+        // before the budget filled.
         let cands = candidates();
+        let n = cands.len();
         for depth in 1..=3 {
             for budget in [10usize, 500, usize::MAX] {
                 let policy = fcp::DeploymentPolicy::exhaustive(depth);
-                let (eager, eager_stats) = enumerate_combinations(&cands, &policy, budget);
-                let mut iter = CombinationIter::new(&cands, &policy, budget);
-                let lazy: Vec<Vec<usize>> = iter.by_ref().collect();
-                assert_eq!(eager, lazy, "depth={depth} budget={budget}");
-                assert_eq!(eager_stats, iter.stats(), "depth={depth} budget={budget}");
+                let mut expected = Vec::new();
+                let mut conflicts = 0;
+                let mut truncated = false;
+                for subset in all_subsets(n, policy.combination_depth(n)) {
+                    let combo: Vec<&Candidate> = subset.iter().map(|&i| &cands[i]).collect();
+                    if !combination_valid(&combo, &policy) {
+                        conflicts += 1;
+                    } else if expected.len() == budget {
+                        truncated = true;
+                        break;
+                    } else {
+                        expected.push(subset);
+                    }
+                }
+                let (lazy, stats) = walk(&cands, &policy, budget);
+                assert_eq!(lazy, expected, "depth={depth} budget={budget}");
+                assert_eq!(
+                    stats,
+                    SpaceStats {
+                        candidates: n,
+                        theoretical: theoretical_space(n, policy.combination_depth(n)),
+                        enumerated: expected.len(),
+                        conflicts,
+                        truncated,
+                    },
+                    "depth={depth} budget={budget}"
+                );
             }
         }
     }
@@ -316,7 +364,7 @@ mod tests {
         assert!(!mid.truncated);
         // resuming continues exactly where the cursor stopped
         let rest: Vec<Vec<usize>> = iter.by_ref().collect();
-        let (all, _) = enumerate_combinations(&cands, &policy, usize::MAX);
+        let (all, _) = walk(&cands, &policy, usize::MAX);
         let resumed: Vec<Vec<usize>> = first.into_iter().chain(rest).collect();
         assert_eq!(all, resumed);
     }
@@ -330,7 +378,7 @@ mod tests {
         assert_eq!(combos.len(), 50);
         assert!(iter.stats().truncated);
         // exact-size budget: everything fits, not truncated
-        let (all, full_stats) = enumerate_combinations(&cands, &policy, usize::MAX);
+        let (all, full_stats) = walk(&cands, &policy, usize::MAX);
         let mut exact = CombinationIter::new(&cands, &policy, all.len());
         assert_eq!(exact.by_ref().count(), all.len());
         assert!(!exact.stats().truncated);

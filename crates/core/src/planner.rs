@@ -85,9 +85,10 @@ pub struct PlannerConfig {
     /// combination, the oracle the tests compare against.
     pub delta_eval: bool,
     /// Bound-based dominance pre-pruning: before a combination is even
-    /// forked, its sound optimistic score bound
-    /// ([`analysis::combination_gain`] over the patterns'
-    /// [`fcp::Pattern::gain_profile`]s) is offered to the current frontier;
+    /// forked, its sound optimistic score bound (the patterns'
+    /// [`fcp::Pattern::gain_profile`]s folded with
+    /// [`quality::GainProfile::combine`], `100 × cap` per maximised axis)
+    /// is offered to the current frontier;
     /// if some member already dominates the *best the combination could
     /// possibly score*, it is skipped unevaluated and counted in
     /// [`PlannerOutcome::bound_pruned`]. Pruned combinations provably

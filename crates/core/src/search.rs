@@ -387,8 +387,10 @@ mod tests {
         let policy = DeploymentPolicy::exhaustive(2);
         let (seen, report) = run(&Exhaustive, &policy, usize::MAX);
         let cands = candidates();
-        let (eager, stats) = crate::explore::enumerate_combinations(&cands, &policy, usize::MAX);
-        assert_eq!(seen, eager);
+        let mut iter = CombinationIter::new(&cands, &policy, usize::MAX);
+        let lazy: Vec<Vec<usize>> = iter.by_ref().collect();
+        let stats = iter.stats();
+        assert_eq!(seen, lazy);
         assert_eq!(report.enumerated, stats.enumerated);
         assert_eq!(report.conflicts, stats.conflicts);
         assert!(!report.truncated);
@@ -429,13 +431,8 @@ mod tests {
         let (seen, report) = run(&GreedyHillClimb, &policy, usize::MAX);
         let cands = candidates();
         // greedy is cheap: far fewer evaluations than the full space
-        let (all, _) = crate::explore::enumerate_combinations(&cands, &policy, usize::MAX);
-        assert!(
-            seen.len() < all.len() / 2,
-            "{} vs {}",
-            seen.len(),
-            all.len()
-        );
+        let all = CombinationIter::new(&cands, &policy, usize::MAX).count();
+        assert!(seen.len() < all / 2, "{} vs {all}", seen.len());
         assert_eq!(report.enumerated, seen.len());
         // the deepest combo seen must score at least as well as any single
         let best_single = cands

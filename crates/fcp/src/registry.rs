@@ -67,11 +67,6 @@ impl PatternRegistry {
         self.patterns.push(Arc::new(pattern));
     }
 
-    /// Adds an already-shared pattern.
-    pub fn register_arc(&mut self, pattern: Arc<dyn Pattern>) {
-        self.patterns.push(pattern);
-    }
-
     /// Number of registered patterns.
     pub fn len(&self) -> usize {
         self.patterns.len()
@@ -198,6 +193,44 @@ mod tests {
         ] {
             let g = r.by_name(name).unwrap().gain_profile();
             assert_eq!(g.cap(Characteristic::Security), 1.0, "{name}");
+        }
+    }
+
+    #[test]
+    fn bounds_are_sound_on_the_demo_flow() {
+        // The bound pruner's soundness on a real flow: apply each builtin at
+        // its first candidate point on the Fig. 2 flow and check no
+        // estimated characteristic score exceeds `100 × cap` of its profile.
+        use crate::PatternContext;
+        use datagen::fig2::{purchases_catalog, purchases_flow};
+        use datagen::DirtProfile;
+        use quality::{estimate, source_stats};
+
+        let (flow, _) = purchases_flow();
+        let catalog = purchases_catalog(500, &DirtProfile::clean(), 3);
+        let stats = source_stats(&catalog);
+        let base = estimate(&flow, &stats);
+        let r = PatternRegistry::standard(vec![("pu_id".into(), "ref_purchases".into())]);
+        for p in r.iter() {
+            let ctx = PatternContext::new(&flow).unwrap();
+            let Some(point) = p.candidate_points(&ctx).first().copied() else {
+                continue;
+            };
+            let mut fork = flow.fork("bound-check");
+            if p.apply(&mut fork, point).is_err() {
+                continue;
+            }
+            let after = estimate(&fork, &stats);
+            let gain = p.gain_profile();
+            for c in Characteristic::ALL {
+                let score = after.characteristic_score(&base, c);
+                let bound = 100.0 * gain.cap(c);
+                assert!(
+                    score <= bound + 1e-9,
+                    "{}: estimated {c} score {score} exceeds its bound {bound}",
+                    p.name()
+                );
+            }
         }
     }
 

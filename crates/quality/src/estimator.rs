@@ -136,8 +136,7 @@ const CROSSCHECK_RESIDUAL: f64 = 0.10;
 const ENCRYPTION_OVERHEAD: f64 = 1.08;
 
 /// Speed/tax multipliers implied by a flow's configuration. Graph-level
-/// patterns (resources, encryption) change these globally, which is why the
-/// delta estimator falls back to a full pass when the config differs.
+/// patterns (resources, encryption) change these for every node at once.
 fn speed_tax(flow: &EtlFlow) -> (f64, f64) {
     let speed = flow.config.resources.speed_factor();
     let tax = if flow.config.encrypted {
@@ -150,9 +149,8 @@ fn speed_tax(flow: &EtlFlow) -> (f64, f64) {
 
 /// One node's estimate and its expected-redo contribution, computed from its
 /// operation and its predecessors' already-filled entries in `est`. The
-/// single definition of per-node estimator semantics — the full pass and the
-/// delta pass both call exactly this, which is what makes their results
-/// bit-identical.
+/// single definition of per-node estimator semantics; [`estimate`] calls it
+/// once per node in topological order.
 fn compute_node_est(
     flow: &EtlFlow,
     n: etl_model::NodeId,
@@ -164,7 +162,7 @@ fn compute_node_est(
     let op = flow.op(n).expect("live node");
     let preds: Vec<_> = flow.graph.predecessors(n).collect();
 
-    let in_rows: f64 = preds.iter().map(|p| branch_rows(est, flow, *p, n)).sum();
+    let in_rows: f64 = preds.iter().map(|p| branch_rows(est, flow, *p)).sum();
     let agg = |f: fn(&NodeEst) -> f64| -> f64 {
         if preds.is_empty() {
             0.0
@@ -222,7 +220,7 @@ fn compute_node_est(
             // equi-join on surrogate-ish keys: bounded by the larger input
             let m = preds
                 .iter()
-                .map(|p| branch_rows(est, flow, *p, n))
+                .map(|p| branch_rows(est, flow, *p))
                 .fold(0.0f64, f64::max);
             m * op.selectivity()
         }
@@ -286,182 +284,36 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
     finalize(flow, &est, &redo_contrib)
 }
 
-/// Cached per-node estimates of a base flow, reusable across every
-/// copy-on-write fork of that base within one exploration cycle.
-/// Build once with [`estimate_baseline`], consume with [`estimate_delta_with`].
-pub struct EstimateBaseline {
-    est: Vec<NodeEst>,
-    redo_contrib: Vec<f64>,
-    speed: f64,
-    tax: f64,
-    /// Longest path *ending* at each node (edge count). Depends only on a
-    /// node's ancestors, so forks reuse it outside the affected region.
-    dist_end: Vec<usize>,
-    /// Merge-operation count of the base flow.
-    merge_count: usize,
-    /// Encrypt-operation count of the base flow.
-    encrypt_count: usize,
-    /// False when the base flow was cyclic (no baseline to compose with).
-    acyclic: bool,
+/// Placeholder kept for perfbench's traced replay, its only user, which
+/// still names this type. The next change to the benchmark deletes it.
+pub struct EstimateBaseline;
+
+/// Forward kept for perfbench's traced replay, its only caller: returns
+/// [`EstimateBaseline`]. The next change to the benchmark deletes it.
+pub fn estimate_baseline(
+    _flow: &EtlFlow,
+    _stats: &HashMap<String, SourceStats>,
+) -> EstimateBaseline {
+    EstimateBaseline
 }
 
-/// Builds the per-node estimate cache for `flow` (the planner's base flow).
-pub fn estimate_baseline(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> EstimateBaseline {
-    let (speed, tax) = speed_tax(flow);
-    let bound = flow.graph.node_bound();
-    let mut est: Vec<NodeEst> = vec![NodeEst::default(); bound];
-    let mut redo_contrib: Vec<f64> = vec![0.0; bound];
-    let mut dist_end: Vec<usize> = vec![0; bound];
-    let acyclic = match flow.topo_order() {
-        Ok(order) => {
-            for &n in &order {
-                let (e, c) = compute_node_est(flow, n, &est, stats, speed, tax);
-                est[n.index()] = e;
-                redo_contrib[n.index()] = c;
-                dist_end[n.index()] = flow
-                    .graph
-                    .predecessors(n)
-                    .map(|p| dist_end[p.index()] + 1)
-                    .max()
-                    .unwrap_or(0);
-            }
-            true
-        }
-        Err(_) => false,
-    };
-    EstimateBaseline {
-        est,
-        redo_contrib,
-        speed,
-        tax,
-        dist_end,
-        merge_count: flow.count_ops(|op| matches!(op.kind, OpKind::Merge)),
-        encrypt_count: flow.count_ops(|op| matches!(op.kind, OpKind::Encrypt)),
-        acyclic,
-    }
-}
-
-/// Estimates a copy-on-write fork of `base` by re-propagating only over the
-/// fork's touched nodes and their descendants, composing with `baseline`.
-/// `delta` is `fork.delta_since(base)`; the planner computes it once per
-/// combination and shares it between the post-screen and this estimate.
-///
-/// Returns a `MeasureVector` **bit-identical** to `estimate(fork, stats)`:
-/// unaffected nodes' estimates are reused verbatim (their inputs are
-/// provably unchanged — the affected region is successor-closed), affected
-/// nodes run the exact same per-node computation as the full pass, and the
-/// expected-redo total is summed in the same canonical node-index order.
-///
-/// Falls back to the full pass when the fork's `FlowConfig` differs from the
-/// base's (graph-level patterns change global speed/tax multipliers, which
-/// invalidates every cached timing) or when the base was cyclic.
+/// Forward kept for perfbench's traced replay, its only caller: returns
+/// [`estimate`]`(fork, stats)`, the estimator the planner runs per fork.
+/// The next change to the benchmark deletes it.
 pub fn estimate_delta_with(
     fork: &EtlFlow,
-    base: &EtlFlow,
-    baseline: &EstimateBaseline,
+    _base: &EtlFlow,
+    _baseline: &EstimateBaseline,
     stats: &HashMap<String, SourceStats>,
-    delta: &flowgraph::CowDelta,
+    _delta: &flowgraph::CowDelta,
 ) -> MeasureVector {
-    if !baseline.acyclic || fork.config != base.config {
-        return estimate(fork, stats);
-    }
-    let Some(order) = flowgraph::affected_topo(&fork.graph, &delta.touched_nodes) else {
-        // The patch introduced a cycle (any new cycle lies inside the
-        // affected region) — mirror the full pass's cyclic behaviour.
-        return evaluate_static(fork);
-    };
-    let bound = fork.graph.node_bound();
-    let mut est = baseline.est.clone();
-    est.resize(bound, NodeEst::default());
-    let mut redo_contrib = baseline.redo_contrib.clone();
-    redo_contrib.resize(bound, 0.0);
-    for r in &delta.removed_nodes {
-        redo_contrib[r.index()] = 0.0;
-    }
-    for &n in &order {
-        let (e, c) = compute_node_est(fork, n, &est, stats, baseline.speed, baseline.tax);
-        est[n.index()] = e;
-        redo_contrib[n.index()] = c;
-    }
-    let statics = static_delta(fork, base, baseline, delta, &order);
-    finalize_with(statics, fork, &est, &redo_contrib)
+    estimate(fork, stats)
 }
 
-/// Static measures of a fork, composed from the baseline's cached
-/// structural aggregates plus a patch-local adjustment. Bit-identical to
-/// [`evaluate_static`]`(fork)` for acyclic forks: the longest path is an
-/// integer recomputed only over the affected region (a path length *ending*
-/// at a node depends only on its ancestors, and any node whose predecessor
-/// set changed is in the region), merge/encrypt counts are adjusted by
-/// exact integer diffs over the touched and removed slots, and coupling is
-/// a closed-form function of the fork's node and edge counts.
-fn static_delta(
-    fork: &EtlFlow,
-    base: &EtlFlow,
-    baseline: &EstimateBaseline,
-    delta: &flowgraph::CowDelta,
-    order: &[etl_model::NodeId],
-) -> MeasureVector {
-    let bound = fork.graph.node_bound();
-    let mut dist = baseline.dist_end.clone();
-    dist.resize(bound, 0);
-    for &n in order {
-        dist[n.index()] = fork
-            .graph
-            .predecessors(n)
-            .map(|p| dist[p.index()] + 1)
-            .max()
-            .unwrap_or(0);
-    }
-    let mut lp = 0usize;
-    for n in fork.graph.node_ids() {
-        lp = lp.max(dist[n.index()]);
-    }
-    let merge = |op: Option<&etl_model::Operation>| -> i64 {
-        matches!(op.map(|o| &o.kind), Some(OpKind::Merge)) as i64
-    };
-    let encrypt = |op: Option<&etl_model::Operation>| -> i64 {
-        matches!(op.map(|o| &o.kind), Some(OpKind::Encrypt)) as i64
-    };
-    let mut merges = baseline.merge_count as i64;
-    let mut encrypts = baseline.encrypt_count as i64;
-    // Touched slots cover in-place edits (old kind out, new kind in) and
-    // index-reusing replacements alike; removed slots only exist in `base`.
-    for &n in &delta.touched_nodes {
-        merges += merge(fork.graph.node(n)) - merge(base.graph.node(n));
-        encrypts += encrypt(fork.graph.node(n)) - encrypt(base.graph.node(n));
-    }
-    for &n in &delta.removed_nodes {
-        merges -= merge(base.graph.node(n));
-        encrypts -= encrypt(base.graph.node(n));
-    }
-    let mut v = MeasureVector::new();
-    v.set(MeasureId::LongestPath, lp as f64);
-    v.set(MeasureId::Coupling, flowgraph::coupling(&fork.graph));
-    v.set(MeasureId::MergeCount, merges as f64);
-    v.set(MeasureId::OpCount, fork.op_count() as f64);
-    v.set(
-        MeasureId::SecurityScore,
-        crate::static_measures::security_score_with(fork, encrypts > 0),
-    );
-    v
-}
-
-/// Aggregates per-node estimates into the flow's measure vector. Shared by
-/// the full and delta paths; all floating-point reductions run in canonical
-/// (ascending node-index) order so both paths produce identical bits.
+/// Aggregates per-node estimates into the flow's measure vector. All
+/// floating-point reductions run in canonical (ascending node-index) order.
 fn finalize(flow: &EtlFlow, est: &[NodeEst], redo_contrib: &[f64]) -> MeasureVector {
-    finalize_with(evaluate_static(flow), flow, est, redo_contrib)
-}
-
-/// [`finalize`] with the static measures already computed — the delta path
-/// supplies them via [`static_delta`] instead of a full structural scan.
-fn finalize_with(
-    mut v: MeasureVector,
-    flow: &EtlFlow,
-    est: &[NodeEst],
-    redo_contrib: &[f64],
-) -> MeasureVector {
+    let mut v = evaluate_static(flow);
     let expected_redo: f64 = redo_contrib.iter().sum();
     let loads = flow.ops_of_kind("load");
     let cycle = loads
@@ -529,24 +381,16 @@ fn finalize_with(
     v
 }
 
-/// Rows arriving at `to` from predecessor `from`: partitioned parents split
+/// Rows a successor receives from predecessor `from`: partitioned parents split
 /// their output across successors, everything else sends its full output.
-fn branch_rows(
-    est: &[NodeEst],
-    flow: &EtlFlow,
-    from: etl_model::NodeId,
-    to: etl_model::NodeId,
-) -> f64 {
+fn branch_rows(est: &[NodeEst], flow: &EtlFlow, from: etl_model::NodeId) -> f64 {
     let op = flow.op(from).expect("live node");
     let out_deg = flow.graph.out_degree(from).max(1) as f64;
     let rows = est[from.index()].rows;
     match op.kind {
         OpKind::Partition => rows / out_deg,
         OpKind::Router { .. } => rows / 2.0,
-        _ => {
-            let _ = to;
-            rows
-        }
+        _ => rows,
     }
 }
 
@@ -674,46 +518,6 @@ mod tests {
         // Cleaning near the sources shrinks the rows reaching the expensive
         // derive, so cycle time may go either way — it must stay positive.
         assert!(cleaned.get(MeasureId::CycleTimeMs).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn delta_estimate_is_bit_identical_to_scratch() {
-        let (f, ids) = purchases_flow();
-        let cat = purchases_catalog(400, &DirtProfile::demo(), 5);
-        let stats = source_stats(&cat);
-        let baseline = estimate_baseline(&f, &stats);
-
-        // Patch 1: interpose a checkpoint mid-flow.
-        let mut cp = f.fork("cp");
-        let e = cp.graph.out_edges(ids.derive_values).next().unwrap();
-        cp.graph
-            .interpose_on_edge(
-                e,
-                etl_model::Operation::new("SAVE", OpKind::Checkpoint { tag: "s".into() }),
-                Default::default(),
-                Default::default(),
-            )
-            .unwrap();
-        // Patch 2 (same fork): bump an operator's failure rate.
-        let router = cp.ops_of_kind("router")[0];
-        cp.op_mut(router).unwrap().cost.failure_rate = 0.3;
-
-        let fast = estimate_delta_with(&cp, &f, &baseline, &stats, &cp.delta_since(&f));
-        let slow = estimate(&cp, &stats);
-        assert_eq!(fast, slow, "delta and scratch must agree to the bit");
-
-        // Config change → falls back to full estimate, still identical.
-        let mut enc = f.fork("enc");
-        enc.config.encrypted = true;
-        let fast = estimate_delta_with(&enc, &f, &baseline, &stats, &enc.delta_since(&f));
-        assert_eq!(fast, estimate(&enc, &stats));
-
-        // Untouched fork: composing with the baseline reproduces the base.
-        let same = f.fork("same");
-        assert_eq!(
-            estimate_delta_with(&same, &f, &baseline, &stats, &same.delta_since(&f)),
-            estimate(&f, &stats)
-        );
     }
 
     #[test]

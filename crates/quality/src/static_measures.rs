@@ -27,13 +27,6 @@ pub fn evaluate_static(flow: &EtlFlow) -> MeasureVector {
 /// for channel encryption, +0.3 for role-based access control.
 pub fn security_score(flow: &EtlFlow) -> f64 {
     let has_encrypt_op = flow.count_ops(|op| matches!(op.kind, OpKind::Encrypt)) > 0;
-    security_score_with(flow, has_encrypt_op)
-}
-
-/// [`security_score`] with the encryption-operation scan already done — the
-/// incremental estimator tracks that count as an exact patch delta instead
-/// of re-scanning every node per alternative.
-pub fn security_score_with(flow: &EtlFlow, has_encrypt_op: bool) -> f64 {
     let mut s = 0.2;
     if flow.config.encrypted || has_encrypt_op {
         s += 0.5;

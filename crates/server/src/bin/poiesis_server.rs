@@ -6,6 +6,8 @@
 //!     --threads <N>          worker threads      (default: available cores)
 //!     --catalog <spec>       what sessions plan against (default demo:200):
 //!                            demo[:rows]              built-in Fig. 2 flow
+//!                            scenario:<name>[:rows]   seeded corpus workload
+//!                                                     (docs/SCENARIOS.md)
 //!                            <model.(xlm|ktr)>[:rows] model file, sources
 //!                                                     synthesised per schema
 //!     --max-body <bytes>     request body cap    (default 1048576)
@@ -34,8 +36,8 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: poiesis_server [--addr host:port] [--threads N] \
-                 [--catalog demo[:rows]|model[:rows]] [--max-body bytes] \
-                 [--queue N] [--retry-after secs] [--state-dir dir]"
+                 [--catalog demo[:rows]|scenario:<name>[:rows]|model[:rows]] \
+                 [--max-body bytes] [--queue N] [--retry-after secs] [--state-dir dir]"
             );
             ExitCode::FAILURE
         }

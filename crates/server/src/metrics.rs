@@ -159,15 +159,6 @@ impl Metrics {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Requests served so far, all routes and statuses.
-    pub fn requests_total(&self) -> u64 {
-        self.requests
-            .iter()
-            .flatten()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Feeds one planning-cycle wall time into the latency histogram.
     pub fn observe_cycle(&self, duration: Duration) {
         self.cycle.observe(duration);
