@@ -106,6 +106,15 @@ pub fn get(name: &str) -> Option<Scenario> {
     all().into_iter().find(|s| s.name == name)
 }
 
+/// [`get`], with the error a user sees for a key the catalog lacks: it
+/// names the key and lists the known ones.
+pub fn lookup(name: &str) -> Result<Scenario, String> {
+    get(name).ok_or_else(|| {
+        let known = names().join(", ");
+        format!("unknown scenario `{name}`; known scenarios: {known}")
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

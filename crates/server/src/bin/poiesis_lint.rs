@@ -101,12 +101,7 @@ fn load(spec: &str) -> Result<EtlFlow, String> {
         _ => {}
     }
     if let Some(name) = spec.strip_prefix("scenario:") {
-        return scenarios::get(name).map(|s| s.flow()).ok_or_else(|| {
-            format!(
-                "unknown scenario `{name}`; known scenarios: {}",
-                scenarios::names().join(", ")
-            )
-        });
+        return scenarios::lookup(name).map(|s| s.flow());
     }
     xlm::read_model_file(spec)
 }

@@ -11,6 +11,15 @@
 //! `server_load` generator all exercise the same code path a real client
 //! would.
 //!
+//! # Response bounds
+//!
+//! Responses are read by the server's own reader ([`http::read_message`])
+//! under [`Limits::RESPONSE`]: a head over 16 KiB or a `Content-Length`
+//! over 64 MiB is refused before it is buffered. A response the
+//! connection failed to deliver (closed, cut short, timed out) is
+//! [`ClientError::Io`], worth a retry on a fresh connection; one that
+//! arrived malformed or over the caps is [`ClientError::Decode`].
+//!
 //! # Retry on `503`
 //!
 //! Typed calls honour the server's shed signal: a `503` carrying
@@ -24,10 +33,11 @@
 //! need to see exactly one exchange.
 
 use crate::clock::{Clock, SystemClock};
+use crate::http::{self, Head, HttpError, Limits};
 use poiesis::{FromJson, IterationRecord, LintReport, PlanRequest, PlanResponse, ToJson};
 use serde::json::Value;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -89,6 +99,22 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e.to_string())
+    }
+}
+
+/// Sorts a failed response read into `Io` or `Decode` (module docs).
+impl From<HttpError> for ClientError {
+    fn from(e: HttpError) -> Self {
+        match e {
+            HttpError::Closed => ClientError::Io("server closed the connection".into()),
+            HttpError::Timeout => ClientError::Io("timed out reading the response".into()),
+            HttpError::Truncated(m) => ClientError::Io(m),
+            HttpError::BadRequest(m) => ClientError::Decode(m),
+            HttpError::HeadTooLarge => ClientError::Decode("response head too large".into()),
+            HttpError::PayloadTooLarge { declared, limit } => ClientError::Decode(format!(
+                "response of {declared} bytes exceeds the {limit}-byte limit"
+            )),
+        }
     }
 }
 
@@ -205,16 +231,15 @@ impl Client {
         path: &str,
         body: Option<&str>,
     ) -> Result<HttpResponse, ClientError> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: poiesis\r\n");
+        let mut head = Head {
+            start: format!("{method} {path} HTTP/1.1"),
+            headers: vec![("Host".into(), "poiesis".into())],
+        };
         if let Some(body) = body {
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+            head.headers
+                .push(("Content-Length".into(), body.len().to_string()));
         }
-        head.push_str("\r\n");
-        self.writer.write_all(head.as_bytes())?;
-        if let Some(body) = body {
-            self.writer.write_all(body.as_bytes())?;
-        }
-        self.writer.flush()?;
+        http::write_message(&mut self.writer, &head, body.unwrap_or("").as_bytes())?;
         self.read_response()
     }
 
@@ -245,51 +270,14 @@ impl Client {
         }
     }
 
-    fn read_line(&mut self) -> Result<String, ClientError> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(ClientError::Io("server closed the connection".into()));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
-    }
-
     fn read_response(&mut self) -> Result<HttpResponse, ClientError> {
-        let status_line = self.read_line()?;
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| ClientError::Decode(format!("bad status line `{status_line}`")))?;
-        let mut content_length = 0usize;
-        let mut retry_after = None;
-        loop {
-            let line = self.read_line()?;
-            if line.is_empty() {
-                break;
-            }
-            if let Some((name, value)) = line.split_once(':') {
-                let name = name.trim();
-                if name.eq_ignore_ascii_case("content-length") {
-                    content_length = value
-                        .trim()
-                        .parse()
-                        .map_err(|_| ClientError::Decode("bad Content-Length".into()))?;
-                } else if name.eq_ignore_ascii_case("retry-after") {
-                    retry_after = value.trim().parse().ok();
-                }
-            }
-        }
-        let mut body = vec![0u8; content_length];
-        self.reader.read_exact(&mut body)?;
+        let (head, body) = http::read_message(&mut self.reader, &Limits::RESPONSE)?;
         let body = String::from_utf8(body)
             .map_err(|_| ClientError::Decode("response body is not UTF-8".into()))?;
         Ok(HttpResponse {
-            status,
+            status: head.status()?,
             body,
-            retry_after,
+            retry_after: head.header("retry-after").and_then(|v| v.parse().ok()),
         })
     }
 
@@ -426,5 +414,55 @@ impl Client {
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
         self.call("POST", "/shutdown", None)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+    use std::thread;
+
+    /// Sends one request to a peer that answers it with `reply` and hangs
+    /// up.
+    fn ask(reply: Vec<u8>) -> Result<HttpResponse, ClientError> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        thread::spawn(move || {
+            let (conn, _) = listener.accept().unwrap();
+            let _ = http::read_request(&mut BufReader::new(&conn), &Limits::default());
+            let _ = (&conn).write_all(&reply);
+        });
+        let mut client = Client::connect_with(
+            addr,
+            Duration::from_secs(5),
+            Arc::new(SystemClock::new()),
+            RetryPolicy::none(),
+        )
+        .unwrap();
+        client.request("GET", "/healthz", None)
+    }
+
+    #[test]
+    fn response_length_beyond_memory_is_an_error_not_a_panic() {
+        let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}";
+        let result = ask(reply.to_vec());
+        assert!(matches!(result, Err(ClientError::Decode(_))), "{result:?}");
+    }
+
+    #[test]
+    fn response_head_over_the_cap_is_decode() {
+        let pad = "x".repeat(Limits::RESPONSE.max_head_bytes);
+        let reply = format!("HTTP/1.1 200 OK\r\nX-Pad: {pad}\r\nContent-Length: 2\r\n\r\n{{}}");
+        let result = ask(reply.into_bytes());
+        assert!(matches!(result, Err(ClientError::Decode(_))), "{result:?}");
+    }
+
+    #[test]
+    fn response_truncated_mid_body_is_io() {
+        let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{\"sessi";
+        let result = ask(reply.to_vec());
+        assert!(matches!(result, Err(ClientError::Io(_))), "{result:?}");
     }
 }

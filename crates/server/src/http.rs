@@ -2,7 +2,10 @@
 //!
 //! The server speaks exactly the subset of HTTP the wire contract
 //! (`docs/API.md`) needs: one request line, headers, an optional
-//! `Content-Length` body, and keep-alive connection reuse.
+//! `Content-Length` body, and keep-alive connection reuse. This is the
+//! workspace's one message reader: the [`Client`](crate::Client) and the
+//! fault lab's proxy read through [`read_message`] under
+//! [`Limits::RESPONSE`], so a hostile server is bounded like a client.
 //!
 //! # The head/body limit model
 //!
@@ -54,6 +57,15 @@ impl Default for Limits {
     }
 }
 
+impl Limits {
+    /// The bounds the client and the fault proxy read under: the server's
+    /// head budget, and a body cap far above any frontier the API sends.
+    pub const RESPONSE: Limits = Limits {
+        max_head_bytes: 16 * 1024,
+        max_body_bytes: 64 * 1024 * 1024,
+    };
+}
+
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -73,11 +85,7 @@ pub struct Request {
 impl Request {
     /// First value of header `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// The body as UTF-8 text.
@@ -87,15 +95,60 @@ impl Request {
     }
 }
 
-/// Why a request could not be read. Each variant has one documented
+/// A message head as [`read_message`] reads it: the start line and the
+/// headers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Head {
+    /// The request line or status line.
+    pub start: String,
+    /// `(name, value)` pairs in wire order; [`read_message`] lower-cases
+    /// the names.
+    pub headers: Vec<(String, String)>,
+}
+
+impl Head {
+    /// First value of header `name` (case-insensitive).
+    pub fn header(&self, name: &str) -> Option<&str> {
+        find_header(&self.headers, name)
+    }
+
+    /// The status code of a response's status line (`HTTP/1.1 200 OK`).
+    pub fn status(&self) -> Result<u16, HttpError> {
+        self.start
+            .split(' ')
+            .nth(1)
+            .and_then(|code| code.parse().ok())
+            .ok_or_else(|| malformed("status line", &self.start))
+    }
+}
+
+/// A `BadRequest` quoting the malformed `text`.
+fn malformed(what: &str, text: &str) -> HttpError {
+    HttpError::BadRequest(format!("malformed {what} `{text}`"))
+}
+
+/// One `(name, value)` header.
+type Header = (String, String);
+
+fn find_header<'a>(headers: &'a [Header], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n.eq_ignore_ascii_case(name))
+        .map(|(_, v)| v.as_str())
+}
+
+/// Why a message could not be read. Each variant has one documented
 /// status code ([`HttpError::status`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
-    /// The peer closed the connection before sending a request line —
+    /// The peer closed the connection before sending a start line —
     /// the clean end of a keep-alive exchange, not an error to report.
     Closed,
-    /// Malformed request line, header, or truncated body → `400`.
+    /// Malformed start line, header or `Content-Length` → `400`.
     BadRequest(String),
+    /// The peer closed, or the socket failed, partway through a message
+    /// → `400`.
+    Truncated(String),
     /// The declared `Content-Length` exceeds [`Limits::max_body_bytes`]
     /// → `413`.
     PayloadTooLarge {
@@ -115,7 +168,7 @@ impl HttpError {
     pub fn status(&self) -> u16 {
         match self {
             HttpError::Closed => 400, // never sent; the connection just ends
-            HttpError::BadRequest(_) => 400,
+            HttpError::BadRequest(_) | HttpError::Truncated(_) => 400,
             HttpError::PayloadTooLarge { .. } => 413,
             HttpError::HeadTooLarge => 431,
             HttpError::Timeout => 408,
@@ -127,7 +180,7 @@ impl fmt::Display for HttpError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             HttpError::Closed => write!(f, "connection closed"),
-            HttpError::BadRequest(m) => write!(f, "bad request: {m}"),
+            HttpError::BadRequest(m) | HttpError::Truncated(m) => write!(f, "bad request: {m}"),
             HttpError::PayloadTooLarge { declared, limit } => {
                 write!(
                     f,
@@ -140,11 +193,13 @@ impl fmt::Display for HttpError {
     }
 }
 
+impl std::error::Error for HttpError {}
+
 fn io_error(e: &io::Error, what: &str) -> HttpError {
     match e.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => HttpError::Timeout,
-        io::ErrorKind::UnexpectedEof => HttpError::BadRequest(format!("truncated {what}")),
-        _ => HttpError::BadRequest(format!("reading {what}: {e}")),
+        io::ErrorKind::UnexpectedEof => HttpError::Truncated(format!("truncated {what}")),
+        _ => HttpError::Truncated(format!("reading {what}: {e}")),
     }
 }
 
@@ -163,7 +218,7 @@ fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<Option<Str
             return if line.is_empty() {
                 Ok(None)
             } else {
-                Err(HttpError::BadRequest("truncated head".into()))
+                Err(HttpError::Truncated("truncated head".into()))
             };
         }
         let take = chunk.iter().position(|&b| b == b'\n');
@@ -185,84 +240,111 @@ fn read_line(reader: &mut impl BufRead, budget: &mut usize) -> Result<Option<Str
     }
 }
 
-/// Reads and validates one request. `Err(HttpError::Closed)` means the
-/// peer hung up cleanly between requests.
-pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Request, HttpError> {
+/// Reads one message. `start` checks the start line before any header
+/// is read; the head then counts against [`Limits::max_head_bytes`], and
+/// a `Content-Length` over [`Limits::max_body_bytes`] is refused before
+/// any body buffer is allocated.
+fn read_with<T>(
+    reader: &mut impl BufRead,
+    limits: &Limits,
+    start: impl FnOnce(String) -> Result<T, HttpError>,
+) -> Result<(T, Vec<Header>, Vec<u8>), HttpError> {
     let mut budget = limits.max_head_bytes;
-    let request_line = match read_line(reader, &mut budget)? {
+    let line = match read_line(reader, &mut budget)? {
         None => return Err(HttpError::Closed),
-        // tolerate one stray blank line before the request line (RFC 9112 §2.2)
+        // tolerate one stray blank line before the start line (RFC 9112 §2.2)
         Some(line) if line.is_empty() => {
             read_line(reader, &mut budget)?.ok_or(HttpError::Closed)?
         }
         Some(line) => line,
     };
-
-    let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
-        _ => {
-            return Err(HttpError::BadRequest(format!(
-                "malformed request line `{request_line}`"
-            )))
-        }
-    };
-    if !method.bytes().all(|b| b.is_ascii_uppercase()) {
-        return Err(HttpError::BadRequest(format!(
-            "malformed method `{method}`"
-        )));
-    }
-    if version != "HTTP/1.1" && version != "HTTP/1.0" {
-        return Err(HttpError::BadRequest(format!(
-            "unsupported protocol `{version}`"
-        )));
-    }
-    let path = target.split('?').next().unwrap_or(target).to_string();
-    if !path.starts_with('/') {
-        return Err(HttpError::BadRequest(format!(
-            "malformed target `{target}`"
-        )));
-    }
+    let start = start(line)?;
 
     let mut headers = Vec::new();
     loop {
-        let line = match read_line(reader, &mut budget)? {
-            None => return Err(HttpError::BadRequest("truncated head".into())),
-            Some(line) => line,
-        };
+        let line = read_line(reader, &mut budget)?
+            .ok_or_else(|| HttpError::Truncated("truncated head".into()))?;
         if line.is_empty() {
             break;
         }
         let (name, value) = line
             .split_once(':')
-            .ok_or_else(|| HttpError::BadRequest(format!("malformed header `{line}`")))?;
+            .ok_or_else(|| malformed("header", &line))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
 
-    let keep_alive = match headers.iter().find(|(n, _)| n == "connection") {
-        Some((_, v)) => !v.eq_ignore_ascii_case("close"),
-        None => version == "HTTP/1.1",
-    };
-
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
+    let declared = match find_header(&headers, "content-length") {
         None => 0,
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("malformed Content-Length `{v}`")))?,
+        Some(v) => v.parse().map_err(|_| malformed("Content-Length", v))?,
     };
-    if content_length > limits.max_body_bytes {
+    if declared > limits.max_body_bytes {
         return Err(HttpError::PayloadTooLarge {
-            declared: content_length,
+            declared,
             limit: limits.max_body_bytes,
         });
     }
-    let mut body = vec![0u8; content_length];
+    let mut body = vec![0u8; declared];
     reader
         .read_exact(&mut body)
         .map_err(|e| io_error(&e, "body"))?;
+    Ok((start, headers, body))
+}
 
+/// Reads one message, head and body, without interpreting its start
+/// line.
+pub fn read_message(
+    reader: &mut impl BufRead,
+    limits: &Limits,
+) -> Result<(Head, Vec<u8>), HttpError> {
+    let (start, headers, body) = read_with(reader, limits, Ok)?;
+    Ok((Head { start, headers }, body))
+}
+
+/// Writes `head` then `body` onto the wire in one write. The fault proxy
+/// forwards what [`read_message`] read with it, with `body` cut shorter
+/// than its `Content-Length` to fake a truncation.
+pub fn write_message(writer: &mut impl Write, head: &Head, body: &[u8]) -> io::Result<()> {
+    let mut out = Vec::new();
+    write!(out, "{}\r\n", head.start)?;
+    for (name, value) in &head.headers {
+        write!(out, "{name}: {value}\r\n")?;
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(body);
+    writer.write_all(&out)?;
+    writer.flush()
+}
+
+/// Reads and validates one request. `Err(HttpError::Closed)` means the
+/// peer hung up cleanly between requests.
+pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Request, HttpError> {
+    let ((method, path, http11), headers, body) = read_with(reader, limits, |line| {
+        let mut parts = line.split(' ');
+        let (method, target, version) =
+            match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
+                _ => return Err(malformed("request line", &line)),
+            };
+        if !method.bytes().all(|b| b.is_ascii_uppercase()) {
+            return Err(malformed("method", method));
+        }
+        if version != "HTTP/1.1" && version != "HTTP/1.0" {
+            return Err(HttpError::BadRequest(format!(
+                "unsupported protocol `{version}`"
+            )));
+        }
+        let path = target.split('?').next().unwrap_or(target).to_string();
+        if !path.starts_with('/') {
+            return Err(malformed("target", target));
+        }
+        Ok((method.to_string(), path, version == "HTTP/1.1"))
+    })?;
+    let keep_alive = match find_header(&headers, "connection") {
+        Some(v) => !v.eq_ignore_ascii_case("close"),
+        None => http11,
+    };
     Ok(Request {
-        method: method.to_string(),
+        method,
         path,
         headers,
         body,
@@ -345,21 +427,18 @@ pub fn write_response(
     keep_alive: bool,
 ) -> io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    write!(
-        writer,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
-        response.status,
-        reason(response.status),
-        response.content_type,
-        response.body.len(),
-        connection
-    )?;
+    let mut head = Head {
+        start: format!("HTTP/1.1 {} {}", response.status, reason(response.status)),
+        headers: vec![
+            ("Content-Type".into(), response.content_type.into()),
+            ("Content-Length".into(), response.body.len().to_string()),
+            ("Connection".into(), connection.into()),
+        ],
+    };
     for (name, value) in &response.headers {
-        write!(writer, "{name}: {value}\r\n")?;
+        head.headers.push((name.to_string(), value.clone()));
     }
-    writer.write_all(b"\r\n")?;
-    writer.write_all(response.body.as_bytes())?;
-    writer.flush()
+    write_message(writer, &head, response.body.as_bytes())
 }
 
 #[cfg(test)]
@@ -420,21 +499,18 @@ mod tests {
 
     #[test]
     fn truncated_requests_are_bad_requests_not_hangs() {
-        // head cut mid-line
-        assert!(matches!(
-            parse("POST /sessions HT"),
-            Err(HttpError::BadRequest(_))
-        ));
-        // headers never terminated
-        assert!(matches!(
-            parse("GET / HTTP/1.1\r\nHost: x\r\n"),
-            Err(HttpError::BadRequest(_))
-        ));
-        // body shorter than its declared length
-        assert!(matches!(
-            parse("POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort"),
-            Err(HttpError::BadRequest(_))
-        ));
+        for cut in [
+            // head cut mid-line
+            "POST /sessions HT",
+            // headers never terminated
+            "GET / HTTP/1.1\r\nHost: x\r\n",
+            // body shorter than its declared length
+            "POST / HTTP/1.1\r\nContent-Length: 50\r\n\r\nshort",
+        ] {
+            let err = parse(cut).unwrap_err();
+            assert!(matches!(err, HttpError::Truncated(_)), "{cut:?}: {err:?}");
+            assert_eq!(err.status(), 400, "{cut:?}");
+        }
     }
 
     #[test]
@@ -529,39 +605,52 @@ mod tests {
 
     /// Table-driven edge cases the fault lab surfaces at the transport:
     /// truncation mid-body, heads split across TCP segments, and bodies
-    /// the peer declared but never sent. Every row must resolve to a
-    /// *specific* outcome — parsed request or typed error — never a hang
-    /// or a panic.
+    /// the peer declared but never sent. Requests go through
+    /// [`read_request`] under the server's default limits; responses
+    /// (rows starting `HTTP/`) through [`read_message`] and
+    /// [`Head::status`] under [`Limits::RESPONSE`], as the client and the
+    /// fault proxy read them. Every row must resolve to a *specific*
+    /// outcome — parsed message or typed error — never a hang or a panic.
     #[test]
     fn segmentation_and_truncation_edge_cases() {
         enum Expect {
-            /// Parses; assert `(method, path, body)`.
-            Ok(&'static str, &'static str, &'static str),
+            /// Parses; assert `("METHOD /path" or status, body)`.
+            Ok(&'static str, &'static str),
             /// Fails with `BadRequest` containing this substring.
             Bad(&'static str),
+            /// Fails with `Truncated` containing this substring.
+            Cut(&'static str),
+            /// Fails with `PayloadTooLarge`.
+            TooLarge,
+            /// Fails with `HeadTooLarge`.
+            HeadTooLarge,
         }
-        use Expect::{Bad, Ok as Parsed};
+        use Expect::{Bad, Cut, Ok as Parsed, TooLarge};
 
+        let padded_head = format!(
+            "HTTP/1.1 200 OK\r\nX-Pad: {}\r\n\r\n",
+            "x".repeat(Limits::RESPONSE.max_head_bytes)
+        );
         let cases: &[(&str, &[u8], &[usize], Expect)] = &[
             (
                 "header split across TCP segments",
                 b"GET /healthz HTTP/1.1\r\nX-Trace: abc\r\n\r\n",
                 // cuts land mid-request-line, mid-header-name, mid-value
                 &[5, 25, 36],
-                Parsed("GET", "/healthz", ""),
+                Parsed("GET /healthz", ""),
             ),
             (
                 "CRLF itself split across segments",
                 b"GET /healthz HTTP/1.1\r\n\r\n",
                 // first \r\n split between \r and \n, and again on the blank line
                 &[22, 24],
-                Parsed("GET", "/healthz", ""),
+                Parsed("GET /healthz", ""),
             ),
             (
                 "body split across segments",
                 b"POST /sessions HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"rank\":0}",
                 &[50, 55],
-                Parsed("POST", "/sessions", "{\"rank\":0}"),
+                Parsed("POST /sessions", "{\"rank\":0}"),
             ),
             (
                 "one byte per segment end to end",
@@ -570,42 +659,107 @@ mod tests {
                     1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22,
                     23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
                 ],
-                Parsed("POST", "/s", "ok"),
+                Parsed("POST /s", "ok"),
             ),
             (
                 "truncated chunk mid-body",
                 b"POST /sessions HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"strategy\":\"be",
                 &[47],
-                Bad("body"),
+                Cut("body"),
             ),
             (
                 "zero body bytes despite Content-Length > 0",
                 b"POST /sessions HTTP/1.1\r\nContent-Length: 10\r\n\r\n",
                 &[],
-                Bad("body"),
+                Cut("body"),
             ),
             (
                 "head cut mid-header line",
                 b"GET /healthz HTTP/1.1\r\nX-Trunc: ab",
                 &[23],
-                Bad("head"),
+                Cut("head"),
+            ),
+            (
+                "response split mid-status-line, mid-header and mid-body",
+                b"HTTP/1.1 201 Created\r\nContent-Length: 13\r\n\r\n{\"session\":0}",
+                &[7, 30, 50],
+                Parsed("201", "{\"session\":0}"),
+            ),
+            (
+                "response body truncated mid-read",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{\"sessi",
+                &[41],
+                Cut("body"),
+            ),
+            (
+                "response length no buffer can hold",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}",
+                &[],
+                TooLarge,
+            ),
+            (
+                "response length beyond any integer",
+                b"HTTP/1.1 200 OK\r\nContent-Length: 99999999999999999999\r\n\r\n{}",
+                &[],
+                Bad("Content-Length"),
+            ),
+            (
+                "response status line without a code",
+                b"HTTP/1.1 OK\r\n\r\n",
+                &[],
+                Bad("status line"),
+            ),
+            (
+                "response head over the cap",
+                padded_head.as_bytes(),
+                &[9000],
+                Expect::HeadTooLarge,
             ),
         ];
 
         for (name, raw, cuts, expect) in cases {
-            let result = read_request(&mut Segmented::new(raw, cuts), &Limits::default());
+            let mut reader = Segmented::new(raw, cuts);
+            let result = if raw.starts_with(b"HTTP/") {
+                read_message(&mut reader, &Limits::RESPONSE)
+                    .and_then(|(head, body)| Ok((head.status()?.to_string(), body)))
+            } else {
+                read_request(&mut reader, &Limits::default())
+                    .map(|req| (format!("{} {}", req.method, req.path), req.body))
+            };
             match (result, expect) {
-                (Ok(req), Parsed(method, path, body)) => {
-                    assert_eq!(req.method, *method, "{name}");
-                    assert_eq!(req.path, *path, "{name}");
-                    assert_eq!(req.body_str().unwrap(), *body, "{name}");
+                (Ok((start, body)), Parsed(want_start, want_body)) => {
+                    assert_eq!(start, *want_start, "{name}");
+                    assert_eq!(body, want_body.as_bytes(), "{name}");
                 }
-                (Err(HttpError::BadRequest(msg)), Bad(needle)) => {
+                (Err(HttpError::BadRequest(msg)), Bad(needle))
+                | (Err(HttpError::Truncated(msg)), Cut(needle)) => {
                     assert!(msg.contains(needle), "{name}: `{msg}` missing `{needle}`");
                 }
+                (Err(HttpError::PayloadTooLarge { .. }), TooLarge)
+                | (Err(HttpError::HeadTooLarge), Expect::HeadTooLarge) => {}
                 (result, _) => panic!("{name}: unexpected outcome {result:?}"),
             }
         }
+    }
+
+    /// What the fault proxy forwards parses exactly as what it read.
+    #[test]
+    fn written_messages_parse_as_they_were_read() {
+        let raw = "\r\nPOST /sessions/3/select?x=1 HTTP/1.0\nX-Trace :  abc \r\n\
+                   Connection: Keep-Alive\r\ncontent-LENGTH: 10\r\n\r\n{\"rank\":0}";
+        let (head, body) = read_message(&mut raw.as_bytes(), &Limits::RESPONSE).unwrap();
+        let mut forwarded = Vec::new();
+        write_message(&mut forwarded, &head, &body).unwrap();
+        assert_eq!(
+            read_request(&mut forwarded.as_slice(), &Limits::default()),
+            parse(raw)
+        );
+        let response = b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n\r\n";
+        let (head, body) = read_message(&mut response.as_slice(), &Limits::RESPONSE).unwrap();
+        let mut forwarded = Vec::new();
+        write_message(&mut forwarded, &head, &body).unwrap();
+        let again = read_message(&mut forwarded.as_slice(), &Limits::RESPONSE).unwrap();
+        assert_eq!(again, (head, body));
     }
 
     #[test]
@@ -620,6 +774,36 @@ mod tests {
         );
         assert!(text.contains("Retry-After: 2\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");
+    }
+
+    /// A `Write` that records each `write` call, as a socket sees them.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_goes_out_in_one_write() {
+        let mut socket = Writes::default();
+        let response = Response::json(503, "{}").with_header("Retry-After", "2");
+        write_response(&mut socket, &response, false).unwrap();
+        assert_eq!(
+            socket.0,
+            [
+                b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+               Content-Length: 2\r\nConnection: close\r\nRetry-After: 2\r\n\r\n{}"
+                    .to_vec()
+            ]
+        );
     }
 
     #[test]

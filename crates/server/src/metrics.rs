@@ -16,6 +16,7 @@
 
 use crate::http::STATUS_REASONS;
 use crate::route::Route;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -63,7 +64,8 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn render(&self, out: &mut String, name: &str) {
+    fn render(&self, out: &mut String, name: &str, help: &str) {
+        family(out, name, "histogram", help);
         let mut cumulative = 0u64;
         for (i, le) in CYCLE_BUCKETS.iter().enumerate() {
             cumulative += self.buckets[i].load(Ordering::Relaxed);
@@ -154,11 +156,6 @@ impl Metrics {
         self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Connections shed so far.
-    pub fn shed_total(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
     /// Feeds one planning-cycle wall time into the latency histogram.
     pub fn observe_cycle(&self, duration: Duration) {
         self.cycle.observe(duration);
@@ -211,9 +208,14 @@ impl Metrics {
     /// registry does not own the session manager).
     pub fn render(&self, live_sessions: usize) -> String {
         let mut out = String::with_capacity(2048);
-
-        out.push_str("# HELP poiesis_http_requests_total Requests served, by route and status.\n");
-        out.push_str("# TYPE poiesis_http_requests_total counter\n");
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let name = "poiesis_http_requests_total";
+        family(
+            &mut out,
+            name,
+            "counter",
+            "Requests served, by route and status.",
+        );
         for (r, route) in Route::LABELS.iter().enumerate() {
             for s in 0..STATUS_SLOTS {
                 let n = self.requests[r][s].load(Ordering::Relaxed);
@@ -224,99 +226,100 @@ impl Metrics {
                     .get(s)
                     .map_or("other".to_string(), |(code, _)| code.to_string());
                 out.push_str(&format!(
-                    "poiesis_http_requests_total{{route=\"{route}\",status=\"{status}\"}} {n}\n"
+                    "{name}{{route=\"{route}\",status=\"{status}\"}} {n}\n"
                 ));
             }
         }
-
-        out.push_str("# HELP poiesis_http_requests_in_flight Requests currently being handled.\n");
-        out.push_str("# TYPE poiesis_http_requests_in_flight gauge\n");
-        out.push_str(&format!(
-            "poiesis_http_requests_in_flight {}\n",
-            self.in_flight.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP poiesis_http_connections_total Connections accepted.\n");
-        out.push_str("# TYPE poiesis_http_connections_total counter\n");
-        out.push_str(&format!(
-            "poiesis_http_connections_total {}\n",
-            self.connections.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP poiesis_http_shed_total Connections refused with 503 under saturation.\n",
+        scalar(
+            &mut out,
+            "poiesis_http_requests_in_flight",
+            "Requests currently being handled.",
+            load(&self.in_flight),
         );
-        out.push_str("# TYPE poiesis_http_shed_total counter\n");
-        out.push_str(&format!("poiesis_http_shed_total {}\n", self.shed_total()));
-
-        out.push_str("# HELP poiesis_cycle_duration_seconds Planning-cycle (explore) wall time.\n");
-        out.push_str("# TYPE poiesis_cycle_duration_seconds histogram\n");
-        self.cycle
-            .render(&mut out, "poiesis_cycle_duration_seconds");
-
-        out.push_str("# HELP poiesis_sessions_live Sessions currently registered.\n");
-        out.push_str("# TYPE poiesis_sessions_live gauge\n");
-        out.push_str(&format!("poiesis_sessions_live {live_sessions}\n"));
-
-        out.push_str(
-            "# HELP poiesis_snapshot_writes_total Durable state writes, one per create, select or close.\n",
+        scalar(
+            &mut out,
+            "poiesis_http_connections_total",
+            "Connections accepted.",
+            load(&self.connections),
         );
-        out.push_str("# TYPE poiesis_snapshot_writes_total counter\n");
-        out.push_str(&format!(
-            "poiesis_snapshot_writes_total {}\n",
-            self.snapshot_writes.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP poiesis_snapshot_write_seconds Durable state write time per create, select or close.\n",
+        scalar(
+            &mut out,
+            "poiesis_http_shed_total",
+            "Connections refused with 503 under saturation.",
+            load(&self.shed),
         );
-        out.push_str("# TYPE poiesis_snapshot_write_seconds histogram\n");
-        self.snapshot_write
-            .render(&mut out, "poiesis_snapshot_write_seconds");
-
-        out.push_str("# HELP poiesis_snapshot_errors_total Snapshot writes that failed.\n");
-        out.push_str("# TYPE poiesis_snapshot_errors_total counter\n");
-        out.push_str(&format!(
-            "poiesis_snapshot_errors_total {}\n",
-            self.snapshot_errors.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP poiesis_snapshot_quarantined_total Session files rejected at startup and moved to <id>.json.corrupt.\n",
+        self.cycle.render(
+            &mut out,
+            "poiesis_cycle_duration_seconds",
+            "Planning-cycle (explore) wall time.",
         );
-        out.push_str("# TYPE poiesis_snapshot_quarantined_total counter\n");
-        out.push_str(&format!(
-            "poiesis_snapshot_quarantined_total {}\n",
-            self.snapshot_quarantines.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP poiesis_static_rejections_total Combinations whose applied flow failed the static screen before evaluation.\n",
+        scalar(
+            &mut out,
+            "poiesis_sessions_live",
+            "Sessions currently registered.",
+            live_sessions,
         );
-        out.push_str("# TYPE poiesis_static_rejections_total counter\n");
-        out.push_str(&format!(
-            "poiesis_static_rejections_total {}\n",
-            self.static_rejections.load(Ordering::Relaxed)
-        ));
-
-        out.push_str(
-            "# HELP poiesis_bound_pruned_total Combinations skipped by the bound-based dominance pre-pruner.\n",
+        scalar(
+            &mut out,
+            "poiesis_snapshot_writes_total",
+            "Durable state writes, one per create, select or close.",
+            load(&self.snapshot_writes),
         );
-        out.push_str("# TYPE poiesis_bound_pruned_total counter\n");
-        out.push_str(&format!(
-            "poiesis_bound_pruned_total {}\n",
-            self.bound_pruned.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP poiesis_uptime_seconds Seconds since the server started.\n");
-        out.push_str("# TYPE poiesis_uptime_seconds gauge\n");
-        out.push_str(&format!(
-            "poiesis_uptime_seconds {}\n",
-            self.started.elapsed().as_secs()
-        ));
-
+        self.snapshot_write.render(
+            &mut out,
+            "poiesis_snapshot_write_seconds",
+            "Durable state write time per create, select or close.",
+        );
+        scalar(
+            &mut out,
+            "poiesis_snapshot_errors_total",
+            "Snapshot writes that failed.",
+            load(&self.snapshot_errors),
+        );
+        scalar(
+            &mut out,
+            "poiesis_snapshot_quarantined_total",
+            "Session files rejected at startup and moved to <id>.json.corrupt.",
+            load(&self.snapshot_quarantines),
+        );
+        scalar(
+            &mut out,
+            "poiesis_static_rejections_total",
+            "Combinations whose applied flow failed the static screen before evaluation.",
+            load(&self.static_rejections),
+        );
+        scalar(
+            &mut out,
+            "poiesis_bound_pruned_total",
+            "Combinations skipped by the bound-based dominance pre-pruner.",
+            load(&self.bound_pruned),
+        );
+        scalar(
+            &mut out,
+            "poiesis_uptime_seconds",
+            "Seconds since the server started.",
+            self.started.elapsed().as_secs(),
+        );
         out
     }
+}
+
+/// Writes the `# HELP` and `# TYPE` lines that open metric family `name`.
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+}
+
+/// Writes a family with one unlabelled sample. Counters are the families
+/// named `*_total` (the Prometheus convention, kept by every family
+/// here); the rest are gauges.
+fn scalar(out: &mut String, name: &str, help: &str, value: impl fmt::Display) {
+    let kind = if name.ends_with("_total") {
+        "counter"
+    } else {
+        "gauge"
+    };
+    family(out, name, kind, help);
+    out.push_str(&format!("{name} {value}\n"));
 }
 
 /// Decrements the in-flight gauge when dropped — panic-safe bracketing of
@@ -448,4 +451,106 @@ mod tests {
         m.record_bound_pruned(1);
         assert!(m.render(0).contains("poiesis_bound_pruned_total 5"));
     }
+
+    /// The full scrape of a fixed registry state, byte for byte, up to the
+    /// uptime sample (the one value a test cannot fix).
+    #[test]
+    fn scrape_text_is_pinned() {
+        let m = Metrics::new();
+        m.record_request(Route::Healthz, 200);
+        m.record_request(Route::parse("POST", "/sessions/3/explore"), 200);
+        m.record_request(Route::parse("POST", "/sessions/3/explore"), 200);
+        m.record_request(Route::parse("POST", "/sessions"), 503);
+        m.record_request(Route::NotFound, 418);
+        m.record_connection();
+        m.record_connection();
+        m.record_shed();
+        m.observe_cycle(Duration::from_millis(3));
+        m.observe_cycle(Duration::from_millis(120));
+        m.record_snapshot_write(true, Duration::from_micros(1500));
+        m.record_snapshot_write(false, Duration::from_millis(30));
+        m.record_snapshot_quarantine();
+        m.record_static_rejections(4);
+        m.record_bound_pruned(7);
+        let _in_flight = m.in_flight_guard();
+        let text = m.render(5);
+        let (pinned, uptime) = text
+            .rsplit_once("poiesis_uptime_seconds ")
+            .expect("uptime sample");
+        assert_eq!(pinned, SCRAPE);
+        assert!(uptime.trim_end().parse::<u64>().is_ok(), "{uptime:?}");
+        assert!(
+            uptime.ends_with('\n') && uptime.lines().count() == 1,
+            "{uptime:?}"
+        );
+    }
+
+    const SCRAPE: &str = r#"# HELP poiesis_http_requests_total Requests served, by route and status.
+# TYPE poiesis_http_requests_total counter
+poiesis_http_requests_total{route="healthz",status="200"} 1
+poiesis_http_requests_total{route="session_create",status="503"} 1
+poiesis_http_requests_total{route="explore",status="200"} 2
+poiesis_http_requests_total{route="other",status="other"} 1
+# HELP poiesis_http_requests_in_flight Requests currently being handled.
+# TYPE poiesis_http_requests_in_flight gauge
+poiesis_http_requests_in_flight 1
+# HELP poiesis_http_connections_total Connections accepted.
+# TYPE poiesis_http_connections_total counter
+poiesis_http_connections_total 2
+# HELP poiesis_http_shed_total Connections refused with 503 under saturation.
+# TYPE poiesis_http_shed_total counter
+poiesis_http_shed_total 1
+# HELP poiesis_cycle_duration_seconds Planning-cycle (explore) wall time.
+# TYPE poiesis_cycle_duration_seconds histogram
+poiesis_cycle_duration_seconds_bucket{le="0.005"} 1
+poiesis_cycle_duration_seconds_bucket{le="0.01"} 1
+poiesis_cycle_duration_seconds_bucket{le="0.025"} 1
+poiesis_cycle_duration_seconds_bucket{le="0.05"} 1
+poiesis_cycle_duration_seconds_bucket{le="0.1"} 1
+poiesis_cycle_duration_seconds_bucket{le="0.25"} 2
+poiesis_cycle_duration_seconds_bucket{le="0.5"} 2
+poiesis_cycle_duration_seconds_bucket{le="1"} 2
+poiesis_cycle_duration_seconds_bucket{le="2.5"} 2
+poiesis_cycle_duration_seconds_bucket{le="5"} 2
+poiesis_cycle_duration_seconds_bucket{le="10"} 2
+poiesis_cycle_duration_seconds_bucket{le="+Inf"} 2
+poiesis_cycle_duration_seconds_sum 0.123
+poiesis_cycle_duration_seconds_count 2
+# HELP poiesis_sessions_live Sessions currently registered.
+# TYPE poiesis_sessions_live gauge
+poiesis_sessions_live 5
+# HELP poiesis_snapshot_writes_total Durable state writes, one per create, select or close.
+# TYPE poiesis_snapshot_writes_total counter
+poiesis_snapshot_writes_total 1
+# HELP poiesis_snapshot_write_seconds Durable state write time per create, select or close.
+# TYPE poiesis_snapshot_write_seconds histogram
+poiesis_snapshot_write_seconds_bucket{le="0.005"} 1
+poiesis_snapshot_write_seconds_bucket{le="0.01"} 1
+poiesis_snapshot_write_seconds_bucket{le="0.025"} 1
+poiesis_snapshot_write_seconds_bucket{le="0.05"} 2
+poiesis_snapshot_write_seconds_bucket{le="0.1"} 2
+poiesis_snapshot_write_seconds_bucket{le="0.25"} 2
+poiesis_snapshot_write_seconds_bucket{le="0.5"} 2
+poiesis_snapshot_write_seconds_bucket{le="1"} 2
+poiesis_snapshot_write_seconds_bucket{le="2.5"} 2
+poiesis_snapshot_write_seconds_bucket{le="5"} 2
+poiesis_snapshot_write_seconds_bucket{le="10"} 2
+poiesis_snapshot_write_seconds_bucket{le="+Inf"} 2
+poiesis_snapshot_write_seconds_sum 0.0315
+poiesis_snapshot_write_seconds_count 2
+# HELP poiesis_snapshot_errors_total Snapshot writes that failed.
+# TYPE poiesis_snapshot_errors_total counter
+poiesis_snapshot_errors_total 1
+# HELP poiesis_snapshot_quarantined_total Session files rejected at startup and moved to <id>.json.corrupt.
+# TYPE poiesis_snapshot_quarantined_total counter
+poiesis_snapshot_quarantined_total 1
+# HELP poiesis_static_rejections_total Combinations whose applied flow failed the static screen before evaluation.
+# TYPE poiesis_static_rejections_total counter
+poiesis_static_rejections_total 4
+# HELP poiesis_bound_pruned_total Combinations skipped by the bound-based dominance pre-pruner.
+# TYPE poiesis_bound_pruned_total counter
+poiesis_bound_pruned_total 7
+# HELP poiesis_uptime_seconds Seconds since the server started.
+# TYPE poiesis_uptime_seconds gauge
+"#;
 }

@@ -26,7 +26,7 @@
 use crate::http::{self, HttpError, Limits, Request, Response};
 use crate::metrics::Metrics;
 use crate::route::Route;
-use crate::service::{error_body, http_error_response, PlanningService};
+use crate::service::{error_body, http_error_response, overloaded, PlanningService};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -332,15 +332,10 @@ fn shed(stream: TcpStream, config: &ServerConfig) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let _ = stream.set_nodelay(true);
-    let retry_after = config.retry_after.as_secs().max(1);
-    let response = Response::json(
-        503,
-        error_body(
-            "overloaded",
-            "all workers are busy and the accept queue is full; retry shortly",
-        ),
-    )
-    .with_header("Retry-After", retry_after.to_string());
+    let response = overloaded(
+        "all workers are busy and the accept queue is full; retry shortly",
+        config.retry_after.as_secs().max(1),
+    );
     let mut stream = stream;
     let _ = http::write_response(&mut stream, &response, false);
     let _ = stream.shutdown(std::net::Shutdown::Write);

@@ -61,11 +61,19 @@ fn plan_error(error: &PoiesisError) -> Response {
     Response::json(status_for(error), body.to_string())
 }
 
+/// The `503` + `Retry-After` that tells a client to come back in
+/// `retry_after_secs`: the server's shedder and the fault lab's injected
+/// shed both send it.
+pub fn overloaded(message: &str, retry_after_secs: u64) -> Response {
+    Response::json(503, error_body("overloaded", message))
+        .with_header("Retry-After", retry_after_secs.to_string())
+}
+
 /// The wire-visible form of an [`HttpError`] (except `Closed`, which the
 /// connection loop handles by hanging up).
 pub fn http_error_response(error: &HttpError) -> Response {
     let code = match error {
-        HttpError::Closed | HttpError::BadRequest(_) => "bad_request",
+        HttpError::Closed | HttpError::BadRequest(_) | HttpError::Truncated(_) => "bad_request",
         HttpError::PayloadTooLarge { .. } => "payload_too_large",
         HttpError::HeadTooLarge => "head_too_large",
         HttpError::Timeout => "timeout",

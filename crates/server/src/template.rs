@@ -55,12 +55,7 @@ impl SessionTemplate {
     /// A scenario-corpus template: the named scenario's base flow over
     /// its seeded catalog at `rows` rows per base table.
     pub fn from_scenario(name: &str, rows: usize) -> Result<Self, String> {
-        let s = scenarios::get(name).ok_or_else(|| {
-            format!(
-                "unknown scenario `{name}`; known scenarios: {}",
-                scenarios::names().join(", ")
-            )
-        })?;
+        let s = scenarios::lookup(name)?;
         Ok(SessionTemplate {
             flow: s.flow(),
             catalog: s.catalog(rows),

@@ -40,6 +40,7 @@ use poiesis_server::{
     Client, ClientError, Clock, PlanningService, RetryPolicy, Server, ServerConfig,
     SessionTemplate, ShutdownHandle, StateStore, SystemClock, TornWrite, TornWriteHook,
 };
+use scenarios::digest::digest_lines;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fs;
@@ -145,16 +146,6 @@ impl fmt::Display for LabFailure {
 
 impl std::error::Error for LabFailure {}
 
-/// FNV-1a, 64-bit — a stable, dependency-free content digest.
-pub fn fnv64(text: &str) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
-
 /// The frontier, canonicalised for cross-run comparison: the session
 /// handle is erased (control and faulted runs allocate different
 /// handles once faults orphan a create), everything else — axes,
@@ -162,7 +153,7 @@ pub fn fnv64(text: &str) -> String {
 fn frontier_digest(response: &PlanResponse) -> String {
     let mut canonical = response.clone();
     canonical.session = None;
-    fnv64(&canonical.to_json_string())
+    digest_lines(&[canonical.to_json_string()])
 }
 
 fn lab_dir(seed: u64, role: &str) -> PathBuf {
@@ -883,7 +874,7 @@ pub fn run_seed(seed: u64, cfg: &LabConfig) -> Result<LabReport, LabFailure> {
         virtual_wait: clock.total_slept(),
         quarantines: lab.quarantines,
         restarts: lab.restarts,
-        outcome_digest: fnv64(&outcome),
+        outcome_digest: digest_lines(&[outcome]),
         schedule: plan.describe(),
     })
 }
@@ -891,13 +882,6 @@ pub fn run_seed(seed: u64, cfg: &LabConfig) -> Result<LabReport, LabFailure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_digest_is_stable() {
-        assert_eq!(fnv64(""), "cbf29ce484222325");
-        assert_eq!(fnv64("poiesis"), fnv64("poiesis"));
-        assert_ne!(fnv64("a"), fnv64("b"));
-    }
 
     #[test]
     fn mutation_tamper_keeps_the_snapshot_loadable_but_divergent() {

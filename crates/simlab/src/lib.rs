@@ -36,6 +36,6 @@ pub mod plan;
 pub mod proxy;
 
 pub use clock::SimClock;
-pub use lab::{fnv64, run_seed, LabConfig, LabFailure, LabReport};
+pub use lab::{run_seed, LabConfig, LabFailure, LabReport};
 pub use plan::{FaultPlan, ProcessFault, WireFault};
 pub use proxy::FaultProxy;

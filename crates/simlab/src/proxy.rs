@@ -1,71 +1,31 @@
 //! The wire-fault proxy.
 //!
 //! [`FaultProxy`] sits between the lab's [`Client`](poiesis_server::Client)
-//! and the real server, speaking just enough HTTP/1.1 to delimit
-//! exchanges (head + `Content-Length` body — the only framing either
-//! side of this workspace emits). Each exchange draws its fault from the
-//! plan by a global exchange counter, so the schedule is a pure function
-//! of the seed and of how many requests the client (including its own
-//! internal `503` retries) has sent — not of thread timing.
+//! and the real server. It delimits exchanges with the server's own
+//! HTTP/1.1 reader ([`poiesis_server::http::read_message`], head plus
+//! `Content-Length` body, under [`Limits::RESPONSE`] both ways) and
+//! writes each message back as it read it, so neither side parses
+//! anything the other did not send. A message the reader refuses —
+//! malformed, truncated or over the caps — closes the connection. Each
+//! exchange draws its fault from the plan by a global exchange counter,
+//! so the schedule is a pure function of the seed and of how many
+//! requests the client (including its own internal `503` retries) has
+//! sent — not of thread timing.
 //!
 //! The backend address is retargetable because the server under test is
 //! killed and restarted on fresh ports mid-run.
 
 use crate::clock::SimClock;
 use crate::plan::WireFault;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use poiesis_server::http::{self, HttpError, Limits};
+use poiesis_server::service::overloaded;
+use std::error::Error;
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-
-/// Reads one HTTP message (request or response) off `reader`: head up to
-/// the blank line, then exactly `Content-Length` body bytes. Returns the
-/// raw bytes, or `None` on a clean EOF before the first byte.
-fn read_message(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Vec<u8>>> {
-    let mut message = Vec::new();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            if message.is_empty() {
-                return Ok(None);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "peer closed mid-head",
-            ));
-        }
-        message.extend_from_slice(line.as_bytes());
-        let trimmed = line.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() && message.len() > line.len() {
-            break;
-        }
-        if let Some((name, value)) = trimmed.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "bad Content-Length")
-                })?;
-            }
-        }
-    }
-    let head_len = message.len();
-    message.resize(head_len + content_length, 0);
-    reader.read_exact(&mut message[head_len..])?;
-    Ok(Some(message))
-}
-
-/// Where the response head ends (after `\r\n\r\n`), or the full length
-/// when no body separator is found.
-fn head_end(message: &[u8]) -> usize {
-    message
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| p + 4)
-        .unwrap_or(message.len())
-}
 
 struct ProxyState {
     wire: Vec<WireFault>,
@@ -189,14 +149,16 @@ impl Drop for FaultProxy {
 
 /// One client connection: exchanges until EOF or a connection-killing
 /// fault.
-fn serve_connection(state: &ProxyState, client: TcpStream) -> io::Result<()> {
+fn serve_connection(state: &ProxyState, client: TcpStream) -> Result<(), Box<dyn Error>> {
     client.set_nodelay(true)?;
     client.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(client.try_clone()?);
     let mut writer = client;
     loop {
-        let Some(request) = read_message(&mut reader)? else {
-            return Ok(()); // client closed between exchanges
+        let (head, body) = match http::read_message(&mut reader, &Limits::RESPONSE) {
+            Ok(request) => request,
+            Err(HttpError::Closed) => return Ok(()), // client closed between exchanges
+            Err(e) => return Err(e.into()),
         };
         let index = state.exchanges.fetch_add(1, Ordering::SeqCst);
         let fault = state.wire[index % state.wire.len()].clone();
@@ -208,16 +170,9 @@ fn serve_connection(state: &ProxyState, client: TcpStream) -> io::Result<()> {
                 return Ok(());
             }
             WireFault::Reject503 => {
-                let body = r#"{"error":{"code":"overloaded","message":"injected shed"}}"#;
-                let head = format!(
-                    "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
-                     Content-Length: {}\r\nRetry-After: 1\r\nConnection: close\r\n\r\n",
-                    body.len()
-                );
-                writer.write_all(head.as_bytes())?;
-                writer.write_all(body.as_bytes())?;
-                writer.flush()?;
-                return Ok(()); // sheds close, like the real server
+                // sheds close, like the real server
+                http::write_response(&mut writer, &overloaded("injected shed", 1), false)?;
+                return Ok(());
             }
             WireFault::Forward | WireFault::Delay { .. } | WireFault::TruncateBody { .. } => {
                 if let WireFault::Delay { millis } = fault {
@@ -229,26 +184,17 @@ fn serve_connection(state: &ProxyState, client: TcpStream) -> io::Result<()> {
                 upstream.set_read_timeout(Some(Duration::from_secs(10)))?;
                 let mut up_reader = BufReader::new(upstream.try_clone()?);
                 let mut up_writer = upstream;
-                up_writer.write_all(&request)?;
-                up_writer.flush()?;
-                let Some(response) = read_message(&mut up_reader)? else {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "backend closed without responding",
-                    ));
-                };
+                http::write_message(&mut up_writer, &head, &body)?;
+                let (head, body) = http::read_message(&mut up_reader, &Limits::RESPONSE)?;
                 if let WireFault::TruncateBody { keep_pct } = fault {
-                    let head = head_end(&response);
-                    let body_len = response.len() - head;
                     // Always at least one byte short of complete, so the
                     // client observes a truncation rather than a success.
-                    let keep = (body_len * keep_pct as usize / 100).min(body_len.saturating_sub(1));
-                    writer.write_all(&response[..head + keep])?;
-                    writer.flush()?;
+                    let keep =
+                        (body.len() * keep_pct as usize / 100).min(body.len().saturating_sub(1));
+                    http::write_message(&mut writer, &head, &body[..keep])?;
                     return Ok(());
                 }
-                writer.write_all(&response)?;
-                writer.flush()?;
+                http::write_message(&mut writer, &head, &body)?;
             }
         }
     }
@@ -257,7 +203,8 @@ fn serve_connection(state: &ProxyState, client: TcpStream) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poiesis_server::Clock;
+    use poiesis_server::{Clock, Response};
+    use std::io::{Read, Write};
 
     fn echo_backend() -> (SocketAddr, thread::JoinHandle<()>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -269,14 +216,10 @@ mod tests {
                     return;
                 };
                 let mut reader = BufReader::new(conn.try_clone().unwrap());
-                while let Ok(Some(_)) = read_message(&mut reader) {
-                    let body = r#"{"ok":true}"#;
-                    let response = format!(
-                        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
-                        body.len()
-                    );
-                    let mut w = conn.try_clone().unwrap();
-                    if w.write_all(response.as_bytes()).is_err() {
+                let mut w = conn;
+                while http::read_message(&mut reader, &Limits::RESPONSE).is_ok() {
+                    let ok = Response::json(200, r#"{"ok":true}"#);
+                    if http::write_response(&mut w, &ok, true).is_err() {
                         break;
                     }
                 }
@@ -285,16 +228,13 @@ mod tests {
         (addr, join)
     }
 
-    fn roundtrip(addr: SocketAddr) -> io::Result<Vec<u8>> {
-        let conn = TcpStream::connect(addr)?;
-        conn.set_read_timeout(Some(Duration::from_millis(500)))?;
-        let mut w = conn.try_clone()?;
-        w.write_all(b"GET /x HTTP/1.1\r\nHost: t\r\n\r\n")?;
-        let mut reader = BufReader::new(conn);
-        match read_message(&mut reader)? {
-            Some(bytes) => Ok(bytes),
-            None => Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed")),
-        }
+    fn roundtrip(addr: SocketAddr) -> Result<(http::Head, Vec<u8>), HttpError> {
+        let conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut w = conn.try_clone().unwrap();
+        w.write_all(b"GET /x HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        http::read_message(&mut BufReader::new(conn), &Limits::RESPONSE)
     }
 
     #[test]
@@ -315,15 +255,18 @@ mod tests {
         .unwrap();
 
         // Exchange 0: forwarded intact.
-        let ok = roundtrip(proxy.addr()).unwrap();
-        assert!(ok.ends_with(br#"{"ok":true}"#));
+        let (_, body) = roundtrip(proxy.addr()).unwrap();
+        assert_eq!(body, br#"{"ok":true}"#);
         // Exchange 1: dropped — no response.
-        assert!(roundtrip(proxy.addr()).is_err());
-        // Exchange 2: truncated — read_message hits EOF mid-body.
-        assert!(roundtrip(proxy.addr()).is_err());
+        assert_eq!(roundtrip(proxy.addr()).unwrap_err(), HttpError::Closed);
+        // Exchange 2: truncated — the reader hits EOF mid-body.
+        assert!(matches!(
+            roundtrip(proxy.addr()),
+            Err(HttpError::Truncated(_))
+        ));
         // Exchange 3: delayed virtually, then forwarded intact.
-        let ok = roundtrip(proxy.addr()).unwrap();
-        assert!(ok.ends_with(br#"{"ok":true}"#));
+        let (_, body) = roundtrip(proxy.addr()).unwrap();
+        assert_eq!(body, br#"{"ok":true}"#);
         assert_eq!(clock.elapsed(), Duration::from_millis(250));
 
         assert_eq!(proxy.exchanges(), 4);
@@ -343,10 +286,51 @@ mod tests {
             Duration::from_millis(100),
         )
         .unwrap();
-        let response = roundtrip(proxy.addr()).unwrap();
-        let text = String::from_utf8_lossy(&response);
-        assert!(text.starts_with("HTTP/1.1 503"), "{text}");
-        assert!(text.contains("Retry-After: 1"), "{text}");
+        let (head, _) = roundtrip(proxy.addr()).unwrap();
+        assert_eq!(head.status(), Ok(503));
+        assert_eq!(head.header("Retry-After"), Some("1"));
+        assert_eq!(head.header("Connection"), Some("close"));
         proxy.stop();
+    }
+
+    #[test]
+    fn over_cap_backend_length_closes_the_connection_without_a_panic() {
+        // A backend that declares a body no buffer can hold.
+        let backend = TcpListener::bind("127.0.0.1:0").unwrap();
+        let backend_addr = backend.local_addr().unwrap();
+        thread::spawn(move || {
+            let (mut conn, _) = backend.accept().unwrap();
+            let mut request = [0u8; 64];
+            let _ = conn.read(&mut request);
+            let _ = conn
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n{}");
+        });
+        let state = ProxyState {
+            wire: vec![WireFault::Forward],
+            backend: Mutex::new(backend_addr),
+            clock: Arc::new(SimClock::new()),
+            exchanges: AtomicUsize::new(0),
+            log: Mutex::new(Vec::new()),
+            stop: AtomicBool::new(false),
+            stall_hold: Duration::from_millis(100),
+        };
+        let front = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(front.local_addr().unwrap()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let (conn, _) = front.accept().unwrap();
+        client
+            .write_all(b"GET /x HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+
+        let served = thread::spawn(move || serve_connection(&state, conn).is_err()).join();
+        assert!(
+            matches!(served, Ok(true)),
+            "the proxy must refuse the length with an error, not a panic"
+        );
+        let mut forwarded = Vec::new();
+        client.read_to_end(&mut forwarded).unwrap();
+        assert!(forwarded.is_empty(), "nothing of the response is forwarded");
     }
 }
