@@ -681,7 +681,9 @@ fn diagnostic_for(err: &FlowError, locate: impl Fn(&str) -> Location) -> Diagnos
             locate(op),
             format!("`{op}` would introduce duplicate attribute `{column}`"),
         )
-        .with_suggestion(format!("rename the derived attribute `{column}`")),
+        .with_suggestion(format!(
+            "rename the derived or aggregated attribute `{column}`, or keep it once"
+        )),
         FlowError::Schema(SchemaError::MergeMismatch { op }) => Diagnostic::error(
             codes::MERGE_MISMATCH,
             locate(op),
@@ -1022,6 +1024,18 @@ mod tests {
         f.connect(a, d).unwrap();
         f.connect(d, l).unwrap();
         assert_eq!(codes_of(&analyze(&f)), vec![codes::DUPLICATE_ATTRIBUTE]);
+
+        // projection keeping a column twice (reachable from a model file)
+        let mut f = EtlFlow::new("p");
+        let a = f.add_op(Operation::extract("src", schema()));
+        let p = f.add_op(Operation::project("P", vec!["id".into(), "id".into()]));
+        let l = f.add_op(Operation::load("dw"));
+        f.connect(a, p).unwrap();
+        f.connect(p, l).unwrap();
+        let diags = analyze(&f);
+        assert_eq!(codes_of(&diags), vec![codes::DUPLICATE_ATTRIBUTE]);
+        assert!(matches!(diags[0].location, Location::Node(n) if n == p));
+        assert!(diags[0].message.contains("`id`"), "{}", diags[0].message);
 
         // merge of two different shapes
         let mut f = EtlFlow::new("m");

@@ -10,7 +10,10 @@
 //! export carries, per cell: combinations/second, µs per combination,
 //! frontier size, the 16-hex skyline digest, and the planner's
 //! statically-rejected / bound-pruned / constraint-rejected / failed
-//! counters.
+//! counters, and the heap allocations per combination (`allocs_per_combo`:
+//! every allocation a run of the cell makes, set-up included, over its
+//! combinations, to one decimal). A counting global allocator supplies the
+//! last; the bin asserts that a cell's last two runs agree on it.
 //!
 //! ```text
 //! bench_scenarios [--out FILE.json] [--csv FILE.csv]
@@ -23,6 +26,38 @@
 
 use scenarios::sweep::{run_cell, strategies, SweepScale};
 use serde::json::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Heap allocations (including reallocations) made so far by the process.
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting every allocation into [`ALLOCS`].
+struct Counting;
+
+// SAFETY: every method passes its arguments unchanged to `System`, so the
+// guarantees the caller gives under the `GlobalAlloc` contract are the ones
+// `System` requires. Counting touches only an atomic and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 struct Cell {
     scenario: &'static str,
@@ -36,6 +71,7 @@ struct Cell {
     rejected_by_constraints: usize,
     failed_applications: usize,
     failed_evaluations: usize,
+    allocs_per_combo: String,
 }
 
 impl Cell {
@@ -74,12 +110,17 @@ impl Cell {
                 "failed_evaluations".into(),
                 num(self.failed_evaluations as f64),
             ),
+            (
+                "allocs_per_combo".into(),
+                Value::number(self.allocs_per_combo.parse().expect("formatted number"))
+                    .expect("finite"),
+            ),
         ])
     }
 
     fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{:.4},{:.0},{:.2},{},{},{},{},{},{}",
+            "{},{},{},{},{:.4},{:.0},{:.2},{},{},{},{},{},{},{}",
             self.scenario,
             self.strategy,
             self.enumerated,
@@ -93,13 +134,29 @@ impl Cell {
             self.rejected_by_constraints,
             self.failed_applications,
             self.failed_evaluations,
+            self.allocs_per_combo,
         )
     }
 }
 
 const CSV_HEADER: &str = "scenario,strategy,enumerated,frontier,secs,combos_per_sec,\
                           us_per_combo,digest,statically_rejected,bound_pruned,\
-                          rejected_by_constraints,failed_applications,failed_evaluations";
+                          rejected_by_constraints,failed_applications,failed_evaluations,\
+                          allocs_per_combo";
+
+/// Runs one cell, returning the run and its heap allocations per
+/// combination, formatted to one decimal.
+fn counted_run(
+    s: &scenarios::Scenario,
+    strategy: poiesis::SearchStrategyKind,
+    scale: &SweepScale,
+) -> (scenarios::sweep::CellRun, String) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let run = run_cell(s, strategy, scale);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let per_combo = allocs as f64 / run.outcome.stats.enumerated.max(1) as f64;
+    (run, format!("{per_combo:.1}"))
+}
 
 /// The value following flag `name`, if the flag is present.
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -130,12 +187,17 @@ fn main() {
             // until ~0.25s of accumulated wall time (min 3, max 64
             // runs) and take the best. The minimum converges to the
             // true per-cell cost because scheduler noise is one-sided.
-            let a = run_cell(&s, strategy, &scale);
+            //
+            // The allocation count is the last run's: the first run of the
+            // process also pays one-off initialisation. Its last two runs
+            // must agree on it.
+            let (a, mut allocs) = counted_run(&s, strategy, &scale);
+            let mut previous_allocs = None;
             let mut best_secs = a.secs;
             let mut total = a.secs;
             let mut runs = 1usize;
             while (runs < 3 || total < 0.25) && runs < 64 {
-                let again = run_cell(&s, strategy, &scale);
+                let (again, again_allocs) = counted_run(&s, strategy, &scale);
                 assert_eq!(
                     a.digest, again.digest,
                     "{}/{strategy}: two runs of the same cell diverged — determinism broken",
@@ -144,7 +206,14 @@ fn main() {
                 best_secs = best_secs.min(again.secs);
                 total += again.secs;
                 runs += 1;
+                previous_allocs = Some(std::mem::replace(&mut allocs, again_allocs));
             }
+            assert_eq!(
+                previous_allocs.as_ref(),
+                Some(&allocs),
+                "{}/{strategy}: the last two runs disagree on allocations per combination",
+                s.name
+            );
             let (out, secs) = (a.outcome, best_secs);
             let cell = Cell {
                 scenario: s.name,
@@ -158,9 +227,10 @@ fn main() {
                 rejected_by_constraints: out.rejected_by_constraints,
                 failed_applications: out.failed_applications,
                 failed_evaluations: out.failed_evaluations,
+                allocs_per_combo: allocs,
             };
             println!(
-                "{:<18} {:<12} {:>7} combos  {:>10.0} combos/s  {:>7.1} µs/combo  frontier {:>2}  digest {}  pruned {:>5}  static {:>4}",
+                "{:<18} {:<12} {:>7} combos  {:>10.0} combos/s  {:>7.1} µs/combo  frontier {:>2}  digest {}  pruned {:>5}  static {:>4}  allocs/combo {:>6}",
                 cell.scenario,
                 cell.strategy,
                 cell.enumerated,
@@ -170,6 +240,7 @@ fn main() {
                 cell.digest,
                 cell.bound_pruned,
                 cell.statically_rejected,
+                cell.allocs_per_combo,
             );
             cells.push(cell);
         }

@@ -203,27 +203,33 @@ struct Level {
 }
 
 impl PrefixStack {
-    /// Applies `combo` (indices into `candidates`) to a fork of `base` named
-    /// `name`, with the outcome of [`apply_combination_incremental`]:
-    /// `None` where that returns an error, else the alternative, its
-    /// applied patterns in application order and the carried table's
-    /// verdict.
+    /// Applies `combo` (indices into `candidates`) to an unnamed fork of
+    /// `base`, with the outcome of [`apply_combination_incremental`]:
+    /// `None` where that returns an error, else the alternative, the last
+    /// step's applied pattern (`None` for an empty combination) and the
+    /// carried table's verdict.
+    ///
+    /// The records of the steps before the last stay on the stack, where
+    /// [`prefix_records`](Self::prefix_records) reads them until the next
+    /// call: they are not cloned for every combination, since most
+    /// combinations are dominated and never need them. The caller names
+    /// the fork for the same reason.
     pub(crate) fn apply(
         &mut self,
         base: &EtlFlow,
         base_schemas: &SchemaTable,
         candidates: &[Candidate],
         combo: &[usize],
-        name: String,
-    ) -> Option<(EtlFlow, Vec<AppliedPattern>, CarriedTable)> {
+    ) -> Option<(EtlFlow, Option<AppliedPattern>, CarriedTable)> {
         self.order.clear();
         self.order.extend(application_order(combo, |i| {
             candidates[i].point == ApplicationPoint::Graph
         }));
         let Some((&last, prefix)) = self.order.split_last() else {
-            let flow = base.fork(name);
+            self.levels.clear();
+            let flow = base.fork(String::new());
             let cow = flow.delta_since(base);
-            return Some((flow, Vec::new(), CarriedTable::Exact { cow }));
+            return Some((flow, None, CarriedTable::Exact { cow }));
         };
         let shared = self
             .levels
@@ -233,7 +239,7 @@ impl PrefixStack {
             .count();
         self.levels.truncate(shared);
         for &i in &prefix[shared..] {
-            let (mut flow, table) = self.fork_top(base, base_schemas, String::new())?;
+            let (mut flow, table) = self.fork_top(base, base_schemas)?;
             #[cfg(test)]
             {
                 self.steps += 1;
@@ -249,36 +255,35 @@ impl PrefixStack {
             };
             self.levels.push((i, level));
         }
-        let (mut flow, table) = self.fork_top(base, base_schemas, name)?;
+        let (mut flow, table) = self.fork_top(base, base_schemas)?;
         #[cfg(test)]
         {
             self.steps += 1;
         }
         let (a, repaired) = apply_step(base, &mut flow, table, &candidates[last]).ok()?;
-        let mut applied = Vec::with_capacity(self.order.len());
-        applied.extend(
-            self.levels
-                .iter()
-                .flat_map(|(_, l)| l)
-                .map(|l| l.applied.clone()),
-        );
-        applied.push(a);
         let carried = carried(base, &flow, repaired);
-        Some((flow, applied, carried))
+        Some((flow, Some(a), carried))
     }
 
-    /// A fork of the top level named `name`, with its exact schema table —
-    /// the base's when the stack is empty — or `None` when that level
-    /// failed.
+    /// The applied patterns of every step before the last of the
+    /// combination the latest successful [`apply`](Self::apply) returned,
+    /// in application order.
+    pub(crate) fn prefix_records(&self) -> impl Iterator<Item = &AppliedPattern> {
+        self.levels.iter().flat_map(|(_, l)| l).map(|l| &l.applied)
+    }
+
+    /// An unnamed fork of the top level with its exact schema table — the
+    /// base's when the stack is empty — or `None` when that level failed.
     fn fork_top(
         &self,
         base: &EtlFlow,
         base_schemas: &SchemaTable,
-        name: String,
     ) -> Option<(EtlFlow, SchemaTable)> {
         match self.levels.last() {
-            None => Some((base.fork(name), base_schemas.clone())),
-            Some((_, level)) => level.as_ref().map(|l| (l.flow.fork(name), l.table.clone())),
+            None => Some((base.fork(String::new()), base_schemas.clone())),
+            Some((_, level)) => level
+                .as_ref()
+                .map(|l| (l.flow.fork(String::new()), l.table.clone())),
         }
     }
 }
@@ -462,7 +467,10 @@ mod tests {
     }
 
     /// Applies `combo` on `stack` and asserts the outcome equals the
-    /// one-shot incremental apply's; returns it.
+    /// one-shot incremental apply's; returns it. The stacked outcome is
+    /// assembled as the planner assembles a kept design: the fork named
+    /// afterwards, its records read from the stack's prefix plus the last
+    /// step's.
     fn stack_apply(
         stack: &mut PrefixStack,
         base: &EtlFlow,
@@ -473,7 +481,14 @@ mod tests {
         let name = format!("combo{combo:?}");
         let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
         let one_shot = apply_combination_incremental(base, &refs, name.clone(), &schemas).ok();
-        let stacked = stack.apply(base, &schemas, candidates, combo, name);
+        let stacked =
+            stack
+                .apply(base, &schemas, candidates, combo)
+                .map(|(mut flow, last, carried)| {
+                    flow.name = name;
+                    let applied = stack.prefix_records().chain(&last).cloned().collect();
+                    (flow, applied, carried)
+                });
         let (stacked, one_shot) = (comparable(stacked), comparable(one_shot));
         assert_eq!(stacked, one_shot, "stack diverged on {combo:?}");
         stacked
@@ -601,12 +616,10 @@ mod tests {
         let policy = DeploymentPolicy::exhaustive(3);
         let cands = crate::generate::generate_candidates(&f, &reg, &policy).unwrap();
         let schemas = etl_model::propagate_schemas(&f).unwrap();
-        let labels = LabelTable::new(&cands);
         let mut stack = PrefixStack::default();
         let mut combos = 0;
         for combo in crate::explore::CombinationIter::new(&cands, &policy, usize::MAX) {
-            let name = labels.name(&f, &combo);
-            stack.apply(&f, &schemas, &cands, &combo, name);
+            stack.apply(&f, &schemas, &cands, &combo);
             combos += 1;
         }
         let per_combo = stack.steps as f64 / combos as f64;

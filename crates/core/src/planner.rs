@@ -380,31 +380,28 @@ impl Planner {
     /// applied result. Each application checks its pattern's
     /// [`applicable`](fcp::Pattern::applicable) against the flow it edits,
     /// so a candidate whose preconditions do not hold fails here as an
-    /// application.
+    /// application. The applied flow is unnamed: nothing before the
+    /// skyline reads the name, so only a kept design is named.
     fn realize_combination(
         &self,
         stack: &mut PrefixStack,
         combo: &[usize],
         candidates: &[Candidate],
-        labels: &LabelTable,
         schemas: Option<&etl_model::SchemaTable>,
     ) -> Realization {
-        let name = labels.name(&self.flow, combo);
         // With the base schema table, apply incrementally: the table is
         // carried across the combination's applications (O(patch) per step)
         // instead of re-propagated from scratch inside each pattern, and
         // the stack reuses the steps shared with the previous combination.
-        let (flow, applied, carried) = match schemas {
-            Some(schemas) => {
-                match stack.apply(&self.flow, schemas, candidates, combo, name.clone()) {
-                    Some((f, a, c)) => (f, a, Some(c)),
-                    None => return Realization::ApplyFailed,
-                }
-            }
+        let (flow, records, carried) = match schemas {
+            Some(schemas) => match stack.apply(&self.flow, schemas, candidates, combo) {
+                Some((f, last, c)) => (f, Records::Stacked(last), Some(c)),
+                None => return Realization::ApplyFailed,
+            },
             None => {
                 let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
-                match apply_combination(&self.flow, &refs, name.clone()) {
-                    Ok((f, a)) => (f, a, None),
+                match apply_combination(&self.flow, &refs, String::new()) {
+                    Ok((f, a)) => (f, Records::Owned(a), None),
                     Err(_) => return Realization::ApplyFailed,
                 }
             }
@@ -426,11 +423,7 @@ impl Planner {
                 return Realization::Screened;
             }
         }
-        Realization::Ready {
-            flow,
-            applied,
-            name,
-        }
+        Realization::Ready { flow, records }
     }
 
     /// Scores one realized combination from scratch: [`quality::estimate`]
@@ -478,17 +471,34 @@ impl Planner {
 /// evaluation, or a rejection the engine counts.
 enum Realization {
     /// Applied and screened; evaluate it.
-    Ready {
-        flow: EtlFlow,
-        applied: Vec<AppliedPattern>,
-        name: String,
-    },
+    Ready { flow: EtlFlow, records: Records },
     /// Dropped by the static post-screen: the applied flow does not
     /// validate.
     Screened,
     /// The application itself failed: a candidate was not applicable on
     /// the flow it would edit, or its edit errored.
     ApplyFailed,
+}
+
+/// The applied patterns of a realized combination.
+enum Records {
+    /// All of them, in application order, from the one-shot apply.
+    Owned(Vec<AppliedPattern>),
+    /// The last step's (`None` for an empty combination); the steps before
+    /// it are the worker stack's [`prefix_records`](PrefixStack::prefix_records).
+    Stacked(Option<AppliedPattern>),
+}
+
+impl Records {
+    /// One `"pattern point"` line per applied pattern, in application
+    /// order, reading a stacked prefix from `stack`.
+    fn describe(&self, stack: &PrefixStack) -> Vec<String> {
+        let line = |a: &AppliedPattern| format!("{} {}", a.pattern, a.point);
+        match self {
+            Records::Owned(all) => all.iter().map(line).collect(),
+            Records::Stacked(last) => stack.prefix_records().chain(last).map(line).collect(),
+        }
+    }
 }
 
 // --------------------------------------------------------- streaming engine
@@ -624,18 +634,13 @@ impl<'a> StreamingEngine<'a> {
                 return None;
             }
         }
-        let (flow, applied, name) = match self.planner.realize_combination(
+        let (flow, records) = match self.planner.realize_combination(
             stack,
             combo,
             self.candidates,
-            &self.labels,
             self.schemas.as_ref(),
         ) {
-            Realization::Ready {
-                flow,
-                applied,
-                name,
-            } => (flow, applied, name),
+            Realization::Ready { flow, records } => (flow, records),
             Realization::Screened => {
                 self.statically_rejected.fetch_add(1, Ordering::Relaxed);
                 return None;
@@ -665,20 +670,25 @@ impl<'a> StreamingEngine<'a> {
         // objective, not an implicit score-sum
         let steer = objective.scalarize(&scores);
         let oriented = objective.oriented(&scores);
-        // Alternative construction (description strings, combo clone) is
-        // deferred until the skyline verdict: with `retain_dominated` off,
-        // the overwhelming majority of combinations are dominated and
-        // dropped right here, so they never pay for it.
-        let alt = move || Alternative {
-            name,
-            flow,
-            applied: applied
-                .iter()
-                .map(|a| format!("{} {}", a.pattern, a.point))
-                .collect::<Vec<_>>(),
-            combo: combo.to_vec(),
-            measures,
-            scores,
+        // Alternative construction (name, description strings, combo
+        // clone) is deferred until the skyline verdict: with
+        // `retain_dominated` off, the overwhelming majority of combinations
+        // are dominated and dropped right here, so they never pay for it.
+        // The flow carries the design's name, which prefixes the names of
+        // the next cycle when the design is selected.
+        let stack = &*stack;
+        let alt = move || {
+            let name = self.labels.name(&self.planner.flow, combo);
+            let mut flow = flow;
+            flow.name.clone_from(&name);
+            Alternative {
+                name,
+                flow,
+                applied: records.describe(stack),
+                combo: combo.to_vec(),
+                measures,
+                scores,
+            }
         };
         let mut state = self.state.lock().expect("engine state");
         match state.skyline.insert(seq, oriented) {

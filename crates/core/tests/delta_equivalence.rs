@@ -12,7 +12,7 @@ use etl_model::expr::Expr;
 use etl_model::{EtlFlow, OpKind, Operation};
 use fcp::custom::FitnessPreset;
 use fcp::{CustomPattern, DeploymentPolicy, PatternRegistry, Prerequisite};
-use poiesis::apply::apply_combination;
+use poiesis::apply::{apply_combination, combination_name};
 use poiesis::generate::Candidate;
 use poiesis::SearchStrategyKind;
 use poiesis::{Planner, PlannerConfig, PlannerOutcome};
@@ -464,25 +464,41 @@ fn retained_alternatives_equal_their_from_base_application() {
     // prefix that later siblings forked and edited too (in place, for
     // AuditStamp). None of their edits may reach it: each retained flow
     // must equal the one `apply_combination` builds from the base alone.
-    for workers in [1, 2] {
+    // The planner names a design and describes its patterns only once the
+    // skyline keeps it, reading the stacked prefix's records then: name,
+    // flow name and applied lines must still be the oracle's, whether
+    // dominated designs are retained or only the frontier is.
+    for (workers, retain_dominated) in [(1, true), (2, true), (1, false), (2, false)] {
         let config = PlannerConfig {
             workers,
+            retain_dominated,
             max_alternatives: 600,
             policy: deep_policy(3),
             ..PlannerConfig::default()
         };
         let planner = deep_planner(Workload::Demo, register_custom_patterns, config);
         let out = planner.plan().unwrap();
-        assert!(out.alternatives.iter().any(|a| a.combo.len() == 3));
+        if retain_dominated {
+            assert!(out.alternatives.iter().any(|a| a.combo.len() == 3));
+        }
+        assert!(out.alternatives.iter().any(|a| a.combo.len() > 1));
         for alt in &out.alternatives {
             let refs: Vec<&Candidate> = alt.combo.iter().map(|&i| &out.candidates[i]).collect();
-            let (oracle, _) = apply_combination(planner.flow(), &refs, alt.name.clone()).unwrap();
+            let name = combination_name(planner.flow(), &refs);
+            let (oracle, applied) = apply_combination(planner.flow(), &refs, name.clone()).unwrap();
+            assert_eq!(alt.name, name);
+            assert_eq!(alt.flow.name, name);
             assert_eq!(
                 format!("{:?}", alt.flow),
                 format!("{oracle:?}"),
                 "{} diverged from its from-base application",
                 alt.name
             );
+            let lines: Vec<String> = applied
+                .iter()
+                .map(|a| format!("{} {}", a.pattern, a.point))
+                .collect();
+            assert_eq!(alt.applied, lines, "{}", alt.name);
         }
     }
 }

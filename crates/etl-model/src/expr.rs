@@ -164,22 +164,43 @@ impl Expr {
     /// Attribute names referenced anywhere in the expression.
     pub fn columns(&self) -> Vec<&str> {
         let mut out = Vec::new();
-        self.collect_columns(&mut out);
+        let _ = self.try_for_each_column(&mut |c| {
+            out.push(c);
+            Ok::<(), std::convert::Infallible>(())
+        });
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Expr::Col(c) => out.push(c),
-            Expr::Lit(_) => {}
-            Expr::Bin(_, a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
+    /// Checks that every referenced column exists in `schema`, without
+    /// building anything: `Ok` exactly when [`bind`](Self::bind) succeeds,
+    /// else the same first unknown column.
+    pub fn check_columns(&self, schema: &Schema) -> Result<(), BindError> {
+        self.try_for_each_column(&mut |c| {
+            if schema.contains(c) {
+                Ok(())
+            } else {
+                Err(BindError::UnknownColumn(c.to_string()))
             }
-            Expr::Not(a) | Expr::IsNull(a) => a.collect_columns(out),
-            Expr::Coalesce(xs) => xs.iter().for_each(|x| x.collect_columns(out)),
+        })
+    }
+
+    /// Calls `f` on each column reference in the order [`bind`](Self::bind)
+    /// resolves them (left operand first), stopping at the first error.
+    fn try_for_each_column<'a, E>(
+        &'a self,
+        f: &mut impl FnMut(&'a str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            Expr::Col(c) => f(c),
+            Expr::Lit(_) => Ok(()),
+            Expr::Bin(_, a, b) => {
+                a.try_for_each_column(f)?;
+                b.try_for_each_column(f)
+            }
+            Expr::Not(a) | Expr::IsNull(a) => a.try_for_each_column(f),
+            Expr::Coalesce(xs) => xs.iter().try_for_each(|x| x.try_for_each_column(f)),
         }
     }
 
@@ -511,6 +532,38 @@ mod tests {
     fn columns_collects_unique_sorted() {
         let e = Expr::col("b").add(Expr::col("a")).mul(Expr::col("b"));
         assert_eq!(e.columns(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn column_check_reports_what_bind_reports() {
+        let s = schema();
+        let cases = [
+            Expr::col("a").gt(Expr::lit_i(0)),
+            Expr::col("ghost"),
+            // two unknown columns: the left operand's is reported
+            Expr::col("x").add(Expr::col("y")),
+            Expr::col("a").add(Expr::col("right")),
+            Expr::col("a")
+                .gt(Expr::lit_i(0))
+                .and(Expr::col("negated").not()),
+            Expr::col("b").add(Expr::col("tested").is_null().not()),
+            Expr::col("a").lt(Expr::col("b")).or(Expr::col("first")
+                .is_null()
+                .not()
+                .and(Expr::col("second").is_null())),
+            Expr::Coalesce(vec![Expr::col("a"), Expr::col("c1"), Expr::col("c2")]),
+            Expr::col("b")
+                .mul(Expr::Coalesce(vec![Expr::lit_i(1), Expr::col("inner")]))
+                .add(Expr::col("outer")),
+            Expr::Coalesce(vec![]),
+        ];
+        for e in &cases {
+            assert_eq!(e.check_columns(&s), e.bind(&s).map(|_| ()), "{e}");
+        }
+        assert_eq!(
+            Expr::col("x").add(Expr::col("y")).check_columns(&s),
+            Err(BindError::UnknownColumn("x".into()))
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 use crate::expr::BindError;
 use crate::flow::EtlFlow;
 use crate::op::OpKind;
-use crate::types::Schema;
+use crate::types::{Attribute, Schema};
 use flowgraph::NodeId;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -28,7 +29,9 @@ pub enum SchemaError {
         /// Missing attribute.
         column: String,
     },
-    /// A derive would have introduced a duplicate attribute name.
+    /// An output schema would hold an attribute name twice: a derive
+    /// output clashing with an input, a projection keeping a column twice,
+    /// or an aggregate repeating an output name.
     DuplicateAttr {
         /// Operation name.
         op: String,
@@ -65,6 +68,13 @@ impl fmt::Display for SchemaError {
 }
 
 impl std::error::Error for SchemaError {}
+
+fn duplicate(op: &str, column: String) -> SchemaError {
+    SchemaError::DuplicateAttr {
+        op: op.to_string(),
+        column,
+    }
+}
 
 fn bind_err(op: &str, e: BindError) -> SchemaError {
     match e {
@@ -114,21 +124,42 @@ pub fn propagate_schemas(flow: &EtlFlow) -> Result<SchemaTable, SchemaError> {
 /// [`propagate_schemas`], whose verdict is the authoritative one. An error
 /// is never reported from here because the worklist may transiently
 /// combine settled and unsettled inputs at a confluence.
+///
+/// The worklist is a per-thread buffer reused across calls, and a
+/// recomputed schema is built once (see `propagate_one`), so a repair that
+/// confirms unchanged schemas allocates only for the schemas it rebuilds.
 pub fn repair_table(flow: &EtlFlow, table: &mut SchemaTable, seeds: &[NodeId]) -> bool {
+    thread_local! {
+        static QUEUE: RefCell<VecDeque<NodeId>> = const { RefCell::new(VecDeque::new()) };
+    }
+    QUEUE.with_borrow_mut(|queue| {
+        queue.clear();
+        repair_with(flow, table, seeds, queue)
+    })
+}
+
+/// [`repair_table`] on an empty worklist buffer.
+fn repair_with(
+    flow: &EtlFlow,
+    table: &mut SchemaTable,
+    seeds: &[NodeId],
+    queue: &mut VecDeque<NodeId>,
+) -> bool {
     let bound = flow.graph.node_bound();
     if table.len() < bound {
         table.resize(bound, None);
     }
-    let mut live = vec![false; bound];
-    for n in flow.graph.node_ids() {
-        live[n.index()] = true;
-    }
     for (i, slot) in table.iter_mut().enumerate() {
-        if !live.get(i).copied().unwrap_or(false) {
+        if !flow.graph.contains_node(NodeId::from_raw(i as u32)) {
             *slot = None;
         }
     }
-    let mut queue: VecDeque<NodeId> = seeds.iter().copied().filter(|n| live[n.index()]).collect();
+    queue.extend(
+        seeds
+            .iter()
+            .copied()
+            .filter(|&n| flow.graph.contains_node(n)),
+    );
     // In a DAG each node settles after its predecessors do, so total work is
     // bounded by the patched region's edges; the cap catches patch-created
     // cycles and incomplete seed sets without looping.
@@ -163,27 +194,44 @@ pub fn repair_table(flow: &EtlFlow, table: &mut SchemaTable, seeds: &[NodeId]) -
 
 /// One node's output schema against a partially-filled table (predecessor
 /// entries must be present). Shares the input `Arc` for passthrough kinds.
+/// Up to [`INLINE_INPUTS`] inputs are gathered on the stack; only a wider
+/// merge collects them into a `Vec`.
 fn propagate_node(
     flow: &EtlFlow,
     n: NodeId,
     table: &[Option<Arc<Schema>>],
 ) -> Result<Arc<Schema>, SchemaError> {
+    static NO_INPUT: Schema = Schema::empty();
     let op = flow.op(n).expect("live node");
-    let input_arcs: Vec<&Arc<Schema>> = flow
-        .graph
-        .predecessors(n)
-        .map(|p| {
-            table[p.index()]
-                .as_ref()
-                .expect("topological order guarantees predecessor schemas")
-        })
-        .collect();
-    let inputs: Vec<&Schema> = input_arcs.iter().map(|a| a.as_ref()).collect();
-    Ok(match propagate_one(&op.name, &op.kind, &inputs)? {
-        Propagated::Share(i) => Arc::clone(input_arcs[i]),
+    let input = |p: NodeId| -> &Arc<Schema> {
+        table[p.index()]
+            .as_ref()
+            .expect("topological order guarantees predecessor schemas")
+    };
+    let preds = flow.graph.predecessors(n);
+    let arity = flow.graph.in_degree(n);
+    let propagated = if arity <= INLINE_INPUTS {
+        let mut inputs = [&NO_INPUT; INLINE_INPUTS];
+        for (slot, p) in inputs.iter_mut().zip(preds) {
+            *slot = input(p);
+        }
+        propagate_one(&op.name, &op.kind, &inputs[..arity])?
+    } else {
+        let inputs: Vec<&Schema> = preds.map(|p| input(p).as_ref()).collect();
+        propagate_one(&op.name, &op.kind, &inputs)?
+    };
+    Ok(match propagated {
+        Propagated::Share(i) => {
+            let p = flow.graph.predecessors(n).nth(i).expect("shared input");
+            Arc::clone(input(p))
+        }
         Propagated::Fresh(s) => Arc::new(s),
     })
 }
+
+/// Inputs [`propagate_node`] gathers without allocating: every operation
+/// but a merge of more than this many branches.
+const INLINE_INPUTS: usize = 4;
 
 /// How an operation's output schema relates to its inputs: shared verbatim
 /// (passthrough operators) or freshly constructed.
@@ -215,27 +263,28 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
         }
         OpKind::Filter { predicate } => {
             let s = first(name)?;
-            predicate.bind(s).map_err(|e| bind_err(name, e))?;
+            predicate.check_columns(s).map_err(|e| bind_err(name, e))?;
             Share(0)
         }
         OpKind::Project { keep } => {
             let s = first(name)?;
-            Fresh(s.project(keep).map_err(|c| SchemaError::MissingAttr {
-                op: name.to_string(),
-                column: c,
+            // `project` names a missing column, or else a repeated one
+            Fresh(s.project(keep).map_err(|column| {
+                let op = name.to_string();
+                if s.contains(&column) {
+                    SchemaError::DuplicateAttr { op, column }
+                } else {
+                    SchemaError::MissingAttr { op, column }
+                }
             })?)
         }
         OpKind::Derive { outputs } => {
             let mut s = first(name)?.clone();
             for (new_name, expr) in outputs {
                 let dtype = expr.result_type(&s).map_err(|e| bind_err(name, e))?;
-                expr.bind(&s).map_err(|e| bind_err(name, e))?;
-                s = s
-                    .extend_with(crate::types::Attribute::new(new_name.clone(), dtype))
-                    .map_err(|c| SchemaError::DuplicateAttr {
-                        op: name.to_string(),
-                        column: c,
-                    })?;
+                expr.check_columns(&s).map_err(|e| bind_err(name, e))?;
+                s.push(Attribute::new(new_name.clone(), dtype))
+                    .map_err(|column| duplicate(name, column))?;
             }
             Fresh(s)
         }
@@ -303,12 +352,12 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
                     op: name.to_string(),
                     column: input_attr.clone(),
                 })?;
-                attrs.push(crate::types::Attribute::new(
+                attrs.push(Attribute::new(
                     out_name.clone(),
                     func.result_type(input.dtype),
                 ));
             }
-            Fresh(Schema::new(attrs))
+            Fresh(Schema::try_new(attrs).map_err(|column| duplicate(name, column))?)
         }
         OpKind::Sort { by } => {
             let s = first(name)?;
@@ -324,7 +373,7 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
         }
         OpKind::Router { predicate } => {
             let s = first(name)?;
-            predicate.bind(s).map_err(|e| bind_err(name, e))?;
+            predicate.check_columns(s).map_err(|e| bind_err(name, e))?;
             Share(0)
         }
         OpKind::Merge => {
@@ -360,13 +409,9 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
                     });
                 }
             }
-            // Downstream, the filtered columns are guaranteed non-null.
-            if columns.is_empty() {
-                let all: Vec<String> = s.attrs().iter().map(|a| a.name.clone()).collect();
-                Fresh(s.with_non_nullable(&all))
-            } else {
-                Fresh(s.with_non_nullable(columns))
-            }
+            // Downstream, the filtered columns (all when none are listed)
+            // are guaranteed non-null.
+            Fresh(s.with_non_nullable(columns))
         }
         OpKind::Crosscheck { key, .. } => {
             let s = first(name)?;
@@ -602,6 +647,49 @@ mod tests {
             propagate_schemas(&f),
             Err(SchemaError::MissingAttr { .. })
         ));
+    }
+
+    #[test]
+    fn project_keeping_a_column_twice_is_a_duplicate_not_a_panic() {
+        let f = flow_one(Operation::project(
+            "p",
+            vec!["id".into(), "qty".into(), "id".into()],
+        ));
+        assert_eq!(
+            propagate_schemas(&f),
+            Err(SchemaError::DuplicateAttr {
+                op: "p".into(),
+                column: "id".into()
+            })
+        );
+    }
+
+    #[test]
+    fn aggregate_repeating_an_output_name_is_a_duplicate_not_a_panic() {
+        for (group_by, aggs) in [
+            (
+                vec!["id".to_string()],
+                vec![
+                    ("n".to_string(), AggFunc::Count, "qty".to_string()),
+                    ("n".to_string(), AggFunc::Sum, "price".to_string()),
+                ],
+            ),
+            (
+                vec!["id".to_string()],
+                vec![("id".to_string(), AggFunc::Count, "qty".to_string())],
+            ),
+        ] {
+            let agg = OpKind::Aggregate { group_by, aggs };
+            let f = flow_one(Operation::new("agg", agg));
+            assert!(
+                matches!(
+                    propagate_schemas(&f),
+                    Err(SchemaError::DuplicateAttr { ref op, .. }) if op == "agg"
+                ),
+                "{:?}",
+                propagate_schemas(&f)
+            );
+        }
     }
 
     #[test]

@@ -120,21 +120,27 @@ pub struct Schema {
 
 impl Schema {
     /// Builds a schema; panics on duplicate attribute names (programmer
-    /// error in flow construction, caught early on purpose).
+    /// error in flow construction, caught early on purpose). Schemas built
+    /// from user input go through [`try_new`](Self::try_new).
     pub fn new(attrs: Vec<Attribute>) -> Self {
-        let mut seen = std::collections::HashSet::new();
-        for a in &attrs {
-            assert!(
-                seen.insert(a.name.clone()),
-                "duplicate attribute name `{}` in schema",
-                a.name
-            );
+        Schema::try_new(attrs)
+            .unwrap_or_else(|name| panic!("duplicate attribute name `{name}` in schema"))
+    }
+
+    /// Builds a schema, failing with the first attribute name that repeats
+    /// an earlier one.
+    pub fn try_new(attrs: Vec<Attribute>) -> Result<Self, String> {
+        // Pairwise over borrowed names: schemas are a few dozen attributes
+        // wide, and this copies no name.
+        let repeat = (1..attrs.len()).find(|&i| attrs[..i].iter().any(|a| a.name == attrs[i].name));
+        match repeat {
+            Some(i) => Err(attrs[i].name.clone()),
+            None => Ok(Schema { attrs }),
         }
-        Schema { attrs }
     }
 
     /// The empty schema.
-    pub fn empty() -> Self {
+    pub const fn empty() -> Self {
         Schema { attrs: Vec::new() }
     }
 
@@ -181,7 +187,8 @@ impl Schema {
     }
 
     /// Projection onto the named attributes, in the given order.
-    /// Fails with the name of the first missing attribute.
+    /// Fails with the name of the first missing attribute, or else of the
+    /// first one kept twice.
     pub fn project(&self, keep: &[String]) -> Result<Schema, String> {
         let mut out = Vec::with_capacity(keep.len());
         for k in keep {
@@ -190,17 +197,24 @@ impl Schema {
                 None => return Err(k.clone()),
             }
         }
-        Ok(Schema::new(out))
+        Schema::try_new(out)
     }
 
     /// Appends an attribute, failing on a duplicate name.
     pub fn extend_with(&self, attr: Attribute) -> Result<Schema, String> {
+        let mut out = self.clone();
+        out.push(attr)?;
+        Ok(out)
+    }
+
+    /// Appends an attribute in place, failing on a duplicate name (the
+    /// schema is then unchanged).
+    pub fn push(&mut self, attr: Attribute) -> Result<(), String> {
         if self.contains(&attr.name) {
             return Err(attr.name);
         }
-        let mut attrs = self.attrs.clone();
-        attrs.push(attr);
-        Ok(Schema { attrs })
+        self.attrs.push(attr);
+        Ok(())
     }
 
     /// Concatenation for joins: right-side attributes that clash with a left
@@ -223,20 +237,16 @@ impl Schema {
     }
 
     /// Marks the named attributes non-nullable (the downstream effect of a
-    /// `FilterNullValues` application). Unknown names are ignored.
+    /// `FilterNullValues` application); an empty list marks every
+    /// attribute. Unknown names are ignored.
     pub fn with_non_nullable(&self, names: &[String]) -> Schema {
-        let attrs = self
-            .attrs
-            .iter()
-            .map(|a| {
-                let mut a = a.clone();
-                if names.iter().any(|n| n == &a.name) {
-                    a.nullable = false;
-                }
-                a
-            })
-            .collect();
-        Schema { attrs }
+        let mut out = self.clone();
+        for a in &mut out.attrs {
+            if names.is_empty() || names.iter().any(|n| n == &a.name) {
+                a.nullable = false;
+            }
+        }
+        out
     }
 }
 

@@ -10,9 +10,10 @@
 
 use crate::measure::{MeasureId, MeasureVector};
 use crate::runtime::{freshness_score, recoverability};
-use crate::static_measures::evaluate_static;
+use crate::static_measures::{evaluate_static, static_measures};
 use datagen::{Catalog, CORRUPT_MARKER};
 use etl_model::{EtlFlow, OpKind, Value};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Per-source statistics the estimator propagates.
@@ -111,6 +112,8 @@ struct NodeEst {
     done_ms: f64,
     latency_ms: f64,
     redo_span_ms: f64,
+    /// Edges on the longest path from a source to this node.
+    depth: usize,
 }
 
 impl Default for NodeEst {
@@ -124,6 +127,7 @@ impl Default for NodeEst {
             done_ms: 0.0,
             latency_ms: 0.0,
             redo_span_ms: 0.0,
+            depth: 0,
         }
     }
 }
@@ -160,19 +164,21 @@ fn compute_node_est(
     tax: f64,
 ) -> (NodeEst, f64) {
     let op = flow.op(n).expect("live node");
-    let preds: Vec<_> = flow.graph.predecessors(n).collect();
+    // Every reduction walks the predecessors in the graph's order, so the
+    // float sums come out the same on every call.
+    let preds = || flow.graph.predecessors(n);
+    let is_source = flow.graph.in_degree(n) == 0;
 
-    let in_rows: f64 = preds.iter().map(|p| branch_rows(est, flow, *p)).sum();
+    let in_rows: f64 = preds().map(|p| branch_rows(est, flow, p)).sum();
     let agg = |f: fn(&NodeEst) -> f64| -> f64 {
-        if preds.is_empty() {
+        if is_source {
             0.0
         } else {
             // row-weighted mean over inputs
-            let total: f64 = preds
-                .iter()
+            let total: f64 = preds()
                 .map(|p| f(&est[p.index()]) * est[p.index()].rows.max(1.0))
                 .sum();
-            let w: f64 = preds.iter().map(|p| est[p.index()].rows.max(1.0)).sum();
+            let w: f64 = preds().map(|p| est[p.index()].rows.max(1.0)).sum();
             total / w
         }
     };
@@ -181,10 +187,10 @@ fn compute_node_est(
         null_rate: agg(|x| x.null_rate),
         dup_rate: agg(|x| x.dup_rate),
         corrupt_rate: agg(|x| x.corrupt_rate),
-        staleness_s: preds
-            .iter()
+        staleness_s: preds()
             .map(|p| est[p.index()].staleness_s)
             .fold(0.0f64, f64::max),
+        depth: preds().map(|p| est[p.index()].depth + 1).max().unwrap_or(0),
         ..NodeEst::default()
     };
 
@@ -218,9 +224,8 @@ fn compute_node_est(
         }
         OpKind::Join { .. } => {
             // equi-join on surrogate-ish keys: bounded by the larger input
-            let m = preds
-                .iter()
-                .map(|p| branch_rows(est, flow, *p))
+            let m = preds()
+                .map(|p| branch_rows(est, flow, p))
                 .fold(0.0f64, f64::max);
             m * op.selectivity()
         }
@@ -234,21 +239,18 @@ fn compute_node_est(
         _ => in_rows,
     };
     let service = (op.cost.startup_ms + work_rows * op.cost.cost_per_tuple_ms / par) * tax / speed;
-    let ready = preds
-        .iter()
+    let ready = preds()
         .map(|p| est[p.index()].done_ms)
         .fold(0.0f64, f64::max);
     e.done_ms = ready + service;
-    e.latency_ms = preds
-        .iter()
+    e.latency_ms = preds()
         .map(|p| est[p.index()].latency_ms)
         .fold(0.0f64, f64::max)
         + op.cost.cost_per_tuple_ms * tax / (par * speed);
 
-    let upstream_span = preds
-        .iter()
+    let upstream_span = preds()
         .map(|p| {
-            let pop = flow.op(*p).expect("live node");
+            let pop = flow.op(p).expect("live node");
             if matches!(pop.kind, OpKind::Checkpoint { .. }) {
                 pop.cost.startup_ms
             } else {
@@ -267,21 +269,34 @@ fn compute_node_est(
 ///
 /// `stats` maps source names to their statistics (see [`source_stats`]);
 /// unknown sources get [`SourceStats::unknown`] with 1 000 rows.
+///
+/// One topological walk computes every node's estimate and, with it, the
+/// longest path that [`evaluate_static`] would derive from a second sort.
+/// The per-node vectors are per-thread buffers reused across calls.
 pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> MeasureVector {
+    thread_local! {
+        static BUFFERS: RefCell<(Vec<NodeEst>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    }
     let order = match flow.topo_order() {
         Ok(o) => o,
         Err(_) => return evaluate_static(flow),
     };
     let (speed, tax) = speed_tax(flow);
     let bound = flow.graph.node_bound();
-    let mut est: Vec<NodeEst> = vec![NodeEst::default(); bound];
-    let mut redo_contrib: Vec<f64> = vec![0.0; bound];
-    for &n in &order {
-        let (e, c) = compute_node_est(flow, n, &est, stats, speed, tax);
-        est[n.index()] = e;
-        redo_contrib[n.index()] = c;
-    }
-    finalize(flow, &est, &redo_contrib)
+    BUFFERS.with_borrow_mut(|(est, redo_contrib)| {
+        est.clear();
+        est.resize(bound, NodeEst::default());
+        redo_contrib.clear();
+        redo_contrib.resize(bound, 0.0);
+        let mut longest_path = 0;
+        for &n in &order {
+            let (e, c) = compute_node_est(flow, n, est, stats, speed, tax);
+            longest_path = longest_path.max(e.depth);
+            est[n.index()] = e;
+            redo_contrib[n.index()] = c;
+        }
+        finalize(flow, est, redo_contrib, longest_path)
+    })
 }
 
 /// Placeholder kept for perfbench's traced replay, its only user, which
@@ -312,8 +327,13 @@ pub fn estimate_delta_with(
 
 /// Aggregates per-node estimates into the flow's measure vector. All
 /// floating-point reductions run in canonical (ascending node-index) order.
-fn finalize(flow: &EtlFlow, est: &[NodeEst], redo_contrib: &[f64]) -> MeasureVector {
-    let mut v = evaluate_static(flow);
+fn finalize(
+    flow: &EtlFlow,
+    est: &[NodeEst],
+    redo_contrib: &[f64],
+    longest_path: usize,
+) -> MeasureVector {
+    let mut v = static_measures(flow, Some(longest_path));
     let expected_redo: f64 = redo_contrib.iter().sum();
     let loads = flow.ops_of_kind("load");
     let cycle = loads
@@ -477,6 +497,32 @@ mod tests {
             cp_est.get(MeasureId::ExpectedRedoMs).unwrap()
                 < frag_est.get(MeasureId::ExpectedRedoMs).unwrap()
         );
+    }
+
+    #[test]
+    fn estimated_longest_path_follows_an_interposed_node() {
+        // The estimator's one-walk longest path against the sorting
+        // definition, on a fork whose interposed checkpoint sits on the
+        // longest path and so lengthens it.
+        let (f, ids) = purchases_flow();
+        let stats = source_stats(&purchases_catalog(50, &DirtProfile::demo(), 5));
+        let longest = |flow: &EtlFlow| {
+            let estimated = estimate(flow, &stats).get(MeasureId::LongestPath);
+            let sorted = flowgraph::longest_path_len(&flow.graph).map(|lp| lp as f64);
+            assert_eq!(estimated, sorted, "{}", flow.name);
+            estimated.unwrap()
+        };
+        let mut fork = f.fork("cp");
+        let e = fork.graph.out_edges(ids.derive_values).next().unwrap();
+        fork.graph
+            .interpose_on_edge(
+                e,
+                etl_model::Operation::new("SAVE", OpKind::Checkpoint { tag: "s".into() }),
+                Default::default(),
+                Default::default(),
+            )
+            .unwrap();
+        assert_eq!(longest(&fork), longest(&f) + 1.0);
     }
 
     #[test]

@@ -8,8 +8,15 @@ use flowgraph::{coupling, longest_path_len};
 
 /// Evaluates every purely structural measure of a flow.
 pub fn evaluate_static(flow: &EtlFlow) -> MeasureVector {
+    static_measures(flow, longest_path_len(&flow.graph))
+}
+
+/// [`evaluate_static`] with the longest path (in edges; `None` for a
+/// cyclic flow) already known, as the estimator's topological walk knows
+/// it.
+pub(crate) fn static_measures(flow: &EtlFlow, longest_path: Option<usize>) -> MeasureVector {
     let mut v = MeasureVector::new();
-    if let Some(lp) = longest_path_len(&flow.graph) {
+    if let Some(lp) = longest_path {
         v.set(MeasureId::LongestPath, lp as f64);
     }
     v.set(MeasureId::Coupling, coupling(&flow.graph));

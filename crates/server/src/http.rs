@@ -444,6 +444,7 @@ pub fn write_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     fn parse(text: &str) -> Result<Request, HttpError> {
@@ -739,6 +740,141 @@ mod tests {
                 | (Err(HttpError::HeadTooLarge), Expect::HeadTooLarge) => {}
                 (result, _) => panic!("{name}: unexpected outcome {result:?}"),
             }
+        }
+    }
+
+    /// A generated message: the head `read_message` must return, the body,
+    /// and the bytes `write_message` puts on the wire for them.
+    #[derive(Debug)]
+    struct Wire {
+        head: Head,
+        body: Vec<u8>,
+        raw: Vec<u8>,
+    }
+
+    impl Wire {
+        /// Bytes before the body: the budget a full head consumes.
+        fn head_len(&self) -> usize {
+            self.raw.len() - self.body.len()
+        }
+    }
+
+    /// Requests and responses with up to five extra headers and bodies up
+    /// to 4 KiB. Header names and values are written as generated and
+    /// expected back as `read_message` normalises them: lower-cased names,
+    /// trimmed values. A non-empty body always declares its length; an
+    /// empty one sometimes declares `0`, at a random header position and
+    /// spelling.
+    fn arb_wire() -> impl Strategy<Value = Wire> {
+        let start = prop_oneof![
+            ("[A-Z]{1,7}", "/[a-z0-9/_.-]{0,24}", "[?a-z=&0-9]{0,10}")
+                .prop_map(|(m, path, query)| format!("{m} {path}{query} HTTP/1.1")),
+            (100u16..600, "[A-Za-z ]{0,16}")
+                .prop_map(|(code, reason)| format!("HTTP/1.1 {code} {reason}")),
+        ];
+        let header = ("[A-Za-z0-9-]{1,12}", "[ -~]{0,24}");
+        let spelling = prop_oneof![
+            Just("Content-Length"),
+            Just("content-length"),
+            Just("CONTENT-LENGTH")
+        ];
+        (
+            start,
+            prop::collection::vec(header, 0..6),
+            prop::collection::vec(any::<u8>(), 0..=4096),
+            spelling,
+            any::<prop::sample::Index>(),
+            any::<bool>(),
+        )
+            .prop_map(|(start, extra, body, spelling, at, declare_zero)| {
+                let mut headers: Vec<Header> = extra
+                    .into_iter()
+                    .map(|(name, value)| (format!("X-{name}"), value))
+                    .collect();
+                if !body.is_empty() || declare_zero {
+                    let at = at.index(headers.len() + 1);
+                    headers.insert(at, (spelling.to_string(), body.len().to_string()));
+                }
+                let written = Head { start, headers };
+                let mut raw = Vec::new();
+                write_message(&mut raw, &written, &body).unwrap();
+                let headers = written
+                    .headers
+                    .iter()
+                    .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
+                    .collect();
+                let head = Head {
+                    start: written.start,
+                    headers,
+                };
+                Wire { head, body, raw }
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The reader's contract on whatever `write_message` writes: the
+        /// same message back under any segmentation; every proper prefix a
+        /// truncation (or, at 0 bytes, a clean close), never a malformed
+        /// message; and the head and body caps decided exactly by the
+        /// message's sizes, before any body is buffered.
+        #[test]
+        fn written_messages_read_back_under_any_segmentation_and_truncation(
+            wire in arb_wire(),
+            cuts in prop::collection::vec(any::<prop::sample::Index>(), 0..8),
+            body_cuts in prop::collection::vec(any::<prop::sample::Index>(), 8),
+            slack in -8i64..8,
+            over in prop_oneof![1usize..=1 << 20, Just(usize::MAX)],
+        ) {
+            let raw = &wire.raw;
+            let mut cuts: Vec<usize> = cuts.iter().map(|i| 1 + i.index(raw.len() - 1)).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            let read = read_message(&mut Segmented::new(raw, &cuts), &Limits::RESPONSE);
+            prop_assert_eq!(read, Ok((wire.head.clone(), wire.body.clone())));
+
+            // every prefix through the head, sampled ones through the body
+            let head_len = wire.head_len();
+            let body_prefixes = body_cuts.iter().map(|i| head_len + i.index(wire.body.len() + 1));
+            for len in (0..=head_len).chain(body_prefixes).filter(|&len| len < raw.len()) {
+                match read_message(&mut &raw[..len], &Limits::RESPONSE) {
+                    Err(HttpError::Closed) => prop_assert_eq!(len, 0),
+                    Err(HttpError::Truncated(_)) => prop_assert!(len > 0),
+                    other => prop_assert!(false, "prefix of {len} bytes read as {other:?}"),
+                }
+            }
+
+            // a head budget around the head's size, and a body cap under
+            // the body: exactly one verdict each
+            let max_head_bytes = head_len.saturating_add_signed(slack as isize);
+            let max_body_bytes = wire.body.len().saturating_sub(1);
+            let limits = Limits { max_head_bytes, max_body_bytes };
+            let read = read_message(&mut raw.as_slice(), &limits);
+            if head_len > max_head_bytes {
+                prop_assert_eq!(read, Err(HttpError::HeadTooLarge));
+            } else if wire.body.is_empty() {
+                prop_assert!(read.is_ok(), "{read:?}");
+            } else {
+                let declared = wire.body.len();
+                let limit = max_body_bytes;
+                prop_assert_eq!(read, Err(HttpError::PayloadTooLarge { declared, limit }));
+            }
+
+            // a declared length beyond the cap, with no body behind it, is
+            // refused from the head alone
+            let limit = wire.body.len();
+            let declared = limit.saturating_add(over);
+            let mut head = wire.head.clone();
+            head.headers.retain(|(name, _)| name != "content-length");
+            head.headers.push(("content-length".into(), declared.to_string()));
+            let mut raw = Vec::new();
+            write_message(&mut raw, &head, &[]).unwrap();
+            let limits = Limits { max_head_bytes: Limits::RESPONSE.max_head_bytes, max_body_bytes: limit };
+            prop_assert_eq!(
+                read_message(&mut raw.as_slice(), &limits),
+                Err(HttpError::PayloadTooLarge { declared, limit })
+            );
         }
     }
 

@@ -53,7 +53,7 @@ fn step_fields(step: &XmlNode) -> Result<Schema, XlmError> {
             });
         }
     }
-    Ok(Schema::new(attrs))
+    Schema::try_new(attrs).map_err(|name| format_err(format!("duplicate field `{name}`")))
 }
 
 fn text_of(step: &XmlNode, tag: &str) -> Option<String> {
@@ -289,6 +289,17 @@ mod tests {
           <order/></transformation>"#;
         let err = import_ktr(doc).unwrap_err();
         assert!(matches!(err, XlmError::Format(m) if m.contains("RowNormaliser")));
+    }
+
+    #[test]
+    fn duplicate_input_field_reported() {
+        let doc = r#"<transformation><info><name>x</name></info>
+          <step><name>read</name><type>TableInput</type><fields>
+            <field><name>o_id</name></field><field><name>o_id</name></field>
+          </fields></step>
+          <order/></transformation>"#;
+        let err = import_ktr(doc).unwrap_err();
+        assert!(matches!(err, XlmError::Format(m) if m.contains("`o_id`")));
     }
 
     #[test]

@@ -204,7 +204,7 @@ fn read_schema(node: &XmlNode) -> Result<Schema, XlmError> {
             sensitive,
         });
     }
-    Ok(Schema::new(attrs))
+    Schema::try_new(attrs).map_err(|name| format_err(format!("duplicate attr `{name}`")))
 }
 
 fn req_attr<'a>(node: &'a XmlNode, key: &str, ctx: &str) -> Result<&'a str, XlmError> {
@@ -494,6 +494,12 @@ mod tests {
         assert!(matches!(read_flow("not xml"), Err(XlmError::Xml(_))));
         let no_nodes = r#"<xlm><design name="x"><edges/></design></xlm>"#;
         assert!(matches!(read_flow(no_nodes), Err(XlmError::Format(_))));
+        let twice = r#"<xlm><design name="x"><nodes>
+            <node id="n0" name="e"><kind type="extract" source="s"><schema>
+                <attr name="id" type="int"/><attr name="id" type="str"/>
+            </schema></kind></node>
+        </nodes><edges/></design></xlm>"#;
+        assert!(matches!(read_flow(twice), Err(XlmError::Format(m)) if m.contains("`id`")));
     }
 
     #[test]
