@@ -7,7 +7,6 @@
 
 use crate::generate::Candidate;
 use fcp::{ApplicationPoint, DeploymentPolicy};
-use std::collections::HashMap;
 
 /// Statistics of the (possibly truncated) exploration space.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,25 +24,27 @@ pub struct SpaceStats {
     pub truncated: bool,
 }
 
-/// A combination is invalid when two applications collide on the same
-/// point, or a single pattern exceeds its per-alternative cap.
-pub fn combination_valid(combo: &[&Candidate], policy: &DeploymentPolicy) -> bool {
-    let mut per_pattern: HashMap<&str, usize> = HashMap::new();
-    let mut points: Vec<ApplicationPoint> = Vec::with_capacity(combo.len());
-    for c in combo {
-        let n = per_pattern.entry(c.pattern.name()).or_default();
-        *n += 1;
-        if *n > policy.max_per_pattern {
-            return false;
-        }
+/// A combination (indices into `candidates`) is invalid when two
+/// applications collide on the same point, or a single pattern exceeds its
+/// per-alternative cap. Compares pairs without allocating: O(k²) in the
+/// combination's size k, which the policy depth keeps small.
+pub fn combination_valid(
+    candidates: &[Candidate],
+    combo: &[usize],
+    policy: &DeploymentPolicy,
+) -> bool {
+    combo.iter().enumerate().all(|(i, &ci)| {
+        let c = &candidates[ci];
+        let earlier = || combo[..i].iter().map(|&j| &candidates[j]);
         // graph-level patterns may coexist (they touch different config
         // knobs) but the same point must not host two structural edits
-        if c.point != ApplicationPoint::Graph && points.contains(&c.point) {
-            return false;
-        }
-        points.push(c.point);
-    }
-    true
+        let point_free =
+            c.point == ApplicationPoint::Graph || earlier().all(|e| e.point != c.point);
+        let same_pattern = earlier()
+            .filter(|e| e.pattern.name() == c.pattern.name())
+            .count();
+        point_free && same_pattern < policy.max_per_pattern
+    })
 }
 
 /// Lazy k-subset cursor over the combination space: yields valid
@@ -134,8 +135,7 @@ impl Iterator for CombinationIter<'_> {
 
     fn next(&mut self) -> Option<Vec<usize>> {
         while self.k != 0 {
-            let combo: Vec<&Candidate> = self.idx.iter().map(|&i| &self.candidates[i]).collect();
-            let valid = combination_valid(&combo, self.policy);
+            let valid = combination_valid(self.candidates, &self.idx, self.policy);
             if valid && self.yielded >= self.budget {
                 // budget full and one more valid combo exists ⇒ the
                 // enumeration was truncated
@@ -275,7 +275,7 @@ mod tests {
         }
         let (i, j) = shared.expect("palette patterns share edge points");
         let policy = fcp::DeploymentPolicy::exhaustive(2);
-        assert!(!combination_valid(&[&cands[i], &cands[j]], &policy));
+        assert!(!combination_valid(&cands, &[i, j], &policy));
     }
 
     #[test]
@@ -283,15 +283,14 @@ mod tests {
         let cands = candidates();
         let mut policy = fcp::DeploymentPolicy::exhaustive(3);
         policy.max_per_pattern = 1;
-        let two_same: Vec<&Candidate> = cands
-            .iter()
-            .filter(|c| c.pattern.name() == "FilterNullValues")
+        let two_same: Vec<usize> = (0..cands.len())
+            .filter(|&i| cands[i].pattern.name() == "FilterNullValues")
             .take(2)
             .collect();
         assert_eq!(two_same.len(), 2);
-        assert!(!combination_valid(&two_same, &policy));
+        assert!(!combination_valid(&cands, &two_same, &policy));
         policy.max_per_pattern = 2;
-        assert!(combination_valid(&two_same, &policy));
+        assert!(combination_valid(&cands, &two_same, &policy));
     }
 
     #[test]
@@ -325,8 +324,7 @@ mod tests {
                 let mut conflicts = 0;
                 let mut truncated = false;
                 for subset in all_subsets(n, policy.combination_depth(n)) {
-                    let combo: Vec<&Candidate> = subset.iter().map(|&i| &cands[i]).collect();
-                    if !combination_valid(&combo, &policy) {
+                    if !combination_valid(&cands, &subset, &policy) {
                         conflicts += 1;
                     } else if expected.len() == budget {
                         truncated = true;

@@ -52,7 +52,9 @@ pub fn generate_candidates(
     policy: &DeploymentPolicy,
 ) -> Result<Vec<Candidate>, fcp::PatternError> {
     let all = generate_uncapped(flow, &registry.filtered(&policy.priorities))?;
-    let mut out = Vec::new();
+    // Sized up front: the groups below arrive in hash order, and growing
+    // by them would make the allocation count vary from run to run.
+    let mut out = Vec::with_capacity(all.len());
     // group per pattern, apply threshold + top-k
     let mut by_pattern: std::collections::HashMap<String, Vec<Candidate>> = Default::default();
     for c in all {

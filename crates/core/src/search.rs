@@ -231,8 +231,7 @@ fn valid_extensions<'a>(
         for j in start..n {
             let mut child = parent.clone();
             child.push(j);
-            let refs: Vec<&Candidate> = child.iter().map(|&i| &space.candidates[i]).collect();
-            if combination_valid(&refs, space.policy) {
+            if combination_valid(space.candidates, &child, space.policy) {
                 out.push(child);
             } else {
                 report.conflicts += 1;
@@ -307,8 +306,7 @@ impl SearchStrategy for GreedyHillClimb {
                 let mut child = best.0.clone();
                 let at = child.binary_search(&j).unwrap_err();
                 child.insert(at, j);
-                let refs: Vec<&Candidate> = child.iter().map(|&i| &space.candidates[i]).collect();
-                if combination_valid(&refs, space.policy) {
+                if combination_valid(space.candidates, &child, space.policy) {
                     moves.push(child);
                 } else {
                     report.conflicts += 1;

@@ -89,16 +89,6 @@ impl Catalog {
     pub fn is_empty(&self) -> bool {
         self.tables.is_empty()
     }
-
-    /// Worst (oldest) `last_update` across the named sources; used by the
-    /// freshness measures. Unknown names are skipped.
-    pub fn oldest_update(&self, sources: &[String]) -> Option<i64> {
-        sources
-            .iter()
-            .filter_map(|s| self.tables.get(s))
-            .map(|t| t.last_update)
-            .min()
-    }
 }
 
 /// Synthesises a catalog for every extract in `flow` from its schema:
@@ -172,34 +162,6 @@ mod tests {
         c.add_generated(&spec(), &dirt, 1);
         let t = c.table("orders").unwrap();
         assert_eq!(c.request_time() - t.last_update, 36_000);
-    }
-
-    #[test]
-    fn oldest_update_picks_minimum() {
-        let mut c = Catalog::new();
-        c.add_generated(
-            &spec(),
-            &DirtProfile {
-                staleness_hours: 5.0,
-                ..DirtProfile::clean()
-            },
-            1,
-        );
-        let mut other = spec();
-        other.name = "items".into();
-        c.add_generated(
-            &other,
-            &DirtProfile {
-                staleness_hours: 50.0,
-                ..DirtProfile::clean()
-            },
-            2,
-        );
-        let oldest = c
-            .oldest_update(&["orders".to_string(), "items".to_string()])
-            .unwrap();
-        assert_eq!(c.request_time() - oldest, 180_000);
-        assert_eq!(c.oldest_update(&["ghost".to_string()]), None);
     }
 
     #[test]

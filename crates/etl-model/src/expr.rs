@@ -136,10 +136,6 @@ impl Expr {
     pub fn gt(self, rhs: Expr) -> Expr {
         self.bin(BinOp::Gt, rhs)
     }
-    /// `self >= rhs`
-    pub fn ge(self, rhs: Expr) -> Expr {
-        self.bin(BinOp::Ge, rhs)
-    }
     /// `self AND rhs`
     pub fn and(self, rhs: Expr) -> Expr {
         self.bin(BinOp::And, rhs)

@@ -14,6 +14,9 @@
 //!   consistency between data schemata* (§3) of the reconfigured flow;
 //! * a small **expression language** ([`expr::Expr`]) used by predicates and
 //!   derived columns — the simulator evaluates these against real tuples;
+//! * the runtime **cost model** ([`CostModel`]): service time, per-tuple
+//!   latency and redo span of each operation, which the analytic estimator
+//!   and the simulator both time flows with;
 //! * the [`EtlFlow`] type: a validated flow graph with process-wide
 //!   configuration (the *entire graph* application point of §2.2), and a
 //!   builder API for constructing flows programmatically.
@@ -43,6 +46,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cost;
 pub mod expr;
 mod flow;
 mod op;
@@ -50,6 +54,7 @@ mod propagate;
 mod types;
 mod value;
 
+pub use cost::CostModel;
 pub use flow::{Channel, DegreeViolation, EtlFlow, FlowConfig, FlowError, ResourceClass};
 pub use op::{AggFunc, CostParams, OpKind, Operation};
 pub use propagate::{
@@ -57,7 +62,7 @@ pub use propagate::{
     SchemaTable,
 };
 pub use types::{Attribute, DataType, Schema};
-pub use value::{Tuple, Value};
+pub use value::{row_key, Tuple, Value};
 
 /// Convenient re-exports of the graph handles used throughout the stack.
 pub use flowgraph::{CowDelta, EdgeId, NodeId};

@@ -216,15 +216,6 @@ impl OpKind {
         }
     }
 
-    /// Whether this kind is a data-cleaning operation (used by the
-    /// "cleaning close to sources" heuristic).
-    pub fn is_cleaning(&self) -> bool {
-        matches!(
-            self,
-            OpKind::Dedup { .. } | OpKind::FilterNulls { .. } | OpKind::Crosscheck { .. }
-        )
-    }
-
     /// Default selectivity estimate (output rows per input row) used by the
     /// analytic estimator when no override is configured.
     pub fn default_selectivity(&self) -> f64 {
@@ -259,8 +250,9 @@ impl OpKind {
     }
 }
 
-/// Cost/behaviour parameters attached to every operation. Estimators read
-/// these; the simulator uses them to advance virtual time.
+/// Cost/behaviour parameters attached to every operation. The
+/// [`CostModel`](crate::CostModel) turns them into virtual-clock time for
+/// both the estimator and the simulator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostParams {
     /// Per-tuple processing cost in milliseconds.
@@ -419,13 +411,6 @@ mod tests {
             .output_arity(),
             (2, 2)
         );
-    }
-
-    #[test]
-    fn cleaning_classification() {
-        assert!(OpKind::Dedup { keys: vec![] }.is_cleaning());
-        assert!(OpKind::FilterNulls { columns: vec![] }.is_cleaning());
-        assert!(!OpKind::Sort { by: vec![] }.is_cleaning());
     }
 
     #[test]

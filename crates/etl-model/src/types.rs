@@ -200,13 +200,6 @@ impl Schema {
         Schema::try_new(out)
     }
 
-    /// Appends an attribute, failing on a duplicate name.
-    pub fn extend_with(&self, attr: Attribute) -> Result<Schema, String> {
-        let mut out = self.clone();
-        out.push(attr)?;
-        Ok(out)
-    }
-
     /// Appends an attribute in place, failing on a duplicate name (the
     /// schema is then unchanged).
     pub fn push(&mut self, attr: Attribute) -> Result<(), String> {
@@ -315,19 +308,6 @@ mod tests {
         assert_eq!(p.attrs()[0].name, "amount");
         assert_eq!(p.attrs()[1].name, "id");
         assert_eq!(s.project(&["nope".into()]).unwrap_err(), "nope");
-    }
-
-    #[test]
-    fn extend_rejects_duplicates() {
-        let s = s();
-        assert!(s
-            .extend_with(Attribute::new("extra", DataType::Bool))
-            .is_ok());
-        assert_eq!(
-            s.extend_with(Attribute::new("id", DataType::Bool))
-                .unwrap_err(),
-            "id"
-        );
     }
 
     #[test]

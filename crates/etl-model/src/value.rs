@@ -83,16 +83,38 @@ impl Value {
     /// Stable key for grouping/dedup: nulls group together, floats by bit
     /// pattern.
     pub fn group_key(&self) -> String {
-        match self {
-            Value::Null => "∅".to_string(),
-            Value::Int(v) => format!("i{v}"),
-            Value::Float(v) => format!("f{:x}", v.to_bits()),
-            Value::Str(v) => format!("s{v}"),
-            Value::Bool(v) => format!("b{v}"),
-            Value::Date(v) => format!("d{v}"),
-            Value::Timestamp(v) => format!("t{v}"),
-        }
+        let mut key = String::new();
+        self.push_group_key(&mut key);
+        key
     }
+
+    /// Appends [`group_key`](Self::group_key) to `out`.
+    fn push_group_key(&self, out: &mut String) {
+        use fmt::Write as _;
+        let _ = match self {
+            Value::Null => write!(out, "∅"),
+            Value::Int(v) => write!(out, "i{v}"),
+            Value::Float(v) => write!(out, "f{:x}", v.to_bits()),
+            Value::Str(v) => write!(out, "s{v}"),
+            Value::Bool(v) => write!(out, "b{v}"),
+            Value::Date(v) => write!(out, "d{v}"),
+            Value::Timestamp(v) => write!(out, "t{v}"),
+        };
+    }
+}
+
+/// Stable key of a row, or of some of its columns, for grouping, dedup and
+/// distinct-row counts: the values' [`Value::group_key`]s joined by
+/// `\u{1}`.
+pub fn row_key<'a>(values: impl IntoIterator<Item = &'a Value>) -> String {
+    let mut key = String::new();
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            key.push('\u{1}');
+        }
+        v.push_group_key(&mut key);
+    }
+    key
 }
 
 impl fmt::Display for Value {
@@ -156,5 +178,18 @@ mod tests {
             Value::Str("1".into()).group_key(),
             Value::Int(1).group_key()
         );
+    }
+
+    #[test]
+    fn row_key_joins_the_group_keys() {
+        let row = vec![Value::Int(1), Value::Null, Value::Float(0.5)];
+        let joined = row
+            .iter()
+            .map(Value::group_key)
+            .collect::<Vec<_>>()
+            .join("\u{1}");
+        assert_eq!(row_key(&row), joined);
+        assert_eq!(row_key(&row[1..2]), "∅");
+        assert_eq!(row_key(&row[..0]), "");
     }
 }

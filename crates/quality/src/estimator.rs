@@ -3,16 +3,17 @@
 //! The paper's Planner "estimates defined measures for various quality
 //! attributes" for *thousands* of alternative flows — executing each one
 //! would defeat the interactive loop. The estimator propagates expected row
-//! counts through the flow via per-operator selectivities, replays the same
-//! virtual-clock arithmetic the simulator uses, and derives data-quality
-//! expectations from per-source dirtiness statistics. The ablation bench
-//! (`fig3_pipeline`) checks that estimator rankings agree with simulation.
+//! counts through the flow via per-operator selectivities, times them with
+//! the cost model it shares with the simulator ([`etl_model::CostModel`]),
+//! and derives data-quality expectations from per-source dirtiness
+//! statistics. The ablation bench (`fig3_pipeline`) checks that estimator
+//! rankings agree with simulation.
 
 use crate::measure::{MeasureId, MeasureVector};
-use crate::runtime::{freshness_score, recoverability};
+use crate::runtime::{freshness_score, recoverability, RowQuality};
 use crate::static_measures::{evaluate_static, static_measures};
-use datagen::{Catalog, CORRUPT_MARKER};
-use etl_model::{EtlFlow, OpKind, Value};
+use datagen::Catalog;
+use etl_model::{CostModel, EtlFlow, OpKind};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
@@ -46,44 +47,16 @@ impl SourceStats {
     /// Derives stats by scanning a catalog table (cheap one-off pass; the
     /// planner does this once per session, not per alternative).
     pub fn from_table(table: &datagen::Table, request_time: i64) -> Self {
-        let rows = table.rows.len();
-        if rows == 0 {
+        let mut q = RowQuality::default();
+        q.add(&table.rows);
+        if q.rows == 0 {
             return SourceStats::unknown(0.0);
         }
-        let mut cells = 0usize;
-        let mut nulls = 0usize;
-        let mut strs = 0usize;
-        let mut corrupt = 0usize;
-        let mut seen = std::collections::HashSet::with_capacity(rows);
-        let mut distinct = 0usize;
-        for row in &table.rows {
-            let key: String = row
-                .iter()
-                .map(Value::group_key)
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            if seen.insert(key) {
-                distinct += 1;
-            }
-            for v in row {
-                cells += 1;
-                match v {
-                    Value::Null => nulls += 1,
-                    Value::Str(s) => {
-                        strs += 1;
-                        if s.ends_with(CORRUPT_MARKER) {
-                            corrupt += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
         SourceStats {
-            rows: rows as f64,
-            null_rate: nulls as f64 / cells.max(1) as f64,
-            dup_rate: 1.0 - distinct as f64 / rows as f64,
-            corrupt_rate: corrupt as f64 / strs.max(1) as f64,
+            rows: q.rows as f64,
+            null_rate: q.nulls as f64 / q.cells.max(1) as f64,
+            dup_rate: 1.0 - q.distinct as f64 / q.rows as f64,
+            corrupt_rate: q.corrupt as f64 / q.strs.max(1) as f64,
             staleness_s: (request_time - table.last_update).max(0) as f64,
         }
     }
@@ -137,19 +110,6 @@ impl Default for NodeEst {
 const NULLFILTER_RESIDUAL: f64 = 0.05;
 const DEDUP_RESIDUAL: f64 = 0.02;
 const CROSSCHECK_RESIDUAL: f64 = 0.10;
-const ENCRYPTION_OVERHEAD: f64 = 1.08;
-
-/// Speed/tax multipliers implied by a flow's configuration. Graph-level
-/// patterns (resources, encryption) change these for every node at once.
-fn speed_tax(flow: &EtlFlow) -> (f64, f64) {
-    let speed = flow.config.resources.speed_factor();
-    let tax = if flow.config.encrypted {
-        ENCRYPTION_OVERHEAD
-    } else {
-        1.0
-    };
-    (speed, tax)
-}
 
 /// One node's estimate and its expected-redo contribution, computed from its
 /// operation and its predecessors' already-filled entries in `est`. The
@@ -160,8 +120,7 @@ fn compute_node_est(
     n: etl_model::NodeId,
     est: &[NodeEst],
     stats: &HashMap<String, SourceStats>,
-    speed: f64,
-    tax: f64,
+    model: &CostModel,
 ) -> (NodeEst, f64) {
     let op = flow.op(n).expect("live node");
     // Every reduction walks the predecessors in the graph's order, so the
@@ -232,13 +191,8 @@ fn compute_node_est(
         _ => in_rows * op.selectivity(),
     };
 
-    // timing — mirrors the simulator's clock arithmetic
-    let par = op.parallelism.max(1) as f64;
-    let work_rows = match op.kind {
-        OpKind::Extract { .. } => e.rows,
-        _ => in_rows,
-    };
-    let service = (op.cost.startup_ms + work_rows * op.cost.cost_per_tuple_ms / par) * tax / speed;
+    // timing — the simulator's cost model over the expected rows
+    let service = model.service_ms(op, in_rows, e.rows);
     let ready = preds()
         .map(|p| est[p.index()].done_ms)
         .fold(0.0f64, f64::max);
@@ -246,23 +200,14 @@ fn compute_node_est(
     e.latency_ms = preds()
         .map(|p| est[p.index()].latency_ms)
         .fold(0.0f64, f64::max)
-        + op.cost.cost_per_tuple_ms * tax / (par * speed);
-
-    let upstream_span = preds()
-        .map(|p| {
-            let pop = flow.op(p).expect("live node");
-            if matches!(pop.kind, OpKind::Checkpoint { .. }) {
-                pop.cost.startup_ms
-            } else {
-                est[p.index()].redo_span_ms
-            }
-        })
-        .fold(0.0f64, f64::max);
+        + model.latency_step_ms(op);
     // Partition rows are split across successors; handled in branch_rows
     // via out-degree division, so `e.rows` stores the total.
-    e.redo_span_ms = service + upstream_span;
-    let redo_contrib = op.cost.failure_rate.clamp(0.0, 1.0) * e.redo_span_ms;
-    (e, redo_contrib)
+    e.redo_span_ms = CostModel::redo_span_ms(
+        service,
+        preds().map(|p| (flow.op(p).expect("live node"), est[p.index()].redo_span_ms)),
+    );
+    (e, CostModel::expected_redo_ms(op, e.redo_span_ms))
 }
 
 /// Estimates the full measure vector of a flow without executing it.
@@ -281,7 +226,7 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
         Ok(o) => o,
         Err(_) => return evaluate_static(flow),
     };
-    let (speed, tax) = speed_tax(flow);
+    let model = CostModel::of(&flow.config);
     let bound = flow.graph.node_bound();
     BUFFERS.with_borrow_mut(|(est, redo_contrib)| {
         est.clear();
@@ -290,7 +235,7 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
         redo_contrib.resize(bound, 0.0);
         let mut longest_path = 0;
         for &n in &order {
-            let (e, c) = compute_node_est(flow, n, est, stats, speed, tax);
+            let (e, c) = compute_node_est(flow, n, est, stats, &model);
             longest_path = longest_path.max(e.depth);
             est[n.index()] = e;
             redo_contrib[n.index()] = c;
@@ -335,50 +280,51 @@ fn finalize(
 ) -> MeasureVector {
     let mut v = static_measures(flow, Some(longest_path));
     let expected_redo: f64 = redo_contrib.iter().sum();
-    let loads = flow.ops_of_kind("load");
-    let cycle = loads
-        .iter()
-        .map(|n| est[n.index()].done_ms)
-        .fold(0.0f64, f64::max);
-    let latency = if loads.is_empty() {
-        0.0
-    } else {
-        loads.iter().map(|n| est[n.index()].latency_ms).sum::<f64>() / loads.len() as f64
-    };
-    let rows_loaded: f64 = loads.iter().map(|n| est[n.index()].rows).sum();
+    // One walk over the loads in node order; each sum accumulates in the
+    // same order as a sum over the list of loads would.
+    let mut loads = 0usize;
+    let (mut cycle, mut latency_sum, mut rows_loaded, mut stale) = (0.0f64, 0.0, 0.0, 0.0f64);
+    let (mut weight, mut nulls, mut dups, mut corrupt) = (0.0, 0.0, 0.0, 0.0);
+    for (n, op) in flow.graph.nodes() {
+        if !matches!(op.kind, OpKind::Load { .. }) {
+            continue;
+        }
+        let e = &est[n.index()];
+        let w = e.rows.max(1.0);
+        loads += 1;
+        cycle = cycle.max(e.done_ms);
+        latency_sum += e.latency_ms;
+        rows_loaded += e.rows;
+        stale = stale.max(e.staleness_s);
+        weight += w;
+        nulls += e.null_rate * w;
+        dups += e.dup_rate * w;
+        corrupt += e.corrupt_rate * w;
+    }
 
     v.set(MeasureId::CycleTimeMs, cycle);
+    let latency = if loads == 0 {
+        0.0
+    } else {
+        latency_sum / loads as f64
+    };
     v.set(MeasureId::AvgLatencyMs, latency);
     if cycle > 0.0 {
         v.set(MeasureId::Throughput, rows_loaded / (cycle / 1_000.0));
     }
 
     // DQ at the loads (row-weighted means)
-    let wmean = |f: fn(&NodeEst) -> f64| -> f64 {
-        let w: f64 = loads.iter().map(|n| est[n.index()].rows.max(1.0)).sum();
-        loads
-            .iter()
-            .map(|n| f(&est[n.index()]) * est[n.index()].rows.max(1.0))
-            .sum::<f64>()
-            / w.max(1.0)
-    };
-    if !loads.is_empty() {
+    if loads > 0 {
+        let weight = weight.max(1.0);
         v.set(
             MeasureId::Completeness,
-            (1.0 - wmean(|e| e.null_rate)).clamp(0.0, 1.0),
+            (1.0 - nulls / weight).clamp(0.0, 1.0),
         );
-        v.set(
-            MeasureId::Uniqueness,
-            (1.0 - wmean(|e| e.dup_rate)).clamp(0.0, 1.0),
-        );
+        v.set(MeasureId::Uniqueness, (1.0 - dups / weight).clamp(0.0, 1.0));
         v.set(
             MeasureId::Accuracy,
-            (1.0 - wmean(|e| e.corrupt_rate)).clamp(0.0, 1.0),
+            (1.0 - corrupt / weight).clamp(0.0, 1.0),
         );
-        let stale = loads
-            .iter()
-            .map(|n| est[n.index()].staleness_s)
-            .fold(0.0f64, f64::max);
         v.set(
             MeasureId::FreshnessAgeS,
             crate::runtime::effective_age_s(stale, flow.config.recurrence_minutes),

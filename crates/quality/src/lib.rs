@@ -7,7 +7,11 @@
 //! runtime traces** ([`runtime`]). A third path, the [`estimator`], predicts
 //! the runtime measures analytically from the model alone — this is what
 //! lets POIESIS score thousands of alternative designs without executing
-//! each one.
+//! each one. The estimator and the simulator share one cost model
+//! ([`etl_model::CostModel`]): the same service-time, latency and redo-span
+//! rules, over expected row counts in one and real rows in the other. The
+//! data-quality measures of a trace's loads and the statistics of a source
+//! table come from one row scan.
 //!
 //! Measures roll up into **characteristics** (performance, data quality,
 //! reliability, manageability, cost). The drill-down the paper demonstrates

@@ -272,11 +272,6 @@ impl MeasureVector {
         self.values[id.idx()]
     }
 
-    /// Reads a measure, defaulting when unset.
-    pub fn get_or(&self, id: MeasureId, default: f64) -> f64 {
-        self.get(id).unwrap_or(default)
-    }
-
     /// Iterates over set measures.
     pub fn iter(&self) -> impl Iterator<Item = (MeasureId, f64)> + '_ {
         MeasureId::ALL
@@ -364,7 +359,6 @@ mod tests {
         assert_eq!(v.get(MeasureId::CycleTimeMs), None);
         v.set(MeasureId::CycleTimeMs, 12.5);
         assert_eq!(v.get(MeasureId::CycleTimeMs), Some(12.5));
-        assert_eq!(v.get_or(MeasureId::Coupling, 7.0), 7.0);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use crate::measure::{MeasureId, MeasureVector};
 use datagen::CORRUPT_MARKER;
-use etl_model::{EtlFlow, OpKind, Value};
-use simulator::{Trace, TrialSummary};
+use etl_model::{row_key, EtlFlow, Tuple, Value};
+use simulator::Trace;
 
 /// Evaluates all trace-derived measures.
 pub fn evaluate_trace(flow: &EtlFlow, trace: &Trace) -> MeasureVector {
@@ -26,54 +26,22 @@ pub fn fill_from_trace(v: &mut MeasureVector, flow: &EtlFlow, trace: &Trace) {
     }
 
     // --- data quality -----------------------------------------------------
-    let (mut cells, mut null_cells) = (0usize, 0usize);
-    let (mut str_cells, mut corrupt_cells) = (0usize, 0usize);
-    let (mut rows_total, mut rows_distinct) = (0usize, 0usize);
+    let mut q = RowQuality::default();
     for load in &trace.loads {
-        rows_total += load.rows.len();
-        let mut seen = std::collections::HashSet::with_capacity(load.rows.len());
-        for row in &load.rows {
-            let key: String = row
-                .iter()
-                .map(Value::group_key)
-                .collect::<Vec<_>>()
-                .join("\u{1}");
-            if seen.insert(key) {
-                rows_distinct += 1;
-            }
-            for val in row {
-                cells += 1;
-                match val {
-                    Value::Null => null_cells += 1,
-                    Value::Str(s) => {
-                        str_cells += 1;
-                        if s.ends_with(CORRUPT_MARKER) {
-                            corrupt_cells += 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
+        q.add(&load.rows);
     }
-    if cells > 0 {
+    if q.cells > 0 {
         v.set(
             MeasureId::Completeness,
-            1.0 - null_cells as f64 / cells as f64,
+            1.0 - q.nulls as f64 / q.cells as f64,
         );
     }
-    if rows_total > 0 {
-        v.set(
-            MeasureId::Uniqueness,
-            rows_distinct as f64 / rows_total as f64,
-        );
+    if q.rows > 0 {
+        v.set(MeasureId::Uniqueness, q.distinct as f64 / q.rows as f64);
     }
-    if str_cells > 0 {
-        v.set(
-            MeasureId::Accuracy,
-            1.0 - corrupt_cells as f64 / str_cells as f64,
-        );
-    } else if cells > 0 {
+    if q.strs > 0 {
+        v.set(MeasureId::Accuracy, 1.0 - q.corrupt as f64 / q.strs as f64);
+    } else if q.cells > 0 {
         v.set(MeasureId::Accuracy, 1.0);
     }
     if let Some(age_s) = trace.stalest_source_age() {
@@ -88,12 +56,11 @@ pub fn fill_from_trace(v: &mut MeasureVector, flow: &EtlFlow, trace: &Trace) {
     }
 
     // --- reliability --------------------------------------------------------
-    let expected_redo = expected_redo_ms(flow, trace);
-    v.set(MeasureId::ExpectedRedoMs, expected_redo);
+    v.set(MeasureId::ExpectedRedoMs, trace.expected_redo_ms);
     let clean_cycle = trace.cycle_time_ms - trace.total_redo_ms;
     v.set(
         MeasureId::Recoverability,
-        recoverability(clean_cycle, expected_redo),
+        recoverability(clean_cycle, trace.expected_redo_ms),
     );
 
     // --- cost ---------------------------------------------------------------
@@ -114,16 +81,6 @@ pub fn monetary_cost(cycle_time_ms: f64, flow: &EtlFlow) -> f64 {
         1.0
     };
     cycle_time_ms * flow.config.resources.cost_factor() * runs_per_day / 1_000.0
-}
-
-/// Adds the Monte-Carlo-only reliability measures from a trial summary.
-pub fn fill_from_trials(v: &mut MeasureVector, trials: &TrialSummary) {
-    v.set(MeasureId::DeadlineSuccess, trials.within_deadline_fraction);
-    v.set(MeasureId::ExpectedRedoMs, trials.mean_redo_ms);
-    v.set(
-        MeasureId::Recoverability,
-        recoverability(trials.clean_cycle_ms, trials.mean_redo_ms),
-    );
 }
 
 /// Nominal source update frequency (updates/hour) in the freshness score —
@@ -163,39 +120,50 @@ pub fn recoverability(clean_cycle_ms: f64, expected_redo_ms: f64) -> f64 {
     clean_cycle_ms / (clean_cycle_ms + expected_redo_ms.max(0.0))
 }
 
-/// Expected recovery time per run: `Σ_op p_fail(op) · redo_span(op)`, where
-/// the redo span re-runs the segment from the nearest upstream savepoint
-/// (or the extracts). Reconstructed from the trace's service times plus the
-/// flow structure.
-pub fn expected_redo_ms(flow: &EtlFlow, trace: &Trace) -> f64 {
-    let order = match flow.topo_order() {
-        Ok(o) => o,
-        Err(_) => return 0.0,
-    };
-    let mut span = vec![0.0f64; flow.graph.node_bound()];
-    let mut expected = 0.0;
-    for n in order {
-        let op = flow.op(n).expect("live node");
-        let service = trace
-            .op(n)
-            .map(|o| o.service_ms() - o.redo_ms)
-            .unwrap_or(0.0);
-        let upstream = flow
-            .graph
-            .predecessors(n)
-            .map(|p| {
-                let pop = flow.op(p).expect("live node");
-                if matches!(pop.kind, OpKind::Checkpoint { .. }) {
-                    pop.cost.startup_ms
-                } else {
-                    span[p.index()]
+/// Cell and row counts of batches of rows: the one scan behind the
+/// data-quality measures, of a trace's loads and of a source table's
+/// statistics alike.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RowQuality {
+    /// Rows scanned.
+    pub(crate) rows: usize,
+    /// Rows distinct within their batch.
+    pub(crate) distinct: usize,
+    /// Cells scanned.
+    pub(crate) cells: usize,
+    /// Null cells.
+    pub(crate) nulls: usize,
+    /// String cells.
+    pub(crate) strs: usize,
+    /// String cells carrying the corruption marker.
+    pub(crate) corrupt: usize,
+}
+
+impl RowQuality {
+    /// Adds one batch; a row counts as distinct if no earlier row of the
+    /// same batch equals it.
+    pub(crate) fn add(&mut self, rows: &[Tuple]) {
+        self.rows += rows.len();
+        let mut seen = std::collections::HashSet::with_capacity(rows.len());
+        for row in rows {
+            if seen.insert(row_key(row)) {
+                self.distinct += 1;
+            }
+            for val in row {
+                self.cells += 1;
+                match val {
+                    Value::Null => self.nulls += 1,
+                    Value::Str(s) => {
+                        self.strs += 1;
+                        if s.ends_with(CORRUPT_MARKER) {
+                            self.corrupt += 1;
+                        }
+                    }
+                    _ => {}
                 }
-            })
-            .fold(0.0f64, f64::max);
-        span[n.index()] = service + upstream;
-        expected += op.cost.failure_rate.clamp(0.0, 1.0) * span[n.index()];
+            }
+        }
     }
-    expected
 }
 
 #[cfg(test)]
@@ -203,6 +171,7 @@ mod tests {
     use super::*;
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
+    use etl_model::OpKind;
     use simulator::{simulate, SimConfig};
 
     fn run(dirt: DirtProfile) -> (etl_model::EtlFlow, Trace) {
@@ -340,21 +309,5 @@ mod tests {
             after.get(MeasureId::Recoverability).unwrap()
                 > before.get(MeasureId::Recoverability).unwrap()
         );
-    }
-
-    #[test]
-    fn trial_fill() {
-        let summary = TrialSummary {
-            trials: 10,
-            mean_cycle_ms: 12.0,
-            clean_cycle_ms: 10.0,
-            mean_redo_ms: 2.0,
-            failure_run_fraction: 0.4,
-            within_deadline_fraction: 0.9,
-        };
-        let mut v = MeasureVector::new();
-        fill_from_trials(&mut v, &summary);
-        assert_eq!(v.get(MeasureId::DeadlineSuccess), Some(0.9));
-        assert!((v.get(MeasureId::Recoverability).unwrap() - 10.0 / 12.0).abs() < 1e-12);
     }
 }

@@ -1,10 +1,14 @@
 //! The simulation engine: drives execution in topological order, advances
 //! the virtual clock, injects failures and models savepoint recovery.
+//!
+//! Timing, latency and redo spans come from [`CostModel`], the cost model
+//! the analytic estimator shares; the engine feeds it the rows that really
+//! flowed, where the estimator feeds it expected row counts.
 
 use crate::exec::{execute_op, ExecError};
 use crate::trace::{LoadedData, OpTrace, Trace, TrialSummary};
 use datagen::Catalog;
-use etl_model::{propagate_schemas, EtlFlow, FlowError, OpKind, SchemaError, Tuple};
+use etl_model::{propagate_schemas, CostModel, EtlFlow, FlowError, OpKind, SchemaError, Tuple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -66,10 +70,6 @@ impl From<ExecError> for SimError {
     }
 }
 
-/// Encryption slows every operator down by this factor when the flow-level
-/// `encrypted` configuration is on (the security pattern's performance tax).
-const ENCRYPTION_OVERHEAD: f64 = 1.08;
-
 /// Runs one simulation of `flow` over `catalog`.
 ///
 /// Determinism: identical `(flow, catalog, config)` triples produce
@@ -80,12 +80,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
     let order = flow.topo_order()?;
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
-    let speed = flow.config.resources.speed_factor();
-    let crypto_tax = if flow.config.encrypted {
-        ENCRYPTION_OVERHEAD
-    } else {
-        1.0
-    };
+    let model = CostModel::of(&flow.config);
 
     let nbound = flow.graph.node_bound();
     // Rows buffered per edge.
@@ -101,6 +96,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
     let mut loads = Vec::new();
     let mut source_updates = Vec::new();
     let mut total_redo = 0.0;
+    let mut expected_redo = 0.0;
     let mut failures = 0usize;
 
     for &n in &order {
@@ -119,39 +115,30 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
             .iter()
             .map(|p| schemas[p.index()].as_deref().expect("propagated"))
             .collect();
+        let out_schema = schemas[n.index()].as_deref().expect("propagated");
         let out_edges: Vec<_> = flow.graph.out_edges(n).collect();
 
-        let outputs = execute_op(op, &inputs, &in_schemas, out_edges.len(), catalog)?;
+        let outputs = execute_op(
+            op,
+            &inputs,
+            &in_schemas,
+            out_schema,
+            out_edges.len(),
+            catalog,
+        )?;
         let rows_in: usize = inputs.iter().map(|v| v.len()).sum();
         let rows_out: usize = outputs.iter().map(|v| v.len()).sum();
 
         // --- timing -----------------------------------------------------
         let ready = preds.iter().map(|p| done[p.index()]).fold(0.0f64, f64::max);
-        let par = op.parallelism.max(1) as f64;
-        let work_rows = match op.kind {
-            OpKind::Extract { .. } => rows_out,
-            _ => rows_in,
-        };
-        let service = (op.cost.startup_ms + work_rows as f64 * op.cost.cost_per_tuple_ms / par)
-            * crypto_tax
-            / speed;
-
-        // Recovery span: recomputing this op plus everything back to the
-        // nearest savepoint/extract frontier (max over parallel branches).
-        let upstream_span = preds
-            .iter()
-            .map(|p| {
-                let pop = flow.op(*p).expect("live node");
-                if matches!(pop.kind, OpKind::Checkpoint { .. }) {
-                    // restart from the savepoint: only pay a re-read,
-                    // approximated by the checkpoint's startup cost
-                    pop.cost.startup_ms
-                } else {
-                    redo_span[p.index()]
-                }
-            })
-            .fold(0.0f64, f64::max);
-        redo_span[n.index()] = service + upstream_span;
+        let service = model.service_ms(op, rows_in as f64, rows_out as f64);
+        redo_span[n.index()] = CostModel::redo_span_ms(
+            service,
+            preds
+                .iter()
+                .map(|p| (flow.op(*p).expect("live node"), redo_span[p.index()])),
+        );
+        expected_redo += CostModel::expected_redo_ms(op, redo_span[n.index()]);
 
         let failed = config.inject_failures
             && op.cost.failure_rate > 0.0
@@ -170,7 +157,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
             .iter()
             .map(|p| latency[p.index()])
             .fold(0.0f64, f64::max);
-        latency[n.index()] = in_latency + op.cost.cost_per_tuple_ms * crypto_tax / (par * speed);
+        latency[n.index()] = in_latency + model.latency_step_ms(op);
 
         // --- bookkeeping --------------------------------------------------
         if let OpKind::Extract { source, .. } = &op.kind {
@@ -181,7 +168,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
         if let OpKind::Load { target } = &op.kind {
             loads.push(LoadedData {
                 target: target.clone(),
-                schema: schemas[n.index()].as_deref().expect("propagated").clone(),
+                schema: out_schema.clone(),
                 rows: outputs.first().cloned().unwrap_or_default(),
             });
         }
@@ -220,6 +207,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
         cycle_time_ms,
         avg_latency_ms,
         total_redo_ms: total_redo,
+        expected_redo_ms: expected_redo,
         failures,
         loads,
         request_time: catalog.request_time(),

@@ -2,11 +2,14 @@
 //!
 //! Multi-output operators (split, router, partition) produce one row vector
 //! per outgoing edge; single-output operators produce one vector that the
-//! engine clones onto each outgoing edge.
+//! engine clones onto each outgoing edge. Column names resolve against the
+//! node's input and output schemas as schema propagation computed them, so
+//! the executor restates no schema rule; how long an operator takes is the
+//! engine's business ([`etl_model::CostModel`]).
 
 use datagen::{Catalog, CORRUPT_MARKER};
 use etl_model::expr::BoundExpr;
-use etl_model::{AggFunc, DataType, OpKind, Operation, Schema, Tuple, Value};
+use etl_model::{row_key, AggFunc, DataType, OpKind, Operation, Schema, Tuple, Value};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -44,11 +47,25 @@ fn bind(expr: &etl_model::expr::Expr, schema: &Schema) -> Result<BoundExpr, Exec
         .map_err(|e| ExecError::Bind(e.to_string()))
 }
 
+/// Resolves a column name to its index in `schema`: the one name lookup
+/// every operator's binding goes through.
+fn column(schema: &Schema, name: &str) -> Result<usize, ExecError> {
+    schema
+        .index_of(name)
+        .ok_or_else(|| ExecError::Bind(format!("unknown column `{name}`")))
+}
+
+/// [`column`] over several names, in order.
+fn columns(schema: &Schema, names: &[String]) -> Result<Vec<usize>, ExecError> {
+    names.iter().map(|name| column(schema, name)).collect()
+}
+
 /// Executes one operator.
 ///
 /// * `inputs` — one row vector per incoming edge, in predecessor order
 ///   (matching schema propagation).
 /// * `in_schemas` — schema per input.
+/// * `out_schema` — the node's output schema, as propagated.
 /// * `n_outputs` — number of outgoing edges.
 ///
 /// Returns one row vector per outgoing edge. For load operators (zero
@@ -57,6 +74,7 @@ pub fn execute_op(
     op: &Operation,
     inputs: &[Vec<Tuple>],
     in_schemas: &[&Schema],
+    out_schema: &Schema,
     n_outputs: usize,
     catalog: &Catalog,
 ) -> Result<Vec<Vec<Tuple>>, ExecError> {
@@ -100,15 +118,7 @@ pub fn execute_op(
             )
         }
         OpKind::Project { keep } => {
-            let schema = first_schema()?;
-            let idx: Vec<usize> = keep
-                .iter()
-                .map(|k| {
-                    schema
-                        .index_of(k)
-                        .ok_or_else(|| ExecError::Bind(format!("unknown column `{k}`")))
-                })
-                .collect::<Result<_, _>>()?;
+            let idx = columns(first_schema()?, keep)?;
             single(
                 first_input()?
                     .iter()
@@ -117,19 +127,13 @@ pub fn execute_op(
             )
         }
         OpKind::Derive { outputs } => {
-            // Each derived column sees the schema extended by the previous
-            // ones, mirroring schema propagation.
-            let mut schema = first_schema()?.clone();
-            let mut bounds = Vec::with_capacity(outputs.len());
-            for (name, expr) in outputs {
-                bounds.push(bind(expr, &schema)?);
-                let dtype = expr
-                    .result_type(&schema)
-                    .map_err(|e| ExecError::Bind(e.to_string()))?;
-                schema = schema
-                    .extend_with(etl_model::Attribute::new(name.clone(), dtype))
-                    .map_err(|c| ExecError::Bind(format!("duplicate column `{c}`")))?;
-            }
+            // The output schema is the input's columns, then the derived
+            // ones in order, each name once: every expression binds to the
+            // index its columns take in the row as it grows.
+            let bounds = outputs
+                .iter()
+                .map(|(_, expr)| bind(expr, out_schema))
+                .collect::<Result<Vec<_>, _>>()?;
             single(
                 first_input()?
                     .iter()
@@ -144,10 +148,8 @@ pub fn execute_op(
                     .collect(),
             )
         }
-        OpKind::Convert { column, to } => {
-            let idx = first_schema()?
-                .index_of(column)
-                .ok_or_else(|| ExecError::Bind(format!("unknown column `{column}`")))?;
+        OpKind::Convert { column: name, to } => {
+            let idx = column(first_schema()?, name)?;
             single(
                 first_input()?
                     .iter()
@@ -169,12 +171,8 @@ pub fn execute_op(
                     detail: "join needs two inputs",
                 });
             }
-            let li = in_schemas[0]
-                .index_of(left_key)
-                .ok_or_else(|| ExecError::Bind(format!("unknown column `{left_key}`")))?;
-            let ri = in_schemas[1]
-                .index_of(right_key)
-                .ok_or_else(|| ExecError::Bind(format!("unknown column `{right_key}`")))?;
+            let li = column(in_schemas[0], left_key)?;
+            let ri = column(in_schemas[1], right_key)?;
             let mut table: HashMap<String, Vec<&Tuple>> = HashMap::new();
             for r in &inputs[1] {
                 if !r[ri].is_null() {
@@ -198,31 +196,15 @@ pub fn execute_op(
         }
         OpKind::Aggregate { group_by, aggs } => {
             let schema = first_schema()?;
-            let gidx: Vec<usize> = group_by
-                .iter()
-                .map(|g| {
-                    schema
-                        .index_of(g)
-                        .ok_or_else(|| ExecError::Bind(format!("unknown column `{g}`")))
-                })
-                .collect::<Result<_, _>>()?;
+            let gidx = columns(schema, group_by)?;
             let aidx: Vec<(AggFunc, usize)> = aggs
                 .iter()
-                .map(|(_, f, c)| {
-                    schema
-                        .index_of(c)
-                        .map(|i| (*f, i))
-                        .ok_or_else(|| ExecError::Bind(format!("unknown column `{c}`")))
-                })
-                .collect::<Result<_, _>>()?;
+                .map(|(_, f, c)| Ok((*f, column(schema, c)?)))
+                .collect::<Result<_, ExecError>>()?;
             let mut groups: HashMap<String, (Tuple, Vec<Accum>)> = HashMap::new();
             let mut order: Vec<String> = Vec::new();
             for t in first_input()? {
-                let key: String = gidx
-                    .iter()
-                    .map(|&i| t[i].group_key())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}");
+                let key = row_key(gidx.iter().map(|&i| &t[i]));
                 let entry = groups.entry(key.clone()).or_insert_with(|| {
                     order.push(key);
                     (
@@ -245,15 +227,7 @@ pub fn execute_op(
             single(out)
         }
         OpKind::Sort { by } => {
-            let schema = first_schema()?;
-            let idx: Vec<usize> = by
-                .iter()
-                .map(|b| {
-                    schema
-                        .index_of(b)
-                        .ok_or_else(|| ExecError::Bind(format!("unknown column `{b}`")))
-                })
-                .collect::<Result<_, _>>()?;
+            let idx = columns(first_schema()?, by)?;
             let mut rows = first_input()?.clone();
             rows.sort_by(|a, b| {
                 for &i in &idx {
@@ -311,43 +285,23 @@ pub fn execute_op(
             let idx: Vec<usize> = if keys.is_empty() {
                 (0..schema.len()).collect()
             } else {
-                keys.iter()
-                    .map(|k| {
-                        schema
-                            .index_of(k)
-                            .ok_or_else(|| ExecError::Bind(format!("unknown column `{k}`")))
-                    })
-                    .collect::<Result<_, _>>()?
+                columns(schema, keys)?
             };
             let mut seen = std::collections::HashSet::new();
             single(
                 first_input()?
                     .iter()
-                    .filter(|t| {
-                        let key: String = idx
-                            .iter()
-                            .map(|&i| t[i].group_key())
-                            .collect::<Vec<_>>()
-                            .join("\u{1}");
-                        seen.insert(key)
-                    })
+                    .filter(|t| seen.insert(row_key(idx.iter().map(|&i| &t[i]))))
                     .cloned()
                     .collect(),
             )
         }
-        OpKind::FilterNulls { columns } => {
+        OpKind::FilterNulls { columns: names } => {
             let schema = first_schema()?;
-            let idx: Vec<usize> = if columns.is_empty() {
+            let idx: Vec<usize> = if names.is_empty() {
                 (0..schema.len()).collect()
             } else {
-                columns
-                    .iter()
-                    .map(|c| {
-                        schema
-                            .index_of(c)
-                            .ok_or_else(|| ExecError::Bind(format!("unknown column `{c}`")))
-                    })
-                    .collect::<Result<_, _>>()?
+                columns(schema, names)?
             };
             single(
                 first_input()?
@@ -362,13 +316,8 @@ pub fn execute_op(
             let table = catalog
                 .table(alt_source)
                 .ok_or_else(|| ExecError::UnknownSource(alt_source.clone()))?;
-            let ki = schema
-                .index_of(key)
-                .ok_or_else(|| ExecError::Bind(format!("unknown column `{key}`")))?;
-            let rki = table
-                .schema
-                .index_of(&table.key)
-                .ok_or_else(|| ExecError::Bind(format!("reference key `{}` missing", table.key)))?;
+            let ki = column(schema, key)?;
+            let rki = column(&table.schema, &table.key)?;
             // Map current-schema columns onto reference columns by name.
             let col_map: Vec<Option<usize>> = schema
                 .attrs()
@@ -511,8 +460,11 @@ mod tests {
         ]
     }
 
+    /// Runs a single-input operator whose output schema is its input's
+    /// (every operator these tests run through it but derive, whose
+    /// output schema only derive binds against).
     fn run(op: Operation, rows: Vec<Tuple>, schema: &Schema, outs: usize) -> Vec<Vec<Tuple>> {
-        execute_op(&op, &[rows], &[schema], outs, &cat()).unwrap()
+        execute_op(&op, &[rows], &[schema], schema, outs, &cat()).unwrap()
     }
 
     #[test]
@@ -542,7 +494,14 @@ mod tests {
                 ),
             ],
         );
-        let out = run(op, rows2(), &schema2(), 1);
+        let mut out_schema = schema2();
+        out_schema
+            .push(Attribute::new("double", DataType::Float))
+            .unwrap();
+        out_schema
+            .push(Attribute::new("quad", DataType::Float))
+            .unwrap();
+        let out = execute_op(&op, &[rows2()], &[&schema2()], &out_schema, 1, &cat()).unwrap();
         assert_eq!(out[0][0][2], Value::Float(20.0));
         assert_eq!(out[0][0][3], Value::Float(40.0));
         // null propagates
@@ -594,6 +553,7 @@ mod tests {
             &op,
             &[left, right],
             &[&left_schema, &right_schema],
+            &left_schema.join_concat(&right_schema),
             1,
             &cat(),
         )
@@ -615,7 +575,15 @@ mod tests {
                 right_key: "id".into(),
             },
         );
-        let out = execute_op(&op, &[left, right], &[&s, &s], 1, &cat()).unwrap();
+        let out = execute_op(
+            &op,
+            &[left, right],
+            &[&s, &s],
+            &s.join_concat(&s),
+            1,
+            &cat(),
+        )
+        .unwrap();
         assert!(out[0].is_empty());
     }
 
@@ -715,7 +683,7 @@ mod tests {
     fn merge_concatenates() {
         let op = Operation::new("m", OpKind::Merge);
         let s = schema2();
-        let out = execute_op(&op, &[rows2(), rows2()], &[&s, &s], 1, &cat()).unwrap();
+        let out = execute_op(&op, &[rows2(), rows2()], &[&s, &s], &s, 1, &cat()).unwrap();
         assert_eq!(out[0].len(), 6);
     }
 
@@ -781,7 +749,7 @@ mod tests {
                 key: "id".into(),
             },
         );
-        let out = execute_op(&op, &[dirty], &[&schema], 1, &catalog).unwrap();
+        let out = execute_op(&op, &[dirty], &[&schema], &schema, 1, &catalog).unwrap();
         assert_eq!(out[0][0][1], Value::Str("good".into()));
         assert_eq!(out[0][0][2], Value::Float(5.0));
         // unmatched row untouched
@@ -791,7 +759,7 @@ mod tests {
     #[test]
     fn unknown_source_errors() {
         let op = Operation::extract("ghost", schema2());
-        let err = execute_op(&op, &[], &[], 1, &cat()).unwrap_err();
+        let err = execute_op(&op, &[], &[], &schema2(), 1, &cat()).unwrap_err();
         assert_eq!(err, ExecError::UnknownSource("ghost".into()));
     }
 }

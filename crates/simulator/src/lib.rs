@@ -19,7 +19,12 @@
 //!   recovery: a failed operator re-runs the segment back to the nearest
 //!   upstream savepoint ([`etl_model::OpKind::Checkpoint`]) or, absent one,
 //!   back to the extracts — exactly the behaviour the `AddCheckpoint` FCP
-//!   (Fig. 2b) improves.
+//!   (Fig. 2b) improves. Failures injected or not, the trace carries the
+//!   expected recovery time `Σ failure_rate × redo span`.
+//!
+//! The clock, latency and redo-span rules are [`etl_model::CostModel`],
+//! which the analytic estimator in `quality` shares: the simulator times
+//! the rows that really flowed, the estimator the rows it expects.
 //!
 //! The output is a [`Trace`]: per-operator timing/row records plus the rows
 //! that reached every load target, which the `quality` crate turns into the

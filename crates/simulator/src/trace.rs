@@ -27,13 +27,6 @@ pub struct OpTrace {
     pub redo_ms: f64,
 }
 
-impl OpTrace {
-    /// Service time of the operator (excluding waiting, including redo).
-    pub fn service_ms(&self) -> f64 {
-        self.end_ms - self.start_ms
-    }
-}
-
 /// The rows that arrived at one load target.
 #[derive(Debug, Clone)]
 pub struct LoadedData {
@@ -58,6 +51,10 @@ pub struct Trace {
     pub avg_latency_ms: f64,
     /// Total time spent in failure recovery.
     pub total_redo_ms: f64,
+    /// Expected recovery time per run, failures injected or not:
+    /// `Σ failure_rate × redo span` over the operators, summed in execution
+    /// order (see [`etl_model::CostModel::redo_span_ms`]).
+    pub expected_redo_ms: f64,
     /// Number of injected failures.
     pub failures: usize,
     /// Loaded data per load operator.
@@ -72,11 +69,6 @@ impl Trace {
     /// Total rows loaded across targets.
     pub fn rows_loaded(&self) -> usize {
         self.loads.iter().map(|l| l.rows.len()).sum()
-    }
-
-    /// Looks up the trace record for a node.
-    pub fn op(&self, node: NodeId) -> Option<&OpTrace> {
-        self.ops.iter().find(|o| o.node == node)
     }
 
     /// Age (seconds) of the stalest source feeding this run.
@@ -112,22 +104,6 @@ mod tests {
     use etl_model::Value;
 
     #[test]
-    fn service_time_is_end_minus_start() {
-        let t = OpTrace {
-            node: NodeId::from_raw(0),
-            name: "x".into(),
-            kind: "filter".into(),
-            rows_in: 10,
-            rows_out: 5,
-            start_ms: 2.0,
-            end_ms: 5.5,
-            failed: false,
-            redo_ms: 0.0,
-        };
-        assert!((t.service_ms() - 3.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn trace_aggregations() {
         let trace = Trace {
             flow_name: "f".into(),
@@ -135,6 +111,7 @@ mod tests {
             cycle_time_ms: 10.0,
             avg_latency_ms: 1.0,
             total_redo_ms: 0.0,
+            expected_redo_ms: 0.0,
             failures: 0,
             loads: vec![
                 LoadedData {
