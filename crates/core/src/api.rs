@@ -1072,6 +1072,21 @@ mod tests {
         assert!(PlanRequest::from_json_str("{\"strategy\":1}").is_err());
     }
 
+    #[test]
+    fn a_constraint_on_deadline_success_is_refused() {
+        // No simulation or estimate measures a deadline, so a constraint on
+        // one could never bind: the key is unknown like any other.
+        let mut spec = ObjectiveSpec::from_objective(&Objective::balanced());
+        spec.constraints.push(ConstraintSpec {
+            measure: "deadline_success".into(),
+            ratio_vs_baseline: 1.0,
+        });
+        assert!(matches!(
+            spec.to_objective(),
+            Err(PoiesisError::Malformed(msg)) if msg.contains("deadline_success")
+        ));
+    }
+
     fn plausible_session(id: u64, cycles: usize) -> SessionSnapshot {
         SessionSnapshot {
             id,

@@ -224,7 +224,7 @@ fn arb_goal() -> impl Strategy<Value = GoalSpec> {
 }
 
 fn arb_constraint() -> impl Strategy<Value = ConstraintSpec> {
-    (0..17usize, 0.05..20.0f64).prop_map(|(m, ratio)| ConstraintSpec {
+    (0..MeasureId::ALL.len(), 0.05..20.0f64).prop_map(|(m, ratio)| ConstraintSpec {
         measure: MeasureId::ALL[m].key().to_string(),
         ratio_vs_baseline: ratio,
     })

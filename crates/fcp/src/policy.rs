@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn unmeasured_is_unconstrained() {
         let c = MeasureConstraint {
-            measure: MeasureId::DeadlineSuccess,
+            measure: MeasureId::Recoverability,
             ratio_vs_baseline: 1.0,
         };
         assert!(c.satisfied(&MeasureVector::new(), &MeasureVector::new()));

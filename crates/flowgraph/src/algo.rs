@@ -1,5 +1,6 @@
 //! Graph algorithms used by the POIESIS quality measures and the planner:
-//! topological order, cycle checks, longest/critical paths, reachability.
+//! topological order, cycle checks, the longest path, the affected region
+//! of an edit and weakly connected components.
 
 use crate::graph::{DiGraph, NodeId};
 
@@ -78,48 +79,6 @@ pub fn longest_path_len<N, E>(g: &DiGraph<N, E>) -> Option<usize> {
     Some(best)
 }
 
-/// Critical (maximum-weight) path through a DAG where each node carries a
-/// non-negative cost. Returns `(total_cost, path)` or `None` on a cycle.
-///
-/// Used by the analytic performance estimator: the process cycle time of a
-/// pipelined flow is dominated by its most expensive source→sink chain.
-pub fn critical_path<N, E>(
-    g: &DiGraph<N, E>,
-    node_cost: impl Fn(NodeId, &N) -> f64,
-) -> Option<(f64, Vec<NodeId>)> {
-    let order = topo_sort(g).ok()?;
-    let mut dist = vec![f64::NEG_INFINITY; g.node_bound()];
-    let mut next: Vec<Option<NodeId>> = vec![None; g.node_bound()];
-    for &n in order.iter().rev() {
-        let own = node_cost(n, g.node(n).expect("live node"));
-        debug_assert!(own >= 0.0, "node costs must be non-negative");
-        let mut best_succ: Option<(f64, NodeId)> = None;
-        for s in g.successors(n) {
-            let d = dist[s.index()];
-            if best_succ.is_none_or(|(bd, _)| d > bd) {
-                best_succ = Some((d, s));
-            }
-        }
-        match best_succ {
-            Some((d, s)) => {
-                dist[n.index()] = own + d;
-                next[n.index()] = Some(s);
-            }
-            None => dist[n.index()] = own,
-        }
-    }
-    let start = g
-        .node_ids()
-        .max_by(|a, b| dist[a.index()].total_cmp(&dist[b.index()]))?;
-    let mut path = vec![start];
-    let mut cur = start;
-    while let Some(s) = next[cur.index()] {
-        path.push(s);
-        cur = s;
-    }
-    Some((dist[start.index()], path))
-}
-
 /// Topological order of the *affected region*: `seeds` plus every node
 /// reachable from them, restricted to live nodes. Returns `None` when the
 /// affected region contains a directed cycle.
@@ -181,46 +140,6 @@ pub fn affected_topo<N, E>(g: &DiGraph<N, E>, seeds: &[NodeId]) -> Option<Vec<No
     } else {
         None
     }
-}
-
-/// Set of nodes reachable from `start` (inclusive), as a sorted vector.
-pub fn reachable_from<N, E>(g: &DiGraph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_bound()];
-    let mut stack = vec![start];
-    seen[start.index()] = true;
-    while let Some(n) = stack.pop() {
-        for s in g.successors(n) {
-            if !seen[s.index()] {
-                seen[s.index()] = true;
-                stack.push(s);
-            }
-        }
-    }
-    let mut out: Vec<NodeId> = g.node_ids().filter(|n| seen[n.index()]).collect();
-    out.sort();
-    out
-}
-
-/// Length (in edges) of the shortest directed path `from → to`, if any.
-pub fn shortest_path_len<N, E>(g: &DiGraph<N, E>, from: NodeId, to: NodeId) -> Option<usize> {
-    if from == to {
-        return Some(0);
-    }
-    let mut dist = vec![usize::MAX; g.node_bound()];
-    dist[from.index()] = 0;
-    let mut queue = std::collections::VecDeque::from([from]);
-    while let Some(n) = queue.pop_front() {
-        for s in g.successors(n) {
-            if dist[s.index()] == usize::MAX {
-                dist[s.index()] = dist[n.index()] + 1;
-                if s == to {
-                    return Some(dist[s.index()]);
-                }
-                queue.push_back(s);
-            }
-        }
-    }
-    None
 }
 
 /// Weakly connected components (edge direction ignored), each sorted.
@@ -323,31 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_prefers_expensive_branch() {
-        let mut g = DiGraph::new();
-        let a = g.add_node(1.0);
-        let cheap = g.add_node(1.0);
-        let costly = g.add_node(10.0);
-        let z = g.add_node(1.0);
-        g.add_edge(a, cheap, ()).unwrap();
-        g.add_edge(a, costly, ()).unwrap();
-        g.add_edge(cheap, z, ()).unwrap();
-        g.add_edge(costly, z, ()).unwrap();
-        let (cost, path) = critical_path(&g, |_, w| *w).unwrap();
-        assert_eq!(cost, 12.0);
-        assert_eq!(path, vec![a, costly, z]);
-    }
-
-    #[test]
-    fn critical_path_single_node() {
-        let mut g: DiGraph<f64, ()> = DiGraph::new();
-        let a = g.add_node(3.5);
-        let (cost, path) = critical_path(&g, |_, w| *w).unwrap();
-        assert_eq!(cost, 3.5);
-        assert_eq!(path, vec![a]);
-    }
-
-    #[test]
     fn affected_topo_orders_downstream_closure() {
         let (g, ids) = chain(6);
         let order = affected_topo(&g, &[ids[2]]).unwrap();
@@ -388,22 +282,6 @@ mod tests {
         // Region not touching the cycle is still fine… but here everything
         // downstream of ids[0] includes the cycle.
         assert!(affected_topo(&g, &[ids[0]]).is_none());
-    }
-
-    #[test]
-    fn reachability() {
-        let (mut g, ids) = chain(4);
-        let island = g.add_node(99);
-        assert_eq!(reachable_from(&g, ids[1]), vec![ids[1], ids[2], ids[3]]);
-        assert_eq!(reachable_from(&g, island), vec![island]);
-    }
-
-    #[test]
-    fn shortest_path() {
-        let (g, ids) = chain(5);
-        assert_eq!(shortest_path_len(&g, ids[0], ids[4]), Some(4));
-        assert_eq!(shortest_path_len(&g, ids[4], ids[0]), None);
-        assert_eq!(shortest_path_len(&g, ids[2], ids[2]), Some(0));
     }
 
     #[test]

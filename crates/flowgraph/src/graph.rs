@@ -307,17 +307,6 @@ impl<N, E> DiGraph<N, E> {
         self.edges.get(e.index())?.as_deref().map(|s| &s.weight)
     }
 
-    /// Mutably borrow an edge weight (copy-on-write: unshares the slot).
-    pub fn edge_mut(&mut self, e: EdgeId) -> Option<&mut E>
-    where
-        E: Clone,
-    {
-        self.edges
-            .get_mut(e.index())?
-            .as_mut()
-            .map(|s| &mut Arc::make_mut(s).weight)
-    }
-
     /// Endpoints `(src, dst)` of a live edge.
     pub fn endpoints(&self, e: EdgeId) -> Option<(NodeId, NodeId)> {
         self.edges.get(e.index())?.as_ref().map(|s| (s.src, s.dst))
@@ -557,8 +546,8 @@ impl<N, E> DiGraph<N, E> {
     /// unshares the slots it touches, so pointer inequality is a sound
     /// overapproximation of "semantically changed" and pointer equality is an
     /// exact proof of "identical". Endpoints of edges whose slot diverged are
-    /// folded into `touched_nodes` so edge-weight edits (which do not unshare
-    /// node slots) are still anchored at a node.
+    /// folded into `touched_nodes`, so a re-pointed edge is anchored at the
+    /// end whose adjacency list did not change too.
     ///
     /// `base` must be the graph this one was cloned from (ids are only
     /// comparable within one clone family); `self.cow_delta(self)` is empty.
@@ -793,18 +782,15 @@ mod tests {
     }
 
     #[test]
-    fn cow_delta_anchors_edge_weight_edits_at_endpoints() {
-        let (g, [a, b, _c, _d]) = diamond();
+    fn cow_delta_anchors_a_retargeted_edge_at_both_ends() {
+        let (g, [a, b, c, _d]) = diamond();
         let mut f = g.clone();
         let ab = f.out_edges(a).next().unwrap();
-        *f.edge_mut(ab).unwrap() = 100;
-        // Edge weight edit does not unshare node slots…
-        assert_eq!(f.shared_node_slots(&g), 4);
-        // …but the delta still anchors the change at both endpoints.
-        let delta = f.cow_delta(&g);
-        assert_eq!(delta.touched_nodes, vec![a, b]);
-        assert!(delta.removed_nodes.is_empty());
-        assert_eq!(g.edge(ab), Some(&1));
+        f.retarget_edge(ab, c).unwrap();
+        // a's out list still names the edge, so its slot stays shared…
+        assert_eq!(f.shared_node_slots(&g), 2);
+        // …but the re-pointed edge anchors it in the delta.
+        assert_eq!(f.cow_delta(&g).touched_nodes, vec![a, b, c]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! operations. Pattern application needs three structural edits that generic
 //! graph crates do not expose directly:
 //!
-//! * **interpose on an edge** — insert a node (or a whole sub-flow) between
-//!   two consecutive operations (e.g. `FilterNullValues` on an edge);
+//! * **interpose on an edge** — insert a node between two consecutive
+//!   operations (e.g. `FilterNullValues` on an edge);
 //! * **replace a node with a sub-graph** — e.g. `ParallelizeTask` replaces an
 //!   operation with `partition → k replicas → merge`;
 //! * **disjoint merge** — embed one graph into another with stable id
@@ -45,10 +45,10 @@ mod metrics;
 mod splice;
 
 pub use algo::{
-    affected_topo, critical_path, has_cycle, is_dag, longest_path_len, reachable_from,
-    shortest_path_len, topo_sort, weakly_connected_components, TopoError,
+    affected_topo, has_cycle, is_dag, longest_path_len, topo_sort, weakly_connected_components,
+    TopoError,
 };
 pub use dot::to_dot;
 pub use graph::{CowDelta, DiGraph, EdgeId, EdgeRef, GraphError, NodeId};
-pub use metrics::{coupling, degree_stats, density, fan_in, fan_out, DegreeStats};
+pub use metrics::coupling;
 pub use splice::{InterposeSplice, SubgraphSplice};

@@ -1,38 +1,7 @@
 //! Structural graph metrics backing the paper's manageability measures
 //! (Fig. 1: coupling of the process workflow, number of merge elements, …).
 
-use crate::graph::{DiGraph, NodeId};
-
-/// Summary statistics over node degrees.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeStats {
-    /// Mean total degree (in + out) over live nodes.
-    pub mean: f64,
-    /// Maximum total degree.
-    pub max: usize,
-    /// Number of nodes with total degree ≥ 3 (branch/merge points).
-    pub branchy: usize,
-}
-
-/// Fan-in of a node (number of incoming edges).
-pub fn fan_in<N, E>(g: &DiGraph<N, E>, n: NodeId) -> usize {
-    g.in_degree(n)
-}
-
-/// Fan-out of a node (number of outgoing edges).
-pub fn fan_out<N, E>(g: &DiGraph<N, E>, n: NodeId) -> usize {
-    g.out_degree(n)
-}
-
-/// Edge density: `|E| / (|V| * (|V| - 1))` for a simple directed graph.
-/// Returns 0 for graphs with fewer than two nodes.
-pub fn density<N, E>(g: &DiGraph<N, E>) -> f64 {
-    let v = g.node_count();
-    if v < 2 {
-        return 0.0;
-    }
-    g.edge_count() as f64 / (v as f64 * (v as f64 - 1.0))
-}
+use crate::graph::DiGraph;
 
 /// Workflow coupling in the sense of Reijers & Vanderfeesten, the metric the
 /// paper's manageability characteristic cites: the probability that two
@@ -45,32 +14,6 @@ pub fn coupling<N, E>(g: &DiGraph<N, E>) -> f64 {
         return 0.0;
     }
     2.0 * g.edge_count() as f64 / (v as f64 * (v as f64 - 1.0))
-}
-
-/// Degree statistics over the whole graph.
-pub fn degree_stats<N, E>(g: &DiGraph<N, E>) -> DegreeStats {
-    let mut total = 0usize;
-    let mut max = 0usize;
-    let mut branchy = 0usize;
-    let mut count = 0usize;
-    for n in g.node_ids() {
-        let d = g.in_degree(n) + g.out_degree(n);
-        total += d;
-        max = max.max(d);
-        if d >= 3 {
-            branchy += 1;
-        }
-        count += 1;
-    }
-    DegreeStats {
-        mean: if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        },
-        max,
-        branchy,
-    }
 }
 
 #[cfg(test)]
@@ -91,19 +34,12 @@ mod tests {
     }
 
     #[test]
-    fn fan_in_out() {
-        let g = diamond();
-        let a = g.node_ids().next().unwrap();
-        assert_eq!(fan_out(&g, a), 2);
-        assert_eq!(fan_in(&g, a), 0);
-    }
-
-    #[test]
     fn density_and_coupling() {
         let g = diamond();
-        // 4 edges, 4 nodes: density 4/12, coupling 8/12.
-        assert!((density(&g) - 4.0 / 12.0).abs() < 1e-12);
-        assert!((coupling(&g) - 8.0 / 12.0).abs() < 1e-12);
+        // 4 edges over 4·3 ordered node pairs: density 4/12, and coupling
+        // counts each edge at both ends, twice the density.
+        let density = 4.0 / 12.0;
+        assert!((coupling(&g) - 2.0 * density).abs() < 1e-12);
     }
 
     #[test]
@@ -129,14 +65,5 @@ mod tests {
             }
         }
         assert!(coupling(&chain) < coupling(&dense));
-    }
-
-    #[test]
-    fn stats() {
-        let g = diamond();
-        let s = degree_stats(&g);
-        assert_eq!(s.max, 2);
-        assert_eq!(s.branchy, 0);
-        assert!((s.mean - 2.0).abs() < 1e-12);
     }
 }

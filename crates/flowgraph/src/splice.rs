@@ -96,43 +96,6 @@ impl<N, E> DiGraph<N, E> {
         }
     }
 
-    /// Interposes an entire donor sub-flow on edge `u → v`.
-    ///
-    /// The donor must have exactly one source (entry) and one sink (exit);
-    /// the result is `u → entry … exit → v`. The original edge keeps its id
-    /// and is retargeted at the entry node.
-    pub fn interpose_subgraph_on_edge(
-        &mut self,
-        e: EdgeId,
-        donor: &DiGraph<N, E>,
-        out_weight: E,
-    ) -> Result<SubgraphSplice, GraphError>
-    where
-        N: Clone,
-        E: Clone,
-    {
-        let (_, dst) = self.endpoints(e).ok_or(GraphError::MissingEdge(e))?;
-        let pos = self
-            .in_edges(dst)
-            .position(|x| x == e)
-            .expect("edge is incoming at its dst");
-        let entry = single(donor.sources()).ok_or(GraphError::InvalidSubgraph(
-            "donor must have exactly one source",
-        ))?;
-        let exit = single(donor.sinks()).ok_or(GraphError::InvalidSubgraph(
-            "donor must have exactly one sink",
-        ))?;
-        let mut splice = self.embed(donor);
-        let entry_host = splice.mapped(entry).expect("entry is live");
-        let exit_host = splice.mapped(exit).expect("exit is live");
-        self.retarget_edge(e, entry_host)?;
-        let out = self.add_edge(exit_host, dst, out_weight)?;
-        self.set_in_position(dst, out, pos)?;
-        splice.entry_edges.push(e);
-        splice.exit_edges.push(out);
-        Ok(splice)
-    }
-
     /// Replaces node `n` with a donor sub-flow.
     ///
     /// Every incoming edge of `n` is retargeted at the donor's single source;
@@ -187,7 +150,7 @@ fn single<I: Iterator<Item = NodeId>>(mut it: I) -> Option<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{is_dag, topo_sort};
+    use crate::algo::is_dag;
 
     fn chain(labels: &[&'static str]) -> (DiGraph<&'static str, u32>, Vec<NodeId>) {
         let mut g = DiGraph::new();
@@ -229,21 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn interpose_subgraph_preserves_input_position() {
-        let mut g: DiGraph<&str, u32> = DiGraph::new();
-        let left = g.add_node("left");
-        let right = g.add_node("right");
-        let join = g.add_node("join");
-        let e_left = g.add_edge(left, join, 0).unwrap();
-        g.add_edge(right, join, 1).unwrap();
-        let (donor, _) = chain(&["p1", "p2"]);
-        let s = g.interpose_subgraph_on_edge(e_left, &donor, 9).unwrap();
-        let exit = s.mapped(donor.sinks().next().unwrap()).unwrap();
-        let preds: Vec<NodeId> = g.predecessors(join).collect();
-        assert_eq!(preds, vec![exit, right]);
-    }
-
-    #[test]
     fn interpose_missing_edge_fails() {
         let (mut g, _) = chain(&["a", "b"]);
         let ghost = EdgeId(42);
@@ -261,39 +209,6 @@ mod tests {
         assert_eq!(host.node_count(), 5);
         assert_eq!(host.edge_count(), 3);
         assert_eq!(splice.node_map.iter().flatten().count(), 3);
-    }
-
-    #[test]
-    fn interpose_subgraph() {
-        let (mut g, ids) = chain(&["u", "v"]);
-        let (donor, _) = chain(&["p1", "p2"]);
-        let e = g.out_edges(ids[0]).next().unwrap();
-        let s = g.interpose_subgraph_on_edge(e, &donor, 99).unwrap();
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 3);
-        let order = topo_sort(&g).unwrap();
-        let pos = |n: NodeId| order.iter().position(|&o| o == n).unwrap();
-        let entry = s.mapped(donor.sources().next().unwrap()).unwrap();
-        let exit = s.mapped(donor.sinks().next().unwrap()).unwrap();
-        assert!(pos(ids[0]) < pos(entry));
-        assert!(pos(exit) < pos(ids[1]));
-    }
-
-    #[test]
-    fn interpose_subgraph_requires_single_entry_exit() {
-        let (mut g, ids) = chain(&["u", "v"]);
-        let e = g.out_edges(ids[0]).next().unwrap();
-        // Donor with two sources.
-        let mut donor: DiGraph<&str, u32> = DiGraph::new();
-        let a = donor.add_node("a");
-        let b = donor.add_node("b");
-        let c = donor.add_node("c");
-        donor.add_edge(a, c, 0).unwrap();
-        donor.add_edge(b, c, 0).unwrap();
-        assert!(matches!(
-            g.interpose_subgraph_on_edge(e, &donor, 0),
-            Err(GraphError::InvalidSubgraph(_))
-        ));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub enum Characteristic {
     /// Fitness of the delivered data: completeness, uniqueness, accuracy,
     /// freshness.
     DataQuality,
-    /// Robustness to failures: recoverability, redo cost, deadline success.
+    /// Robustness to failures: recoverability and expected redo cost.
     Reliability,
     /// Ease of understanding/modifying the flow: size, paths, coupling.
     Manageability,
@@ -109,9 +109,6 @@ pub enum MeasureId {
     Recoverability,
     /// Expected failure-recovery time per run in ms (lower).
     ExpectedRedoMs,
-    /// Fraction of Monte Carlo runs finishing within 1.5× clean cycle
-    /// (higher). Only set when trials were run.
-    DeadlineSuccess,
     // --- manageability (Fig. 1: longest path, coupling, merge elements)
     /// Length of the workflow's longest path in edges (lower).
     LongestPath,
@@ -131,7 +128,7 @@ pub enum MeasureId {
 
 impl MeasureId {
     /// All measures, in vector order.
-    pub const ALL: [MeasureId; 17] = [
+    pub const ALL: [MeasureId; 16] = [
         MeasureId::CycleTimeMs,
         MeasureId::AvgLatencyMs,
         MeasureId::Throughput,
@@ -142,7 +139,6 @@ impl MeasureId {
         MeasureId::FreshnessScore,
         MeasureId::Recoverability,
         MeasureId::ExpectedRedoMs,
-        MeasureId::DeadlineSuccess,
         MeasureId::LongestPath,
         MeasureId::Coupling,
         MeasureId::MergeCount,
@@ -159,7 +155,7 @@ impl MeasureId {
             Completeness | Uniqueness | Accuracy | FreshnessAgeS | FreshnessScore => {
                 Characteristic::DataQuality
             }
-            Recoverability | ExpectedRedoMs | DeadlineSuccess => Characteristic::Reliability,
+            Recoverability | ExpectedRedoMs => Characteristic::Reliability,
             LongestPath | Coupling | MergeCount | OpCount => Characteristic::Manageability,
             MonetaryCost => Characteristic::Cost,
             SecurityScore => Characteristic::Security,
@@ -177,7 +173,6 @@ impl MeasureId {
                 | Accuracy
                 | FreshnessScore
                 | Recoverability
-                | DeadlineSuccess
                 | SecurityScore
         )
     }
@@ -196,7 +191,6 @@ impl MeasureId {
             FreshnessScore => "freshness score 1/(1-age*freq)",
             Recoverability => "recoverability",
             ExpectedRedoMs => "expected recovery time (ms)",
-            DeadlineSuccess => "deadline success rate",
             LongestPath => "longest path length",
             Coupling => "workflow coupling",
             MergeCount => "# merge elements",
@@ -221,7 +215,6 @@ impl MeasureId {
             FreshnessScore => "freshness_score",
             Recoverability => "recoverability",
             ExpectedRedoMs => "expected_redo_ms",
-            DeadlineSuccess => "deadline_success",
             LongestPath => "longest_path",
             Coupling => "coupling",
             MergeCount => "merge_count",
@@ -439,6 +432,8 @@ mod tests {
             assert_eq!(Characteristic::from_key(c.key()), Some(c));
         }
         assert_eq!(MeasureId::from_key("bogus"), None);
+        // No run measures a deadline, so no request may name one.
+        assert_eq!(MeasureId::from_key("deadline_success"), None);
         assert_eq!(Characteristic::from_key("data quality"), None);
     }
 

@@ -8,7 +8,7 @@
 use crate::exec::{execute_op, ExecError};
 use crate::trace::{LoadedData, OpTrace, Trace, TrialSummary};
 use datagen::Catalog;
-use etl_model::{propagate_schemas, CostModel, EtlFlow, FlowError, OpKind, SchemaError, Tuple};
+use etl_model::{propagate_schemas, CostModel, EtlFlow, FlowError, OpKind, Tuple};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -34,10 +34,8 @@ impl Default for SimConfig {
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
-    /// The flow failed validation.
+    /// The flow failed validation (its shape or its schemas).
     Flow(String),
-    /// Schema propagation failed.
-    Schema(String),
     /// Operator execution failed.
     Exec(String),
 }
@@ -46,7 +44,6 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Flow(e) => write!(f, "flow error: {e}"),
-            SimError::Schema(e) => write!(f, "schema error: {e}"),
             SimError::Exec(e) => write!(f, "execution error: {e}"),
         }
     }
@@ -59,11 +56,6 @@ impl From<FlowError> for SimError {
         SimError::Flow(e.to_string())
     }
 }
-impl From<SchemaError> for SimError {
-    fn from(e: SchemaError) -> Self {
-        SimError::Schema(e.to_string())
-    }
-}
 impl From<ExecError> for SimError {
     fn from(e: ExecError) -> Self {
         SimError::Exec(e.to_string())
@@ -72,18 +64,23 @@ impl From<ExecError> for SimError {
 
 /// Runs one simulation of `flow` over `catalog`.
 ///
+/// The flow's shape is validated and its schemas propagated once; a flow
+/// that fails either is a [`SimError::Flow`]. Each edge's rows are moved
+/// to the one operator that reads them, and a node's one batch is copied
+/// only to broadcast it to several successors.
+///
 /// Determinism: identical `(flow, catalog, config)` triples produce
 /// identical traces.
 pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result<Trace, SimError> {
-    flow.validate()?;
-    let schemas = propagate_schemas(flow)?;
+    flow.validate_structure()?;
+    let schemas = propagate_schemas(flow).map_err(FlowError::from)?;
     let order = flow.topo_order()?;
     let mut rng = SmallRng::seed_from_u64(config.seed);
 
     let model = CostModel::of(&flow.config);
 
     let nbound = flow.graph.node_bound();
-    // Rows buffered per edge.
+    // Rows buffered per edge; its one reader takes them.
     let mut edge_rows: Vec<Option<Vec<Tuple>>> = vec![None; flow.graph.edge_bound()];
     // Completion time, per-tuple latency and redo-span per node.
     let mut done = vec![0.0f64; nbound];
@@ -101,13 +98,13 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
 
     for &n in &order {
         let op = flow.op(n).expect("live node");
-        let in_edges: Vec<_> = flow.graph.in_edges(n).collect();
         let preds: Vec<_> = flow.graph.predecessors(n).collect();
-        let inputs: Vec<Vec<Tuple>> = in_edges
-            .iter()
+        let inputs: Vec<Vec<Tuple>> = flow
+            .graph
+            .in_edges(n)
             .map(|e| {
                 edge_rows[e.index()]
-                    .clone()
+                    .take()
                     .expect("topological order fills predecessor edges")
             })
             .collect();
@@ -118,16 +115,16 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
         let out_schema = schemas[n.index()].as_deref().expect("propagated");
         let out_edges: Vec<_> = flow.graph.out_edges(n).collect();
 
-        let outputs = execute_op(
+        let rows_in: usize = inputs.iter().map(Vec::len).sum();
+        let mut outputs = execute_op(
             op,
-            &inputs,
+            inputs,
             &in_schemas,
             out_schema,
             out_edges.len(),
             catalog,
         )?;
-        let rows_in: usize = inputs.iter().map(|v| v.len()).sum();
-        let rows_out: usize = outputs.iter().map(|v| v.len()).sum();
+        let rows_out: usize = outputs.iter().map(Vec::len).sum();
 
         // --- timing -----------------------------------------------------
         let ready = preds.iter().map(|p| done[p.index()]).fold(0.0f64, f64::max);
@@ -169,12 +166,18 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
             loads.push(LoadedData {
                 target: target.clone(),
                 schema: out_schema.clone(),
-                rows: outputs.first().cloned().unwrap_or_default(),
+                rows: outputs.pop().unwrap_or_default(),
             });
-        }
-
-        for (e, rows) in out_edges.iter().zip(outputs) {
-            edge_rows[e.index()] = Some(rows);
+        } else if let ([rows], [rest @ .., last]) = (&mut outputs[..], &out_edges[..]) {
+            // Broadcast: k successors of one batch cost k − 1 copies.
+            for e in rest {
+                edge_rows[e.index()] = Some(rows.clone());
+            }
+            edge_rows[last.index()] = Some(std::mem::take(rows));
+        } else {
+            for (e, rows) in out_edges.iter().zip(outputs) {
+                edge_rows[e.index()] = Some(rows);
+            }
         }
 
         ops.push(OpTrace {
@@ -216,8 +219,11 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
 }
 
 /// Monte Carlo reliability: `trials` failure-injecting runs plus one clean
-/// run, summarised. Data execution is repeated per trial (failures do not
-/// change data, only time), so this is CPU-proportional to `trials`.
+/// run, summarised. Every trial is a full [`simulate`]: it executes the
+/// data again (failures change time, not data), so the cost grows with
+/// `trials`, but no trial copies rows beyond one simulation's broadcasts.
+/// The fraction within the deadline (1.5× the clean cycle) is reported
+/// here only; no quality measure carries it.
 pub fn simulate_trials(
     flow: &EtlFlow,
     catalog: &Catalog,
@@ -275,11 +281,15 @@ mod tests {
     use etl_model::expr::Expr;
     use etl_model::{Attribute, DataType, Operation, ResourceClass, Schema, Value};
 
-    fn tiny_flow_and_catalog() -> (EtlFlow, Catalog) {
-        let schema = Schema::new(vec![
+    fn tiny_schema() -> Schema {
+        Schema::new(vec![
             Attribute::required("t_id", DataType::Int),
             Attribute::new("amount", DataType::Float),
-        ]);
+        ])
+    }
+
+    fn tiny_flow_and_catalog() -> (EtlFlow, Catalog) {
+        let schema = tiny_schema();
         let mut cat = Catalog::new();
         cat.add_generated(
             &datagen::TableSpec::new("t", schema.clone(), 100, "t_id"),
@@ -308,6 +318,141 @@ mod tests {
         assert_eq!(t.loads.len(), 1);
         assert_eq!(t.loads[0].rows.len(), 100); // all amounts positive by generator
         assert_eq!(t.failures, 0);
+    }
+
+    /// `extract(t) → split → k loads`, with `t` as in
+    /// [`tiny_flow_and_catalog`].
+    fn split_flow(k: usize) -> EtlFlow {
+        let mut f = EtlFlow::new("split");
+        let e = f.add_op(Operation::extract("t", tiny_schema()));
+        let s = f.add_op(Operation::new("sp", OpKind::Split));
+        f.connect(e, s).unwrap();
+        for i in 0..k {
+            let l = f.add_op(Operation::load(format!("out{i}")));
+            f.connect(s, l).unwrap();
+        }
+        f
+    }
+
+    #[test]
+    fn rows_out_counts_each_batch_once_however_many_successors_read_it() {
+        let (_, cat) = tiny_flow_and_catalog();
+        let f = split_flow(2);
+        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let trace_of = |kind: &str| t.ops.iter().find(|o| o.kind == kind).unwrap();
+        let (extract, split) = (trace_of("extract"), trace_of("split"));
+        assert_eq!(extract.rows_out, 100);
+        assert_eq!((split.rows_in, split.rows_out), (100, 100));
+        // The simulated service time is what the estimator charges.
+        let op = f.op(extract.node).unwrap();
+        assert_eq!(
+            extract.end_ms - extract.start_ms,
+            CostModel::of(&f.config).service_ms(op, 0.0, 100.0)
+        );
+    }
+
+    #[test]
+    fn every_successor_of_a_split_sees_equal_rows() {
+        let (_, cat) = tiny_flow_and_catalog();
+        let t = simulate(&split_flow(3), &cat, &SimConfig::default()).unwrap();
+        assert_eq!(t.loads.len(), 3);
+        assert_eq!(t.loads[0].rows, cat.table("t").unwrap().rows);
+        assert!(t.loads.iter().all(|l| l.rows == t.loads[0].rows));
+    }
+
+    #[test]
+    fn a_router_hands_each_successor_its_own_side() {
+        let (_, cat) = tiny_flow_and_catalog();
+        let mut f = EtlFlow::new("route");
+        let e = f.add_op(Operation::extract("t", tiny_schema()));
+        let r = f.add_op(Operation::new(
+            "r",
+            OpKind::Router {
+                predicate: Expr::col("t_id").gt(Expr::lit_i(40)),
+            },
+        ));
+        let (yes, no) = (
+            f.add_op(Operation::load("yes")),
+            f.add_op(Operation::load("no")),
+        );
+        f.connect(e, r).unwrap();
+        f.connect(r, yes).unwrap();
+        f.connect(r, no).unwrap();
+        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let router = t.ops.iter().find(|o| o.kind == "router").unwrap();
+        assert_eq!((router.rows_in, router.rows_out), (100, 100));
+        let side = |target: &str| &t.loads.iter().find(|l| l.target == target).unwrap().rows;
+        let above = |row: &Tuple| matches!(row[0], Value::Int(id) if id > 40);
+        assert!(!side("yes").is_empty() && side("yes").iter().all(above));
+        assert!(!side("no").is_empty() && !side("no").iter().any(above));
+        assert_eq!(side("yes").len() + side("no").len(), 100);
+    }
+
+    /// The demo flows, each simulated cleanly.
+    fn demo_traces() -> Vec<(EtlFlow, Trace)> {
+        let (fig2, _) = purchases_flow();
+        let (tpch, _) = tpch_flow();
+        [
+            (fig2, purchases_catalog(200, &DirtProfile::demo(), 3)),
+            (tpch, tpch_catalog(400, &DirtProfile::demo(), 7)),
+        ]
+        .into_iter()
+        .map(|(f, cat)| {
+            let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+            (f, t)
+        })
+        .collect()
+    }
+
+    #[test]
+    fn every_operator_reads_the_one_batch_its_predecessors_produced() {
+        let mut checked = 0;
+        for (f, t) in demo_traces() {
+            let trace_of = |n| t.ops.iter().find(|o| o.node == n).unwrap();
+            // Routers and partitioners split their rows over their edges;
+            // every other operator hands its whole batch to each successor.
+            let one_batch = |n| !matches!(trace_of(n).kind.as_str(), "router" | "partition");
+            for op in &t.ops {
+                if f.graph.predecessors(op.node).all(one_batch) {
+                    let produced: usize = f
+                        .graph
+                        .predecessors(op.node)
+                        .map(|p| trace_of(p).rows_out)
+                        .sum();
+                    assert_eq!(op.rows_in, produced, "{} in {}", op.name, f.name);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 10, "{checked} operators checked");
+    }
+
+    #[test]
+    fn simulated_service_is_the_cost_model_of_the_rows_that_flowed() {
+        for (f, t) in demo_traces() {
+            let model = CostModel::of(&f.config);
+            for o in &t.ops {
+                let op = f.op(o.node).unwrap();
+                let service = model.service_ms(op, o.rows_in as f64, o.rows_out as f64);
+                assert_eq!(o.end_ms, o.start_ms + service, "{} in {}", o.name, f.name);
+            }
+        }
+    }
+
+    #[test]
+    fn a_schema_error_is_a_flow_error() {
+        let (_, cat) = tiny_flow_and_catalog();
+        let mut f = EtlFlow::new("ghost");
+        let e = f.add_op(Operation::extract("t", tiny_schema()));
+        let fi = f.add_op(Operation::filter(
+            "g",
+            Expr::col("ghost").gt(Expr::lit_f(0.0)),
+        ));
+        let l = f.add_op(Operation::load("out"));
+        f.connect(e, fi).unwrap();
+        f.connect(fi, l).unwrap();
+        let err = simulate(&f, &cat, &SimConfig::default()).unwrap_err();
+        assert_eq!(err, SimError::Flow(f.validate().unwrap_err().to_string()));
     }
 
     #[test]

@@ -1,11 +1,16 @@
 //! Per-operator data semantics: how each [`OpKind`] transforms tuples.
 //!
-//! Multi-output operators (split, router, partition) produce one row vector
-//! per outgoing edge; single-output operators produce one vector that the
-//! engine clones onto each outgoing edge. Column names resolve against the
-//! node's input and output schemas as schema propagation computed them, so
-//! the executor restates no schema rule; how long an operator takes is the
-//! engine's business ([`etl_model::CostModel`]).
+//! An operator owns the batches it is given: filters, dedup and sort work
+//! in place, row edits (derive, convert, crosscheck) change the rows where
+//! they are, and pass-through operators hand their input on untouched.
+//! Values are copied only where an operator assembles new rows: an extract
+//! from its catalog table, project, join and aggregate from their input.
+//! Routers and partitioners produce one batch per outgoing edge; every
+//! other operator produces one batch, which the engine hands to its
+//! successors. Column names resolve against the node's input and output
+//! schemas as schema propagation computed them, so the executor restates
+//! no schema rule; how long an operator takes is the engine's business
+//! ([`etl_model::CostModel`]).
 
 use datagen::{Catalog, CORRUPT_MARKER};
 use etl_model::expr::BoundExpr;
@@ -60,71 +65,65 @@ fn columns(schema: &Schema, names: &[String]) -> Result<Vec<usize>, ExecError> {
     names.iter().map(|name| column(schema, name)).collect()
 }
 
-/// Executes one operator.
+/// Executes one operator on the batches it owns.
 ///
-/// * `inputs` — one row vector per incoming edge, in predecessor order
-///   (matching schema propagation).
+/// * `inputs` — one row batch per incoming edge, in predecessor order
+///   (matching schema propagation), moved in: the operator filters,
+///   sorts, edits or hands on these rows where they are.
 /// * `in_schemas` — schema per input.
 /// * `out_schema` — the node's output schema, as propagated.
 /// * `n_outputs` — number of outgoing edges.
 ///
-/// Returns one row vector per outgoing edge. For load operators (zero
-/// outputs) returns a single vector holding the loaded rows.
-pub fn execute_op(
+/// Returns one batch per outgoing edge for a router or a partitioner, and
+/// one batch for every other operator: the rows a load receives, or the
+/// rows the engine hands to each successor.
+pub(crate) fn execute_op(
     op: &Operation,
-    inputs: &[Vec<Tuple>],
+    inputs: Vec<Vec<Tuple>>,
     in_schemas: &[&Schema],
     out_schema: &Schema,
     n_outputs: usize,
     catalog: &Catalog,
 ) -> Result<Vec<Vec<Tuple>>, ExecError> {
-    let single = |rows: Vec<Tuple>| -> Vec<Vec<Tuple>> {
-        if n_outputs <= 1 {
-            vec![rows]
-        } else {
-            // broadcast: every successor sees the same rows
-            (0..n_outputs).map(|_| rows.clone()).collect()
-        }
+    let arity = |detail| ExecError::Arity {
+        op: op.name.clone(),
+        detail,
     };
-    let first_input = || -> Result<&Vec<Tuple>, ExecError> {
-        inputs.first().ok_or(ExecError::Arity {
-            op: op.name.clone(),
-            detail: "expected at least one input",
-        })
+    let first_schema = || {
+        in_schemas
+            .first()
+            .copied()
+            .ok_or_else(|| arity("expected an input schema"))
     };
-    let first_schema = || -> Result<&Schema, ExecError> {
-        in_schemas.first().copied().ok_or(ExecError::Arity {
-            op: op.name.clone(),
-            detail: "expected an input schema",
-        })
+    let mut inputs = inputs.into_iter();
+    let mut first_input = || {
+        inputs
+            .next()
+            .ok_or_else(|| arity("expected at least one input"))
     };
 
-    Ok(match &op.kind {
+    let rows = match &op.kind {
         OpKind::Extract { source, .. } => {
             let table = catalog
                 .table(source)
                 .ok_or_else(|| ExecError::UnknownSource(source.clone()))?;
-            single(table.rows.clone())
+            table.rows.clone()
         }
-        OpKind::Load { .. } => vec![first_input()?.clone()],
+        OpKind::Load { .. } | OpKind::Split | OpKind::Checkpoint { .. } | OpKind::Encrypt => {
+            first_input()?
+        }
         OpKind::Filter { predicate } => {
             let bound = bind(predicate, first_schema()?)?;
-            single(
-                first_input()?
-                    .iter()
-                    .filter(|t| bound.eval_predicate(t))
-                    .cloned()
-                    .collect(),
-            )
+            let mut rows = first_input()?;
+            rows.retain(|t| bound.eval_predicate(t));
+            rows
         }
         OpKind::Project { keep } => {
             let idx = columns(first_schema()?, keep)?;
-            single(
-                first_input()?
-                    .iter()
-                    .map(|t| idx.iter().map(|&i| t[i].clone()).collect())
-                    .collect(),
-            )
+            first_input()?
+                .into_iter()
+                .map(|t| idx.iter().map(|&i| t[i].clone()).collect())
+                .collect()
         }
         OpKind::Derive { outputs } => {
             // The output schema is the input's columns, then the derived
@@ -134,65 +133,52 @@ pub fn execute_op(
                 .iter()
                 .map(|(_, expr)| bind(expr, out_schema))
                 .collect::<Result<Vec<_>, _>>()?;
-            single(
-                first_input()?
-                    .iter()
-                    .map(|t| {
-                        let mut row = t.clone();
-                        for b in &bounds {
-                            let v = b.eval(&row);
-                            row.push(v);
-                        }
-                        row
-                    })
-                    .collect(),
-            )
+            let mut rows = first_input()?;
+            for row in &mut rows {
+                for b in &bounds {
+                    let v = b.eval(row);
+                    row.push(v);
+                }
+            }
+            rows
         }
         OpKind::Convert { column: name, to } => {
             let idx = column(first_schema()?, name)?;
-            single(
-                first_input()?
-                    .iter()
-                    .map(|t| {
-                        let mut row = t.clone();
-                        row[idx] = convert_value(&row[idx], *to);
-                        row
-                    })
-                    .collect(),
-            )
+            let mut rows = first_input()?;
+            for row in &mut rows {
+                row[idx] = convert_value(&row[idx], *to);
+            }
+            rows
         }
         OpKind::Join {
             left_key,
             right_key,
         } => {
-            if inputs.len() < 2 {
-                return Err(ExecError::Arity {
-                    op: op.name.clone(),
-                    detail: "join needs two inputs",
-                });
-            }
+            let (Some(left), Some(right)) = (inputs.next(), inputs.next()) else {
+                return Err(arity("join needs two inputs"));
+            };
             let li = column(in_schemas[0], left_key)?;
             let ri = column(in_schemas[1], right_key)?;
             let mut table: HashMap<String, Vec<&Tuple>> = HashMap::new();
-            for r in &inputs[1] {
+            for r in &right {
                 if !r[ri].is_null() {
                     table.entry(r[ri].group_key()).or_default().push(r);
                 }
             }
             let mut out = Vec::new();
-            for l in &inputs[0] {
+            for l in &left {
                 if l[li].is_null() {
                     continue;
                 }
                 if let Some(matches) = table.get(&l[li].group_key()) {
                     for r in matches {
                         let mut row = l.clone();
-                        row.extend((*r).clone());
+                        row.extend(r.iter().cloned());
                         out.push(row);
                     }
                 }
             }
-            single(out)
+            out
         }
         OpKind::Aggregate { group_by, aggs } => {
             let schema = first_schema()?;
@@ -203,7 +189,7 @@ pub fn execute_op(
                 .collect::<Result<_, ExecError>>()?;
             let mut groups: HashMap<String, (Tuple, Vec<Accum>)> = HashMap::new();
             let mut order: Vec<String> = Vec::new();
-            for t in first_input()? {
+            for t in &first_input()? {
                 let key = row_key(gidx.iter().map(|&i| &t[i]));
                 let entry = groups.entry(key.clone()).or_insert_with(|| {
                     order.push(key);
@@ -224,11 +210,11 @@ pub fn execute_op(
                 }
                 out.push(row);
             }
-            single(out)
+            out
         }
         OpKind::Sort { by } => {
             let idx = columns(first_schema()?, by)?;
-            let mut rows = first_input()?.clone();
+            let mut rows = first_input()?;
             rows.sort_by(|a, b| {
                 for &i in &idx {
                     let ord = match (a[i].is_null(), b[i].is_null()) {
@@ -243,43 +229,27 @@ pub fn execute_op(
                 }
                 std::cmp::Ordering::Equal
             });
-            single(rows)
+            rows
         }
-        OpKind::Split => single(first_input()?.clone()),
         OpKind::Router { predicate } => {
             if n_outputs != 2 {
-                return Err(ExecError::Arity {
-                    op: op.name.clone(),
-                    detail: "router needs exactly two outputs",
-                });
+                return Err(arity("router needs exactly two outputs"));
             }
             let bound = bind(predicate, first_schema()?)?;
-            let mut yes = Vec::new();
-            let mut no = Vec::new();
-            for t in first_input()? {
-                if bound.eval_predicate(t) {
-                    yes.push(t.clone());
-                } else {
-                    no.push(t.clone());
-                }
-            }
-            vec![yes, no]
+            let (yes, no) = first_input()?
+                .into_iter()
+                .partition(|t| bound.eval_predicate(t));
+            return Ok(vec![yes, no]);
         }
         OpKind::Partition => {
             let k = n_outputs.max(1);
             let mut parts: Vec<Vec<Tuple>> = (0..k).map(|_| Vec::new()).collect();
-            for (i, t) in first_input()?.iter().enumerate() {
-                parts[i % k].push(t.clone());
+            for (i, t) in first_input()?.into_iter().enumerate() {
+                parts[i % k].push(t);
             }
-            parts
+            return Ok(parts);
         }
-        OpKind::Merge => {
-            let mut out = Vec::new();
-            for part in inputs {
-                out.extend(part.iter().cloned());
-            }
-            single(out)
-        }
+        OpKind::Merge => inputs.flatten().collect(),
         OpKind::Dedup { keys } => {
             let schema = first_schema()?;
             let idx: Vec<usize> = if keys.is_empty() {
@@ -288,13 +258,9 @@ pub fn execute_op(
                 columns(schema, keys)?
             };
             let mut seen = std::collections::HashSet::new();
-            single(
-                first_input()?
-                    .iter()
-                    .filter(|t| seen.insert(row_key(idx.iter().map(|&i| &t[i]))))
-                    .cloned()
-                    .collect(),
-            )
+            let mut rows = first_input()?;
+            rows.retain(|t| seen.insert(row_key(idx.iter().map(|&i| &t[i]))));
+            rows
         }
         OpKind::FilterNulls { columns: names } => {
             let schema = first_schema()?;
@@ -303,13 +269,9 @@ pub fn execute_op(
             } else {
                 columns(schema, names)?
             };
-            single(
-                first_input()?
-                    .iter()
-                    .filter(|t| idx.iter().all(|&i| !t[i].is_null()))
-                    .cloned()
-                    .collect(),
-            )
+            let mut rows = first_input()?;
+            rows.retain(|t| idx.iter().all(|&i| !t[i].is_null()));
+            rows
         }
         OpKind::Crosscheck { alt_source, key } => {
             let schema = first_schema()?;
@@ -328,28 +290,24 @@ pub fn execute_op(
             for r in &table.rows {
                 reference.entry(r[rki].group_key()).or_insert(r);
             }
-            single(
-                first_input()?
-                    .iter()
-                    .map(|t| {
-                        let mut row = t.clone();
-                        if let Some(refrow) = reference.get(&row[ki].group_key()) {
-                            for (i, m) in col_map.iter().enumerate() {
-                                let Some(ri) = m else { continue };
-                                let broken = row[i].is_null()
-                                    || matches!(&row[i], Value::Str(s) if s.ends_with(CORRUPT_MARKER));
-                                if broken {
-                                    row[i] = refrow[*ri].clone();
-                                }
-                            }
-                        }
-                        row
-                    })
-                    .collect(),
-            )
+            let mut rows = first_input()?;
+            for row in &mut rows {
+                let Some(refrow) = reference.get(&row[ki].group_key()) else {
+                    continue;
+                };
+                for (i, m) in col_map.iter().enumerate() {
+                    let Some(ri) = m else { continue };
+                    let broken = row[i].is_null()
+                        || matches!(&row[i], Value::Str(s) if s.ends_with(CORRUPT_MARKER));
+                    if broken {
+                        row[i] = refrow[*ri].clone();
+                    }
+                }
+            }
+            rows
         }
-        OpKind::Checkpoint { .. } | OpKind::Encrypt => single(first_input()?.clone()),
-    })
+    };
+    Ok(vec![rows])
 }
 
 fn convert_value(v: &Value, to: DataType) -> Value {
@@ -464,7 +422,7 @@ mod tests {
     /// (every operator these tests run through it but derive, whose
     /// output schema only derive binds against).
     fn run(op: Operation, rows: Vec<Tuple>, schema: &Schema, outs: usize) -> Vec<Vec<Tuple>> {
-        execute_op(&op, &[rows], &[schema], schema, outs, &cat()).unwrap()
+        execute_op(&op, vec![rows], &[schema], schema, outs, &cat()).unwrap()
     }
 
     #[test]
@@ -501,7 +459,7 @@ mod tests {
         out_schema
             .push(Attribute::new("quad", DataType::Float))
             .unwrap();
-        let out = execute_op(&op, &[rows2()], &[&schema2()], &out_schema, 1, &cat()).unwrap();
+        let out = execute_op(&op, vec![rows2()], &[&schema2()], &out_schema, 1, &cat()).unwrap();
         assert_eq!(out[0][0][2], Value::Float(20.0));
         assert_eq!(out[0][0][3], Value::Float(40.0));
         // null propagates
@@ -551,7 +509,7 @@ mod tests {
         );
         let out = execute_op(
             &op,
-            &[left, right],
+            vec![left, right],
             &[&left_schema, &right_schema],
             &left_schema.join_concat(&right_schema),
             1,
@@ -577,7 +535,7 @@ mod tests {
         );
         let out = execute_op(
             &op,
-            &[left, right],
+            vec![left, right],
             &[&s, &s],
             &s.join_concat(&s),
             1,
@@ -659,32 +617,32 @@ mod tests {
             },
         );
         let out = run(op, rows2(), &schema2(), 2);
-        assert_eq!(out[0].len(), 1); // v=10
-        assert_eq!(out[1].len(), 2); // v=-3 and null (unknown routes to 'no')
-    }
-
-    #[test]
-    fn split_broadcasts() {
-        let op = Operation::new("sp", OpKind::Split);
-        let out = run(op, rows2(), &schema2(), 3);
-        assert_eq!(out.len(), 3);
-        assert!(out.iter().all(|o| o.len() == 3));
+        // v=10 | v=-3 and null (unknown routes to 'no'), each row moved once
+        assert_eq!(out, vec![rows2()[..1].to_vec(), rows2()[1..].to_vec()]);
     }
 
     #[test]
     fn partition_round_robins() {
         let op = Operation::new("pt", OpKind::Partition);
         let out = run(op, rows2(), &schema2(), 2);
-        assert_eq!(out[0].len(), 2);
-        assert_eq!(out[1].len(), 1);
+        let rows = rows2();
+        assert_eq!(
+            out,
+            vec![
+                vec![rows[0].clone(), rows[2].clone()],
+                vec![rows[1].clone()]
+            ]
+        );
     }
 
     #[test]
     fn merge_concatenates() {
         let op = Operation::new("m", OpKind::Merge);
         let s = schema2();
-        let out = execute_op(&op, &[rows2(), rows2()], &[&s, &s], &s, 1, &cat()).unwrap();
+        let out = execute_op(&op, vec![rows2(), rows2()], &[&s, &s], &s, 1, &cat()).unwrap();
         assert_eq!(out[0].len(), 6);
+        assert_eq!(out[0][..3], rows2()[..]);
+        assert_eq!(out[0][3..], rows2()[..]);
     }
 
     #[test]
@@ -712,19 +670,14 @@ mod tests {
         assert_eq!(out[0].len(), 2);
     }
 
-    #[test]
-    fn crosscheck_repairs_from_reference() {
-        use datagen::Table;
-        let schema = Schema::new(vec![
-            Attribute::required("id", DataType::Int),
-            Attribute::new("name", DataType::Str),
-            Attribute::new("v", DataType::Float),
-        ]);
+    /// A catalog holding `ref_t`, the clean reference twin of `schema3()`
+    /// rows keyed by `id`.
+    fn reference_catalog() -> Catalog {
         let mut catalog = Catalog::new();
         catalog.add_table(
             "ref_t",
-            Table {
-                schema: schema.clone(),
+            datagen::Table {
+                schema: schema3(),
                 rows: vec![vec![
                     Value::Int(1),
                     Value::Str("good".into()),
@@ -734,6 +687,88 @@ mod tests {
                 last_update: 0,
             },
         );
+        catalog
+    }
+
+    fn schema3() -> Schema {
+        Schema::new(vec![
+            Attribute::required("id", DataType::Int),
+            Attribute::new("name", DataType::Str),
+            Attribute::new("v", DataType::Float),
+        ])
+    }
+
+    /// Runs `op` on `rows2()` and asserts its one batch is the input's own
+    /// allocation: the operator worked on the rows it was handed.
+    fn assert_keeps_its_input_buffer(op: Operation, out_schema: &Schema, catalog: &Catalog) {
+        let rows = rows2();
+        let buffer = rows.as_ptr();
+        let out = execute_op(&op, vec![rows], &[&schema2()], out_schema, 1, catalog).unwrap();
+        assert_eq!(out.len(), 1, "{}", op.name);
+        assert_eq!(out[0].as_ptr(), buffer, "{} copied its input", op.name);
+    }
+
+    #[test]
+    fn filters_drop_rows_from_their_input_buffer() {
+        for op in [
+            Operation::filter("f", Expr::col("v").gt(Expr::lit_f(0.0))),
+            Operation::new("dd", OpKind::Dedup { keys: vec![] }),
+            Operation::new("fn", OpKind::FilterNulls { columns: vec![] }),
+        ] {
+            assert_keeps_its_input_buffer(op, &schema2(), &cat());
+        }
+    }
+
+    #[test]
+    fn row_edits_change_rows_where_they_are() {
+        let mut derived = schema2();
+        derived
+            .push(Attribute::new("double", DataType::Float))
+            .unwrap();
+        let derive = Operation::derive(
+            "d",
+            vec![("double".to_string(), Expr::col("v").mul(Expr::lit_f(2.0)))],
+        );
+        assert_keeps_its_input_buffer(derive, &derived, &cat());
+        let convert = Operation::new(
+            "c",
+            OpKind::Convert {
+                column: "v".into(),
+                to: DataType::Str,
+            },
+        );
+        assert_keeps_its_input_buffer(convert, &schema2(), &cat());
+        let crosscheck = Operation::new(
+            "cc",
+            OpKind::Crosscheck {
+                alt_source: "ref_t".into(),
+                key: "id".into(),
+            },
+        );
+        assert_keeps_its_input_buffer(crosscheck, &schema2(), &reference_catalog());
+    }
+
+    #[test]
+    fn sort_and_pass_through_operators_hand_on_their_input_buffer() {
+        for kind in [
+            OpKind::Sort {
+                by: vec!["v".into()],
+            },
+            OpKind::Split,
+            OpKind::Checkpoint { tag: "sp".into() },
+            OpKind::Encrypt,
+            OpKind::Load {
+                target: "out".into(),
+            },
+        ] {
+            assert_keeps_its_input_buffer(Operation::new("op", kind), &schema2(), &cat());
+        }
+    }
+
+    #[test]
+    fn crosscheck_repairs_from_reference() {
+        let schema = schema3();
+        let catalog = reference_catalog();
         let dirty = vec![
             vec![
                 Value::Int(1),
@@ -749,7 +784,7 @@ mod tests {
                 key: "id".into(),
             },
         );
-        let out = execute_op(&op, &[dirty], &[&schema], &schema, 1, &catalog).unwrap();
+        let out = execute_op(&op, vec![dirty], &[&schema], &schema, 1, &catalog).unwrap();
         assert_eq!(out[0][0][1], Value::Str("good".into()));
         assert_eq!(out[0][0][2], Value::Float(5.0));
         // unmatched row untouched
@@ -759,7 +794,7 @@ mod tests {
     #[test]
     fn unknown_source_errors() {
         let op = Operation::extract("ghost", schema2());
-        let err = execute_op(&op, &[], &[], &schema2(), 1, &cat()).unwrap_err();
+        let err = execute_op(&op, vec![], &[], &schema2(), 1, &cat()).unwrap_err();
         assert_eq!(err, ExecError::UnknownSource("ghost".into()));
     }
 }

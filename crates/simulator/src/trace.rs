@@ -14,7 +14,8 @@ pub struct OpTrace {
     pub kind: String,
     /// Input row count (across all input edges).
     pub rows_in: usize,
-    /// Output row count (across all output edges).
+    /// Output row count: the rows the operator produced, counted once
+    /// however many successors read them.
     pub rows_out: usize,
     /// Virtual start time (ms since flow start).
     pub start_ms: f64,
