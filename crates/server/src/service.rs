@@ -512,6 +512,66 @@ mod tests {
     }
 
     #[test]
+    fn response_bodies_are_pinned_byte_for_byte() {
+        let svc = service();
+        let call = |method: &str, path: &str, body: &str| {
+            let r = svc.handle(&request(method, path, body));
+            (r.status, r.body)
+        };
+        let pinned = |status: u16, body: &str| (status, body.to_string());
+        assert_eq!(
+            call("GET", "/healthz", ""),
+            pinned(200, r#"{"catalog":"demo:80","sessions":0,"status":"ok"}"#)
+        );
+        assert_eq!(
+            call("POST", "/sessions", ""),
+            pinned(201, r#"{"session":0}"#)
+        );
+        assert_eq!(
+            call("POST", "/sessions", ""),
+            pinned(201, r#"{"session":1}"#)
+        );
+        assert_eq!(
+            call("GET", "/sessions", ""),
+            pinned(200, r#"{"sessions":[0,1]}"#)
+        );
+
+        call("POST", "/sessions/0/explore", "");
+        let selected = call("POST", "/sessions/0/select", r#"{"rank":0}"#);
+        // the record's own bytes are pinned in the core crate's wire test
+        let record = svc.manager().history(SessionId::from_raw(0)).unwrap()[0].to_json_string();
+        assert_eq!(
+            selected,
+            (200, format!(r#"{{"record":{record},"session":0}}"#))
+        );
+        assert_eq!(
+            call("GET", "/sessions/0/history", ""),
+            (200, format!(r#"{{"history":[{record}],"session":0}}"#))
+        );
+        assert_eq!(
+            call("DELETE", "/sessions/1", ""),
+            pinned(200, r#"{"closed":1}"#)
+        );
+        assert_eq!(
+            call("POST", "/sessions/1/explore", ""),
+            pinned(
+                404,
+                r#"{"error":{"code":"unknown_session","message":"unknown session #1","session":1}}"#
+            )
+        );
+
+        let shed = overloaded("all workers are busy; retry shortly", 2);
+        assert_eq!(
+            (shed.status, shed.body.as_str(), shed.headers),
+            (
+                503,
+                r#"{"error":{"code":"overloaded","message":"all workers are busy; retry shortly"}}"#,
+                vec![("Retry-After", "2".to_string())]
+            )
+        );
+    }
+
+    #[test]
     fn healthz_reports_live_sessions_and_catalog() {
         let svc = service();
         svc.handle(&request("POST", "/sessions", ""));
