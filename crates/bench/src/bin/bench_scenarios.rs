@@ -85,33 +85,24 @@ impl Cell {
     fn to_json(&self) -> Value {
         let num = |x: f64| Value::number((x * 1000.0).round() / 1000.0).expect("finite");
         Value::object([
-            ("scenario".into(), Value::String(self.scenario.into())),
-            ("strategy".into(), Value::String(self.strategy.clone())),
-            ("enumerated".into(), num(self.enumerated as f64)),
-            ("frontier".into(), num(self.frontier as f64)),
-            ("secs".into(), num(self.secs)),
-            ("combos_per_sec".into(), num(self.combos_per_sec())),
-            ("us_per_combo".into(), num(self.us_per_combo())),
-            ("digest".into(), Value::String(self.digest.clone())),
+            ("scenario", Value::String(self.scenario.into())),
+            ("strategy", Value::String(self.strategy.clone())),
+            ("enumerated", num(self.enumerated as f64)),
+            ("frontier", num(self.frontier as f64)),
+            ("secs", num(self.secs)),
+            ("combos_per_sec", num(self.combos_per_sec())),
+            ("us_per_combo", num(self.us_per_combo())),
+            ("digest", Value::String(self.digest.clone())),
+            ("statically_rejected", num(self.statically_rejected as f64)),
+            ("bound_pruned", num(self.bound_pruned as f64)),
             (
-                "statically_rejected".into(),
-                num(self.statically_rejected as f64),
-            ),
-            ("bound_pruned".into(), num(self.bound_pruned as f64)),
-            (
-                "rejected_by_constraints".into(),
+                "rejected_by_constraints",
                 num(self.rejected_by_constraints as f64),
             ),
+            ("failed_applications", num(self.failed_applications as f64)),
+            ("failed_evaluations", num(self.failed_evaluations as f64)),
             (
-                "failed_applications".into(),
-                num(self.failed_applications as f64),
-            ),
-            (
-                "failed_evaluations".into(),
-                num(self.failed_evaluations as f64),
-            ),
-            (
-                "allocs_per_combo".into(),
+                "allocs_per_combo",
                 Value::number(self.allocs_per_combo.parse().expect("formatted number"))
                     .expect("finite"),
             ),
@@ -257,11 +248,11 @@ fn main() {
 
     let num = |x: f64| Value::number((x * 1000.0).round() / 1000.0).expect("finite");
     let doc = Value::object([
-        ("schema".into(), num(1.0)),
-        ("rows".into(), num(scale.rows as f64)),
-        ("budget".into(), num(scale.budget as f64)),
+        ("schema", num(1.0)),
+        ("rows", num(scale.rows as f64)),
+        ("budget", num(scale.budget as f64)),
         (
-            "entries".into(),
+            "entries",
             Value::Array(cells.iter().map(Cell::to_json).collect()),
         ),
     ]);

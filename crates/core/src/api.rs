@@ -24,22 +24,6 @@ use quality::{Characteristic, MeasureId, MeasureVector};
 use serde::json::{JsonError, Value};
 use serde::{FromJson, ToJson};
 
-fn num(n: f64) -> Value {
-    // non-finite values (only reachable through caller-constructed DTOs;
-    // planner scores are clamped finite) degrade to `null` so the emitted
-    // document always parses — the decoder then rejects it loudly instead
-    // of choking on a bare `NaN` token
-    Value::number(n).unwrap_or(Value::Null)
-}
-
-fn int(n: usize) -> Value {
-    Value::Number(n as f64)
-}
-
-fn string(s: &str) -> Value {
-    Value::String(s.to_string())
-}
-
 // ------------------------------------------------------------- objective
 
 /// One goal of an [`ObjectiveSpec`]: a characteristic key, a ranking
@@ -133,70 +117,59 @@ impl ObjectiveSpec {
     }
 }
 
+impl ToJson for GoalSpec {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("characteristic", self.characteristic.to_json()),
+            ("weight", self.weight.to_json()),
+            ("direction", self.direction.to_json()),
+        ])
+    }
+}
+
+impl FromJson for GoalSpec {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(GoalSpec {
+            characteristic: v.field("characteristic")?,
+            weight: v.field("weight")?,
+            direction: v.field("direction")?,
+        })
+    }
+}
+
+impl ToJson for ConstraintSpec {
+    fn to_json(&self) -> Value {
+        Value::object([
+            ("measure", self.measure.to_json()),
+            ("ratio_vs_baseline", self.ratio_vs_baseline.to_json()),
+        ])
+    }
+}
+
+impl FromJson for ConstraintSpec {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        Ok(ConstraintSpec {
+            measure: v.field("measure")?,
+            ratio_vs_baseline: v.field("ratio_vs_baseline")?,
+        })
+    }
+}
+
 impl ToJson for ObjectiveSpec {
     fn to_json(&self) -> Value {
         Value::object([
-            (
-                "goals".to_string(),
-                Value::Array(
-                    self.goals
-                        .iter()
-                        .map(|g| {
-                            Value::object([
-                                ("characteristic".to_string(), string(&g.characteristic)),
-                                ("weight".to_string(), num(g.weight)),
-                                ("direction".to_string(), string(&g.direction)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "constraints".to_string(),
-                Value::Array(
-                    self.constraints
-                        .iter()
-                        .map(|c| {
-                            Value::object([
-                                ("measure".to_string(), string(&c.measure)),
-                                ("ratio_vs_baseline".to_string(), num(c.ratio_vs_baseline)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("goals", self.goals.to_json()),
+            ("constraints", self.constraints.to_json()),
         ])
     }
 }
 
 impl FromJson for ObjectiveSpec {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let goals = v
-            .get("goals")?
-            .as_array("goals")?
-            .iter()
-            .map(|g| {
-                Ok(GoalSpec {
-                    characteristic: g.get("characteristic")?.as_str("characteristic")?.into(),
-                    weight: g.get("weight")?.as_number("weight")?,
-                    direction: g.get("direction")?.as_str("direction")?.into(),
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
-        let constraints = v
-            .get("constraints")?
-            .as_array("constraints")?
-            .iter()
-            .map(|c| {
-                Ok(ConstraintSpec {
-                    measure: c.get("measure")?.as_str("measure")?.into(),
-                    ratio_vs_baseline: c
-                        .get("ratio_vs_baseline")?
-                        .as_number("ratio_vs_baseline")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
-        Ok(ObjectiveSpec { goals, constraints })
+        Ok(ObjectiveSpec {
+            goals: v.field("goals")?,
+            constraints: v.field("constraints")?,
+        })
     }
 }
 
@@ -280,18 +253,15 @@ impl PlanRequest {
 impl ToJson for PlanRequest {
     fn to_json(&self) -> Value {
         Value::object([
-            ("strategy".to_string(), string(&self.strategy)),
-            ("budget".to_string(), int(self.budget)),
-            ("simulate".to_string(), Value::Bool(self.simulate)),
-            ("workers".to_string(), int(self.workers)),
-            (
-                "retain_dominated".to_string(),
-                Value::Bool(self.retain_dominated),
-            ),
+            ("strategy", self.strategy.to_json()),
+            ("budget", self.budget.to_json()),
+            ("simulate", self.simulate.to_json()),
+            ("workers", self.workers.to_json()),
+            ("retain_dominated", self.retain_dominated.to_json()),
             // a u64 does not fit f64 losslessly past 2^53, so the seed
             // travels as a decimal string
-            ("seed".to_string(), string(&self.seed.to_string())),
-            ("objective".to_string(), self.objective.to_json()),
+            ("seed", self.seed.to_string().to_json()),
+            ("objective", self.objective.to_json()),
         ])
     }
 }
@@ -299,17 +269,16 @@ impl ToJson for PlanRequest {
 impl FromJson for PlanRequest {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(PlanRequest {
-            strategy: v.get("strategy")?.as_str("strategy")?.into(),
-            budget: v.get("budget")?.as_usize("budget")?,
-            simulate: v.get("simulate")?.as_bool("simulate")?,
-            workers: v.get("workers")?.as_usize("workers")?,
-            retain_dominated: v.get("retain_dominated")?.as_bool("retain_dominated")?,
+            strategy: v.field("strategy")?,
+            budget: v.field("budget")?,
+            simulate: v.field("simulate")?,
+            workers: v.field("workers")?,
+            retain_dominated: v.field("retain_dominated")?,
             seed: v
-                .get("seed")?
-                .as_str("seed")?
+                .field::<String>("seed")?
                 .parse()
                 .map_err(|_| JsonError("seed: expected a decimal u64 string".into()))?,
-            objective: ObjectiveSpec::from_json(v.get("objective")?)?,
+            objective: v.field("objective")?,
         })
     }
 }
@@ -335,17 +304,11 @@ pub struct AlternativeSummary {
 impl ToJson for AlternativeSummary {
     fn to_json(&self) -> Value {
         Value::object([
-            ("rank".to_string(), int(self.rank)),
-            ("name".to_string(), string(&self.name)),
-            (
-                "applied".to_string(),
-                Value::Array(self.applied.iter().map(|a| string(a)).collect()),
-            ),
-            (
-                "scores".to_string(),
-                Value::Array(self.scores.iter().map(|&s| num(s)).collect()),
-            ),
-            ("objective".to_string(), num(self.objective)),
+            ("rank", self.rank.to_json()),
+            ("name", self.name.to_json()),
+            ("applied", self.applied.to_json()),
+            ("scores", self.scores.to_json()),
+            ("objective", self.objective.to_json()),
         ])
     }
 }
@@ -353,21 +316,11 @@ impl ToJson for AlternativeSummary {
 impl FromJson for AlternativeSummary {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(AlternativeSummary {
-            rank: v.get("rank")?.as_usize("rank")?,
-            name: v.get("name")?.as_str("name")?.into(),
-            applied: v
-                .get("applied")?
-                .as_array("applied")?
-                .iter()
-                .map(|a| Ok(a.as_str("applied[]")?.to_string()))
-                .collect::<Result<_, JsonError>>()?,
-            scores: v
-                .get("scores")?
-                .as_array("scores")?
-                .iter()
-                .map(|s| s.as_number("scores[]"))
-                .collect::<Result<_, JsonError>>()?,
-            objective: v.get("objective")?.as_number("objective")?,
+            rank: v.field("rank")?,
+            name: v.field("name")?,
+            applied: v.field("applied")?,
+            scores: v.field("scores")?,
+            objective: v.field("objective")?,
         })
     }
 }
@@ -450,106 +403,40 @@ fn measure_pairs(v: &MeasureVector) -> Vec<(String, f64)> {
 impl ToJson for PlanResponse {
     fn to_json(&self) -> Value {
         Value::object([
+            ("session", self.session.to_json()),
+            ("axes", self.axes.to_json()),
+            ("baseline", self.baseline.to_json()),
+            ("candidates", self.candidates.to_json()),
+            ("enumerated", self.enumerated.to_json()),
+            ("alternatives", self.alternatives.to_json()),
             (
-                "session".to_string(),
-                match self.session {
-                    Some(id) => int(id as usize),
-                    None => Value::Null,
-                },
+                "rejected_by_constraints",
+                self.rejected_by_constraints.to_json(),
             ),
-            (
-                "axes".to_string(),
-                Value::Array(self.axes.iter().map(|a| string(a)).collect()),
-            ),
-            (
-                "baseline".to_string(),
-                Value::Array(
-                    self.baseline
-                        .iter()
-                        .map(|(k, x)| Value::Array(vec![string(k), num(*x)]))
-                        .collect(),
-                ),
-            ),
-            ("candidates".to_string(), int(self.candidates)),
-            ("enumerated".to_string(), int(self.enumerated)),
-            ("alternatives".to_string(), int(self.alternatives)),
-            (
-                "rejected_by_constraints".to_string(),
-                int(self.rejected_by_constraints),
-            ),
-            (
-                "failed_applications".to_string(),
-                int(self.failed_applications),
-            ),
-            (
-                "failed_evaluations".to_string(),
-                int(self.failed_evaluations),
-            ),
-            (
-                "statically_rejected".to_string(),
-                int(self.statically_rejected),
-            ),
-            ("bound_pruned".to_string(), int(self.bound_pruned)),
-            (
-                "skyline".to_string(),
-                Value::Array(self.skyline.iter().map(|s| s.to_json()).collect()),
-            ),
+            ("failed_applications", self.failed_applications.to_json()),
+            ("failed_evaluations", self.failed_evaluations.to_json()),
+            ("statically_rejected", self.statically_rejected.to_json()),
+            ("bound_pruned", self.bound_pruned.to_json()),
+            ("skyline", self.skyline.to_json()),
         ])
     }
 }
 
 impl FromJson for PlanResponse {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
-        let session = match v.get_opt("session")? {
-            Some(s) => Some(s.as_usize("session")? as u64),
-            None => None,
-        };
-        let baseline = v
-            .get("baseline")?
-            .as_array("baseline")?
-            .iter()
-            .map(|pair| {
-                let pair = pair.as_array("baseline[]")?;
-                if pair.len() != 2 {
-                    return Err(JsonError("baseline pairs must be [key, value]".into()));
-                }
-                Ok((
-                    pair[0].as_str("baseline key")?.to_string(),
-                    pair[1].as_number("baseline value")?,
-                ))
-            })
-            .collect::<Result<_, JsonError>>()?;
         Ok(PlanResponse {
-            session,
-            axes: v
-                .get("axes")?
-                .as_array("axes")?
-                .iter()
-                .map(|a| Ok(a.as_str("axes[]")?.to_string()))
-                .collect::<Result<_, JsonError>>()?,
-            baseline,
-            candidates: v.get("candidates")?.as_usize("candidates")?,
-            enumerated: v.get("enumerated")?.as_usize("enumerated")?,
-            alternatives: v.get("alternatives")?.as_usize("alternatives")?,
-            rejected_by_constraints: v
-                .get("rejected_by_constraints")?
-                .as_usize("rejected_by_constraints")?,
-            failed_applications: v
-                .get("failed_applications")?
-                .as_usize("failed_applications")?,
-            failed_evaluations: v
-                .get("failed_evaluations")?
-                .as_usize("failed_evaluations")?,
-            statically_rejected: v
-                .get("statically_rejected")?
-                .as_usize("statically_rejected")?,
-            bound_pruned: v.get("bound_pruned")?.as_usize("bound_pruned")?,
-            skyline: v
-                .get("skyline")?
-                .as_array("skyline")?
-                .iter()
-                .map(AlternativeSummary::from_json)
-                .collect::<Result<_, JsonError>>()?,
+            session: v.field("session")?,
+            axes: v.field("axes")?,
+            baseline: v.field("baseline")?,
+            candidates: v.field("candidates")?,
+            enumerated: v.field("enumerated")?,
+            alternatives: v.field("alternatives")?,
+            rejected_by_constraints: v.field("rejected_by_constraints")?,
+            failed_applications: v.field("failed_applications")?,
+            failed_evaluations: v.field("failed_evaluations")?,
+            statically_rejected: v.field("statically_rejected")?,
+            bound_pruned: v.field("bound_pruned")?,
+            skyline: v.field("skyline")?,
         })
     }
 }
@@ -605,58 +492,35 @@ impl DiagnosticSpec {
 
 impl ToJson for DiagnosticSpec {
     fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("code".to_string(), string(&self.code)),
-            ("severity".to_string(), string(&self.severity)),
-            ("message".to_string(), string(&self.message)),
-            ("location".to_string(), string(&self.location)),
+        let members = [
+            ("code", self.code.to_json()),
+            ("severity", self.severity.to_json()),
+            ("message", self.message.to_json()),
+            ("location", self.location.to_json()),
+            ("node", self.node.to_json()),
+            ("edge", self.edge.to_json()),
+            ("suggestion", self.suggestion.to_json()),
+            (
+                "notes",
+                (!self.notes.is_empty()).then_some(&self.notes).to_json(),
+            ),
         ];
-        if let Some(n) = self.node {
-            fields.push(("node".to_string(), int(n)));
-        }
-        if let Some(e) = self.edge {
-            fields.push(("edge".to_string(), int(e)));
-        }
-        if let Some(s) = &self.suggestion {
-            fields.push(("suggestion".to_string(), string(s)));
-        }
-        if !self.notes.is_empty() {
-            fields.push((
-                "notes".to_string(),
-                Value::Array(self.notes.iter().map(|n| string(n)).collect()),
-            ));
-        }
-        Value::object(fields)
+        // absent detail is left out rather than sent as `null`
+        Value::object(members.into_iter().filter(|(_, v)| *v != Value::Null))
     }
 }
 
 impl FromJson for DiagnosticSpec {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(DiagnosticSpec {
-            code: v.get("code")?.as_str("code")?.into(),
-            severity: v.get("severity")?.as_str("severity")?.into(),
-            location: v.get("location")?.as_str("location")?.into(),
-            node: match v.get_opt("node")? {
-                Some(n) => Some(n.as_usize("node")?),
-                None => None,
-            },
-            edge: match v.get_opt("edge")? {
-                Some(e) => Some(e.as_usize("edge")?),
-                None => None,
-            },
-            message: v.get("message")?.as_str("message")?.into(),
-            suggestion: match v.get_opt("suggestion")? {
-                Some(s) => Some(s.as_str("suggestion")?.to_string()),
-                None => None,
-            },
-            notes: match v.get_opt("notes")? {
-                Some(n) => n
-                    .as_array("notes")?
-                    .iter()
-                    .map(|x| Ok(x.as_str("notes[]")?.to_string()))
-                    .collect::<Result<_, JsonError>>()?,
-                None => Vec::new(),
-            },
+            code: v.field("code")?,
+            severity: v.field("severity")?,
+            location: v.field("location")?,
+            node: v.field("node")?,
+            edge: v.field("edge")?,
+            message: v.field("message")?,
+            suggestion: v.field("suggestion")?,
+            notes: v.field::<Option<_>>("notes")?.unwrap_or_default(),
         })
     }
 }
@@ -708,21 +572,12 @@ impl LintReport {
 impl ToJson for LintReport {
     fn to_json(&self) -> Value {
         Value::object([
-            (
-                "session".to_string(),
-                match self.session {
-                    Some(id) => int(id as usize),
-                    None => Value::Null,
-                },
-            ),
-            ("flow".to_string(), string(&self.flow)),
-            ("ok".to_string(), Value::Bool(self.ok())),
-            ("errors".to_string(), int(self.errors)),
-            ("warnings".to_string(), int(self.warnings)),
-            (
-                "diagnostics".to_string(),
-                Value::Array(self.diagnostics.iter().map(|d| d.to_json()).collect()),
-            ),
+            ("session", self.session.to_json()),
+            ("flow", self.flow.to_json()),
+            ("ok", self.ok().to_json()),
+            ("errors", self.errors.to_json()),
+            ("warnings", self.warnings.to_json()),
+            ("diagnostics", self.diagnostics.to_json()),
         ])
     }
 }
@@ -730,19 +585,11 @@ impl ToJson for LintReport {
 impl FromJson for LintReport {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(LintReport {
-            session: match v.get_opt("session")? {
-                Some(s) => Some(s.as_usize("session")? as u64),
-                None => None,
-            },
-            flow: v.get("flow")?.as_str("flow")?.into(),
-            errors: v.get("errors")?.as_usize("errors")?,
-            warnings: v.get("warnings")?.as_usize("warnings")?,
-            diagnostics: v
-                .get("diagnostics")?
-                .as_array("diagnostics")?
-                .iter()
-                .map(DiagnosticSpec::from_json)
-                .collect::<Result<_, JsonError>>()?,
+            session: v.field("session")?,
+            flow: v.field("flow")?,
+            errors: v.field("errors")?,
+            warnings: v.field("warnings")?,
+            diagnostics: v.field("diagnostics")?,
         })
     }
 }
@@ -752,16 +599,10 @@ impl FromJson for LintReport {
 impl ToJson for IterationRecord {
     fn to_json(&self) -> Value {
         Value::object([
-            ("cycle".to_string(), int(self.cycle)),
-            ("selected".to_string(), string(&self.selected)),
-            (
-                "integrated".to_string(),
-                Value::Array(self.integrated.iter().map(|p| string(p)).collect()),
-            ),
-            (
-                "scores".to_string(),
-                Value::Array(self.scores.iter().map(|&s| num(s)).collect()),
-            ),
+            ("cycle", self.cycle.to_json()),
+            ("selected", self.selected.to_json()),
+            ("integrated", self.integrated.to_json()),
+            ("scores", self.scores.to_json()),
         ])
     }
 }
@@ -769,20 +610,10 @@ impl ToJson for IterationRecord {
 impl FromJson for IterationRecord {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(IterationRecord {
-            cycle: v.get("cycle")?.as_usize("cycle")?,
-            selected: v.get("selected")?.as_str("selected")?.into(),
-            integrated: v
-                .get("integrated")?
-                .as_array("integrated")?
-                .iter()
-                .map(|p| Ok(p.as_str("integrated[]")?.to_string()))
-                .collect::<Result<_, JsonError>>()?,
-            scores: v
-                .get("scores")?
-                .as_array("scores")?
-                .iter()
-                .map(|s| s.as_number("scores[]"))
-                .collect::<Result<_, JsonError>>()?,
+            cycle: v.field("cycle")?,
+            selected: v.field("selected")?,
+            integrated: v.field("integrated")?,
+            scores: v.field("scores")?,
         })
     }
 }
@@ -819,14 +650,11 @@ pub struct SessionSnapshot {
 impl ToJson for SessionSnapshot {
     fn to_json(&self) -> Value {
         Value::object([
-            ("id".to_string(), int(self.id as usize)),
-            ("base_name".to_string(), string(&self.base_name)),
-            ("flow_xlm".to_string(), string(&self.flow_xlm)),
-            ("request".to_string(), self.request.to_json()),
-            (
-                "history".to_string(),
-                Value::Array(self.history.iter().map(|r| r.to_json()).collect()),
-            ),
+            ("id", self.id.to_json()),
+            ("base_name", self.base_name.to_json()),
+            ("flow_xlm", self.flow_xlm.to_json()),
+            ("request", self.request.to_json()),
+            ("history", self.history.to_json()),
         ])
     }
 }
@@ -868,16 +696,11 @@ impl SessionSnapshot {
 impl FromJson for SessionSnapshot {
     fn from_json(v: &Value) -> Result<Self, JsonError> {
         Ok(SessionSnapshot {
-            id: v.get("id")?.as_usize("id")? as u64,
-            base_name: v.get("base_name")?.as_str("base_name")?.into(),
-            flow_xlm: v.get("flow_xlm")?.as_str("flow_xlm")?.into(),
-            request: PlanRequest::from_json(v.get("request")?)?,
-            history: v
-                .get("history")?
-                .as_array("history")?
-                .iter()
-                .map(IterationRecord::from_json)
-                .collect::<Result<_, JsonError>>()?,
+            id: v.field("id")?,
+            base_name: v.field("base_name")?,
+            flow_xlm: v.field("flow_xlm")?,
+            request: v.field("request")?,
+            history: v.field("history")?,
         })
     }
 }
@@ -1032,14 +855,7 @@ mod tests {
             ),
         ];
         let body = PoiesisError::Analysis(diags.clone()).to_json();
-        let decoded: Vec<DiagnosticSpec> = body
-            .get("diagnostics")
-            .unwrap()
-            .as_array("diagnostics")
-            .unwrap()
-            .iter()
-            .map(|v| DiagnosticSpec::from_json(v).unwrap())
-            .collect();
+        let decoded: Vec<DiagnosticSpec> = body.field("diagnostics").unwrap();
         let expected: Vec<DiagnosticSpec> =
             diags.iter().map(DiagnosticSpec::from_diagnostic).collect();
         assert_eq!(decoded, expected);

@@ -129,32 +129,25 @@ impl ToJson for PoiesisError {
     /// variant's structured detail (`session` for handle errors, `rank` /
     /// `frontier` for range errors) so clients never scrape messages.
     fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("code".to_string(), Value::String(self.code().to_string())),
-            ("message".to_string(), Value::String(self.to_string())),
+        let mut members = vec![
+            ("code", self.code().to_json()),
+            ("message", self.to_string().to_json()),
         ];
         match self {
             PoiesisError::UnknownSession(id) | PoiesisError::NothingExplored(id) => {
-                fields.push(("session".to_string(), Value::Number(id.raw() as f64)));
+                members.push(("session", id.raw().to_json()));
             }
             PoiesisError::RankOutOfRange { rank, frontier } => {
-                fields.push(("rank".to_string(), Value::Number(*rank as f64)));
-                fields.push(("frontier".to_string(), Value::Number(*frontier as f64)));
+                members.push(("rank", rank.to_json()));
+                members.push(("frontier", frontier.to_json()));
             }
             PoiesisError::Analysis(diags) => {
-                fields.push((
-                    "diagnostics".to_string(),
-                    Value::Array(
-                        diags
-                            .iter()
-                            .map(|d| DiagnosticSpec::from_diagnostic(d).to_json())
-                            .collect(),
-                    ),
-                ));
+                let specs: Vec<_> = diags.iter().map(DiagnosticSpec::from_diagnostic).collect();
+                members.push(("diagnostics", specs.to_json()));
             }
             _ => {}
         }
-        Value::object(fields)
+        Value::object(members)
     }
 }
 
@@ -246,25 +239,22 @@ mod tests {
         for (err, code) in cases {
             assert_eq!(err.code(), code);
             let v = err.to_json();
-            assert_eq!(v.get("code").unwrap().as_str("code").unwrap(), code);
-            assert_eq!(
-                v.get("message").unwrap().as_str("message").unwrap(),
-                err.to_string()
-            );
+            assert_eq!(v.field::<String>("code").unwrap(), code);
+            assert_eq!(v.field::<String>("message").unwrap(), err.to_string());
         }
     }
 
     #[test]
     fn structured_detail_rides_along_in_json() {
         let v = PoiesisError::UnknownSession(SessionId::from_raw(3)).to_json();
-        assert_eq!(v.get("session").unwrap().as_usize("session").unwrap(), 3);
+        assert_eq!(v.field::<u64>("session").unwrap(), 3);
         let v = PoiesisError::RankOutOfRange {
             rank: 9,
             frontier: 3,
         }
         .to_json();
-        assert_eq!(v.get("rank").unwrap().as_usize("rank").unwrap(), 9);
-        assert_eq!(v.get("frontier").unwrap().as_usize("frontier").unwrap(), 3);
+        assert_eq!(v.field::<usize>("rank").unwrap(), 9);
+        assert_eq!(v.field::<usize>("frontier").unwrap(), 3);
     }
 
     #[test]
@@ -280,25 +270,15 @@ mod tests {
         assert!(err.to_string().contains("1 error(s)"));
         assert!(err.to_string().contains("PA010"));
 
-        let v = err.to_json();
-        let diags = v
-            .get("diagnostics")
-            .unwrap()
-            .as_array("diagnostics")
-            .unwrap();
+        let diags: Vec<DiagnosticSpec> = err.to_json().field("diagnostics").unwrap();
         assert_eq!(diags.len(), 1);
         let d = &diags[0];
-        assert_eq!(d.get("code").unwrap().as_str("code").unwrap(), "PA010");
         assert_eq!(
-            d.get("severity").unwrap().as_str("severity").unwrap(),
-            "error"
+            (d.code.as_str(), d.severity.as_str(), d.location.as_str()),
+            ("PA010", "error", "node")
         );
-        assert_eq!(
-            d.get("location").unwrap().as_str("location").unwrap(),
-            "node"
-        );
-        assert_eq!(d.get("node").unwrap().as_usize("node").unwrap(), 3);
-        assert!(d.get("suggestion").is_ok());
+        assert_eq!(d.node, Some(3));
+        assert!(d.suggestion.is_some());
     }
 
     #[test]

@@ -104,16 +104,6 @@ impl Session {
         self.planner.plan()
     }
 
-    /// Like [`explore`](Self::explore) but with an explicit search
-    /// strategy, e.g. a wide beam for a quick first look at a huge space
-    /// followed by an exhaustive confirmation cycle.
-    pub fn explore_with(
-        &self,
-        strategy: &dyn crate::search::SearchStrategy,
-    ) -> Result<PlannerOutcome, PoiesisError> {
-        self.planner.plan_with(strategy)
-    }
-
     /// Integrates the alternative at `skyline_rank` (0 = best objective on
     /// the frontier) of `outcome` into the process, ending the cycle.
     /// Returns the record, or `None` when the rank is out of range.
@@ -184,7 +174,8 @@ mod tests {
     fn explore_with_custom_strategy_feeds_selection() {
         let mut s = session();
         // quick beam pass instead of the configured exhaustive walk
-        let outcome = s.explore_with(&crate::search::Beam { width: 4 }).unwrap();
+        let strategy = crate::search::Beam { width: 4 };
+        let outcome = s.planner().plan_with(&strategy).unwrap();
         assert!(!outcome.skyline.is_empty());
         let rec = s.select(&outcome, 0).unwrap();
         assert_eq!(rec.cycle, 1);

@@ -30,6 +30,40 @@ fn the_default_request_is_pinned() {
 }
 
 #[test]
+fn a_decode_error_names_the_path_to_the_member_that_failed() {
+    // the default request with `objective` swapped out; the old value
+    // stays behind under a key the decoder ignores
+    let with_objective = |objective: &str| {
+        let text = DEFAULT_REQUEST.replacen(
+            r#""objective":{"#,
+            &format!(r#""objective":{objective},"unused":{{"#),
+            1,
+        );
+        PlanRequest::from_json_str(&text).unwrap_err().0
+    };
+    assert_eq!(
+        with_objective("5"),
+        "objective: expected object, got number"
+    );
+    assert_eq!(
+        with_objective(
+            r#"{"goals":[{"characteristic":"cost","weight":"x","direction":"max"}],"constraints":[]}"#
+        ),
+        "objective: goals: weight: expected number, got string"
+    );
+    assert_eq!(
+        with_objective(r#"{"goals":[{"characteristic":"cost","weight":1}],"constraints":[]}"#),
+        "objective: goals: missing field `direction`"
+    );
+    assert_eq!(
+        PlanRequest::from_json_str(&DEFAULT_REQUEST.replace("\"48879\"", "48879"))
+            .unwrap_err()
+            .0,
+        "seed: expected string, got number"
+    );
+}
+
+#[test]
 fn a_request_with_the_largest_seed_and_constraints_is_pinned() {
     let mut request = PlanRequest {
         strategy: "beam:8".into(),
@@ -257,4 +291,32 @@ fn error_bodies_with_detail_are_pinned() {
     for (error, literal) in cases {
         assert_eq!(error.to_json_string(), literal);
     }
+}
+
+#[test]
+fn the_examples_in_the_api_docs_decode() {
+    use poiesis::SessionBuilder;
+    use serde::json::Value;
+    let doc = include_str!("../../../docs/API.md");
+    let blocks: Vec<Value> = doc
+        .split("```json\n")
+        .skip(1)
+        .map(|rest| Value::parse(rest.split("\n```").next().unwrap()).unwrap())
+        .collect();
+    let [health, request, created, explored, selected, lint, history, error] = &blocks[..] else {
+        panic!("docs/API.md holds {} json blocks, not 8", blocks.len());
+    };
+    assert_eq!(health.field::<String>("status").unwrap(), "ok");
+    health.field::<usize>("sessions").unwrap();
+    health.field::<String>("catalog").unwrap();
+    let request = PlanRequest::from_json(request).unwrap();
+    request.apply(SessionBuilder::new()).unwrap();
+    created.field::<u64>("session").unwrap();
+    PlanResponse::from_json(explored).unwrap();
+    selected.field::<u64>("session").unwrap();
+    selected.field::<IterationRecord>("record").unwrap();
+    LintReport::from_json(lint).unwrap();
+    history.field::<Vec<IterationRecord>>("history").unwrap();
+    let unknown = PoiesisError::UnknownSession(SessionId::from_raw(1));
+    assert_eq!(error, &Value::object([("error", unknown.to_json())]));
 }

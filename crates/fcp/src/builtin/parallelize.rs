@@ -33,15 +33,6 @@ impl Default for ParallelizeTask {
 }
 
 impl ParallelizeTask {
-    /// Pattern with a custom fan-out.
-    pub fn with_ways(ways: usize) -> Self {
-        assert!(ways >= 2, "parallelism below 2 is a no-op");
-        ParallelizeTask {
-            ways,
-            ..Default::default()
-        }
-    }
-
     /// Replica count.
     pub fn ways(&self) -> usize {
         self.ways
@@ -211,7 +202,10 @@ mod tests {
     fn four_way_fanout() {
         let (f, ids) = purchases_flow();
         let mut g = f.fork("p4");
-        let p = ParallelizeTask::with_ways(4);
+        let p = ParallelizeTask {
+            ways: 4,
+            ..Default::default()
+        };
         let applied = p
             .apply(&mut g, ApplicationPoint::Node(ids.derive_values))
             .unwrap();

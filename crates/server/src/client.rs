@@ -35,7 +35,7 @@
 use crate::clock::{Clock, SystemClock};
 use crate::http::{self, Head, HttpError, Limits};
 use poiesis::{FromJson, IterationRecord, LintReport, PlanRequest, PlanResponse, ToJson};
-use serde::json::Value;
+use serde::json::{JsonError, Value};
 use std::fmt;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -57,7 +57,12 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// Parses the body as JSON.
     pub fn json(&self) -> Result<Value, ClientError> {
-        Value::parse(&self.body).map_err(|e| ClientError::Decode(e.to_string()))
+        Ok(Value::parse(&self.body)?)
+    }
+
+    /// Decodes member `key` of the body (see [`Value::field`]).
+    pub fn field<T: FromJson>(&self, key: &str) -> Result<T, ClientError> {
+        Ok(self.json()?.field(key)?)
     }
 }
 
@@ -99,6 +104,13 @@ impl std::error::Error for ClientError {}
 impl From<io::Error> for ClientError {
     fn from(e: io::Error) -> Self {
         ClientError::Io(e.to_string())
+    }
+}
+
+/// A body that did not decode as the expected DTO.
+impl From<JsonError> for ClientError {
+    fn from(e: JsonError) -> Self {
+        ClientError::Decode(e.to_string())
     }
 }
 
@@ -287,17 +299,12 @@ impl Client {
         if (200..300).contains(&response.status) {
             return Ok(response);
         }
-        let (code, message) = response
-            .json()
-            .ok()
-            .and_then(|v| {
-                let e = v.get("error").ok()?;
-                Some((
-                    e.get("code").ok()?.as_str("code").ok()?.to_string(),
-                    e.get("message").ok()?.as_str("message").ok()?.to_string(),
-                ))
-            })
-            .unwrap_or_else(|| ("unknown".to_string(), response.body.clone()));
+        let decoded = response.json().and_then(|v| {
+            let error = v.get("error")?;
+            Ok((error.field("code")?, error.field("message")?))
+        });
+        let (code, message) =
+            decoded.unwrap_or_else(|_| ("unknown".to_string(), response.body.clone()));
         Err(ClientError::Api {
             status: response.status,
             code,
@@ -318,12 +325,7 @@ impl Client {
 
     /// `GET /healthz` → the number of live sessions.
     pub fn healthz(&mut self) -> Result<usize, ClientError> {
-        let response = self.call("GET", "/healthz", None)?;
-        response
-            .json()?
-            .get("sessions")
-            .and_then(|v| v.as_usize("sessions"))
-            .map_err(|e| ClientError::Decode(e.to_string()))
+        self.call("GET", "/healthz", None)?.field("sessions")
     }
 
     /// `GET /metrics` → the raw Prometheus text exposition.
@@ -356,52 +358,35 @@ impl Client {
     /// server-side defaults.
     pub fn create(&mut self, plan: Option<&PlanRequest>) -> Result<u64, ClientError> {
         let body = plan.map(|p| p.to_json_string());
-        let response = self.call("POST", "/sessions", body.as_deref())?;
-        let id = response
-            .json()?
-            .get("session")
-            .and_then(|v| v.as_usize("session"))
-            .map_err(|e| ClientError::Decode(e.to_string()))?;
-        Ok(id as u64)
+        self.call("POST", "/sessions", body.as_deref())?
+            .field("session")
     }
 
     /// `POST /sessions/{id}/explore` → the frontier.
     pub fn explore(&mut self, id: u64) -> Result<PlanResponse, ClientError> {
         let response = self.call("POST", &format!("/sessions/{id}/explore"), None)?;
-        PlanResponse::from_json_str(&response.body).map_err(|e| ClientError::Decode(e.to_string()))
+        Ok(PlanResponse::from_json_str(&response.body)?)
     }
 
     /// `POST /sessions/{id}/select` with `{"rank":rank}` → the iteration
     /// record.
     pub fn select(&mut self, id: u64, rank: usize) -> Result<IterationRecord, ClientError> {
-        let body = format!("{{\"rank\":{rank}}}");
-        let response = self.call("POST", &format!("/sessions/{id}/select"), Some(&body))?;
-        let v = response.json()?;
-        IterationRecord::from_json(
-            v.get("record")
-                .map_err(|e| ClientError::Decode(e.to_string()))?,
-        )
-        .map_err(|e| ClientError::Decode(e.to_string()))
+        let body = Value::object([("rank", rank.to_json())]).to_string();
+        self.call("POST", &format!("/sessions/{id}/select"), Some(&body))?
+            .field("record")
     }
 
     /// `POST /sessions/{id}/lint` → static-analysis diagnostics for the
     /// session's current flow.
     pub fn lint(&mut self, id: u64) -> Result<LintReport, ClientError> {
         let response = self.call("POST", &format!("/sessions/{id}/lint"), None)?;
-        LintReport::from_json_str(&response.body).map_err(|e| ClientError::Decode(e.to_string()))
+        Ok(LintReport::from_json_str(&response.body)?)
     }
 
     /// `GET /sessions/{id}/history` → all completed iterations.
     pub fn history(&mut self, id: u64) -> Result<Vec<IterationRecord>, ClientError> {
-        let response = self.call("GET", &format!("/sessions/{id}/history"), None)?;
-        let v = response.json()?;
-        v.get("history")
-            .map_err(|e| ClientError::Decode(e.to_string()))?
-            .as_array("history")
-            .map_err(|e| ClientError::Decode(e.to_string()))?
-            .iter()
-            .map(|r| IterationRecord::from_json(r).map_err(|e| ClientError::Decode(e.to_string())))
-            .collect()
+        self.call("GET", &format!("/sessions/{id}/history"), None)?
+            .field("history")
     }
 
     /// `DELETE /sessions/{id}`.

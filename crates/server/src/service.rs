@@ -12,9 +12,7 @@ use crate::http::{HttpError, Request, Response};
 use crate::metrics::Metrics;
 use crate::persist::StateStore;
 use crate::route::Route;
-use poiesis::{
-    FromJson, IterationRecord, PlanRequest, PoiesisError, SessionId, SessionManager, ToJson,
-};
+use poiesis::{FromJson, PlanRequest, PoiesisError, SessionId, SessionManager, ToJson};
 use serde::json::Value;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -46,19 +44,17 @@ pub fn status_for(error: &PoiesisError) -> u16 {
 
 /// `{"error":{"code":…,"message":…}}` from any code/message pair.
 pub fn error_body(code: &str, message: &str) -> String {
-    Value::object([(
-        "error".to_string(),
-        Value::object([
-            ("code".to_string(), Value::String(code.to_string())),
-            ("message".to_string(), Value::String(message.to_string())),
-        ]),
-    )])
-    .to_string()
+    let error = Value::object([("code", code.to_json()), ("message", message.to_json())]);
+    body([("error", error)])
 }
 
 fn plan_error(error: &PoiesisError) -> Response {
-    let body = Value::object([("error".to_string(), error.to_json())]);
-    Response::json(status_for(error), body.to_string())
+    Response::json(status_for(error), body([("error", error.to_json())]))
+}
+
+/// A JSON body from its members.
+fn body<'k>(members: impl IntoIterator<Item = (&'k str, Value)>) -> String {
+    Value::object(members).to_string()
 }
 
 /// The `503` + `Retry-After` that tells a client to come back in
@@ -280,18 +276,12 @@ impl PlanningService {
     }
 
     fn healthz(&self) -> Response {
-        let body = Value::object([
-            ("status".to_string(), Value::String("ok".to_string())),
-            (
-                "sessions".to_string(),
-                Value::Number(self.manager.len() as f64),
-            ),
-            (
-                "catalog".to_string(),
-                Value::String(self.template.label.clone()),
-            ),
-        ]);
-        Response::json(200, body.to_string())
+        let members = [
+            ("status", "ok".to_json()),
+            ("sessions", self.manager.len().to_json()),
+            ("catalog", self.template.label.to_json()),
+        ];
+        Response::json(200, body(members))
     }
 
     fn scrape(&self) -> Response {
@@ -299,16 +289,8 @@ impl PlanningService {
     }
 
     fn list(&self) -> Response {
-        let ids: Vec<Value> = self
-            .manager
-            .ids()
-            .into_iter()
-            .map(|id| Value::Number(id.raw() as f64))
-            .collect();
-        Response::json(
-            200,
-            Value::object([("sessions".to_string(), Value::Array(ids))]).to_string(),
-        )
+        let ids: Vec<u64> = self.manager.ids().iter().map(|id| id.raw()).collect();
+        Response::json(200, body([("sessions", ids.to_json())]))
     }
 
     fn create(&self, request: &Request) -> Response {
@@ -331,11 +313,7 @@ impl PlanningService {
         {
             Ok(id) => {
                 self.persist_session(id, true);
-                Response::json(
-                    201,
-                    Value::object([("session".to_string(), Value::Number(id.raw() as f64))])
-                        .to_string(),
-                )
+                Response::json(201, body([("session", id.raw().to_json())]))
             }
             Err(e) => plan_error(&e),
         }
@@ -370,7 +348,13 @@ impl PlanningService {
         match self.manager.select(id, rank) {
             Ok(record) => {
                 self.persist_session(id, false);
-                Response::json(200, selection_body(id, &record))
+                Response::json(
+                    200,
+                    body([
+                        ("session", id.raw().to_json()),
+                        ("record", record.to_json()),
+                    ]),
+                )
             }
             Err(e) => plan_error(&e),
         }
@@ -378,16 +362,13 @@ impl PlanningService {
 
     fn history(&self, id: SessionId) -> Response {
         match self.manager.history(id) {
-            Ok(records) => {
-                let body = Value::object([
-                    ("session".to_string(), Value::Number(id.raw() as f64)),
-                    (
-                        "history".to_string(),
-                        Value::Array(records.iter().map(|r| r.to_json()).collect()),
-                    ),
-                ]);
-                Response::json(200, body.to_string())
-            }
+            Ok(records) => Response::json(
+                200,
+                body([
+                    ("session", id.raw().to_json()),
+                    ("history", records.to_json()),
+                ]),
+            ),
             Err(e) => plan_error(&e),
         }
     }
@@ -396,11 +377,7 @@ impl PlanningService {
         match self.manager.close(id) {
             Ok(()) => {
                 self.persist_close(id);
-                Response::json(
-                    200,
-                    Value::object([("closed".to_string(), Value::Number(id.raw() as f64))])
-                        .to_string(),
-                )
+                Response::json(200, body([("closed", id.raw().to_json())]))
             }
             Err(e) => plan_error(&e),
         }
@@ -416,25 +393,15 @@ fn select_rank(request: &Request) -> Result<usize, Response> {
             error_body("malformed", "select expects a body like {\"rank\":0}"),
         ));
     }
-    let parsed = Value::parse(text)
-        .and_then(|v| v.get("rank")?.as_usize("rank"))
-        .map_err(|e| Response::json(400, error_body("malformed", &e.to_string())))?;
-    Ok(parsed)
-}
-
-/// The `select` success body: the session plus the new iteration record.
-fn selection_body(id: SessionId, record: &IterationRecord) -> String {
-    Value::object([
-        ("session".to_string(), Value::Number(id.raw() as f64)),
-        ("record".to_string(), record.to_json()),
-    ])
-    .to_string()
+    Value::parse(text)
+        .and_then(|v| v.field("rank"))
+        .map_err(|e| Response::json(400, error_body("malformed", &e.to_string())))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use poiesis::PlanResponse;
+    use poiesis::{IterationRecord, PlanResponse};
 
     fn service() -> PlanningService {
         PlanningService::new(SessionTemplate::demo(80))
@@ -455,14 +422,7 @@ mod tests {
     }
 
     fn error_code(response: &Response) -> String {
-        json(response)
-            .get("error")
-            .unwrap()
-            .get("code")
-            .unwrap()
-            .as_str("code")
-            .unwrap()
-            .to_string()
+        json(response).get("error").unwrap().field("code").unwrap()
     }
 
     #[test]
@@ -470,11 +430,7 @@ mod tests {
         let svc = service();
         let created = svc.handle(&request("POST", "/sessions", ""));
         assert_eq!(created.status, 201);
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap();
+        let id = json(&created).field::<usize>("session").unwrap();
 
         let explored = svc.handle(&request("POST", &format!("/sessions/{id}/explore"), ""));
         assert_eq!(explored.status, 200);
@@ -488,21 +444,14 @@ mod tests {
             "{\"rank\":0}",
         ));
         assert_eq!(selected.status, 200, "{}", selected.body);
-        let record = IterationRecord::from_json(json(&selected).get("record").unwrap()).unwrap();
+        let record: IterationRecord = json(&selected).field("record").unwrap();
         assert_eq!(record.cycle, 1);
         assert_eq!(record.selected, plan.skyline[0].name);
 
         let history = svc.handle(&request("GET", &format!("/sessions/{id}/history"), ""));
         assert_eq!(history.status, 200);
-        assert_eq!(
-            json(&history)
-                .get("history")
-                .unwrap()
-                .as_array("history")
-                .unwrap()
-                .len(),
-            1
-        );
+        let records: Vec<IterationRecord> = json(&history).field("history").unwrap();
+        assert_eq!(records.len(), 1);
 
         let closed = svc.handle(&request("DELETE", &format!("/sessions/{id}"), ""));
         assert_eq!(closed.status, 200);
@@ -578,12 +527,9 @@ mod tests {
         let health = svc.handle(&request("GET", "/healthz", ""));
         assert_eq!(health.status, 200);
         let v = json(&health);
-        assert_eq!(v.get("status").unwrap().as_str("status").unwrap(), "ok");
-        assert_eq!(v.get("sessions").unwrap().as_usize("sessions").unwrap(), 1);
-        assert_eq!(
-            v.get("catalog").unwrap().as_str("catalog").unwrap(),
-            "demo:80"
-        );
+        assert_eq!(v.field::<String>("status").unwrap(), "ok");
+        assert_eq!(v.field::<usize>("sessions").unwrap(), 1);
+        assert_eq!(v.field::<String>("catalog").unwrap(), "demo:80");
     }
 
     #[test]
@@ -596,11 +542,7 @@ mod tests {
         };
         let created = svc.handle(&request("POST", "/sessions", &plan.to_json_string()));
         assert_eq!(created.status, 201, "{}", created.body);
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap();
+        let id = json(&created).field::<usize>("session").unwrap();
         let explored = svc.handle(&request("POST", &format!("/sessions/{id}/explore"), ""));
         let response = PlanResponse::from_json_str(&explored.body).unwrap();
         assert!(response.enumerated <= 64);
@@ -627,17 +569,34 @@ mod tests {
         plan.objective.goals[0].characteristic = "speed".to_string();
         let r = svc.handle(&request("POST", "/sessions", &plan.to_json_string()));
         assert_eq!((r.status, error_code(&r)), (400, "malformed".into()));
+        // a member of the wrong shape is named by its whole path
+        for (objective, path) in [
+            ("5", "objective: expected object, got number"),
+            (
+                r#"{"goals":[{"characteristic":"cost","weight":"x","direction":"max"}],"constraints":[]}"#,
+                "objective: goals: weight: expected number, got string",
+            ),
+        ] {
+            let mut body = PlanRequest::default().to_json();
+            let Value::Object(members) = &mut body else {
+                unreachable!("a request is an object")
+            };
+            members.insert("objective".into(), Value::parse(objective).unwrap());
+            let r = svc.handle(&request("POST", "/sessions", &body.to_string()));
+            let error = json(&r).get("error").unwrap().clone();
+            assert_eq!((r.status, error_code(&r)), (400, "malformed".into()));
+            assert_eq!(
+                error.field::<String>("message").unwrap(),
+                format!("malformed payload: {path}")
+            );
+        }
     }
 
     #[test]
     fn wrong_session_states_are_conflicts() {
         let svc = service();
         let created = svc.handle(&request("POST", "/sessions", ""));
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap();
+        let id = json(&created).field::<usize>("session").unwrap();
         // select before any explore
         let r = svc.handle(&request(
             "POST",
@@ -676,11 +635,7 @@ mod tests {
         use poiesis::LintReport;
         let svc = service();
         let created = svc.handle(&request("POST", "/sessions", ""));
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap();
+        let id = json(&created).field::<usize>("session").unwrap();
         let linted = svc.handle(&request("POST", &format!("/sessions/{id}/lint"), ""));
         assert_eq!(linted.status, 200, "{}", linted.body);
         let report = LintReport::from_json_str(&linted.body).unwrap();
@@ -705,11 +660,7 @@ mod tests {
         let svc = PlanningService::new(template);
         let created = svc.handle(&request("POST", "/sessions", ""));
         assert_eq!(created.status, 201, "{}", created.body);
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap();
+        let id = json(&created).field::<usize>("session").unwrap();
         let linted = svc.handle(&request("POST", &format!("/sessions/{id}/lint"), ""));
         assert_eq!(linted.status, 200, "{}", linted.body);
         let report = LintReport::from_json_str(&linted.body).unwrap();
@@ -741,11 +692,7 @@ mod tests {
     fn metrics_route_serves_prometheus_text() {
         let svc = service();
         let created = svc.handle(&request("POST", "/sessions", ""));
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap();
+        let id = json(&created).field::<usize>("session").unwrap();
         svc.handle(&request("POST", &format!("/sessions/{id}/explore"), ""));
 
         let scrape = svc.handle(&request("GET", "/metrics", ""));
@@ -781,11 +728,7 @@ mod tests {
         .to_json_string();
         let created = svc.handle(&request("POST", "/sessions", &body));
         assert_eq!(created.status, 201, "{}", created.body);
-        let id = json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap() as u64;
+        let id = json(&created).field::<u64>("session").unwrap();
         let cores = std::thread::available_parallelism().unwrap().get();
         let snapshot = svc
             .manager()
@@ -797,11 +740,7 @@ mod tests {
     fn created_id(svc: &PlanningService) -> u64 {
         let created = svc.handle(&request("POST", "/sessions", ""));
         assert_eq!(created.status, 201, "{}", created.body);
-        json(&created)
-            .get("session")
-            .unwrap()
-            .as_usize("session")
-            .unwrap() as u64
+        json(&created).field::<u64>("session").unwrap()
     }
 
     fn durable(dir: &std::path::Path) -> PlanningService {
@@ -895,11 +834,7 @@ mod tests {
         let ids: Vec<usize> = (0..4)
             .map(|_| {
                 let created = svc.handle(&request("POST", "/sessions", ""));
-                json(&created)
-                    .get("session")
-                    .unwrap()
-                    .as_usize("session")
-                    .unwrap()
+                json(&created).field::<usize>("session").unwrap()
             })
             .collect();
         // Three threads run explore/select cycles on every session while a

@@ -41,12 +41,6 @@ impl XmlNode {
         self
     }
 
-    /// Builder: sets text content.
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.text = text.into();
-        self
-    }
-
     /// Attribute lookup.
     pub fn get_attr(&self, key: &str) -> Option<&str> {
         self.attrs
@@ -381,14 +375,13 @@ mod tests {
 
     #[test]
     fn writer_then_parser_roundtrip() {
+        let mut text = XmlNode::new("node")
+            .attr("id", "n0")
+            .attr("expr", "(a > 1) AND 'it''s'");
+        text.text = "some <text>".into();
         let node = XmlNode::new("design")
             .attr("name", "x & y")
-            .child(
-                XmlNode::new("node")
-                    .attr("id", "n0")
-                    .attr("expr", "(a > 1) AND 'it''s'")
-                    .with_text("some <text>"),
-            )
+            .child(text)
             .child(XmlNode::new("empty"));
         let xml = node.to_xml();
         let parsed = parse(&xml).unwrap();
