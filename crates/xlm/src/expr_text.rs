@@ -499,6 +499,40 @@ mod tests {
         roundtrip(&Expr::Lit(Value::Timestamp(-5)));
     }
 
+    /// The exact xLM text of one expression holding every `Expr` variant,
+    /// every operator and every `Value` literal, a quote inside a string
+    /// included. Every flow's xLM document, and so every session file,
+    /// carries expressions in this form.
+    #[test]
+    fn written_text_is_pinned() {
+        let arith = Expr::col("a")
+            .add(Expr::lit_i(-7))
+            .sub(Expr::lit_f(2.5))
+            .mul(Expr::lit_f(1.0e-9))
+            .div(Expr::col("b"));
+        let e = Expr::Coalesce(vec![
+            arith.eq(Expr::Lit(Value::Date(19000))),
+            Expr::col("c").ne(Expr::Lit(Value::Timestamp(-5))),
+            Expr::col("d")
+                .lt(Expr::lit_s("it's"))
+                .and(Expr::col("e").le(Expr::null()))
+                .or(Expr::col("f").gt(Expr::lit_b(true)).not()),
+            Expr::Bin(
+                BinOp::Ge,
+                Box::new(Expr::col("g")),
+                Box::new(Expr::lit_b(false)),
+            ),
+            Expr::col("h").is_not_null(),
+        ]);
+        let text = "COALESCE((((((a + -7) - 2.5) * 1e-9) / b) = DATE(19000)), \
+                    (c <> TS(-5)), \
+                    (((d < 'it''s') AND (e <= NULL)) OR (NOT (f > TRUE))), \
+                    (g >= FALSE), \
+                    (NOT (h IS NULL)))";
+        assert_eq!(write_expr(&e), text);
+        roundtrip(&e);
+    }
+
     #[test]
     fn operators_roundtrip() {
         let e = Expr::col("a")
