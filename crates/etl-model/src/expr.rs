@@ -11,11 +11,10 @@
 
 use crate::types::{DataType, Schema};
 use crate::value::{Tuple, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
     /// Addition (numeric).
     Add,
@@ -44,7 +43,7 @@ pub enum BinOp {
 }
 
 /// An unbound expression over attribute names.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Column reference by attribute name.
     Col(String),
@@ -257,11 +256,24 @@ impl Expr {
     }
 }
 
+/// Writes the xLM expression grammar (`xlm::expr_text`), which parses
+/// back to the same tree: binary operations, `NOT` and `IS NULL` are fully
+/// parenthesised, strings single-quoted with `''` escaping, floats always
+/// keep a decimal point or an exponent.
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Col(c) => write!(f, "{c}"),
-            Expr::Lit(v) => write!(f, "{v}"),
+            Expr::Lit(v) => match v {
+                Value::Null => write!(f, "NULL"),
+                Value::Bool(true) => write!(f, "TRUE"),
+                Value::Bool(false) => write!(f, "FALSE"),
+                Value::Int(i) => write!(f, "{i}"),
+                Value::Float(x) => write!(f, "{x:?}"),
+                Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+                Value::Date(d) => write!(f, "DATE({d})"),
+                Value::Timestamp(t) => write!(f, "TS({t})"),
+            },
             Expr::Bin(op, a, b) => {
                 let sym = match op {
                     BinOp::Add => "+",
@@ -279,8 +291,8 @@ impl fmt::Display for Expr {
                 };
                 write!(f, "({a} {sym} {b})")
             }
-            Expr::Not(a) => write!(f, "NOT {a}"),
-            Expr::IsNull(a) => write!(f, "{a} IS NULL"),
+            Expr::Not(a) => write!(f, "(NOT {a})"),
+            Expr::IsNull(a) => write!(f, "({a} IS NULL)"),
             Expr::Coalesce(xs) => {
                 write!(f, "COALESCE(")?;
                 for (i, x) in xs.iter().enumerate() {
@@ -592,6 +604,6 @@ mod tests {
         let e = Expr::col("a")
             .gt(Expr::lit_i(0))
             .and(Expr::col("s").is_null());
-        assert_eq!(e.to_string(), "((a > 0) AND s IS NULL)");
+        assert_eq!(e.to_string(), "((a > 0) AND (s IS NULL))");
     }
 }

@@ -1,6 +1,7 @@
-//! Total text serialisation for [`etl_model::expr::Expr`]: a writer and a
-//! recursive-descent parser, so xLM documents can carry predicates and
-//! derive expressions as readable strings.
+//! Total text serialisation for [`etl_model::expr::Expr`]: a
+//! recursive-descent parser for the text that `Expr`'s `Display` writes, so
+//! xLM documents can carry predicates and derive expressions as readable
+//! strings.
 //!
 //! Grammar (priority low→high):
 //!
@@ -19,99 +20,13 @@
 //!          | number | 'string' | identifier
 //! ```
 //!
-//! Strings are single-quoted with `''` escaping. The writer fully
-//! parenthesises binary operations, so `parse(write(e))` is the identity on
-//! the AST (verified by property test).
+//! Strings are single-quoted with `''` escaping. `Display` fully
+//! parenthesises binary operations, so `parse_expr(&e.to_string())` is the
+//! identity on the AST (verified by property test).
 
 use etl_model::expr::{BinOp, Expr};
 use etl_model::Value;
 use std::fmt;
-
-/// Serialises an expression to the grammar above.
-pub fn write_expr(e: &Expr) -> String {
-    let mut s = String::new();
-    write_into(e, &mut s);
-    s
-}
-
-fn write_into(e: &Expr, out: &mut String) {
-    match e {
-        Expr::Col(c) => out.push_str(c),
-        Expr::Lit(v) => match v {
-            Value::Null => out.push_str("NULL"),
-            Value::Bool(true) => out.push_str("TRUE"),
-            Value::Bool(false) => out.push_str("FALSE"),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::Float(f) => {
-                let s = format!("{f:?}"); // always keeps a decimal point / exponent
-                out.push_str(&s);
-            }
-            Value::Str(s) => {
-                out.push('\'');
-                out.push_str(&s.replace('\'', "''"));
-                out.push('\'');
-            }
-            Value::Date(d) => {
-                out.push_str("DATE(");
-                out.push_str(&d.to_string());
-                out.push(')');
-            }
-            Value::Timestamp(t) => {
-                out.push_str("TS(");
-                out.push_str(&t.to_string());
-                out.push(')');
-            }
-        },
-        Expr::Bin(op, a, b) => {
-            out.push('(');
-            write_into(a, out);
-            out.push(' ');
-            out.push_str(op_symbol(*op));
-            out.push(' ');
-            write_into(b, out);
-            out.push(')');
-        }
-        Expr::Not(a) => {
-            // Self-parenthesised so a NOT may appear as an operand of any
-            // binary operator (the AST is untyped; `a + NOT b` is writable).
-            out.push_str("(NOT ");
-            write_into(a, out);
-            out.push(')');
-        }
-        Expr::IsNull(a) => {
-            out.push('(');
-            write_into(a, out);
-            out.push_str(" IS NULL)");
-        }
-        Expr::Coalesce(xs) => {
-            out.push_str("COALESCE(");
-            for (i, x) in xs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                write_into(x, out);
-            }
-            out.push(')');
-        }
-    }
-}
-
-fn op_symbol(op: BinOp) -> &'static str {
-    match op {
-        BinOp::Add => "+",
-        BinOp::Sub => "-",
-        BinOp::Mul => "*",
-        BinOp::Div => "/",
-        BinOp::Eq => "=",
-        BinOp::Ne => "<>",
-        BinOp::Lt => "<",
-        BinOp::Le => "<=",
-        BinOp::Gt => ">",
-        BinOp::Ge => ">=",
-        BinOp::And => "AND",
-        BinOp::Or => "OR",
-    }
-}
 
 /// Expression parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -478,7 +393,7 @@ mod tests {
     use super::*;
 
     fn roundtrip(e: &Expr) {
-        let text = write_expr(e);
+        let text = e.to_string();
         let parsed =
             parse_expr(&text).unwrap_or_else(|err| panic!("failed to parse `{text}`: {err}"));
         assert_eq!(&parsed, e, "text was `{text}`");
@@ -529,7 +444,7 @@ mod tests {
                     (((d < 'it''s') AND (e <= NULL)) OR (NOT (f > TRUE))), \
                     (g >= FALSE), \
                     (NOT (h IS NULL)))";
-        assert_eq!(write_expr(&e), text);
+        assert_eq!(e.to_string(), text);
         roundtrip(&e);
     }
 

@@ -17,8 +17,9 @@
 //!   types onto the operator taxonomy;
 //! * [`read_model_file`] — the one loader of model files, choosing between
 //!   the two by extension;
-//! * [`expr_text`] — a total writer + recursive-descent parser for the
-//!   expression language (xLM stores predicates as text).
+//! * [`expr_text`] — a recursive-descent parser for the expression
+//!   language, reading back the text an `Expr` displays as (xLM stores
+//!   predicates as text).
 
 #![forbid(unsafe_code)]
 

@@ -270,7 +270,7 @@ mod tests {
         let filt = flow.ops_of_kind("filter")[0];
         let op = flow.op(filt).unwrap();
         assert!(matches!(&op.kind, OpKind::Filter { predicate }
-            if crate::expr_text::write_expr(predicate).contains("o_status")));
+            if predicate.to_string().contains("o_status")));
     }
 
     #[test]

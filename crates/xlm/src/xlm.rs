@@ -1,7 +1,7 @@
 //! xLM-style serialisation of [`EtlFlow`]: every operator kind, schema,
 //! expression, cost annotation and graph-level configuration round-trips.
 
-use crate::expr_text::{parse_expr, write_expr};
+use crate::expr_text::parse_expr;
 use crate::xml::{parse, XmlNode};
 use etl_model::{
     AggFunc, Attribute, Channel, DataType, EtlFlow, NodeId, OpKind, Operation, ResourceClass,
@@ -61,7 +61,7 @@ fn kind_node(kind: &OpKind) -> XmlNode {
         }
         OpKind::Load { target } => n = n.attr("target", target),
         OpKind::Filter { predicate } | OpKind::Router { predicate } => {
-            n = n.attr("predicate", write_expr(predicate));
+            n = n.attr("predicate", predicate);
         }
         OpKind::Project { keep } => {
             for k in keep {
@@ -70,11 +70,8 @@ fn kind_node(kind: &OpKind) -> XmlNode {
         }
         OpKind::Derive { outputs } => {
             for (name, expr) in outputs {
-                n.children.push(
-                    XmlNode::new("output")
-                        .attr("name", name)
-                        .attr("expr", write_expr(expr)),
-                );
+                n.children
+                    .push(XmlNode::new("output").attr("name", name).attr("expr", expr));
             }
         }
         OpKind::Convert { column, to } => {

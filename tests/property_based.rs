@@ -154,7 +154,7 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
 proptest! {
     #[test]
     fn expression_text_roundtrips(e in arb_expr()) {
-        let text = xlm::expr_text::write_expr(&e);
+        let text = e.to_string();
         let parsed = xlm::expr_text::parse_expr(&text)
             .map_err(|err| TestCaseError::fail(format!("parse `{text}`: {err}")))?;
         prop_assert_eq!(parsed, e);
