@@ -4,13 +4,12 @@
 use crate::op::{OpKind, Operation};
 use crate::propagate::{propagate_schemas, SchemaError};
 use flowgraph::{is_dag, DiGraph, EdgeId, GraphError, NodeId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Hardware/software resource class of the execution environment — the
 /// graph-level knob the paper lists under "management of the quality of
 /// Hw/Sw resources". Scales simulated processing speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceClass {
     /// 1× baseline throughput.
     Small,
@@ -42,7 +41,7 @@ impl ResourceClass {
 
 /// Process-wide configuration: the target of graph-level FCPs (§2.2 —
 /// security configurations, resource quality, recurrence frequency).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
     /// All channels encrypted (security pattern).
     pub encrypted: bool,
@@ -67,7 +66,7 @@ impl Default for FlowConfig {
 }
 
 /// Edge weight: the transition/channel between two consecutive operations.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Channel {
     /// Optional label (e.g. the Router's "yes"/"no" branches).
     pub label: String,

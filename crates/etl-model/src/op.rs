@@ -2,11 +2,10 @@
 
 use crate::expr::Expr;
 use crate::types::{DataType, Schema};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Aggregate functions for [`OpKind::Aggregate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
     /// Row count (counts all rows in the group).
     Count,
@@ -72,7 +71,7 @@ impl AggFunc {
 /// | `Merge`, `Join` | ≥2 | ≥1 |
 /// | `Split`, `Partition`, `Router` | 1 | ≥1 (Router: exactly 2) |
 /// | everything else | 1 | ≥1 |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {
     /// Reads tuples from a named source; carries the source schema.
     Extract {
@@ -253,7 +252,7 @@ impl OpKind {
 /// Cost/behaviour parameters attached to every operation. The
 /// [`CostModel`](crate::CostModel) turns them into virtual-clock time for
 /// both the estimator and the simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
     /// Per-tuple processing cost in milliseconds.
     pub cost_per_tuple_ms: f64,
@@ -278,7 +277,7 @@ impl Default for CostParams {
 }
 
 /// An ETL flow operation: a named node of the flow graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Operation {
     /// Human-readable unique-ish name (e.g. `FILTER purchases`).
     pub name: String,

@@ -1,6 +1,5 @@
 //! Attribute schemata: the data-model side of the ETL flow graph.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Scalar data types supported by the model.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The set deliberately mirrors what the TPC-H / TPC-DS derived demo flows
 /// need; `Timestamp` carries seconds since epoch and backs the data-quality
 /// freshness measures (request time − time of last update).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -68,7 +67,7 @@ impl fmt::Display for DataType {
 }
 
 /// One named, typed attribute of a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
     /// Attribute name, unique within its schema.
     pub name: String,
@@ -113,7 +112,7 @@ impl Attribute {
 }
 
 /// An ordered list of attributes with unique names.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schema {
     attrs: Vec<Attribute>,
 }

@@ -3,12 +3,11 @@
 //! computed from actual tuple contents rather than guessed.
 
 use crate::types::DataType;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// A scalar runtime value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL-style null.
     Null,

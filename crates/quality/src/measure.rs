@@ -1,6 +1,5 @@
 //! Measure identifiers, directions and the dense measure vector.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Lower clamp applied to per-measure improvement ratios: one degenerate
@@ -16,7 +15,7 @@ pub const RATIO_CLAMP_MAX: f64 = 20.0;
 /// The quality characteristics the tool reasons about (paper Fig. 1 shows
 /// performance, data quality and manageability; reliability appears in
 /// Fig. 2/Fig. 4 and cost in §2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Characteristic {
     /// Speed: cycle time, latency, throughput.
     Performance,
@@ -83,7 +82,7 @@ impl fmt::Display for Characteristic {
 }
 
 /// Every concrete measure the tool computes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum MeasureId {
     // --- performance (paper Fig. 1: process cycle time, avg latency/tuple)
