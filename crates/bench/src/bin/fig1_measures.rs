@@ -1,21 +1,13 @@
 //! FIG1 — regenerates the paper's Fig. 1: "Example quality measures for ETL
 //! processes", with the measured values for the TPC-H demo flow filled in.
 
-use bench::{fmt, tpch_setup, SEED};
+use bench::{fmt, tpch_setup};
 use quality::{Characteristic, MeasureVector};
-use simulator::{simulate, SimConfig};
+use simulator::simulate;
 
 fn main() {
     let (flow, catalog) = tpch_setup(2_000);
-    let trace = simulate(
-        &flow,
-        &catalog,
-        &SimConfig {
-            seed: SEED,
-            inject_failures: false,
-        },
-    )
-    .expect("demo flow simulates");
+    let trace = simulate(&flow, &catalog).expect("demo flow simulates");
     let v: MeasureVector = quality::evaluate(&flow, &trace);
 
     println!("FIG1 — example quality measures (TPC-H demo flow, scale 2000)\n");

@@ -3,10 +3,10 @@
 //! horizontal partitioning + parallel derive; (b) a reliability goal
 //! produces savepoints around the expensive task.
 
-use bench::{fmt, purchases_setup, SEED};
+use bench::{fmt, purchases_setup};
 use fcp::builtin::{AddCheckpoint, ParallelizeTask};
 use fcp::{ApplicationPoint, Pattern, PatternContext};
-use simulator::{simulate, simulate_trials, SimConfig};
+use simulator::simulate;
 
 fn main() {
     let (flow, catalog) = purchases_setup(3_000);
@@ -18,13 +18,8 @@ fn main() {
             flow.op_mut(n).unwrap().cost.failure_rate = 0.10;
         }
     }
-    let cfg = SimConfig {
-        seed: SEED,
-        inject_failures: false,
-    };
-    let base_trace = simulate(&flow, &catalog, &cfg).unwrap();
+    let base_trace = simulate(&flow, &catalog).unwrap();
     let base = quality::evaluate(&flow, &base_trace);
-    let base_trials = simulate_trials(&flow, &catalog, &cfg, 50).unwrap();
 
     // ---- Fig. 2a: goal = time performance → ParallelizeTask on DERIVE VALUES
     let par = ParallelizeTask::default();
@@ -37,7 +32,7 @@ fn main() {
             .expect("a parallelizable op exists")
     };
     par.apply(&mut fig2a, target).unwrap();
-    let a_trace = simulate(&fig2a, &catalog, &cfg).unwrap();
+    let a_trace = simulate(&fig2a, &catalog).unwrap();
     let a = quality::evaluate(&fig2a, &a_trace);
 
     // ---- Fig. 2b: goal = reliability → AddCheckpoint after DERIVE VALUES
@@ -55,9 +50,8 @@ fn main() {
         _ => unreachable!(),
     };
     cp.apply(&mut fig2b, target).unwrap();
-    let b_trace = simulate(&fig2b, &catalog, &cfg).unwrap();
+    let b_trace = simulate(&fig2b, &catalog).unwrap();
     let b = quality::evaluate(&fig2b, &b_trace);
-    let b_trials = simulate_trials(&fig2b, &catalog, &cfg, 50).unwrap();
 
     use quality::MeasureId::*;
     println!("FIG2 — FCP generation on the S_Purchases flow (scale 3000)\n");
@@ -67,7 +61,6 @@ fn main() {
             fmt(base.get(CycleTimeMs).unwrap()),
             fmt(base.get(ExpectedRedoMs).unwrap()),
             fmt(base.get(Recoverability).unwrap()),
-            fmt(base_trials.mean_cycle_ms),
             flow.op_count().to_string(),
         ],
         vec![
@@ -75,7 +68,6 @@ fn main() {
             fmt(a.get(CycleTimeMs).unwrap()),
             fmt(a.get(ExpectedRedoMs).unwrap()),
             fmt(a.get(Recoverability).unwrap()),
-            "-".into(),
             fig2a.op_count().to_string(),
         ],
         vec![
@@ -83,7 +75,6 @@ fn main() {
             fmt(b.get(CycleTimeMs).unwrap()),
             fmt(b.get(ExpectedRedoMs).unwrap()),
             fmt(b.get(Recoverability).unwrap()),
-            fmt(b_trials.mean_cycle_ms),
             fig2b.op_count().to_string(),
         ],
     ];
@@ -95,7 +86,6 @@ fn main() {
                 "cycle (ms)",
                 "E[redo] (ms)",
                 "recoverability",
-                "MC mean cycle",
                 "#ops"
             ],
             &rows

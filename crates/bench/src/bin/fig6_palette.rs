@@ -2,10 +2,10 @@
 //! their related quality attribute, extended with the measured effect of each
 //! pattern's best placement on both demo flows.
 
-use bench::{purchases_setup, tpcds_setup, tpch_setup, SEED};
+use bench::{purchases_setup, tpcds_setup, tpch_setup};
 use fcp::{PatternContext, PatternRegistry};
 use quality::{Characteristic, MeasureId};
-use simulator::{simulate, SimConfig};
+use simulator::simulate;
 
 /// The headline measure a pattern is judged by: the specific metric its
 /// defect class targets, falling back to its characteristic's flagship.
@@ -39,11 +39,7 @@ fn main() {
             flow.op_mut(n).unwrap().cost.failure_rate = 0.05;
         }
         let registry = PatternRegistry::standard_for_catalog(&catalog);
-        let cfg = SimConfig {
-            seed: SEED,
-            inject_failures: false,
-        };
-        let base_trace = simulate(&flow, &catalog, &cfg).unwrap();
+        let base_trace = simulate(&flow, &catalog).unwrap();
         let base = quality::evaluate(&flow, &base_trace);
 
         for pattern in registry.iter() {
@@ -65,7 +61,7 @@ fn main() {
                     match pattern.apply(&mut g, p) {
                         Err(e) => (format!("apply failed: {e}"), "-".to_string()),
                         Ok(_) => {
-                            let v = quality::evaluate(&g, &simulate(&g, &catalog, &cfg).unwrap());
+                            let v = quality::evaluate(&g, &simulate(&g, &catalog).unwrap());
                             let m = headline(pattern.name(), pattern.improves());
                             let d = match (base.get(m), v.get(m)) {
                                 (Some(b), Some(x)) => {

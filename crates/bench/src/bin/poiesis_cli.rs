@@ -74,8 +74,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "measures" => {
             let flow = load_model(args.get(1).ok_or_else(usage)?)?;
             let catalog = synthesize_catalog(&flow, 500)?;
-            let trace = simulator::simulate(&flow, &catalog, &simulator::SimConfig::default())
-                .map_err(|e| e.to_string())?;
+            let trace = simulator::simulate(&flow, &catalog).map_err(|e| e.to_string())?;
             let v = quality::evaluate(&flow, &trace);
             let rows: Vec<Vec<String>> = quality::MeasureId::ALL
                 .iter()

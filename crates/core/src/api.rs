@@ -190,7 +190,9 @@ pub struct PlanRequest {
     /// Keep dominated alternatives (full scatter-plot) or only the
     /// frontier (O(frontier) memory).
     pub retain_dominated: bool,
-    /// RNG seed for simulation-mode evaluation.
+    /// Selects nothing: estimation and simulation are both deterministic.
+    /// Kept on the wire so existing requests and session files still
+    /// decode to the same bytes.
     pub seed: u64,
     /// The quality objective.
     pub objective: ObjectiveSpec,

@@ -158,7 +158,8 @@ impl SessionBuilder {
         self
     }
 
-    /// RNG seed for simulation-mode evaluation.
+    /// Sets [`PlannerConfig::seed`], which selects nothing: estimation and
+    /// simulation are both deterministic.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
         self

@@ -14,7 +14,7 @@
 use datagen::Catalog;
 use etl_model::EtlFlow;
 use quality::{Characteristic, MeasureVector, SourceStats};
-use simulator::{simulate, SimConfig};
+use simulator::simulate;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -48,25 +48,19 @@ pub struct Alternative {
     pub scores: Vec<f64>,
 }
 
-/// Evaluates one flow in the requested mode.
+/// Evaluates one flow in the requested mode. Both modes are
+/// deterministic; `_seed` selects nothing.
 pub fn evaluate_flow(
     flow: &EtlFlow,
     catalog: &Catalog,
     stats: &HashMap<String, SourceStats>,
     mode: EvalMode,
-    seed: u64,
+    _seed: u64,
 ) -> Result<MeasureVector, simulator::SimError> {
     match mode {
         EvalMode::Estimate => Ok(quality::estimate(flow, stats)),
         EvalMode::Simulate => {
-            let trace = simulate(
-                flow,
-                catalog,
-                &SimConfig {
-                    seed,
-                    inject_failures: false,
-                },
-            )?;
+            let trace = simulate(flow, catalog)?;
             Ok(quality::evaluate(flow, &trace))
         }
     }

@@ -58,7 +58,8 @@ pub struct PlannerConfig {
     /// directions, and hard measure constraints. Replaces the old bare
     /// `dimensions` list and the implicit score-sum ranking.
     pub objective: Objective,
-    /// RNG seed forwarded to simulation-mode evaluation.
+    /// Selects nothing: estimation and simulation are both deterministic.
+    /// Kept because the wire's `seed` and existing configurations set it.
     pub seed: u64,
     /// Statically screen every applied combination before evaluation: an
     /// applied flow that no longer validates is counted in

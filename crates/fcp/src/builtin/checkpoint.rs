@@ -84,7 +84,7 @@ mod tests {
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
     use quality::MeasureId;
-    use simulator::{simulate, SimConfig};
+    use simulator::simulate;
 
     #[test]
     fn fitness_prefers_post_expensive_edges() {
@@ -115,10 +115,7 @@ mod tests {
             }
         }
         let cat = purchases_catalog(1_000, &DirtProfile::clean(), 3);
-        let base_v = quality::evaluate(
-            &fragile,
-            &simulate(&fragile, &cat, &SimConfig::default()).unwrap(),
-        );
+        let base_v = quality::evaluate(&fragile, &simulate(&fragile, &cat).unwrap());
 
         let p = AddCheckpoint;
         let mut g = fragile.fork("with_savepoint");
@@ -134,7 +131,7 @@ mod tests {
         assert_eq!(applied.added_nodes.len(), 1);
         g.validate().unwrap();
 
-        let v = quality::evaluate(&g, &simulate(&g, &cat, &SimConfig::default()).unwrap());
+        let v = quality::evaluate(&g, &simulate(&g, &cat).unwrap());
         assert!(
             v.get(MeasureId::ExpectedRedoMs).unwrap()
                 < base_v.get(MeasureId::ExpectedRedoMs).unwrap(),

@@ -274,7 +274,7 @@ mod tests {
     use super::*;
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
-    use simulator::{simulate, SimConfig};
+    use simulator::simulate;
 
     #[test]
     fn filter_nulls_candidates_exclude_empty_nullable() {
@@ -305,7 +305,7 @@ mod tests {
     fn filter_nulls_apply_improves_loaded_completeness() {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(300, &DirtProfile::filthy(), 8);
-        let base = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let base = simulate(&f, &cat).unwrap();
         let base_v = quality::evaluate(&f, &base);
 
         let mut g = f.fork("cleaned");
@@ -321,7 +321,7 @@ mod tests {
         let applied = FilterNullValues.apply(&mut g, best).unwrap();
         assert_eq!(applied.added_nodes.len(), 1);
         g.validate().unwrap();
-        let t = simulate(&g, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&g, &cat).unwrap();
         let v = quality::evaluate(&g, &t);
         assert!(
             v.get(quality::MeasureId::Completeness).unwrap()
@@ -333,7 +333,7 @@ mod tests {
     fn dedup_apply_improves_uniqueness() {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(300, &DirtProfile::filthy(), 8);
-        let base_v = quality::evaluate(&f, &simulate(&f, &cat, &SimConfig::default()).unwrap());
+        let base_v = quality::evaluate(&f, &simulate(&f, &cat).unwrap());
         let mut g = f.fork("dd");
         let ctx = PatternContext::new(&g).unwrap();
         let pts = RemoveDuplicateEntries.candidate_points(&ctx);
@@ -349,7 +349,7 @@ mod tests {
         drop(ctx);
         RemoveDuplicateEntries.apply(&mut g, best).unwrap();
         g.validate().unwrap();
-        let v = quality::evaluate(&g, &simulate(&g, &cat, &SimConfig::default()).unwrap());
+        let v = quality::evaluate(&g, &simulate(&g, &cat).unwrap());
         assert!(
             v.get(quality::MeasureId::Uniqueness).unwrap()
                 >= base_v.get(quality::MeasureId::Uniqueness).unwrap()
@@ -375,7 +375,7 @@ mod tests {
     fn crosscheck_apply_repairs_nulls() {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(300, &DirtProfile::filthy(), 8);
-        let base_v = quality::evaluate(&f, &simulate(&f, &cat, &SimConfig::default()).unwrap());
+        let base_v = quality::evaluate(&f, &simulate(&f, &cat).unwrap());
         let p = CrosscheckSources::from_catalog(&cat);
         let mut g = f.fork("cc");
         let ctx = PatternContext::new(&g).unwrap();
@@ -387,7 +387,7 @@ mod tests {
         drop(ctx);
         p.apply(&mut g, best).unwrap();
         g.validate().unwrap();
-        let v = quality::evaluate(&g, &simulate(&g, &cat, &SimConfig::default()).unwrap());
+        let v = quality::evaluate(&g, &simulate(&g, &cat).unwrap());
         assert!(
             v.get(quality::MeasureId::Completeness).unwrap()
                 > base_v.get(quality::MeasureId::Completeness).unwrap()

@@ -168,7 +168,7 @@ mod tests {
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
     use quality::MeasureId;
-    use simulator::{simulate, SimConfig};
+    use simulator::simulate;
 
     #[test]
     fn graph_patterns_only_offer_graph_point() {
@@ -188,12 +188,12 @@ mod tests {
     fn encrypt_raises_security_and_costs_performance() {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(300, &DirtProfile::clean(), 1);
-        let base = quality::evaluate(&f, &simulate(&f, &cat, &SimConfig::default()).unwrap());
+        let base = quality::evaluate(&f, &simulate(&f, &cat).unwrap());
         let mut g = f.fork("enc");
         EncryptChannels
             .apply(&mut g, ApplicationPoint::Graph)
             .unwrap();
-        let v = quality::evaluate(&g, &simulate(&g, &cat, &SimConfig::default()).unwrap());
+        let v = quality::evaluate(&g, &simulate(&g, &cat).unwrap());
         assert!(
             v.get(MeasureId::SecurityScore).unwrap() > base.get(MeasureId::SecurityScore).unwrap()
         );
@@ -208,12 +208,12 @@ mod tests {
     fn upgrade_resources_trades_cost_for_speed() {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(300, &DirtProfile::clean(), 1);
-        let base = quality::evaluate(&f, &simulate(&f, &cat, &SimConfig::default()).unwrap());
+        let base = quality::evaluate(&f, &simulate(&f, &cat).unwrap());
         let mut g = f.fork("big");
         UpgradeResources
             .apply(&mut g, ApplicationPoint::Graph)
             .unwrap();
-        let v = quality::evaluate(&g, &simulate(&g, &cat, &SimConfig::default()).unwrap());
+        let v = quality::evaluate(&g, &simulate(&g, &cat).unwrap());
         assert!(v.get(MeasureId::CycleTimeMs).unwrap() < base.get(MeasureId::CycleTimeMs).unwrap());
         assert!(
             v.get(MeasureId::MonetaryCost).unwrap() > base.get(MeasureId::MonetaryCost).unwrap()
@@ -238,7 +238,7 @@ mod tests {
             },
             1,
         );
-        let base = quality::evaluate(&f, &simulate(&f, &cat, &SimConfig::default()).unwrap());
+        let base = quality::evaluate(&f, &simulate(&f, &cat).unwrap());
         let mut g = f.fork("often");
         IncreaseRecurrence
             .apply(&mut g, ApplicationPoint::Graph)
@@ -247,7 +247,7 @@ mod tests {
             g.config.recurrence_minutes,
             f.config.recurrence_minutes / 2.0
         );
-        let v = quality::evaluate(&g, &simulate(&g, &cat, &SimConfig::default()).unwrap());
+        let v = quality::evaluate(&g, &simulate(&g, &cat).unwrap());
         // fresher content at request time…
         assert!(
             v.get(MeasureId::FreshnessScore).unwrap()

@@ -138,7 +138,7 @@ mod tests {
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
     use quality::MeasureId;
-    use simulator::{simulate, SimConfig};
+    use simulator::simulate;
 
     #[test]
     fn targets_only_expensive_single_in_out_nodes() {
@@ -169,7 +169,7 @@ mod tests {
     fn apply_reproduces_fig2a_and_speeds_up() {
         let (f, ids) = purchases_flow();
         let cat = purchases_catalog(2_000, &DirtProfile::clean(), 3);
-        let base = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let base = simulate(&f, &cat).unwrap();
 
         let mut g = f.fork("parallel");
         let p = ParallelizeTask::default();
@@ -181,7 +181,7 @@ mod tests {
         g.validate().unwrap();
         assert_eq!(g.op_count(), f.op_count() + 3);
 
-        let par = simulate(&g, &cat, &SimConfig::default()).unwrap();
+        let par = simulate(&g, &cat).unwrap();
         assert!(
             par.cycle_time_ms < base.cycle_time_ms,
             "parallelising the hot derive must cut cycle time ({} vs {})",

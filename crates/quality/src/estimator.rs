@@ -366,7 +366,7 @@ mod tests {
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::tpch::{tpch_catalog, tpch_flow};
     use datagen::DirtProfile;
-    use simulator::{simulate, SimConfig};
+    use simulator::simulate;
 
     #[test]
     fn source_stats_from_dirty_table() {
@@ -413,7 +413,7 @@ mod tests {
         let cat = purchases_catalog(400, &DirtProfile::demo(), 5);
         let stats = source_stats(&cat);
         let base_est = estimate(&f, &stats);
-        let base_sim = crate::evaluate(&f, &simulate(&f, &cat, &SimConfig::default()).unwrap());
+        let base_sim = crate::evaluate(&f, &simulate(&f, &cat).unwrap());
 
         // estimator and simulator agree on cycle time within 2x
         let est_ct = base_est.get(MeasureId::CycleTimeMs).unwrap();

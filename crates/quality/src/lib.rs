@@ -30,7 +30,7 @@
 //!
 //! let (flow, _) = purchases_flow();
 //! let catalog = purchases_catalog(60, &DirtProfile::demo(), 1);
-//! let trace = simulator::simulate(&flow, &catalog, &Default::default()).unwrap();
+//! let trace = simulator::simulate(&flow, &catalog).unwrap();
 //!
 //! let v = quality::evaluate(&flow, &trace);
 //! assert!(v.get(MeasureId::CycleTimeMs).unwrap() > 0.0);

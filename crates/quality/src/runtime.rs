@@ -57,10 +57,9 @@ pub fn fill_from_trace(v: &mut MeasureVector, flow: &EtlFlow, trace: &Trace) {
 
     // --- reliability --------------------------------------------------------
     v.set(MeasureId::ExpectedRedoMs, trace.expected_redo_ms);
-    let clean_cycle = trace.cycle_time_ms - trace.total_redo_ms;
     v.set(
         MeasureId::Recoverability,
-        recoverability(clean_cycle, trace.expected_redo_ms),
+        recoverability(trace.cycle_time_ms, trace.expected_redo_ms),
     );
 
     // --- cost ---------------------------------------------------------------
@@ -172,12 +171,12 @@ mod tests {
     use datagen::fig2::{purchases_catalog, purchases_flow};
     use datagen::DirtProfile;
     use etl_model::OpKind;
-    use simulator::{simulate, SimConfig};
+    use simulator::simulate;
 
     fn run(dirt: DirtProfile) -> (etl_model::EtlFlow, Trace) {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(300, &dirt, 11);
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         (f, t)
     }
 
@@ -221,7 +220,7 @@ mod tests {
         let e = f.add_op(etl_model::Operation::extract("t", schema));
         let l = f.add_op(etl_model::Operation::load("out"));
         f.connect(e, l).unwrap();
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         let v = evaluate_trace(&f, &t);
         assert!(v.get(MeasureId::Accuracy).unwrap() < 1.0);
     }
@@ -263,12 +262,12 @@ mod tests {
     fn failure_rates_raise_expected_redo() {
         let (mut f, _) = purchases_flow();
         let cat = purchases_catalog(300, &DirtProfile::clean(), 11);
-        let t0 = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t0 = simulate(&f, &cat).unwrap();
         let base = evaluate_trace(&f, &t0);
         // make the expensive derive fragile
         let derive = f.ops_of_kind("derive")[0];
         f.op_mut(derive).unwrap().cost.failure_rate = 0.2;
-        let t1 = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t1 = simulate(&f, &cat).unwrap();
         let fragile = evaluate_trace(&f, &t1);
         assert_eq!(base.get(MeasureId::ExpectedRedoMs), Some(0.0));
         assert!(fragile.get(MeasureId::ExpectedRedoMs).unwrap() > 0.0);
@@ -285,7 +284,7 @@ mod tests {
         let router = f.ops_of_kind("router")[0];
         f.op_mut(router).unwrap().cost.failure_rate = 0.3;
         let cat = purchases_catalog(300, &DirtProfile::clean(), 11);
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         let before = evaluate_trace(&f, &t);
 
         // add a savepoint right after the derive
@@ -299,7 +298,7 @@ mod tests {
                 Default::default(),
             )
             .unwrap();
-        let t2 = simulate(&g, &cat, &SimConfig::default()).unwrap();
+        let t2 = simulate(&g, &cat).unwrap();
         let after = evaluate_trace(&g, &t2);
         assert!(
             after.get(MeasureId::ExpectedRedoMs).unwrap()

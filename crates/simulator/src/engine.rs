@@ -1,35 +1,15 @@
 //! The simulation engine: drives execution in topological order, advances
-//! the virtual clock, injects failures and models savepoint recovery.
+//! the virtual clock and sums the expected savepoint recovery.
 //!
 //! Timing, latency and redo spans come from [`CostModel`], the cost model
 //! the analytic estimator shares; the engine feeds it the rows that really
 //! flowed, where the estimator feeds it expected row counts.
 
 use crate::exec::{execute_op, ExecError};
-use crate::trace::{LoadedData, OpTrace, Trace, TrialSummary};
+use crate::trace::{LoadedData, OpTrace, Trace};
 use datagen::Catalog;
 use etl_model::{propagate_schemas, CostModel, EtlFlow, FlowError, OpKind, Tuple};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::fmt;
-
-/// Simulation configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SimConfig {
-    /// RNG seed (failure sampling only; data is deterministic already).
-    pub seed: u64,
-    /// Whether per-operator failure rates are sampled.
-    pub inject_failures: bool,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 0xE71,
-            inject_failures: false,
-        }
-    }
-}
 
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,13 +49,12 @@ impl From<ExecError> for SimError {
 /// to the one operator that reads them, and a node's one batch is copied
 /// only to broadcast it to several successors.
 ///
-/// Determinism: identical `(flow, catalog, config)` triples produce
-/// identical traces.
-pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result<Trace, SimError> {
+/// Determinism: identical `(flow, catalog)` pairs produce identical
+/// traces.
+pub fn simulate(flow: &EtlFlow, catalog: &Catalog) -> Result<Trace, SimError> {
     flow.validate_structure()?;
     let schemas = propagate_schemas(flow).map_err(FlowError::from)?;
     let order = flow.topo_order()?;
-    let mut rng = SmallRng::seed_from_u64(config.seed);
 
     let model = CostModel::of(&flow.config);
 
@@ -92,9 +71,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
     let mut ops = Vec::with_capacity(order.len());
     let mut loads = Vec::new();
     let mut source_updates = Vec::new();
-    let mut total_redo = 0.0;
     let mut expected_redo = 0.0;
-    let mut failures = 0usize;
 
     for &n in &order {
         let op = flow.op(n).expect("live node");
@@ -137,17 +114,8 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
         );
         expected_redo += CostModel::expected_redo_ms(op, redo_span[n.index()]);
 
-        let failed = config.inject_failures
-            && op.cost.failure_rate > 0.0
-            && rng.gen_bool(op.cost.failure_rate.clamp(0.0, 1.0));
-        let redo = if failed { redo_span[n.index()] } else { 0.0 };
-        if failed {
-            failures += 1;
-            total_redo += redo;
-        }
-
         let start = ready;
-        let end = ready + service + redo;
+        let end = ready + service;
         done[n.index()] = end;
 
         let in_latency = preds
@@ -188,8 +156,6 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
             rows_out,
             start_ms: start,
             end_ms: end,
-            failed,
-            redo_ms: redo,
         });
     }
 
@@ -209,66 +175,10 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog, config: &SimConfig) -> Result
         ops,
         cycle_time_ms,
         avg_latency_ms,
-        total_redo_ms: total_redo,
         expected_redo_ms: expected_redo,
-        failures,
         loads,
         request_time: catalog.request_time(),
         source_updates,
-    })
-}
-
-/// Monte Carlo reliability: `trials` failure-injecting runs plus one clean
-/// run, summarised. Every trial is a full [`simulate`]: it executes the
-/// data again (failures change time, not data), so the cost grows with
-/// `trials`, but no trial copies rows beyond one simulation's broadcasts.
-/// The fraction within the deadline (1.5× the clean cycle) is reported
-/// here only; no quality measure carries it.
-pub fn simulate_trials(
-    flow: &EtlFlow,
-    catalog: &Catalog,
-    base: &SimConfig,
-    trials: usize,
-) -> Result<TrialSummary, SimError> {
-    let clean = simulate(
-        flow,
-        catalog,
-        &SimConfig {
-            inject_failures: false,
-            ..*base
-        },
-    )?;
-    let deadline = clean.cycle_time_ms * 1.5;
-    let mut sum_cycle = 0.0;
-    let mut sum_redo = 0.0;
-    let mut failed_runs = 0usize;
-    let mut within = 0usize;
-    for i in 0..trials {
-        let t = simulate(
-            flow,
-            catalog,
-            &SimConfig {
-                seed: base.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9),
-                inject_failures: true,
-            },
-        )?;
-        sum_cycle += t.cycle_time_ms;
-        sum_redo += t.total_redo_ms;
-        if t.failures > 0 {
-            failed_runs += 1;
-        }
-        if t.cycle_time_ms <= deadline {
-            within += 1;
-        }
-    }
-    let n = trials.max(1) as f64;
-    Ok(TrialSummary {
-        trials,
-        mean_cycle_ms: sum_cycle / n,
-        clean_cycle_ms: clean.cycle_time_ms,
-        mean_redo_ms: sum_redo / n,
-        failure_run_fraction: failed_runs as f64 / n,
-        within_deadline_fraction: within as f64 / n,
     })
 }
 
@@ -311,13 +221,12 @@ mod tests {
     #[test]
     fn simulates_tiny_flow() {
         let (f, cat) = tiny_flow_and_catalog();
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         assert_eq!(t.ops.len(), 3);
         assert!(t.cycle_time_ms > 0.0);
         assert!(t.avg_latency_ms > 0.0);
         assert_eq!(t.loads.len(), 1);
         assert_eq!(t.loads[0].rows.len(), 100); // all amounts positive by generator
-        assert_eq!(t.failures, 0);
     }
 
     /// `extract(t) → split → k loads`, with `t` as in
@@ -338,7 +247,7 @@ mod tests {
     fn rows_out_counts_each_batch_once_however_many_successors_read_it() {
         let (_, cat) = tiny_flow_and_catalog();
         let f = split_flow(2);
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         let trace_of = |kind: &str| t.ops.iter().find(|o| o.kind == kind).unwrap();
         let (extract, split) = (trace_of("extract"), trace_of("split"));
         assert_eq!(extract.rows_out, 100);
@@ -354,7 +263,7 @@ mod tests {
     #[test]
     fn every_successor_of_a_split_sees_equal_rows() {
         let (_, cat) = tiny_flow_and_catalog();
-        let t = simulate(&split_flow(3), &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&split_flow(3), &cat).unwrap();
         assert_eq!(t.loads.len(), 3);
         assert_eq!(t.loads[0].rows, cat.table("t").unwrap().rows);
         assert!(t.loads.iter().all(|l| l.rows == t.loads[0].rows));
@@ -378,7 +287,7 @@ mod tests {
         f.connect(e, r).unwrap();
         f.connect(r, yes).unwrap();
         f.connect(r, no).unwrap();
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         let router = t.ops.iter().find(|o| o.kind == "router").unwrap();
         assert_eq!((router.rows_in, router.rows_out), (100, 100));
         let side = |target: &str| &t.loads.iter().find(|l| l.target == target).unwrap().rows;
@@ -398,7 +307,7 @@ mod tests {
         ]
         .into_iter()
         .map(|(f, cat)| {
-            let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+            let t = simulate(&f, &cat).unwrap();
             (f, t)
         })
         .collect()
@@ -451,15 +360,15 @@ mod tests {
         let l = f.add_op(Operation::load("out"));
         f.connect(e, fi).unwrap();
         f.connect(fi, l).unwrap();
-        let err = simulate(&f, &cat, &SimConfig::default()).unwrap_err();
+        let err = simulate(&f, &cat).unwrap_err();
         assert_eq!(err, SimError::Flow(f.validate().unwrap_err().to_string()));
     }
 
     #[test]
     fn deterministic_traces() {
         let (f, cat) = tiny_flow_and_catalog();
-        let a = simulate(&f, &cat, &SimConfig::default()).unwrap();
-        let b = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let a = simulate(&f, &cat).unwrap();
+        let b = simulate(&f, &cat).unwrap();
         assert_eq!(a.cycle_time_ms, b.cycle_time_ms);
         assert_eq!(a.rows_loaded(), b.rows_loaded());
     }
@@ -468,7 +377,7 @@ mod tests {
     fn tpch_flow_runs_end_to_end() {
         let (f, _) = tpch_flow();
         let cat = tpch_catalog(400, &DirtProfile::demo(), 7);
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         assert_eq!(t.loads.len(), 2);
         assert!(t.rows_loaded() > 0, "joins should produce rows");
         assert!(t.cycle_time_ms > 0.0);
@@ -480,7 +389,7 @@ mod tests {
     fn purchases_flow_runs() {
         let (f, _) = purchases_flow();
         let cat = purchases_catalog(200, &DirtProfile::demo(), 3);
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         assert_eq!(t.loads.len(), 1);
         assert!(t.rows_loaded() > 0);
         assert_eq!(t.source_updates.len(), 2);
@@ -489,48 +398,19 @@ mod tests {
     #[test]
     fn larger_resources_are_faster() {
         let (mut f, cat) = tiny_flow_and_catalog();
-        let slow = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let slow = simulate(&f, &cat).unwrap();
         f.config.resources = ResourceClass::Large;
-        let fast = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let fast = simulate(&f, &cat).unwrap();
         assert!(fast.cycle_time_ms < slow.cycle_time_ms);
     }
 
     #[test]
     fn encryption_costs_time() {
         let (mut f, cat) = tiny_flow_and_catalog();
-        let plain = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let plain = simulate(&f, &cat).unwrap();
         f.config.encrypted = true;
-        let enc = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let enc = simulate(&f, &cat).unwrap();
         assert!(enc.cycle_time_ms > plain.cycle_time_ms);
-    }
-
-    #[test]
-    fn failures_add_redo_time() {
-        let (mut f, cat) = tiny_flow_and_catalog();
-        // make the filter fail certainly
-        let fid = f.ops_of_kind("filter")[0];
-        f.op_mut(fid).unwrap().cost.failure_rate = 1.0;
-        let clean = simulate(
-            &f,
-            &cat,
-            &SimConfig {
-                inject_failures: false,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        let failed = simulate(
-            &f,
-            &cat,
-            &SimConfig {
-                inject_failures: true,
-                seed: 1,
-            },
-        )
-        .unwrap();
-        assert_eq!(failed.failures, 1);
-        assert!(failed.total_redo_ms > 0.0);
-        assert!(failed.cycle_time_ms > clean.cycle_time_ms);
     }
 
     #[test]
@@ -575,20 +455,14 @@ mod tests {
             f.connect(fragile, l).unwrap();
             f
         };
-        let cfg = SimConfig {
-            seed: 5,
-            inject_failures: true,
-        };
-        let without = simulate(&build(false), &cat, &cfg).unwrap();
-        let with = simulate(&build(true), &cat, &cfg).unwrap();
-        assert_eq!(without.failures, 1);
-        assert_eq!(with.failures, 1);
+        let without = simulate(&build(false), &cat).unwrap();
+        let with = simulate(&build(true), &cat).unwrap();
         // the savepoint means the expensive derive is NOT re-run
         assert!(
-            with.total_redo_ms < without.total_redo_ms / 2.0,
+            with.expected_redo_ms < without.expected_redo_ms / 2.0,
             "checkpoint should cut recovery cost: with={} without={}",
-            with.total_redo_ms,
-            without.total_redo_ms
+            with.expected_redo_ms,
+            without.expected_redo_ms
         );
     }
 
@@ -634,9 +508,8 @@ mod tests {
         f2.connect(d2, m).unwrap();
         f2.connect(m, l).unwrap();
 
-        let cfg = SimConfig::default();
-        let serial = simulate(&f1, &cat, &cfg).unwrap();
-        let parallel = simulate(&f2, &cat, &cfg).unwrap();
+        let serial = simulate(&f1, &cat).unwrap();
+        let parallel = simulate(&f2, &cat).unwrap();
         assert!(
             parallel.cycle_time_ms < serial.cycle_time_ms * 0.7,
             "2-way partition should cut cycle time: serial={} parallel={}",
@@ -644,18 +517,6 @@ mod tests {
             parallel.cycle_time_ms
         );
         assert_eq!(serial.rows_loaded(), parallel.rows_loaded());
-    }
-
-    #[test]
-    fn trial_summary_statistics() {
-        let (mut f, cat) = tiny_flow_and_catalog();
-        let fid = f.ops_of_kind("filter")[0];
-        f.op_mut(fid).unwrap().cost.failure_rate = 0.5;
-        let s = simulate_trials(&f, &cat, &SimConfig::default(), 40).unwrap();
-        assert_eq!(s.trials, 40);
-        assert!(s.mean_cycle_ms >= s.clean_cycle_ms);
-        assert!(s.failure_run_fraction > 0.1 && s.failure_run_fraction < 0.9);
-        assert!(s.within_deadline_fraction > 0.0);
     }
 
     #[test]
@@ -675,7 +536,7 @@ mod tests {
         let e = f.add_op(Operation::extract("t", schema));
         let l = f.add_op(Operation::load("out"));
         f.connect(e, l).unwrap();
-        let t = simulate(&f, &cat, &SimConfig::default()).unwrap();
+        let t = simulate(&f, &cat).unwrap();
         let nulls = t.loads[0]
             .rows
             .iter()

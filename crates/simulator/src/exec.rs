@@ -18,8 +18,9 @@ use etl_model::{row_key, AggFunc, DataType, OpKind, Operation, Schema, Tuple, Va
 use std::collections::HashMap;
 use std::fmt;
 
-/// Execution failures (distinct from injected *reliability* failures: these
-/// are genuine modelling errors, e.g. an Extract naming an unknown source).
+/// Execution failures (distinct from the modelled *reliability* failures of
+/// `failure_rate`: these are genuine modelling errors, e.g. an Extract
+/// naming an unknown source).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// Extract/crosscheck referenced a source missing from the catalog.

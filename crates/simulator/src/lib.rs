@@ -15,12 +15,11 @@
 //!   scaled by intra-operator parallelism, resource class and encryption
 //!   overhead) with pipeline-parallel branches, yielding process cycle time
 //!   and per-tuple latency;
-//! * optionally **injects failures** (per-operator failure rates) and models
-//!   recovery: a failed operator re-runs the segment back to the nearest
-//!   upstream savepoint ([`etl_model::OpKind::Checkpoint`]) or, absent one,
-//!   back to the extracts — exactly the behaviour the `AddCheckpoint` FCP
-//!   (Fig. 2b) improves. Failures injected or not, the trace carries the
-//!   expected recovery time `Σ failure_rate × redo span`.
+//! * sums the **expected recovery time** `Σ failure_rate × redo span`: a
+//!   failed operator re-runs the segment back to the nearest upstream
+//!   savepoint ([`etl_model::OpKind::Checkpoint`]) or, absent one, back to
+//!   the extracts — exactly the behaviour the `AddCheckpoint` FCP (Fig. 2b)
+//!   improves. No failure is sampled: one run is one deterministic trace.
 //!
 //! The clock, latency and redo-span rules are [`etl_model::CostModel`],
 //! which the analytic estimator in `quality` shares: the simulator times
@@ -35,11 +34,11 @@
 //! ```
 //! use datagen::fig2::{purchases_catalog, purchases_flow};
 //! use datagen::DirtProfile;
-//! use simulator::{simulate, SimConfig};
+//! use simulator::simulate;
 //!
 //! let (flow, _) = purchases_flow();
 //! let catalog = purchases_catalog(60, &DirtProfile::demo(), 1);
-//! let trace = simulate(&flow, &catalog, &SimConfig::default()).unwrap();
+//! let trace = simulate(&flow, &catalog).unwrap();
 //! assert!(trace.rows_loaded() > 0);      // tuples really flowed
 //! assert!(trace.cycle_time_ms > 0.0);    // and the virtual clock advanced
 //! ```
@@ -51,5 +50,5 @@ mod engine;
 mod exec;
 mod trace;
 
-pub use engine::{simulate, simulate_trials, SimConfig, SimError};
-pub use trace::{LoadedData, OpTrace, Trace, TrialSummary};
+pub use engine::{simulate, SimError};
+pub use trace::{LoadedData, OpTrace, Trace};

@@ -19,13 +19,8 @@ pub struct OpTrace {
     pub rows_out: usize,
     /// Virtual start time (ms since flow start).
     pub start_ms: f64,
-    /// Virtual end time (ms since flow start), including any redo.
+    /// Virtual end time (ms since flow start).
     pub end_ms: f64,
-    /// Whether a failure was injected at this operator.
-    pub failed: bool,
-    /// Recovery time spent re-running the segment from the nearest
-    /// savepoint (0 when no failure).
-    pub redo_ms: f64,
 }
 
 /// The rows that arrived at one load target.
@@ -50,14 +45,10 @@ pub struct Trace {
     pub cycle_time_ms: f64,
     /// Average per-tuple end-to-end latency (ms) over load targets.
     pub avg_latency_ms: f64,
-    /// Total time spent in failure recovery.
-    pub total_redo_ms: f64,
-    /// Expected recovery time per run, failures injected or not:
-    /// `Σ failure_rate × redo span` over the operators, summed in execution
-    /// order (see [`etl_model::CostModel::redo_span_ms`]).
+    /// Expected recovery time per run: `Σ failure_rate × redo span` over
+    /// the operators, summed in execution order (see
+    /// [`etl_model::CostModel::redo_span_ms`]).
     pub expected_redo_ms: f64,
-    /// Number of injected failures.
-    pub failures: usize,
     /// Loaded data per load operator.
     pub loads: Vec<LoadedData>,
     /// The request time (fixed epoch) for freshness measures.
@@ -81,24 +72,6 @@ impl Trace {
     }
 }
 
-/// Aggregate over repeated failure-injecting runs (Monte Carlo reliability).
-#[derive(Debug, Clone)]
-pub struct TrialSummary {
-    /// Number of trials run.
-    pub trials: usize,
-    /// Mean cycle time including recoveries.
-    pub mean_cycle_ms: f64,
-    /// Cycle time without any failure (baseline).
-    pub clean_cycle_ms: f64,
-    /// Mean recovery overhead per run (ms).
-    pub mean_redo_ms: f64,
-    /// Fraction of runs that saw at least one failure.
-    pub failure_run_fraction: f64,
-    /// Fraction of runs completing within `deadline_factor ×` the clean
-    /// cycle time (deadline_factor fixed at 1.5).
-    pub within_deadline_fraction: f64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,9 +84,7 @@ mod tests {
             ops: vec![],
             cycle_time_ms: 10.0,
             avg_latency_ms: 1.0,
-            total_redo_ms: 0.0,
             expected_redo_ms: 0.0,
-            failures: 0,
             loads: vec![
                 LoadedData {
                     target: "a".into(),

@@ -5,7 +5,7 @@ use datagen::DirtProfile;
 use fcp::PatternRegistry;
 use poiesis::{Planner, PlannerConfig, Session};
 use quality::{Characteristic, MeasureId};
-use simulator::{simulate, SimConfig};
+use simulator::simulate;
 
 #[test]
 fn tpch_full_cycle() {
@@ -21,7 +21,7 @@ fn tpch_full_cycle() {
     for &i in &outcome.skyline {
         let alt = &outcome.alternatives[i];
         alt.flow.validate().unwrap();
-        let trace = simulate(&alt.flow, planner.catalog(), &SimConfig::default()).unwrap();
+        let trace = simulate(&alt.flow, planner.catalog()).unwrap();
         assert!(trace.rows_loaded() > 0, "{} loads nothing", alt.name);
     }
 }
@@ -57,10 +57,7 @@ fn iterative_session_improves_reliability_goal() {
     let (mut flow, ids) = datagen::fig2::purchases_flow();
     flow.op_mut(ids.derive_values).unwrap().cost.failure_rate = 0.15;
     let catalog = datagen::fig2::purchases_catalog(200, &DirtProfile::demo(), 3);
-    let base_v = quality::evaluate(
-        &flow,
-        &simulate(&flow, &catalog, &SimConfig::default()).unwrap(),
-    );
+    let base_v = quality::evaluate(&flow, &simulate(&flow, &catalog).unwrap());
     let registry = PatternRegistry::standard_for_catalog(&catalog);
     let config = PlannerConfig {
         policy: fcp::DeploymentPolicy::reliability_first(),
@@ -72,10 +69,7 @@ fn iterative_session_improves_reliability_goal() {
     let mut session = Session::new(Planner::new(flow, catalog.clone(), registry, config));
     session.auto_run(2).unwrap();
     let final_flow = session.current_flow();
-    let final_v = quality::evaluate(
-        final_flow,
-        &simulate(final_flow, &catalog, &SimConfig::default()).unwrap(),
-    );
+    let final_v = quality::evaluate(final_flow, &simulate(final_flow, &catalog).unwrap());
     assert!(
         final_v.get(MeasureId::Recoverability).unwrap()
             > base_v.get(MeasureId::Recoverability).unwrap(),

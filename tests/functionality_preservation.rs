@@ -9,7 +9,7 @@
 use datagen::DirtProfile;
 use etl_model::{EtlFlow, Tuple, Value};
 use fcp::{PatternContext, PatternRegistry};
-use simulator::{simulate, SimConfig, Trace};
+use simulator::{simulate, Trace};
 
 fn sorted_load_keys(trace: &Trace) -> Vec<String> {
     let mut keys: Vec<String> = trace
@@ -34,8 +34,7 @@ fn for_each_application(
     mut check: impl FnMut(&str, &EtlFlow, &Trace, &Trace),
 ) {
     let registry = PatternRegistry::standard_for_catalog(catalog);
-    let cfg = SimConfig::default();
-    let base_trace = simulate(flow, catalog, &cfg).unwrap();
+    let base_trace = simulate(flow, catalog).unwrap();
     let ctx = PatternContext::new(flow).unwrap();
     let candidates: Vec<(String, fcp::ApplicationPoint)> = registry
         .iter()
@@ -52,7 +51,7 @@ fn for_each_application(
         if pattern.apply(&mut g, pt).is_err() {
             continue;
         }
-        let t = simulate(&g, catalog, &cfg).unwrap();
+        let t = simulate(&g, catalog).unwrap();
         check(&name, &g, &base_trace, &t);
     }
 }
@@ -168,9 +167,8 @@ fn combined_patterns_still_preserve_semantics() {
     let (alt, applied) = apply_combination(&flow, &[par, cp, enc], "combo").unwrap();
     assert_eq!(applied.len(), 3);
 
-    let cfg = SimConfig::default();
-    let base = simulate(&flow, &catalog, &cfg).unwrap();
-    let t = simulate(&alt, &catalog, &cfg).unwrap();
+    let base = simulate(&flow, &catalog).unwrap();
+    let t = simulate(&alt, &catalog).unwrap();
     assert_eq!(sorted_load_keys(&base), sorted_load_keys(&t));
     // and the combination kept its quality promises directionally
     let vb = quality::evaluate(&flow, &base);

@@ -192,9 +192,8 @@ proptest! {
         prop_assert_eq!(back.op_count(), flow.op_count());
         prop_assert_eq!(back.edge_count(), flow.edge_count());
         // simulation equivalence: identical traces row-for-row
-        let cfg = simulator::SimConfig::default();
-        let t1 = simulator::simulate(&flow, &catalog, &cfg).unwrap();
-        let t2 = simulator::simulate(&back, &catalog, &cfg).unwrap();
+        let t1 = simulator::simulate(&flow, &catalog).unwrap();
+        let t2 = simulator::simulate(&back, &catalog).unwrap();
         prop_assert_eq!(t1.rows_loaded(), t2.rows_loaded());
         prop_assert!((t1.cycle_time_ms - t2.cycle_time_ms).abs() < 1e-9);
     }

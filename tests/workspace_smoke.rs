@@ -72,7 +72,7 @@ fn sibling_crates_resolve_through_the_umbrella() {
     let xml = xlm::write_flow(&flow);
     assert_eq!(xlm::read_flow(&xml).unwrap().op_count(), flow.op_count());
 
-    let trace = simulator::simulate(&flow, &catalog, &simulator::SimConfig::default()).unwrap();
+    let trace = simulator::simulate(&flow, &catalog).unwrap();
     let measures = quality::evaluate(&flow, &trace);
     assert!(measures.get(quality::MeasureId::CycleTimeMs).unwrap() > 0.0);
 
