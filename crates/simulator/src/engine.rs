@@ -114,7 +114,6 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog) -> Result<Trace, SimError> {
         );
         expected_redo += CostModel::expected_redo_ms(op, redo_span[n.index()]);
 
-        let start = ready;
         let end = ready + service;
         done[n.index()] = end;
 
@@ -154,7 +153,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog) -> Result<Trace, SimError> {
             kind: op.kind.name().to_string(),
             rows_in,
             rows_out,
-            start_ms: start,
+            start_ms: ready,
             end_ms: end,
         });
     }
