@@ -139,13 +139,13 @@ impl Location {
         match self {
             Location::Graph => format!("flow `{}`", flow.name),
             Location::Node(n) => match flow.op(*n) {
-                Some(op) => format!("node {n} (`{}`)", op.name),
+                Some(op) => format!("node {n} (`{}`)", op.name()),
                 None => format!("node {n} (removed)"),
             },
             Location::Edge(e) => match flow.graph.endpoints(*e) {
                 Some((s, d)) => {
-                    let sn = flow.op(s).map(|o| o.name.as_str()).unwrap_or("?");
-                    let dn = flow.op(d).map(|o| o.name.as_str()).unwrap_or("?");
+                    let sn = flow.op(s).map(|o| o.name()).unwrap_or("?");
+                    let dn = flow.op(d).map(|o| o.name()).unwrap_or("?");
                     format!("edge {e} (`{sn}` → `{dn}`)")
                 }
                 None => format!("edge {e} (removed)"),
@@ -271,7 +271,7 @@ pub fn screen(flow: &EtlFlow) -> Option<Diagnostic> {
 pub fn screen_delta_structural(fork: &EtlFlow, delta: &flowgraph::CowDelta) -> Option<Diagnostic> {
     let verdict = if fork.graph.node_count() == 0 {
         Err(FlowError::Empty)
-    } else if flowgraph::affected_topo(&fork.graph, &delta.touched_nodes).is_none() {
+    } else if !flowgraph::region_is_acyclic(&fork.graph, &delta.touched_nodes) {
         Err(FlowError::Cyclic)
     } else {
         delta
@@ -324,7 +324,7 @@ pub fn well_formedness(flow: &EtlFlow) -> Vec<Diagnostic> {
     }
     for (n, op) in g.nodes() {
         for violation in flow.degree_violations(n).into_iter().flatten() {
-            let err = violation.into_error(&op.name);
+            let err = violation.into_error(op.name());
             out.push(diagnostic_for(&err, |_| Location::Node(n)));
         }
     }
@@ -375,13 +375,13 @@ fn dataflow(
         match &op.kind {
             OpKind::Filter { predicate } | OpKind::Router { predicate } => {
                 if let Some(schema) = input {
-                    check_predicate(predicate, schema, n, &op.name, &mut out);
+                    check_predicate(predicate, schema, n, op.name(), &mut out);
                 }
             }
             OpKind::Derive { outputs } => {
                 if let Some(schema) = input {
                     for (_, expr) in outputs {
-                        check_arithmetic(expr, schema, n, &op.name, &mut out);
+                        check_arithmetic(expr, schema, n, op.name(), &mut out);
                     }
                 }
             }
@@ -490,9 +490,7 @@ fn dead_fields(flow: &EtlFlow, lineage: &Lineage, out: &mut Vec<Diagnostic>) {
     }
     for (n, op) in g.nodes() {
         let introduced: Vec<&str> = match &op.kind {
-            OpKind::Extract { schema, .. } => {
-                schema.attrs().iter().map(|a| a.name.as_str()).collect()
-            }
+            OpKind::Extract { schema, .. } => schema.attrs().iter().map(|a| a.name()).collect(),
             OpKind::Derive { outputs } => outputs.iter().map(|(c, _)| c.as_str()).collect(),
             _ => continue,
         };
@@ -508,7 +506,7 @@ fn dead_fields(flow: &EtlFlow, lineage: &Lineage, out: &mut Vec<Diagnostic>) {
                         Location::Node(n),
                         format!(
                             "field `{field}` introduced by `{}` is never consumed",
-                            op.name
+                            op.name()
                         ),
                     )
                     .with_suggestion(format!(
@@ -522,8 +520,8 @@ fn dead_fields(flow: &EtlFlow, lineage: &Lineage, out: &mut Vec<Diagnostic>) {
 
 /// Attribute names an operation reads, by kind, as `(input index, name)`.
 fn consumed_columns(kind: &OpKind) -> Vec<(usize, &str)> {
-    fn first(names: &[String]) -> Vec<(usize, &str)> {
-        names.iter().map(|c| (0, c.as_str())).collect()
+    fn first<S: AsRef<str>>(names: &[S]) -> Vec<(usize, &str)> {
+        names.iter().map(|c| (0, c.as_ref())).collect()
     }
     match kind {
         OpKind::Filter { predicate } | OpKind::Router { predicate } => {
@@ -696,7 +694,7 @@ fn diagnostic_for(err: &FlowError, locate: impl Fn(&str) -> Location) -> Diagnos
 fn node_by_name(flow: &EtlFlow, name: &str) -> Location {
     flow.graph
         .nodes()
-        .find(|(_, op)| op.name == name)
+        .find(|(_, op)| op.name() == name)
         .map(|(n, _)| Location::Node(n))
         .unwrap_or(Location::Graph)
 }
@@ -854,7 +852,7 @@ mod tests {
         let filter = cyc
             .graph
             .nodes()
-            .find(|(_, op)| op.name == "F")
+            .find(|(_, op)| op.name() == "F")
             .map(|(n, _)| n)
             .unwrap();
         let extract = cyc.graph.predecessors(filter).next().unwrap();
@@ -886,7 +884,7 @@ mod tests {
         let filter = f
             .graph
             .nodes()
-            .find(|(_, op)| op.name == "F")
+            .find(|(_, op)| op.name() == "F")
             .map(|(n, _)| n)
             .unwrap();
         let extract = f.graph.predecessors(filter).next().unwrap();
@@ -1222,7 +1220,7 @@ mod tests {
         let filter = f
             .graph
             .nodes()
-            .find(|(_, op)| op.name == "F")
+            .find(|(_, op)| op.name() == "F")
             .map(|(n, _)| n)
             .unwrap();
         let load = f

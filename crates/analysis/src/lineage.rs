@@ -95,7 +95,7 @@ impl Lineage {
                             if matches!(source, ColumnSource::Root | ColumnSource::Derived(_)) {
                                 origins.insert(SourceColumn {
                                     node: n,
-                                    column: attr.name.clone(),
+                                    column: attr.name().to_string(),
                                 });
                             }
                             for c in source.inputs().iter().filter_map(input) {
@@ -105,7 +105,7 @@ impl Lineage {
                         }
                     };
                     Column {
-                        name: attr.name.clone(),
+                        name: attr.name().to_string(),
                         source,
                         origins,
                     }
@@ -242,7 +242,7 @@ pub(crate) fn taint_with(flow: &EtlFlow, lineage: &Lineage) -> Vec<Diagnostic> {
                         format!(
                             "in-flow encryption `{}` is redundant: every channel is \
                              already encrypted by the flow configuration",
-                            op.name
+                            op.name()
                         ),
                     )
                     .with_suggestion(
@@ -280,7 +280,7 @@ fn leak_diagnostic(
 ) -> Diagnostic {
     let name_of = |n: NodeId| {
         flow.op(n)
-            .map(|o| o.name.clone())
+            .map(|o| o.name().to_string())
             .unwrap_or_else(|| n.to_string())
     };
     let load_name = name_of(load);

@@ -155,7 +155,7 @@ fn carried_source_columns_do_leak() {
         let mut attrs = schema.attrs().to_vec();
         let i = attrs
             .iter()
-            .position(|a| a.name == "amount")
+            .position(|a| a.name() == "amount")
             .expect("fig2 sources carry `amount`");
         attrs[i].sensitive = true;
         *schema = etl_model::Schema::new(attrs);

@@ -14,7 +14,7 @@ fn main() {
     // a live concern, as the paper's recovery scenario implies
     let mut flow = flow;
     for n in flow.ops_of_kind("derive") {
-        if flow.op(n).unwrap().name.contains("Group") {
+        if flow.op(n).unwrap().name().contains("Group") {
             flow.op_mut(n).unwrap().cost.failure_rate = 0.10;
         }
     }
@@ -112,5 +112,5 @@ fn main() {
 
 fn target_desc(flow: &etl_model::EtlFlow, e: etl_model::EdgeId) -> String {
     let (s, _) = flow.graph.endpoints(e).unwrap();
-    format!("after `{}`", flow.op(s).unwrap().name)
+    format!("after `{}`", flow.op(s).unwrap().name())
 }

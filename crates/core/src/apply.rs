@@ -85,7 +85,7 @@ pub fn apply_combination_incremental(
 ) -> Result<(EtlFlow, Vec<AppliedPattern>, CarriedTable), PatternError> {
     let mut flow = base.fork(name);
     let mut applied = Vec::with_capacity(combo.len());
-    let mut repaired: Result<SchemaTable, etl_model::SchemaError> = Ok(base_schemas.clone());
+    let mut repaired: Result<SchemaTable, etl_model::SchemaError> = Ok(fork_table(base_schemas));
     for c in application_order(combo, |c| c.point == ApplicationPoint::Graph) {
         // a step whose repair erred leaves no table for the next one
         let table = repaired.map_err(|e| PatternError::Graph(e.to_string()))?;
@@ -109,6 +109,15 @@ fn carried(
         },
         Err(e) => CarriedTable::Broken(e),
     }
+}
+
+/// A copy of `table` with room for the nodes a built-in step adds (at
+/// most four: `ParallelizeTask`'s partition, replicas and merge), so the
+/// repair's growth to the edited flow's node bound does not reallocate.
+fn fork_table(table: &SchemaTable) -> SchemaTable {
+    let mut fork = Vec::with_capacity(table.len() + 4);
+    fork.extend_from_slice(table);
+    fork
 }
 
 /// The order a combination's candidates are applied in: structural
@@ -280,10 +289,10 @@ impl PrefixStack {
         base_schemas: &SchemaTable,
     ) -> Option<(EtlFlow, SchemaTable)> {
         match self.levels.last() {
-            None => Some((base.fork(String::new()), base_schemas.clone())),
+            None => Some((base.fork(String::new()), fork_table(base_schemas))),
             Some((_, level)) => level
                 .as_ref()
-                .map(|l| (l.flow.fork(String::new()), l.table.clone())),
+                .map(|l| (l.flow.fork(String::new()), fork_table(&l.table))),
         }
     }
 }

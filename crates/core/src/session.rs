@@ -244,7 +244,7 @@ mod tests {
         }
         // The flow accumulated pattern-inserted operations or config changes.
         let f = s.current_flow();
-        let pattern_ops = f.count_ops(|op| op.from_pattern.is_some());
+        let pattern_ops = f.count_ops(|op| op.from_pattern().is_some());
         assert!(
             pattern_ops > 0
                 || f.config.encrypted

@@ -202,7 +202,7 @@ fn delta_matches_scratch_with_a_custom_pattern() {
                     .attrs()
                     .iter()
                     .find(|a| !a.nullable)
-                    .map(|a| a.name.clone())
+                    .map(|a| a.name().to_string())
                     .expect("prerequisite guarantees a key candidate");
                 Operation::new("SORT early", OpKind::Sort { by: vec![key] })
             },
@@ -416,7 +416,7 @@ fn register_custom_patterns(registry: &mut PatternRegistry) {
                 .attrs()
                 .iter()
                 .find(|a| !a.nullable)
-                .map(|a| a.name.clone())
+                .map(|a| a.name().to_string())
                 .expect("prerequisite guarantees a key candidate");
             Operation::new("SORT early", OpKind::Sort { by: vec![key] })
         },

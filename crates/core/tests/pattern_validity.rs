@@ -58,7 +58,7 @@ fn sort_early() -> CustomPattern {
                 .attrs()
                 .iter()
                 .find(|a| !a.nullable)
-                .map(|a| a.name.clone())
+                .map(|a| a.name().to_string())
                 .expect("prerequisite guarantees a key candidate");
             Operation::new("SORT early", OpKind::Sort { by: vec![key] })
         },

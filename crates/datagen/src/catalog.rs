@@ -110,7 +110,7 @@ pub fn synthesize_catalog(flow: &EtlFlow, rows: usize) -> Result<Catalog, String
             .iter()
             .find(|a| !a.nullable)
             .or_else(|| schema.attrs().first())
-            .map(|a| a.name.clone())
+            .map(|a| a.name().to_string())
             .ok_or_else(|| format!("extract `{source}` has an empty schema"))?;
         catalog.add_generated(
             &TableSpec::new(source.clone(), schema.clone(), rows, key),

@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(f.op_count(), 11);
         assert_eq!(f.ops_of_kind("extract").len(), 2);
         assert_eq!(f.ops_of_kind("merge").len(), 2);
-        assert_eq!(f.op(ids.derive_values).unwrap().name, "DERIVE VALUES");
+        assert_eq!(f.op(ids.derive_values).unwrap().name(), "DERIVE VALUES");
         // the derive is the most expensive op
         let max_cost = f
             .graph

@@ -123,7 +123,7 @@ pub fn generate_table(spec: &TableSpec, dirt: &DirtProfile, seed: u64) -> (Vec<T
             .schema
             .attrs()
             .iter()
-            .map(|a| gen_value(&a.name, a.dtype, row, &mut rng))
+            .map(|a| gen_value(a.name(), a.dtype, row, &mut rng))
             .collect();
         clean.push(tuple);
     }

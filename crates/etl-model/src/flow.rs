@@ -270,7 +270,7 @@ impl EtlFlow {
     pub fn validate_degree(&self, id: NodeId) -> Result<(), FlowError> {
         let [input, output] = self.degree_violations(id);
         match (input.or(output), self.op(id)) {
-            (Some(v), Some(op)) => Err(v.into_error(&op.name)),
+            (Some(v), Some(op)) => Err(v.into_error(op.name())),
             _ => Ok(()),
         }
     }
@@ -359,7 +359,7 @@ impl EtlFlow {
         flowgraph::to_dot(
             &self.graph,
             &self.name,
-            |op| op.name.clone(),
+            |op| op.name().to_string(),
             |ch| ch.label.clone(),
         )
     }
@@ -469,8 +469,9 @@ mod tests {
     fn fork_is_independent() {
         let (f, ids) = linear_flow();
         let mut g = f.fork("copy");
-        g.op_mut(ids[1]).unwrap().name = "renamed".into();
-        assert_eq!(f.op(ids[1]).unwrap().name, "f");
+        let op = g.op_mut(ids[1]).unwrap();
+        *op = op.clone().renamed("renamed");
+        assert_eq!(f.op(ids[1]).unwrap().name(), "f");
         assert_eq!(g.name, "copy");
     }
 

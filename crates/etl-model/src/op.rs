@@ -3,6 +3,7 @@
 use crate::expr::Expr;
 use crate::types::{DataType, Schema};
 use std::fmt;
+use std::sync::Arc;
 
 /// Aggregate functions for [`OpKind::Aggregate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,8 +150,9 @@ pub enum OpKind {
     /// Drops tuples with nulls in the named attributes (the
     /// `FilterNullValues` FCP; empty = all attributes).
     FilterNulls {
-        /// Attributes that must be non-null (empty → all).
-        columns: Vec<String>,
+        /// Attributes that must be non-null (empty → all). Shared with the
+        /// schema the pattern read them from.
+        columns: Vec<Arc<str>>,
     },
     /// Crosschecks values against an alternative source, correcting
     /// mismatches (the `CrosscheckSources` FCP).
@@ -279,8 +281,9 @@ impl Default for CostParams {
 /// An ETL flow operation: a named node of the flow graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Operation {
-    /// Human-readable unique-ish name (e.g. `FILTER purchases`).
-    pub name: String,
+    /// Human-readable unique-ish name (e.g. `FILTER purchases`). Shared,
+    /// so a copy of the operation copies a pointer, not the name.
+    name: Arc<str>,
     /// Operator kind and configuration.
     pub kind: OpKind,
     /// Cost parameters.
@@ -290,12 +293,12 @@ pub struct Operation {
     pub parallelism: u32,
     /// True when this operation was inserted by a Flow Component Pattern
     /// (used to avoid stacking the same pattern twice at one point).
-    pub from_pattern: Option<String>,
+    from_pattern: Option<Arc<str>>,
 }
 
 impl Operation {
     /// New operation with kind-derived default costs.
-    pub fn new(name: impl Into<String>, kind: OpKind) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, kind: OpKind) -> Self {
         let cost = CostParams {
             cost_per_tuple_ms: kind.default_cost_per_tuple(),
             ..CostParams::default()
@@ -328,17 +331,17 @@ impl Operation {
     }
 
     /// Filter with a named predicate.
-    pub fn filter(name: impl Into<String>, predicate: Expr) -> Self {
+    pub fn filter(name: impl Into<Arc<str>>, predicate: Expr) -> Self {
         Operation::new(name, OpKind::Filter { predicate })
     }
 
     /// Derive-values operation.
-    pub fn derive(name: impl Into<String>, outputs: Vec<(String, Expr)>) -> Self {
+    pub fn derive(name: impl Into<Arc<str>>, outputs: Vec<(String, Expr)>) -> Self {
         Operation::new(name, OpKind::Derive { outputs })
     }
 
     /// Projection keeping the listed attributes.
-    pub fn project(name: impl Into<String>, keep: Vec<String>) -> Self {
+    pub fn project(name: impl Into<Arc<str>>, keep: Vec<String>) -> Self {
         Operation::new(name, OpKind::Project { keep })
     }
 
@@ -368,9 +371,25 @@ impl Operation {
     }
 
     /// Marks the operation as pattern-inserted.
-    pub fn tag_pattern(mut self, pattern: impl Into<String>) -> Self {
+    pub fn tag_pattern(mut self, pattern: impl Into<Arc<str>>) -> Self {
         self.from_pattern = Some(pattern.into());
         self
+    }
+
+    /// Builder-style rename.
+    pub fn renamed(mut self, name: impl Into<Arc<str>>) -> Self {
+        self.name = name.into();
+        self
+    }
+
+    /// The operation's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The pattern that inserted this operation, if one did.
+    pub fn from_pattern(&self) -> Option<&str> {
+        self.from_pattern.as_deref()
     }
 }
 
@@ -417,7 +436,7 @@ mod tests {
         let op = Operation::new("d", OpKind::Derive { outputs: vec![] });
         assert_eq!(op.cost.cost_per_tuple_ms, 0.010);
         assert_eq!(op.parallelism, 1);
-        assert!(op.from_pattern.is_none());
+        assert!(op.from_pattern().is_none());
     }
 
     #[test]

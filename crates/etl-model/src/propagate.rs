@@ -215,10 +215,10 @@ fn propagate_node(
         for (slot, p) in inputs.iter_mut().zip(preds) {
             *slot = input(p);
         }
-        propagate_one(&op.name, &op.kind, &inputs[..arity])?
+        propagate_one(op.name(), &op.kind, &inputs[..arity])?
     } else {
         let inputs: Vec<&Schema> = preds.map(|p| input(p).as_ref()).collect();
-        propagate_one(&op.name, &op.kind, &inputs)?
+        propagate_one(op.name(), &op.kind, &inputs)?
     };
     Ok(match propagated {
         Propagated::Share(i) => {
@@ -279,11 +279,11 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
             })?)
         }
         OpKind::Derive { outputs } => {
-            let mut s = first(name)?.clone();
+            let mut s = first(name)?.clone_with_room(outputs.len());
             for (new_name, expr) in outputs {
                 let dtype = expr.result_type(&s).map_err(|e| bind_err(name, e))?;
                 expr.check_columns(&s).map_err(|e| bind_err(name, e))?;
-                s.push(Attribute::new(new_name.clone(), dtype))
+                s.push(Attribute::new(new_name.as_str(), dtype))
                     .map_err(|column| duplicate(name, column))?;
             }
             Fresh(s)
@@ -301,7 +301,7 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
                     .iter()
                     .map(|a| {
                         let mut a = a.clone();
-                        if &a.name == column {
+                        if a.name() == column {
                             a.dtype = *to;
                         }
                         a
@@ -353,7 +353,7 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
                     column: input_attr.clone(),
                 })?;
                 attrs.push(Attribute::new(
-                    out_name.clone(),
+                    out_name.as_str(),
                     func.result_type(input.dtype),
                 ));
             }
@@ -405,7 +405,7 @@ fn propagate_one(name: &str, kind: &OpKind, inputs: &[&Schema]) -> Result<Propag
                 if !s.contains(c) {
                     return Err(SchemaError::MissingAttr {
                         op: name.to_string(),
-                        column: c.clone(),
+                        column: c.to_string(),
                     });
                 }
             }
@@ -559,7 +559,7 @@ fn same_shape(a: &Schema, b: &Schema) -> bool {
         && a.attrs()
             .iter()
             .zip(b.attrs())
-            .all(|(x, y)| x.name == y.name && x.dtype == y.dtype)
+            .all(|(x, y)| x.name() == y.name() && x.dtype == y.dtype)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Attribute schemata: the data-model side of the ETL flow graph.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Scalar data types supported by the model.
 ///
@@ -69,8 +70,9 @@ impl fmt::Display for DataType {
 /// One named, typed attribute of a schema.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Attribute {
-    /// Attribute name, unique within its schema.
-    pub name: String,
+    /// Attribute name, unique within its schema. Shared, so a schema copy
+    /// copies a pointer, not the name.
+    name: Arc<str>,
     /// Scalar type.
     pub dtype: DataType,
     /// Whether null values are admissible. Cleaning patterns
@@ -85,7 +87,7 @@ pub struct Attribute {
 
 impl Attribute {
     /// New nullable attribute.
-    pub fn new(name: impl Into<String>, dtype: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, dtype: DataType) -> Self {
         Attribute {
             name: name.into(),
             dtype,
@@ -95,13 +97,23 @@ impl Attribute {
     }
 
     /// New non-nullable attribute.
-    pub fn required(name: impl Into<String>, dtype: DataType) -> Self {
+    pub fn required(name: impl Into<Arc<str>>, dtype: DataType) -> Self {
         Attribute {
             name: name.into(),
             dtype,
             nullable: false,
             sensitive: false,
         }
+    }
+
+    /// The attribute's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The shared name, for a column name that outlives the schema.
+    pub fn shared_name(&self) -> &Arc<str> {
+        &self.name
     }
 
     /// Marks the attribute as carrying sensitive data (builder-style).
@@ -133,7 +145,7 @@ impl Schema {
         // wide, and this copies no name.
         let repeat = (1..attrs.len()).find(|&i| attrs[..i].iter().any(|a| a.name == attrs[i].name));
         match repeat {
-            Some(i) => Err(attrs[i].name.clone()),
+            Some(i) => Err(attrs[i].name.to_string()),
             None => Ok(Schema { attrs }),
         }
     }
@@ -160,12 +172,12 @@ impl Schema {
 
     /// Index of the attribute named `name`.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.attrs.iter().position(|a| a.name == name)
+        self.attrs.iter().position(|a| a.name() == name)
     }
 
     /// Borrow the attribute named `name`.
     pub fn attr(&self, name: &str) -> Option<&Attribute> {
-        self.attrs.iter().find(|a| a.name == name)
+        self.attrs.iter().find(|a| a.name() == name)
     }
 
     /// True when an attribute of this name exists.
@@ -199,11 +211,19 @@ impl Schema {
         Schema::try_new(out)
     }
 
+    /// A copy with room for `additional` more attributes, so pushing
+    /// them does not reallocate.
+    pub(crate) fn clone_with_room(&self, additional: usize) -> Schema {
+        let mut attrs = Vec::with_capacity(self.attrs.len() + additional);
+        attrs.extend_from_slice(&self.attrs);
+        Schema { attrs }
+    }
+
     /// Appends an attribute in place, failing on a duplicate name (the
     /// schema is then unchanged).
     pub fn push(&mut self, attr: Attribute) -> Result<(), String> {
         if self.contains(&attr.name) {
-            return Err(attr.name);
+            return Err(attr.name.to_string());
         }
         self.attrs.push(attr);
         Ok(())
@@ -212,16 +232,24 @@ impl Schema {
     /// Concatenation for joins: right-side attributes that clash with a left
     /// name get `r_` prepended. The one statement of join renaming.
     pub fn join_concat(&self, right: &Schema) -> Schema {
-        let mut attrs = self.attrs.clone();
+        let clashes = |attrs: &[Attribute], name: &str| attrs.iter().any(|x| x.name() == name);
+        let mut attrs = Vec::with_capacity(self.len() + right.len());
+        attrs.extend_from_slice(&self.attrs);
         for a in &right.attrs {
             let mut a = a.clone();
-            if self.contains(&a.name) {
-                a.name = format!("r_{}", a.name);
-            }
-            // A join of dirty sources can still clash after prefixing; keep
-            // appending underscores until unique (bounded by attr count).
-            while attrs.iter().any(|x| x.name == a.name) {
-                a.name.push('_');
+            if clashes(&attrs, &a.name) {
+                let mut renamed = if self.contains(&a.name) {
+                    format!("r_{}", a.name)
+                } else {
+                    a.name.to_string()
+                };
+                // A join of dirty sources can still clash after prefixing;
+                // keep appending underscores until unique (bounded by attr
+                // count).
+                while clashes(&attrs, &renamed) {
+                    renamed.push('_');
+                }
+                a.name = renamed.into();
             }
             attrs.push(a);
         }
@@ -231,10 +259,10 @@ impl Schema {
     /// Marks the named attributes non-nullable (the downstream effect of a
     /// `FilterNullValues` application); an empty list marks every
     /// attribute. Unknown names are ignored.
-    pub fn with_non_nullable(&self, names: &[String]) -> Schema {
+    pub fn with_non_nullable(&self, names: &[Arc<str>]) -> Schema {
         let mut out = self.clone();
         for a in &mut out.attrs {
-            if names.is_empty() || names.iter().any(|n| n == &a.name) {
+            if names.is_empty() || names.contains(&a.name) {
                 a.nullable = false;
             }
         }
@@ -304,8 +332,8 @@ mod tests {
     fn project_keeps_order_and_reports_missing() {
         let s = s();
         let p = s.project(&["amount".into(), "id".into()]).unwrap();
-        assert_eq!(p.attrs()[0].name, "amount");
-        assert_eq!(p.attrs()[1].name, "id");
+        assert_eq!(p.attrs()[0].name(), "amount");
+        assert_eq!(p.attrs()[1].name(), "id");
         assert_eq!(s.project(&["nope".into()]).unwrap_err(), "nope");
     }
 

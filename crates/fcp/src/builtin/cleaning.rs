@@ -12,6 +12,7 @@ use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
 use etl_model::{EtlFlow, OpKind, Operation};
 use quality::{Characteristic, GainProfile};
+use std::sync::Arc;
 
 /// Shared fitness: cleaning is encouraged near the sources.
 fn source_proximity_fitness(ctx: &PatternContext<'_>, point: ApplicationPoint) -> f64 {
@@ -37,8 +38,8 @@ pub struct FilterNullValues;
 
 impl FilterNullValues {
     /// The columns the interposed filter will guard at a given schema:
-    /// nullable, non-temporal attributes.
-    pub fn target_columns(schema: &etl_model::Schema) -> Vec<String> {
+    /// nullable, non-temporal attributes, sharing the schema's names.
+    pub fn target_columns(schema: &etl_model::Schema) -> Vec<Arc<str>> {
         schema
             .attrs()
             .iter()
@@ -49,7 +50,7 @@ impl FilterNullValues {
                         etl_model::DataType::Date | etl_model::DataType::Timestamp
                     )
             })
-            .map(|a| a.name.clone())
+            .map(|a| Arc::clone(a.shared_name()))
             .collect()
     }
 }

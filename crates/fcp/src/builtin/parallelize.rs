@@ -9,6 +9,7 @@ use crate::prereq::Prerequisite;
 use etl_model::{Channel, EtlFlow, OpKind, Operation};
 use flowgraph::DiGraph;
 use quality::{Characteristic, GainProfile};
+use std::sync::Arc;
 
 /// Operator kinds that can be replaced by row-partitioned replicas without
 /// changing semantics (stateless per-tuple operators, plus dedup/sort whose
@@ -97,16 +98,19 @@ impl Pattern for ParallelizeTask {
         let original = flow.op(n).expect("applicable point is live").clone();
 
         // The pattern's internal representation is itself a small ETL flow:
-        // partition → replicas → merge (Fig. 2a).
+        // partition → replicas → merge (Fig. 2a), whose operations share
+        // one tag.
+        let tag: Arc<str> = self.name().into();
         let mut donor: DiGraph<Operation, Channel> = DiGraph::new();
         let part = donor.add_node(
-            Operation::new("HORIZONTAL PARTITION", OpKind::Partition).tag_pattern(self.name()),
+            Operation::new("HORIZONTAL PARTITION", OpKind::Partition).tag_pattern(tag.clone()),
         );
-        let merge = donor.add_node(Operation::new("MERGE", OpKind::Merge).tag_pattern(self.name()));
+        let merge = donor.add_node(Operation::new("MERGE", OpKind::Merge).tag_pattern(tag.clone()));
         for i in 0..self.ways {
-            let mut rep = original.clone();
-            rep.name = format!("{} #{}", original.name, i + 1);
-            rep.from_pattern = Some(self.name().to_string());
+            let rep = original
+                .clone()
+                .renamed(format!("{} #{}", original.name(), i + 1))
+                .tag_pattern(tag.clone());
             let r = donor.add_node(rep);
             donor
                 .add_edge(part, r, Channel::default())
@@ -225,7 +229,7 @@ mod tests {
         // no replica may be picked again
         for pt in &pts {
             if let ApplicationPoint::Node(n) = pt {
-                assert!(g.op(*n).unwrap().from_pattern.is_none());
+                assert!(g.op(*n).unwrap().from_pattern().is_none());
             }
         }
     }

@@ -141,7 +141,7 @@ mod tests {
                     .attrs()
                     .iter()
                     .find(|a| !a.nullable)
-                    .map(|a| a.name.clone())
+                    .map(|a| a.name().to_string())
                     .expect("prerequisite guarantees a key candidate");
                 Operation::new("SORT early", OpKind::Sort { by: vec![key] })
             },
@@ -168,7 +168,7 @@ mod tests {
         // inserted op is configured from the point schema
         let op = g.op(applied.added_nodes[0]).unwrap();
         assert!(matches!(&op.kind, OpKind::Sort { by } if by == &vec!["pu_id".to_string()]));
-        assert_eq!(op.from_pattern.as_deref(), Some("SortEarly"));
+        assert_eq!(op.from_pattern(), Some("SortEarly"));
     }
 
     #[test]

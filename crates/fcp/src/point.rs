@@ -32,13 +32,13 @@ impl ApplicationPoint {
     pub fn describe(&self, flow: &EtlFlow) -> String {
         match self {
             ApplicationPoint::Node(n) => match flow.op(*n) {
-                Some(op) => format!("node {n} ({})", op.name),
+                Some(op) => format!("node {n} ({})", op.name()),
                 None => format!("node {n} (removed)"),
             },
             ApplicationPoint::Edge(e) => match flow.graph.endpoints(*e) {
                 Some((s, d)) => {
-                    let sn = flow.op(s).map(|o| o.name.as_str()).unwrap_or("?");
-                    let dn = flow.op(d).map(|o| o.name.as_str()).unwrap_or("?");
+                    let sn = flow.op(s).map(|o| o.name()).unwrap_or("?");
+                    let dn = flow.op(d).map(|o| o.name()).unwrap_or("?");
                     format!("edge {e} ({sn} → {dn})")
                 }
                 None => format!("edge {e} (removed)"),

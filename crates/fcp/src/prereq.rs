@@ -102,7 +102,7 @@ impl Prerequisite {
                 let from = |n: etl_model::NodeId| {
                     ctx.flow
                         .op(n)
-                        .and_then(|op| op.from_pattern.as_deref())
+                        .and_then(|op| op.from_pattern())
                         .is_some_and(|p| p == target)
                 };
                 match point {

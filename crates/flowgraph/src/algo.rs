@@ -3,6 +3,7 @@
 //! of an edit and weakly connected components.
 
 use crate::graph::{DiGraph, NodeId};
+use std::cell::RefCell;
 
 /// Error returned by [`topo_sort`] when the graph has a cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,14 +21,33 @@ impl std::fmt::Display for TopoError {
 impl std::error::Error for TopoError {}
 
 /// Kahn's algorithm. Returns the nodes in a topological order, or a
-/// [`TopoError`] naming a node stuck on a cycle.
+/// [`TopoError`] naming a node stuck on a cycle. The allocating wrapper of
+/// [`topo_sort_into`].
 pub fn topo_sort<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, TopoError> {
-    let mut indeg = vec![0usize; g.node_bound()];
+    let mut order = Vec::with_capacity(g.node_count());
+    topo_sort_into(g, &mut Vec::new(), &mut Vec::new(), &mut order)?;
+    Ok(order)
+}
+
+/// Kahn's algorithm into caller buffers: clears `order` and fills it with
+/// the nodes in a topological order (the order [`topo_sort`] returns), or
+/// fails with a [`TopoError`] naming a node stuck on a cycle. `indeg` and
+/// `queue` are scratch space; a caller that keeps all three across calls
+/// sorts without allocating once they have grown to the graph's size.
+pub fn topo_sort_into<N, E>(
+    g: &DiGraph<N, E>,
+    indeg: &mut Vec<usize>,
+    queue: &mut Vec<NodeId>,
+    order: &mut Vec<NodeId>,
+) -> Result<(), TopoError> {
+    indeg.clear();
+    indeg.resize(g.node_bound(), 0);
     for n in g.node_ids() {
         indeg[n.index()] = g.in_degree(n);
     }
-    let mut queue: Vec<NodeId> = g.sources().collect();
-    let mut order = Vec::with_capacity(g.node_count());
+    queue.clear();
+    queue.extend(g.sources());
+    order.clear();
     while let Some(n) = queue.pop() {
         order.push(n);
         for s in g.successors(n) {
@@ -38,7 +58,7 @@ pub fn topo_sort<N, E>(g: &DiGraph<N, E>) -> Result<Vec<NodeId>, TopoError> {
         }
     }
     if order.len() == g.node_count() {
-        Ok(order)
+        Ok(())
     } else {
         let witness = g
             .node_ids()
@@ -79,67 +99,62 @@ pub fn longest_path_len<N, E>(g: &DiGraph<N, E>) -> Option<usize> {
     Some(best)
 }
 
-/// Topological order of the *affected region*: `seeds` plus every node
-/// reachable from them, restricted to live nodes. Returns `None` when the
-/// affected region contains a directed cycle.
+/// True when the *affected region* of an edit is acyclic: `seeds` plus
+/// every node reachable from them, restricted to live nodes.
 ///
-/// This powers delta re-evaluation: after a patch, only the touched nodes and
-/// their descendants can change, so this local order is all that needs to be
-/// re-walked. Cycle detection over the region alone is sound for patched DAGs
-/// because any cycle introduced by a patch must pass through a touched node
-/// (the base was acyclic, so the cycle uses a changed edge, whose endpoints
-/// are touched) — and every node on such a cycle is reachable from that
-/// touched node, hence inside the region.
-pub fn affected_topo<N, E>(g: &DiGraph<N, E>, seeds: &[NodeId]) -> Option<Vec<NodeId>> {
-    let bound = g.node_bound();
-    let mut affected = vec![false; bound];
-    let mut members: Vec<NodeId> = Vec::new();
-    let mut stack: Vec<NodeId> = Vec::new();
-    for &s in seeds {
-        if g.contains_node(s) && !affected[s.index()] {
-            affected[s.index()] = true;
-            members.push(s);
-            stack.push(s);
-        }
+/// Checking the region alone is sound for patched DAGs: any cycle a patch
+/// introduces passes through a touched node (the base was acyclic, so the
+/// cycle uses a changed edge, whose endpoints are touched), and every node
+/// on such a cycle is reachable from that touched node, hence inside the
+/// region. One walk collects the region and counts each member's in-region
+/// in-degree; Kahn's algorithm over the region then settles every member
+/// exactly when there is no cycle. The buffers are per-thread and reused
+/// across calls, so a check allocates nothing once they have grown.
+pub fn region_is_acyclic<N, E>(g: &DiGraph<N, E>, seeds: &[NodeId]) -> bool {
+    /// In-degree marker of a node outside the region.
+    const OUTSIDE: usize = usize::MAX;
+    thread_local! {
+        static BUFFERS: RefCell<(Vec<usize>, Vec<NodeId>, Vec<NodeId>)> =
+            const { RefCell::new((Vec::new(), Vec::new(), Vec::new())) };
     }
-    while let Some(n) = stack.pop() {
-        for m in g.successors(n) {
-            if !affected[m.index()] {
-                affected[m.index()] = true;
-                members.push(m);
-                stack.push(m);
+    BUFFERS.with_borrow_mut(|(indeg, members, ready)| {
+        indeg.clear();
+        indeg.resize(g.node_bound(), OUTSIDE);
+        members.clear();
+        for &s in seeds {
+            if g.contains_node(s) && indeg[s.index()] == OUTSIDE {
+                indeg[s.index()] = 0;
+                members.push(s);
             }
         }
-    }
-    // Kahn restricted to the region: in-degree counts only edges from other
-    // affected nodes; edges entering from the stable part are satisfied by
-    // construction.
-    let mut indeg = vec![0usize; bound];
-    for &n in &members {
-        indeg[n.index()] = g.predecessors(n).filter(|p| affected[p.index()]).count();
-    }
-    let mut queue: Vec<NodeId> = members
-        .iter()
-        .copied()
-        .filter(|n| indeg[n.index()] == 0)
-        .collect();
-    let mut order = Vec::with_capacity(members.len());
-    while let Some(n) = queue.pop() {
-        order.push(n);
-        for s in g.successors(n) {
-            if affected[s.index()] {
-                indeg[s.index()] -= 1;
-                if indeg[s.index()] == 0 {
-                    queue.push(s);
+        // `members` doubles as the walk's queue. Every successor of a
+        // member is a member, so each in-region edge is counted once, when
+        // its source is visited; edges entering from outside never are.
+        let mut next = 0;
+        while let Some(&n) = members.get(next) {
+            next += 1;
+            for m in g.successors(n) {
+                if indeg[m.index()] == OUTSIDE {
+                    indeg[m.index()] = 0;
+                    members.push(m);
+                }
+                indeg[m.index()] += 1;
+            }
+        }
+        ready.clear();
+        ready.extend(members.iter().copied().filter(|n| indeg[n.index()] == 0));
+        let mut settled = 0;
+        while let Some(n) = ready.pop() {
+            settled += 1;
+            for m in g.successors(n) {
+                indeg[m.index()] -= 1;
+                if indeg[m.index()] == 0 {
+                    ready.push(m);
                 }
             }
         }
-    }
-    if order.len() == members.len() {
-        Some(order)
-    } else {
-        None
-    }
+        settled == members.len()
+    })
 }
 
 /// Weakly connected components (edge direction ignored), each sorted.
@@ -242,23 +257,23 @@ mod tests {
     }
 
     #[test]
-    fn affected_topo_orders_downstream_closure() {
+    fn region_is_acyclic_on_downstream_closure() {
         let (g, ids) = chain(6);
-        let order = affected_topo(&g, &[ids[2]]).unwrap();
-        assert_eq!(order, vec![ids[2], ids[3], ids[4], ids[5]]);
+        assert!(region_is_acyclic(&g, &[ids[2]]));
         // A seed with no successors is its own region.
-        assert_eq!(affected_topo(&g, &[ids[5]]).unwrap(), vec![ids[5]]);
+        assert!(region_is_acyclic(&g, &[ids[5]]));
         // No seeds → empty region.
-        assert_eq!(affected_topo(&g, &[]).unwrap(), Vec::<NodeId>::new());
+        assert!(region_is_acyclic(&g, &[]));
         // Dead seeds are ignored.
         let mut g2 = g.clone();
         g2.remove_node(ids[4]);
-        assert_eq!(affected_topo(&g2, &[ids[4]]).unwrap(), Vec::<NodeId>::new());
+        assert!(region_is_acyclic(&g2, &[ids[4]]));
     }
 
     #[test]
-    fn affected_topo_respects_cross_edges_within_region() {
-        // a → b → d, a → c → d: seeding {b, c} must yield d after both.
+    fn region_is_acyclic_respects_cross_edges_within_region() {
+        // a → b → d, a → c → d: seeding {b, c} reaches d along both
+        // branches, and parallel edges count once per edge.
         let mut g = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
@@ -268,20 +283,34 @@ mod tests {
         g.add_edge(a, c, ()).unwrap();
         g.add_edge(b, d, ()).unwrap();
         g.add_edge(c, d, ()).unwrap();
-        let order = affected_topo(&g, &[b, c]).unwrap();
-        let pos = |n: NodeId| order.iter().position(|&x| x == n).unwrap();
-        assert_eq!(order.len(), 3);
-        assert!(pos(d) > pos(b) && pos(d) > pos(c));
+        g.add_edge(c, d, ()).unwrap();
+        assert!(region_is_acyclic(&g, &[b, c]));
+        assert!(region_is_acyclic(&g, &[a, b, c, d]));
     }
 
     #[test]
-    fn affected_topo_detects_cycle_in_region() {
+    fn region_is_acyclic_detects_cycle_in_region() {
         let (mut g, ids) = chain(4);
         g.add_edge(ids[3], ids[1], ()).unwrap();
-        assert!(affected_topo(&g, &[ids[1]]).is_none());
-        // Region not touching the cycle is still fine… but here everything
-        // downstream of ids[0] includes the cycle.
-        assert!(affected_topo(&g, &[ids[0]]).is_none());
+        assert!(!region_is_acyclic(&g, &[ids[1]]));
+        // Everything downstream of ids[0] includes the cycle too.
+        assert!(!region_is_acyclic(&g, &[ids[0]]));
+        // A larger graph afterwards reuses the buffers from a clean state.
+        let (big, big_ids) = chain(12);
+        assert!(region_is_acyclic(&big, &[big_ids[0]]));
+    }
+
+    #[test]
+    fn topo_sort_into_reuses_buffers() {
+        let (g, _) = chain(5);
+        let (mut indeg, mut queue, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        topo_sort_into(&g, &mut indeg, &mut queue, &mut order).unwrap();
+        assert_eq!(order, topo_sort(&g).unwrap());
+        let (mut cyclic, ids) = chain(3);
+        cyclic.add_edge(ids[2], ids[0], ()).unwrap();
+        assert!(topo_sort_into(&cyclic, &mut indeg, &mut queue, &mut order).is_err());
+        topo_sort_into(&g, &mut indeg, &mut queue, &mut order).unwrap();
+        assert_eq!(order, topo_sort(&g).unwrap());
     }
 
     #[test]

@@ -45,8 +45,8 @@ mod metrics;
 mod splice;
 
 pub use algo::{
-    affected_topo, has_cycle, is_dag, longest_path_len, topo_sort, weakly_connected_components,
-    TopoError,
+    has_cycle, is_dag, longest_path_len, region_is_acyclic, topo_sort, topo_sort_into,
+    weakly_connected_components, TopoError,
 };
 pub use dot::to_dot;
 pub use graph::{CowDelta, DiGraph, EdgeId, EdgeRef, GraphError, NodeId};

@@ -1,8 +1,8 @@
 //! Property-based tests for the flowgraph invariants the planner relies on:
-//! splices never create cycles in a DAG, id stability, and adjacency
-//! consistency under random edit sequences.
+//! splices never create cycles in a DAG, id stability, adjacency
+//! consistency under random edit sequences, and the local cycle check.
 
-use flowgraph::{is_dag, longest_path_len, topo_sort, DiGraph, NodeId};
+use flowgraph::{is_dag, longest_path_len, region_is_acyclic, topo_sort, DiGraph, NodeId};
 use proptest::prelude::*;
 
 /// Builds a random DAG with `n` nodes; edges only go from lower to higher
@@ -24,7 +24,52 @@ fn arb_dag(max_nodes: usize) -> impl Strategy<Value = DiGraph<u32, u32>> {
     })
 }
 
+/// The region `region_is_acyclic` checks, built as its own graph: `seeds`
+/// and every node reachable from them, with the edges among them.
+fn region_graph(g: &DiGraph<u32, u32>, seeds: &[NodeId]) -> DiGraph<u32, u32> {
+    let mut inside = vec![false; g.node_bound()];
+    let mut stack: Vec<NodeId> = seeds.to_vec();
+    while let Some(n) = stack.pop() {
+        if !std::mem::replace(&mut inside[n.index()], true) {
+            stack.extend(g.successors(n));
+        }
+    }
+    let mut region = DiGraph::new();
+    let mut ids = vec![None; g.node_bound()];
+    for n in g.node_ids().filter(|n| inside[n.index()]) {
+        ids[n.index()] = Some(region.add_node(n.index() as u32));
+    }
+    for e in g.edges() {
+        if let (Some(s), Some(d)) = (ids[e.src.index()], ids[e.dst.index()]) {
+            region.add_edge(s, d, *e.weight).unwrap();
+        }
+    }
+    region
+}
+
 proptest! {
+    #[test]
+    fn region_check_agrees_with_a_full_sort_of_the_region(
+        g in arb_dag(20),
+        a in any::<prop::sample::Index>(),
+        b in any::<prop::sample::Index>(),
+        extra in proptest::collection::vec(any::<prop::sample::Index>(), 0..3),
+    ) {
+        // The edit: one edge between two nodes picked in either order, so
+        // it may close a cycle. Its endpoints are the nodes it touches.
+        let mut g = g;
+        let nodes: Vec<NodeId> = g.node_ids().collect();
+        let (src, dst) = (nodes[a.index(nodes.len())], nodes[b.index(nodes.len())]);
+        prop_assume!(src != dst);
+        g.add_edge(src, dst, 0).unwrap();
+        let mut seeds = vec![src, dst];
+        seeds.extend(extra.iter().map(|i| nodes[i.index(nodes.len())]));
+        let local = region_is_acyclic(&g, &seeds);
+        prop_assert_eq!(local, topo_sort(&region_graph(&g, &seeds)).is_ok());
+        // The base was a DAG, so the region sees every cycle the edit made.
+        prop_assert_eq!(local, is_dag(&g));
+    }
+
     #[test]
     fn dag_by_construction_is_dag(g in arb_dag(20)) {
         prop_assert!(is_dag(&g));

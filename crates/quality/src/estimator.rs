@@ -217,24 +217,32 @@ fn compute_node_est(
 ///
 /// One topological walk computes every node's estimate and, with it, the
 /// longest path that [`evaluate_static`] would derive from a second sort.
-/// The per-node vectors are per-thread buffers reused across calls.
+/// The per-node vectors and the sort's buffers are per-thread and reused
+/// across calls, so an estimate allocates nothing for them once they have
+/// grown to the flow's size.
 pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> MeasureVector {
     thread_local! {
-        static BUFFERS: RefCell<(Vec<NodeEst>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+        static BUFFERS: RefCell<Buffers> = const { RefCell::new(Buffers::new()) };
     }
-    let order = match flow.topo_order() {
-        Ok(o) => o,
-        Err(_) => return evaluate_static(flow),
-    };
-    let model = CostModel::of(&flow.config);
-    let bound = flow.graph.node_bound();
-    BUFFERS.with_borrow_mut(|(est, redo_contrib)| {
+    BUFFERS.with_borrow_mut(|b| {
+        let Buffers {
+            est,
+            redo_contrib,
+            indeg,
+            queue,
+            order,
+        } = b;
+        if flowgraph::topo_sort_into(&flow.graph, indeg, queue, order).is_err() {
+            return evaluate_static(flow);
+        }
+        let model = CostModel::of(&flow.config);
+        let bound = flow.graph.node_bound();
         est.clear();
         est.resize(bound, NodeEst::default());
         redo_contrib.clear();
         redo_contrib.resize(bound, 0.0);
         let mut longest_path = 0;
-        for &n in &order {
+        for &n in order.iter() {
             let (e, c) = compute_node_est(flow, n, est, stats, &model);
             longest_path = longest_path.max(e.depth);
             est[n.index()] = e;
@@ -242,6 +250,28 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
         }
         finalize(flow, est, redo_contrib, longest_path)
     })
+}
+
+/// [`estimate`]'s per-thread state: the per-node estimates and redo
+/// contributions, and the topological sort's in-degrees, queue and order.
+struct Buffers {
+    est: Vec<NodeEst>,
+    redo_contrib: Vec<f64>,
+    indeg: Vec<usize>,
+    queue: Vec<etl_model::NodeId>,
+    order: Vec<etl_model::NodeId>,
+}
+
+impl Buffers {
+    const fn new() -> Self {
+        Buffers {
+            est: Vec::new(),
+            redo_contrib: Vec::new(),
+            indeg: Vec::new(),
+            queue: Vec::new(),
+            order: Vec::new(),
+        }
+    }
 }
 
 /// Placeholder kept for perfbench's traced replay, its only user, which
@@ -403,6 +433,40 @@ mod tests {
         ] {
             assert!(v.get(id).is_some(), "missing {id:?}");
         }
+    }
+
+    #[test]
+    fn reused_buffers_give_bit_identical_estimates() {
+        // The per-thread buffers outlive each call: a large flow, a
+        // smaller one, a cyclic one (the static fallback, which fails the
+        // sort part-way) and the large one again must not leak state.
+        let bits = |v: &MeasureVector| {
+            v.iter()
+                .map(|(id, x)| (id, x.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let (large, _) = tpch_flow();
+        let large_stats = source_stats(&tpch_catalog(100, &DirtProfile::demo(), 5));
+        let (small, ids) = purchases_flow();
+        let small_stats = source_stats(&purchases_catalog(100, &DirtProfile::demo(), 5));
+        let mut cyclic = small.fork("cyclic");
+        let sink = cyclic.ops_of_kind("load")[0];
+        let upstream = cyclic.graph.predecessors(sink).next().unwrap();
+        cyclic
+            .graph
+            .add_edge(upstream, ids.derive_values, Default::default())
+            .unwrap();
+        assert!(cyclic.topo_order().is_err());
+
+        let first = estimate(&large, &large_stats);
+        let small_v = estimate(&small, &small_stats);
+        assert_ne!(bits(&small_v), bits(&first));
+        assert_eq!(
+            bits(&estimate(&cyclic, &small_stats)),
+            bits(&evaluate_static(&cyclic))
+        );
+        assert_eq!(bits(&estimate(&large, &large_stats)), bits(&first));
+        assert_eq!(bits(&estimate(&small, &small_stats)), bits(&small_v));
     }
 
     #[test]

@@ -298,17 +298,18 @@ impl MeasureVector {
     /// Composite score of one characteristic against a baseline, scaled so
     /// the baseline itself scores 100. The arithmetic mean of per-measure
     /// improvement ratios × 100 — these are the scatter-plot axes of the
-    /// paper's Fig. 4.
+    /// paper's Fig. 4. The ratios are summed left to right in measure
+    /// order, as they are listed.
     pub fn characteristic_score(&self, baseline: &MeasureVector, c: Characteristic) -> f64 {
-        let ratios: Vec<f64> = MeasureId::ALL
+        let (sum, count) = MeasureId::ALL
             .iter()
             .filter(|id| id.characteristic() == c)
             .filter_map(|&id| self.improvement_ratio(baseline, id))
-            .collect();
-        if ratios.is_empty() {
+            .fold((-0.0, 0usize), |(sum, count), r| (sum + r, count + 1));
+        if count == 0 {
             return 100.0;
         }
-        100.0 * ratios.iter().sum::<f64>() / ratios.len() as f64
+        100.0 * sum / count as f64
     }
 }
 

@@ -19,7 +19,7 @@ fn check(flow: &EtlFlow, what: &str) {
         let inputs: Vec<&Schema> = flow.graph.predecessors(n).map(schema).collect();
         let output = schema(n);
         let sources = column_sources(&op.kind, &inputs);
-        let at = format!("{what}: `{}`", op.name);
+        let at = format!("{what}: `{}`", op.name());
         assert_eq!(
             sources.len(),
             output.len(),
@@ -41,11 +41,11 @@ fn check(flow: &EtlFlow, what: &str) {
                 let input = inputs
                     .get(r.input)
                     .and_then(|s| s.attrs().get(r.attr))
-                    .unwrap_or_else(|| panic!("{at}: `{}` refers to a missing input", attr.name));
+                    .unwrap_or_else(|| panic!("{at}: `{}` refers to a missing input", attr.name()));
                 if let ColumnSource::Copy(_) = source {
-                    assert_eq!(input.dtype, attr.dtype, "{at}: copy of `{}`", attr.name);
+                    assert_eq!(input.dtype, attr.dtype, "{at}: copy of `{}`", attr.name());
                     if pos < right_from {
-                        assert_eq!(input.name, attr.name, "{at}: copy renamed");
+                        assert_eq!(input.name(), attr.name(), "{at}: copy renamed");
                     }
                 }
             }

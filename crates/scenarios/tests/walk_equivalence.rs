@@ -43,7 +43,7 @@ fn column_check_agrees_with_bind_on_the_scenario_corpus() {
         for (expr, input) in expressions(&flow) {
             let mut schemas = vec![input.clone(), Schema::empty()];
             for drop in input.attrs() {
-                let kept = input.attrs().iter().filter(|a| a.name != drop.name);
+                let kept = input.attrs().iter().filter(|a| a.name() != drop.name());
                 schemas.push(Schema::new(kept.cloned().collect()));
             }
             for schema in &schemas {

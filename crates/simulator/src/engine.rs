@@ -149,7 +149,7 @@ pub fn simulate(flow: &EtlFlow, catalog: &Catalog) -> Result<Trace, SimError> {
 
         ops.push(OpTrace {
             node: n,
-            name: op.name.clone(),
+            name: op.name().to_string(),
             kind: op.kind.name().to_string(),
             rows_in,
             rows_out,

@@ -62,8 +62,11 @@ fn column(schema: &Schema, name: &str) -> Result<usize, ExecError> {
 }
 
 /// [`column`] over several names, in order.
-fn columns(schema: &Schema, names: &[String]) -> Result<Vec<usize>, ExecError> {
-    names.iter().map(|name| column(schema, name)).collect()
+fn columns<S: AsRef<str>>(schema: &Schema, names: &[S]) -> Result<Vec<usize>, ExecError> {
+    names
+        .iter()
+        .map(|name| column(schema, name.as_ref()))
+        .collect()
 }
 
 /// Executes one operator on the batches it owns.
@@ -87,7 +90,7 @@ pub(crate) fn execute_op(
     catalog: &Catalog,
 ) -> Result<Vec<Vec<Tuple>>, ExecError> {
     let arity = |detail| ExecError::Arity {
-        op: op.name.clone(),
+        op: op.name().to_string(),
         detail,
     };
     let first_schema = || {
@@ -285,7 +288,7 @@ pub(crate) fn execute_op(
             let col_map: Vec<Option<usize>> = schema
                 .attrs()
                 .iter()
-                .map(|a| table.schema.index_of(&a.name))
+                .map(|a| table.schema.index_of(a.name()))
                 .collect();
             let mut reference: HashMap<String, &Tuple> = HashMap::new();
             for r in &table.rows {
@@ -705,8 +708,8 @@ mod tests {
         let rows = rows2();
         let buffer = rows.as_ptr();
         let out = execute_op(&op, vec![rows], &[&schema2()], out_schema, 1, catalog).unwrap();
-        assert_eq!(out.len(), 1, "{}", op.name);
-        assert_eq!(out[0].as_ptr(), buffer, "{} copied its input", op.name);
+        assert_eq!(out.len(), 1, "{}", op.name());
+        assert_eq!(out[0].as_ptr(), buffer, "{} copied its input", op.name());
     }
 
     #[test]

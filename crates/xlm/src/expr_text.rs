@@ -78,10 +78,15 @@ impl<'a> P<'a> {
         self.s[self.pos..].chars().next()
     }
 
-    fn ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.pos += 1;
+    /// Advances past the characters `keep` accepts, by their UTF-8 width.
+    fn skip_while(&mut self, keep: impl Fn(char) -> bool) {
+        while let Some(c) = self.peek().filter(|&c| keep(c)) {
+            self.pos += c.len_utf8();
         }
+    }
+
+    fn ws(&mut self) {
+        self.skip_while(char::is_whitespace);
     }
 
     fn eat(&mut self, pat: &str) -> bool {
@@ -271,9 +276,7 @@ impl<'a> P<'a> {
             }
             Some(c) if c.is_alphabetic() || c == '_' => {
                 let start = self.pos;
-                while matches!(self.peek(), Some(c) if c.is_alphanumeric() || c == '_') {
-                    self.pos += 1;
-                }
+                self.skip_while(|c| c.is_alphanumeric() || c == '_');
                 Ok(Expr::col(&self.s[start..self.pos]))
             }
             _ => Err(self.err("expected a primary expression")),
@@ -502,6 +505,21 @@ mod tests {
         assert!(parse_expr("(a").is_err());
         assert!(parse_expr("a b").is_err());
         assert!(parse_expr("").is_err());
+    }
+
+    #[test]
+    fn non_ascii_identifiers_and_whitespace_parse() {
+        // The cursor steps over whole characters: a multi-byte letter in
+        // a column name and a no-break space between tokens.
+        assert_eq!(
+            parse_expr("größe > 1"),
+            Ok(Expr::col("größe").gt(Expr::lit_i(1)))
+        );
+        assert_eq!(
+            parse_expr("a >\u{a0}1"),
+            Ok(Expr::col("a").gt(Expr::lit_i(1)))
+        );
+        roundtrip(&Expr::col("straße").eq(Expr::lit_s("Müller")));
     }
 
     #[test]

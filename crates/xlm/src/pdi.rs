@@ -45,12 +45,9 @@ fn step_fields(step: &XmlNode) -> Result<Schema, XlmError> {
                 .and_then(|t| DataType::parse(&t.text.to_lowercase()))
                 .unwrap_or(DataType::Str);
             let nullable = f.find("nullable").is_none_or(|n| n.text != "N");
-            attrs.push(etl_model::Attribute {
-                name,
-                dtype,
-                nullable,
-                sensitive: false,
-            });
+            let mut attr = etl_model::Attribute::new(name, dtype);
+            attr.nullable = nullable;
+            attrs.push(attr);
         }
     }
     Schema::try_new(attrs).map_err(|name| format_err(format!("duplicate field `{name}`")))
@@ -187,7 +184,7 @@ pub fn import_ktr(input: &str) -> Result<EtlFlow, XlmError> {
     let mut by_name: HashMap<String, NodeId> = HashMap::new();
     for step in root.find_all("step") {
         let op = convert_step(step)?;
-        let step_name = op.name.clone();
+        let step_name = op.name().to_string();
         let id = flow.add_op(op);
         if by_name.insert(step_name.clone(), id).is_some() {
             return Err(format_err(format!("duplicate step name `{step_name}`")));

@@ -40,7 +40,7 @@ fn schema_node(schema: &Schema) -> XmlNode {
     let mut n = XmlNode::new("schema");
     for a in schema.attrs() {
         let mut attr = XmlNode::new("attr")
-            .attr("name", &a.name)
+            .attr("name", a.name())
             .attr("type", a.dtype.name())
             .attr("nullable", a.nullable);
         // emitted only when set, so pre-existing documents round-trip
@@ -141,9 +141,9 @@ pub fn write_flow(flow: &EtlFlow) -> String {
     for (id, op) in flow.graph.nodes() {
         let mut n = XmlNode::new("node")
             .attr("id", format!("n{}", id.index()))
-            .attr("name", &op.name)
+            .attr("name", op.name())
             .attr("parallelism", op.parallelism);
-        if let Some(p) = &op.from_pattern {
+        if let Some(p) = op.from_pattern() {
             n = n.attr("from_pattern", p);
         }
         n.children.push(kind_node(&op.kind));
@@ -194,12 +194,10 @@ fn read_schema(node: &XmlNode) -> Result<Schema, XlmError> {
             .ok_or_else(|| format_err(format!("bad type on attr `{name}`")))?;
         let nullable = a.get_attr("nullable").is_none_or(|v| v == "true");
         let sensitive = a.get_attr("sensitive") == Some("true");
-        attrs.push(Attribute {
-            name: name.to_string(),
-            dtype,
-            nullable,
-            sensitive,
-        });
+        let mut attr = Attribute::new(name, dtype);
+        attr.nullable = nullable;
+        attr.sensitive = sensitive;
+        attrs.push(attr);
     }
     Schema::try_new(attrs).map_err(|name| format_err(format!("duplicate attr `{name}`")))
 }
@@ -209,9 +207,9 @@ fn req_attr<'a>(node: &'a XmlNode, key: &str, ctx: &str) -> Result<&'a str, XlmE
         .ok_or_else(|| format_err(format!("{ctx}: missing `{key}`")))
 }
 
-fn names_of(node: &XmlNode, tag: &str) -> Result<Vec<String>, XlmError> {
+fn names_of<T: for<'a> From<&'a str>>(node: &XmlNode, tag: &str) -> Result<Vec<T>, XlmError> {
     node.find_all(tag)
-        .map(|c| req_attr(c, "name", tag).map(str::to_string))
+        .map(|c| req_attr(c, "name", tag).map(T::from))
         .collect()
 }
 
@@ -350,7 +348,7 @@ pub fn read_flow(input: &str) -> Result<EtlFlow, XlmError> {
             op.parallelism = p;
         }
         if let Some(p) = n.get_attr("from_pattern") {
-            op.from_pattern = Some(p.to_string());
+            op = op.tag_pattern(p);
         }
         let id = flow.add_op(op);
         if id_map.insert(xml_id.clone(), id).is_some() {
@@ -384,6 +382,7 @@ mod tests {
     use datagen::fig2::purchases_flow;
     use datagen::tpcds::tpcds_flow;
     use datagen::tpch::tpch_flow;
+    use etl_model::expr::Expr;
 
     fn assert_flow_roundtrip(flow: &EtlFlow) {
         let xml = write_flow(flow);
@@ -399,11 +398,11 @@ mod tests {
         let b: Vec<&Operation> = back.graph.nodes().map(|(_, op)| op).collect();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.kind, y.kind, "kind mismatch on {}", x.name);
-            assert_eq!(x.cost, y.cost, "cost mismatch on {}", x.name);
+            assert_eq!(x.name(), y.name());
+            assert_eq!(x.kind, y.kind, "kind mismatch on {}", x.name());
+            assert_eq!(x.cost, y.cost, "cost mismatch on {}", x.name());
             assert_eq!(x.parallelism, y.parallelism);
-            assert_eq!(x.from_pattern, y.from_pattern);
+            assert_eq!(x.from_pattern(), y.from_pattern());
         }
         // and identical serialisation fixpoint
         assert_eq!(xml, write_flow(&back));
@@ -449,6 +448,32 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_column_names_roundtrip() {
+        let mut f = EtlFlow::new("lieferungen");
+        let extract = f.add_op(Operation::extract(
+            "lieferungen",
+            Schema::new(vec![
+                Attribute::required("größe", DataType::Float),
+                Attribute::new("straße", DataType::Str),
+            ]),
+        ));
+        let filter = f.add_op(Operation::filter(
+            "FILTER große",
+            Expr::col("größe").gt(Expr::lit_f(1.5)),
+        ));
+        let derive = f.add_op(Operation::derive(
+            "DERIVE maß",
+            vec![("maß".into(), Expr::col("größe").mul(Expr::lit_i(2)))],
+        ));
+        let load = f.add_op(Operation::load("dw.lieferungen"));
+        f.connect(extract, filter).unwrap();
+        f.connect(filter, derive).unwrap();
+        f.connect(derive, load).unwrap();
+        f.validate().unwrap();
+        assert_flow_roundtrip(&f);
+    }
+
+    #[test]
     fn sensitive_attributes_roundtrip() {
         let (mut f, _) = purchases_flow();
         let extract = f
@@ -463,7 +488,7 @@ mod tests {
                 .iter()
                 .cloned()
                 .map(|a| {
-                    if a.name == "pu_id" {
+                    if a.name() == "pu_id" {
                         a.mark_sensitive()
                     } else {
                         a
