@@ -85,7 +85,7 @@ pub fn apply_combination_incremental(
 ) -> Result<(EtlFlow, Vec<AppliedPattern>, CarriedTable), PatternError> {
     let mut flow = base.fork(name);
     let mut applied = Vec::with_capacity(combo.len());
-    let mut repaired: Result<SchemaTable, etl_model::SchemaError> = Ok(fork_table(base_schemas));
+    let mut repaired: Result<SchemaTable, etl_model::SchemaError> = Ok(base_schemas.clone());
     for c in application_order(combo, |c| c.point == ApplicationPoint::Graph) {
         // a step whose repair erred leaves no table for the next one
         let table = repaired.map_err(|e| PatternError::Graph(e.to_string()))?;
@@ -93,31 +93,24 @@ pub fn apply_combination_incremental(
         applied.push(a);
         repaired = r;
     }
-    let carried = carried(base, &flow, repaired);
+    let (carried, _) = carried(base, &flow, repaired);
     Ok((flow, applied, carried))
 }
 
-/// The [`CarriedTable`] verdict on `flow` from its last step's repair.
+/// The [`CarriedTable`] verdict on `flow` from its last step's repair, and
+/// the repaired table when there is one.
 fn carried(
     base: &EtlFlow,
     flow: &EtlFlow,
     repaired: Result<SchemaTable, etl_model::SchemaError>,
-) -> CarriedTable {
+) -> (CarriedTable, Option<SchemaTable>) {
     match repaired {
-        Ok(_) => CarriedTable::Exact {
-            cow: flow.delta_since(base),
-        },
-        Err(e) => CarriedTable::Broken(e),
+        Ok(table) => {
+            let cow = flow.delta_since(base);
+            (CarriedTable::Exact { cow }, Some(table))
+        }
+        Err(e) => (CarriedTable::Broken(e), None),
     }
-}
-
-/// A copy of `table` with room for the nodes a built-in step adds (at
-/// most four: `ParallelizeTask`'s partition, replicas and merge), so the
-/// repair's growth to the edited flow's node bound does not reallocate.
-fn fork_table(table: &SchemaTable) -> SchemaTable {
-    let mut fork = Vec::with_capacity(table.len() + 4);
-    fork.extend_from_slice(table);
-    fork
 }
 
 /// The order a combination's candidates are applied in: structural
@@ -189,6 +182,15 @@ fn repair_or_propagate(
 /// fork's [`delta_since`](EtlFlow::delta_since) the base is the one a
 /// single fork of the base would report.
 ///
+/// Forks are recycled. Every fork is a spare flow and a spare schema
+/// table refreshed in place from the state it extends (`clone_from` and
+/// [`etl_model::refresh_slots`]), and a fresh fork is the refresh of an
+/// empty spare. A refresh replaces only the slots where the spare differs
+/// from its source — typically the few the spare's last patch unshared.
+/// Popped levels, failed steps, the last step's table and the forks the
+/// caller hands back through [`recycle`](Self::recycle) become spares
+/// instead of being dropped.
+///
 /// A stack serves one base flow and one base schema table; build a new one
 /// when either changes.
 #[derive(Default)]
@@ -198,9 +200,51 @@ pub(crate) struct PrefixStack {
     levels: Vec<(usize, Option<Level>)>,
     /// Application order of the current combination (reused buffer).
     order: Vec<usize>,
+    /// Flows and tables out of use, the next forks' storage.
+    spares: Spares,
     /// Steps run so far — how many applications the reuse left to do.
     #[cfg(test)]
     steps: usize,
+}
+
+/// A [`PrefixStack`]'s spare flows and schema tables. Each pool keeps at
+/// most one more than the current combination's length, which is all one
+/// combination can have in use: its prefix levels and its result.
+#[derive(Default)]
+struct Spares {
+    flows: Vec<EtlFlow>,
+    tables: Vec<SchemaTable>,
+}
+
+impl Spares {
+    /// An unnamed fork of `flow` with a copy of its exact `table`, refreshed
+    /// into spares.
+    fn fork(&mut self, flow: &EtlFlow, table: &SchemaTable) -> (EtlFlow, SchemaTable) {
+        let mut fork = self
+            .flows
+            .pop()
+            .unwrap_or_else(|| EtlFlow::new(String::new()));
+        fork.clone_from(flow);
+        fork.name.clear();
+        let mut fork_table = self.tables.pop().unwrap_or_default();
+        etl_model::refresh_slots(&mut fork_table, table);
+        (fork, fork_table)
+    }
+
+    /// Keeps the flows and tables of popped `levels`.
+    fn reclaim(&mut self, levels: impl Iterator<Item = (usize, Option<Level>)>, depth: usize) {
+        for level in levels.filter_map(|(_, l)| l) {
+            keep(&mut self.flows, level.flow, depth);
+            keep(&mut self.tables, level.table, depth);
+        }
+    }
+}
+
+/// Adds `spare` to `pool` while it holds fewer than `depth + 1`.
+fn keep<T>(pool: &mut Vec<T>, spare: T, depth: usize) {
+    if pool.len() <= depth {
+        pool.push(spare);
+    }
 }
 
 /// An applied prefix: the fork after its last step, that step's record and
@@ -234,9 +278,11 @@ impl PrefixStack {
         self.order.extend(application_order(combo, |i| {
             candidates[i].point == ApplicationPoint::Graph
         }));
+        let depth = self.order.len();
         let Some((&last, prefix)) = self.order.split_last() else {
-            self.levels.clear();
-            let flow = base.fork(String::new());
+            self.spares.reclaim(self.levels.drain(..), depth);
+            let (flow, table) = self.spares.fork(base, base_schemas);
+            keep(&mut self.spares.tables, table, depth);
             let cow = flow.delta_since(base);
             return Some((flow, None, CarriedTable::Exact { cow }));
         };
@@ -246,9 +292,10 @@ impl PrefixStack {
             .zip(prefix)
             .take_while(|((i, _), j)| i == *j)
             .count();
-        self.levels.truncate(shared);
+        self.spares.reclaim(self.levels.drain(shared..), depth);
         for &i in &prefix[shared..] {
-            let (mut flow, table) = self.fork_top(base, base_schemas)?;
+            let (top, top_table) = top(&self.levels, base, base_schemas)?;
+            let (mut flow, table) = self.spares.fork(top, top_table);
             #[cfg(test)]
             {
                 self.steps += 1;
@@ -260,18 +307,34 @@ impl PrefixStack {
                     table,
                 }),
                 // a failed step, or a repair error the next step would meet
-                _ => None,
+                _ => {
+                    keep(&mut self.spares.flows, flow, depth);
+                    None
+                }
             };
             self.levels.push((i, level));
         }
-        let (mut flow, table) = self.fork_top(base, base_schemas)?;
+        let (top, top_table) = top(&self.levels, base, base_schemas)?;
+        let (mut flow, table) = self.spares.fork(top, top_table);
         #[cfg(test)]
         {
             self.steps += 1;
         }
-        let (a, repaired) = apply_step(base, &mut flow, table, &candidates[last]).ok()?;
-        let carried = carried(base, &flow, repaired);
+        let Ok((a, repaired)) = apply_step(base, &mut flow, table, &candidates[last]) else {
+            keep(&mut self.spares.flows, flow, depth);
+            return None;
+        };
+        let (carried, table) = carried(base, &flow, repaired);
+        if let Some(table) = table {
+            keep(&mut self.spares.tables, table, depth);
+        }
         Some((flow, Some(a), carried))
+    }
+
+    /// Takes back a fork [`apply`](Self::apply) returned that the caller
+    /// no longer needs, as storage for a later fork.
+    pub(crate) fn recycle(&mut self, flow: EtlFlow) {
+        keep(&mut self.spares.flows, flow, self.order.len());
     }
 
     /// The applied patterns of every step before the last of the
@@ -280,20 +343,19 @@ impl PrefixStack {
     pub(crate) fn prefix_records(&self) -> impl Iterator<Item = &AppliedPattern> {
         self.levels.iter().flat_map(|(_, l)| l).map(|l| &l.applied)
     }
+}
 
-    /// An unnamed fork of the top level with its exact schema table — the
-    /// base's when the stack is empty — or `None` when that level failed.
-    fn fork_top(
-        &self,
-        base: &EtlFlow,
-        base_schemas: &SchemaTable,
-    ) -> Option<(EtlFlow, SchemaTable)> {
-        match self.levels.last() {
-            None => Some((base.fork(String::new()), fork_table(base_schemas))),
-            Some((_, level)) => level
-                .as_ref()
-                .map(|l| (l.flow.fork(String::new()), fork_table(&l.table))),
-        }
+/// The state the next step extends: the top level's fork and exact schema
+/// table — the base's when the stack is empty — or `None` when that level
+/// failed.
+fn top<'a>(
+    levels: &'a [(usize, Option<Level>)],
+    base: &'a EtlFlow,
+    base_schemas: &'a SchemaTable,
+) -> Option<(&'a EtlFlow, &'a SchemaTable)> {
+    match levels.last() {
+        None => Some((base, base_schemas)),
+        Some((_, level)) => level.as_ref().map(|l| (&l.flow, &l.table)),
     }
 }
 
@@ -460,46 +522,87 @@ mod tests {
         assert_eq!(combination_name(&f, &[a, b]), combination_name(&f, &[b, a]));
     }
 
-    /// An outcome in comparable form: the flow's debug print, its applied
-    /// patterns, and the carried table's verdict.
-    type Outcome = Option<(String, Vec<String>, String)>;
+    /// An outcome in comparable form: the flow's debug print (its
+    /// structure and operations), its applied patterns, the carried
+    /// table's verdict and the flow's delta since the base.
+    type Outcome = (String, Vec<String>, String, String);
 
-    fn comparable(result: Option<(EtlFlow, Vec<AppliedPattern>, CarriedTable)>) -> Outcome {
-        result.map(|(flow, applied, carried)| {
-            let verdict = match carried {
-                CarriedTable::Exact { cow } => format!("exact {cow:?}"),
-                CarriedTable::Broken(e) => format!("broken {e}"),
-            };
-            let applied = applied.iter().map(|a| format!("{a:?}")).collect();
-            (format!("{flow:?}"), applied, verdict)
-        })
+    fn comparable(
+        base: &EtlFlow,
+        flow: &EtlFlow,
+        applied: &[AppliedPattern],
+        carried: &CarriedTable,
+    ) -> Outcome {
+        let verdict = match carried {
+            CarriedTable::Exact { cow } => format!("exact {cow:?}"),
+            CarriedTable::Broken(e) => format!("broken {e}"),
+        };
+        let applied = applied.iter().map(|a| format!("{a:?}")).collect();
+        let delta = format!("{:?}", flow.delta_since(base));
+        (format!("{flow:?}"), applied, verdict, delta)
     }
 
     /// Applies `combo` on `stack` and asserts the outcome equals the
     /// one-shot incremental apply's; returns it. The stacked outcome is
     /// assembled as the planner assembles a kept design: the fork named
     /// afterwards, its records read from the stack's prefix plus the last
-    /// step's.
+    /// step's. The fork then goes back to the stack, as the planner hands
+    /// back a dropped design, so every later fork is a recycled one. Every
+    /// stacked level's schema table must be the exact table of its flow,
+    /// and a fork of the base or of any level refreshed from the current
+    /// spares must share every slot with its source.
     fn stack_apply(
         stack: &mut PrefixStack,
         base: &EtlFlow,
         candidates: &[Candidate],
         combo: &[usize],
-    ) -> Outcome {
+    ) -> Option<Outcome> {
         let schemas = etl_model::propagate_schemas(base).unwrap();
         let name = format!("combo{combo:?}");
         let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
-        let one_shot = apply_combination_incremental(base, &refs, name.clone(), &schemas).ok();
+        let one_shot = apply_combination_incremental(base, &refs, name.clone(), &schemas)
+            .ok()
+            .map(|(flow, applied, carried)| comparable(base, &flow, &applied, &carried));
         let stacked =
             stack
                 .apply(base, &schemas, candidates, combo)
                 .map(|(mut flow, last, carried)| {
                     flow.name = name;
-                    let applied = stack.prefix_records().chain(&last).cloned().collect();
-                    (flow, applied, carried)
+                    let applied: Vec<_> = stack.prefix_records().chain(&last).cloned().collect();
+                    let outcome = comparable(base, &flow, &applied, &carried);
+                    stack.recycle(flow);
+                    outcome
                 });
-        let (stacked, one_shot) = (comparable(stacked), comparable(one_shot));
         assert_eq!(stacked, one_shot, "stack diverged on {combo:?}");
+        let levels = stack.levels.iter().flat_map(|(_, l)| l);
+        for level in levels.clone() {
+            let exact = etl_model::propagate_schemas(&level.flow).unwrap();
+            assert_eq!(level.table, exact, "a level's table on {combo:?}");
+        }
+        let sources = std::iter::once((base, &schemas)).chain(levels.map(|l| (&l.flow, &l.table)));
+        let forks: Vec<_> = sources
+            .map(|(flow, table)| {
+                let (fork, fork_table) = stack.spares.fork(flow, table);
+                assert_eq!(fork.graph.shared_node_slots(&flow.graph), flow.op_count());
+                assert!(fork.delta_since(flow).is_empty());
+                assert_eq!(format!("{:?}", fork.graph), format!("{:?}", flow.graph));
+                assert_eq!(fork.config, flow.config);
+                let shared = |(a, b): (&Option<_>, &Option<_>)| match (a, b) {
+                    (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                assert_eq!(fork_table.len(), table.len());
+                assert!(
+                    fork_table.iter().zip(table).all(shared),
+                    "a stale table slot"
+                );
+                (fork, fork_table)
+            })
+            .collect();
+        for (fork, table) in forks {
+            keep(&mut stack.spares.flows, fork, combo.len());
+            keep(&mut stack.spares.tables, table, combo.len());
+        }
         stacked
     }
 
@@ -525,14 +628,26 @@ mod tests {
 
     #[test]
     fn prefix_stack_matches_the_one_shot_apply_on_an_exhaustive_walk() {
-        let (f, cands) = setup();
+        // Every combination of up to three candidates, a step that always
+        // fails and a schema-breaking graph-level step among them; each
+        // returned fork is recycled.
+        let (f, mut cands) = setup();
+        let filter = f.ops_of_kind("filter")[0];
+        cands.push(faulty(false, ApplicationPoint::Node(filter)));
+        cands.push(faulty(true, ApplicationPoint::Graph));
         let policy = DeploymentPolicy::exhaustive(3);
         let mut stack = PrefixStack::default();
-        let mut applied = 0;
-        for combo in crate::explore::CombinationIter::new(&cands, &policy, 1500) {
+        let (mut applied, mut combos) = (0, 0);
+        for combo in crate::explore::CombinationIter::new(&cands, &policy, usize::MAX) {
             applied += usize::from(stack_apply(&mut stack, &f, &cands, &combo).is_some());
+            combos += 1;
         }
-        assert!(applied > 500, "only {applied} combinations applied");
+        assert!(
+            applied > 500,
+            "only {applied} of {combos} combinations applied"
+        );
+        assert!(applied < combos, "the failing step fails combinations");
+        assert!(!stack.spares.flows.is_empty() && !stack.spares.tables.is_empty());
     }
 
     /// A test pattern at a fixed point whose edit either fails outright or
@@ -579,15 +694,19 @@ mod tests {
         }
     }
 
+    /// A [`Faulty`] candidate at `point`.
+    fn faulty(breaks_schema: bool, point: ApplicationPoint) -> Candidate {
+        Candidate {
+            pattern: std::sync::Arc::new(Faulty { breaks_schema }),
+            point,
+            fitness: 0.0,
+        }
+    }
+
     #[test]
     fn prefix_stack_fails_on_failed_or_broken_prefixes_and_breaks_on_the_last() {
         let (f, mut cands) = setup();
         let filter = f.ops_of_kind("filter")[0];
-        let faulty = |breaks_schema, point| Candidate {
-            pattern: std::sync::Arc::new(Faulty { breaks_schema }),
-            point,
-            fitness: 0.0,
-        };
         let n = cands.len();
         cands.push(faulty(false, ApplicationPoint::Node(filter)));
         cands.push(faulty(true, ApplicationPoint::Node(filter)));
@@ -611,7 +730,7 @@ mod tests {
 
         // a broken last step reports the schema error
         for combo in [vec![s, ghost], vec![ghost_g], vec![s, g, ghost_g]] {
-            let (_, applied, verdict) = stack_apply(&mut stack, &f, &cands, &combo).unwrap();
+            let (_, applied, verdict, _) = stack_apply(&mut stack, &f, &cands, &combo).unwrap();
             assert_eq!(applied.len(), combo.len());
             assert!(verdict.starts_with("broken"), "{combo:?}: {verdict}");
         }

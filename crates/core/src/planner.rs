@@ -421,6 +421,7 @@ impl Planner {
                 None => analysis::screen(&flow).is_some(),
             };
             if invalid {
+                stack.recycle(flow);
                 return Realization::Screened;
             }
         }
@@ -655,6 +656,7 @@ impl<'a> StreamingEngine<'a> {
             Ok(m) => m,
             Err(_) => {
                 self.failed_evaluations.fetch_add(1, Ordering::Relaxed);
+                stack.recycle(flow);
                 return None;
             }
         };
@@ -663,6 +665,7 @@ impl<'a> StreamingEngine<'a> {
             || !objective.admits(self.baseline, &measures)
         {
             self.rejected.fetch_add(1, Ordering::Relaxed);
+            stack.recycle(flow);
             return None;
         }
         let scores = characteristic_scores(&measures, self.baseline, &self.dimensions);
@@ -677,10 +680,8 @@ impl<'a> StreamingEngine<'a> {
         // are dominated and dropped right here, so they never pay for it.
         // The flow carries the design's name, which prefixes the names of
         // the next cycle when the design is selected.
-        let stack = &*stack;
-        let alt = move || {
+        let alt = |mut flow: EtlFlow| {
             let name = self.labels.name(&self.planner.flow, combo);
-            let mut flow = flow;
             flow.name.clone_from(&name);
             Alternative {
                 name,
@@ -692,7 +693,7 @@ impl<'a> StreamingEngine<'a> {
             }
         };
         let mut state = self.state.lock().expect("engine state");
-        match state.skyline.insert(seq, oriented) {
+        let dropped = match state.skyline.insert(seq, oriented) {
             Insertion::Accepted { evicted } => {
                 if !self.retain_dominated {
                     for seq in evicted {
@@ -701,15 +702,20 @@ impl<'a> StreamingEngine<'a> {
                         }
                     }
                 }
-                state.retained.push((seq, alt()));
+                state.retained.push((seq, alt(flow)));
+                None
             }
-            Insertion::Dominated => {
-                if self.retain_dominated {
-                    state.retained.push((seq, alt()));
-                }
-                // else: the dominated flow is dropped right here, keeping
-                // the engine's memory proportional to the frontier
+            Insertion::Dominated if self.retain_dominated => {
+                state.retained.push((seq, alt(flow)));
+                None
             }
+            // the dominated flow is dropped right here, keeping the
+            // engine's memory proportional to the frontier
+            Insertion::Dominated => Some(flow),
+        };
+        drop(state);
+        if let Some(flow) = dropped {
+            stack.recycle(flow);
         }
         Some(steer)
     }

@@ -166,7 +166,7 @@ impl From<SchemaError> for FlowError {
 }
 
 /// An ETL process flow: named operation graph + process-wide config.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EtlFlow {
     /// Flow name (shown in reports and serialised models).
     pub name: String,
@@ -174,6 +174,31 @@ pub struct EtlFlow {
     pub graph: DiGraph<Operation, Channel>,
     /// Graph-level configuration.
     pub config: FlowConfig,
+}
+
+impl Clone for EtlFlow {
+    fn clone(&self) -> Self {
+        EtlFlow {
+            name: self.name.clone(),
+            graph: self.graph.clone(),
+            config: self.config.clone(),
+        }
+    }
+
+    /// Refreshes `self` into a clone of `source` in place, keeping its
+    /// allocations; the graph replaces only the slots that differ (see
+    /// [`DiGraph`]'s `clone_from`). `self` is destructured, so a field
+    /// added later fails to compile here instead of being left stale.
+    fn clone_from(&mut self, source: &Self) {
+        let EtlFlow {
+            name,
+            graph,
+            config,
+        } = self;
+        name.clone_from(&source.name);
+        graph.clone_from(&source.graph);
+        config.clone_from(&source.config);
+    }
 }
 
 impl EtlFlow {

@@ -65,4 +65,4 @@ pub use types::{Attribute, DataType, Schema};
 pub use value::{row_key, Tuple, Value};
 
 /// Convenient re-exports of the graph handles used throughout the stack.
-pub use flowgraph::{CowDelta, EdgeId, NodeId};
+pub use flowgraph::{refresh_slots, CowDelta, EdgeId, NodeId};

@@ -12,9 +12,11 @@ use quality::{Characteristic, GainProfile, RATIO_CLAMP_MAX};
 #[derive(Debug, Default, Clone)]
 pub struct AddCheckpoint;
 
+const NAME: &str = "AddCheckpoint";
+
 impl Pattern for AddCheckpoint {
     fn name(&self) -> &str {
-        "AddCheckpoint"
+        NAME
     }
     fn patch_confined_to_added_nodes(&self) -> bool {
         true
@@ -72,8 +74,11 @@ impl Pattern for AddCheckpoint {
         _schemas: &etl_model::SchemaTable,
     ) -> Result<AppliedPattern, PatternError> {
         let tag = format!("sp_{}", flow.op_count());
-        let op = Operation::new("PERSIST intermediary data", OpKind::Checkpoint { tag })
-            .tag_pattern(self.name());
+        let op = Operation::new(
+            shared_name!("PERSIST intermediary data"),
+            OpKind::Checkpoint { tag },
+        )
+        .tag_pattern(shared_name!(NAME));
         interpose_unchecked(self, flow, point, op)
     }
 }

@@ -55,9 +55,13 @@ impl FilterNullValues {
     }
 }
 
+const FILTER_NULL_VALUES: &str = "FilterNullValues";
+const REMOVE_DUPLICATE_ENTRIES: &str = "RemoveDuplicateEntries";
+const CROSSCHECK_SOURCES: &str = "CrosscheckSources";
+
 impl Pattern for FilterNullValues {
     fn name(&self) -> &str {
-        "FilterNullValues"
+        FILTER_NULL_VALUES
     }
     fn patch_confined_to_added_nodes(&self) -> bool {
         true
@@ -108,8 +112,11 @@ impl Pattern for FilterNullValues {
         let columns = point_schema_in(flow, schemas, point)
             .map(Self::target_columns)
             .unwrap_or_default();
-        let op = Operation::new("FILTER null values", OpKind::FilterNulls { columns })
-            .tag_pattern(self.name());
+        let op = Operation::new(
+            shared_name!("FILTER null values"),
+            OpKind::FilterNulls { columns },
+        )
+        .tag_pattern(shared_name!(FILTER_NULL_VALUES));
         interpose_unchecked(self, flow, point, op)
     }
 }
@@ -122,7 +129,7 @@ pub struct RemoveDuplicateEntries;
 
 impl Pattern for RemoveDuplicateEntries {
     fn name(&self) -> &str {
-        "RemoveDuplicateEntries"
+        REMOVE_DUPLICATE_ENTRIES
     }
     fn patch_confined_to_added_nodes(&self) -> bool {
         true
@@ -155,8 +162,11 @@ impl Pattern for RemoveDuplicateEntries {
         point: ApplicationPoint,
         _schemas: &etl_model::SchemaTable,
     ) -> Result<AppliedPattern, PatternError> {
-        let op = Operation::new("REMOVE duplicate entries", OpKind::Dedup { keys: vec![] })
-            .tag_pattern(self.name());
+        let op = Operation::new(
+            shared_name!("REMOVE duplicate entries"),
+            OpKind::Dedup { keys: vec![] },
+        )
+        .tag_pattern(shared_name!(REMOVE_DUPLICATE_ENTRIES));
         interpose_unchecked(self, flow, point, op)
     }
 }
@@ -202,7 +212,7 @@ impl CrosscheckSources {
 
 impl Pattern for CrosscheckSources {
     fn name(&self) -> &str {
-        "CrosscheckSources"
+        CROSSCHECK_SOURCES
     }
     fn patch_confined_to_added_nodes(&self) -> bool {
         true
@@ -265,7 +275,7 @@ impl Pattern for CrosscheckSources {
             format!("CROSSCHECK against {alt_source}"),
             OpKind::Crosscheck { alt_source, key },
         )
-        .tag_pattern(self.name());
+        .tag_pattern(shared_name!(CROSSCHECK_SOURCES));
         interpose_unchecked(self, flow, point, op)
     }
 }

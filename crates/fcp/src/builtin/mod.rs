@@ -15,6 +15,17 @@
 //! | [`UpgradeResources`] | performance | graph |
 //! | [`IncreaseRecurrence`] | data quality (freshness) | graph |
 
+/// The `Arc<str>` of a constant name, built once per process: each use
+/// clones the `Arc` instead of allocating the name again, so the
+/// operations every application adds share their names and tags.
+macro_rules! shared_name {
+    ($name:expr) => {{
+        static SHARED: std::sync::LazyLock<std::sync::Arc<str>> =
+            std::sync::LazyLock::new(|| std::sync::Arc::from($name));
+        std::sync::Arc::clone(&SHARED)
+    }};
+}
+
 mod checkpoint;
 mod cleaning;
 mod graphconf;

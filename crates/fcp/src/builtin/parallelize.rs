@@ -40,9 +40,11 @@ impl ParallelizeTask {
     }
 }
 
+const NAME: &str = "ParallelizeTask";
+
 impl Pattern for ParallelizeTask {
     fn name(&self) -> &str {
-        "ParallelizeTask"
+        NAME
     }
     fn patch_confined_to_added_nodes(&self) -> bool {
         true
@@ -100,12 +102,15 @@ impl Pattern for ParallelizeTask {
         // The pattern's internal representation is itself a small ETL flow:
         // partition → replicas → merge (Fig. 2a), whose operations share
         // one tag.
-        let tag: Arc<str> = self.name().into();
+        let tag: Arc<str> = shared_name!(NAME);
         let mut donor: DiGraph<Operation, Channel> = DiGraph::new();
         let part = donor.add_node(
-            Operation::new("HORIZONTAL PARTITION", OpKind::Partition).tag_pattern(tag.clone()),
+            Operation::new(shared_name!("HORIZONTAL PARTITION"), OpKind::Partition)
+                .tag_pattern(tag.clone()),
         );
-        let merge = donor.add_node(Operation::new("MERGE", OpKind::Merge).tag_pattern(tag.clone()));
+        let merge = donor.add_node(
+            Operation::new(shared_name!("MERGE"), OpKind::Merge).tag_pattern(tag.clone()),
+        );
         for i in 0..self.ways {
             let rep = original
                 .clone()

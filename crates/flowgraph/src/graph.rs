@@ -126,6 +126,9 @@ pub struct EdgeRef<'a, E> {
 /// Slots are `Arc`-shared: `clone()` is cheap and structurally shares every
 /// slot with the original; mutating either side copies only the touched slots
 /// (copy-on-write), so a fork never observes writes through to its base.
+/// `clone_from` refreshes a graph that is no longer needed into such a
+/// clone in place, touching only the slots that differ: the planner
+/// recycles its forks this way instead of dropping them.
 #[derive(Debug)]
 pub struct DiGraph<N, E> {
     nodes: Vec<Option<Arc<NodeSlot<N>>>>,
@@ -135,15 +138,54 @@ pub struct DiGraph<N, E> {
 }
 
 impl<N, E> Clone for DiGraph<N, E> {
-    /// `O(n)` refcount bumps; no node or edge weight is cloned.
+    /// `O(n)` refcount bumps; no node or edge weight is cloned. The same as
+    /// [`clone_from`](Self::clone_from) into an empty graph.
     fn clone(&self) -> Self {
-        DiGraph {
-            nodes: self.nodes.clone(),
-            edges: self.edges.clone(),
-            node_count: self.node_count,
-            edge_count: self.edge_count,
+        let mut g = DiGraph::new();
+        g.clone_from(self);
+        g
+    }
+
+    /// Makes `self` a copy-on-write clone of `source` in place, keeping its
+    /// slot vectors' allocations: see [`refresh_slots`]. Only the slots whose
+    /// pointer differs from `source`'s are replaced, so refreshing a fork
+    /// from its parent costs the slots the fork diverged on, not `O(n)`
+    /// refcount traffic. Afterwards `self` shares every slot with `source`,
+    /// exactly as a fresh [`clone`](Self::clone) does.
+    fn clone_from(&mut self, source: &Self) {
+        let DiGraph {
+            nodes,
+            edges,
+            node_count,
+            edge_count,
+        } = self;
+        refresh_slots(nodes, &source.nodes);
+        refresh_slots(edges, &source.edges);
+        *node_count = source.node_count;
+        *edge_count = source.edge_count;
+    }
+}
+
+/// Makes `dst` slot-for-slot equal to `src` in place: truncates or extends
+/// it to `src`'s length and replaces only the slots whose [`Arc`] pointer
+/// (or absence) differs, so a slot already shared costs nothing. The std
+/// `clone_from` of a `Vec` re-clones every element, bumping and dropping
+/// every refcount. Copy-on-write forks ([`DiGraph`]'s slot vectors) and the
+/// schema tables kept beside them are refreshed with this one body.
+pub fn refresh_slots<T>(dst: &mut Vec<Option<Arc<T>>>, src: &[Option<Arc<T>>]) {
+    dst.truncate(src.len());
+    for (d, s) in dst.iter_mut().zip(src) {
+        let shared = match (&*d, s) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        if !shared {
+            *d = s.clone();
         }
     }
+    let kept = dst.len();
+    dst.extend_from_slice(&src[kept..]);
 }
 
 /// Difference between a copy-on-write fork and the base it was cloned from,

@@ -49,6 +49,6 @@ pub use algo::{
     weakly_connected_components, TopoError,
 };
 pub use dot::to_dot;
-pub use graph::{CowDelta, DiGraph, EdgeId, EdgeRef, GraphError, NodeId};
+pub use graph::{refresh_slots, CowDelta, DiGraph, EdgeId, EdgeRef, GraphError, NodeId};
 pub use metrics::coupling;
 pub use splice::{InterposeSplice, SubgraphSplice};

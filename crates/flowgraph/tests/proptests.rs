@@ -1,6 +1,7 @@
 //! Property-based tests for the flowgraph invariants the planner relies on:
 //! splices never create cycles in a DAG, id stability, adjacency
-//! consistency under random edit sequences, and the local cycle check.
+//! consistency under random edit sequences, the local cycle check, and
+//! in-place refreshing of copy-on-write forks.
 
 use flowgraph::{is_dag, longest_path_len, region_is_acyclic, topo_sort, DiGraph, NodeId};
 use proptest::prelude::*;
@@ -47,7 +48,94 @@ fn region_graph(g: &DiGraph<u32, u32>, seeds: &[NodeId]) -> DiGraph<u32, u32> {
     region
 }
 
+/// Applies `edits` to `g`: each `(kind, a, b)` picks live nodes or edges by
+/// index and adds, removes or retargets an edge, adds or removes a node, or
+/// rewrites a node's weight. Edits the graph rejects are skipped.
+fn edit(g: &mut DiGraph<u32, u32>, edits: &[(u8, prop::sample::Index, prop::sample::Index)]) {
+    for (step, (kind, a, b)) in edits.iter().enumerate() {
+        let nodes: Vec<NodeId> = g.node_ids().collect();
+        let edges: Vec<_> = g.edge_ids().collect();
+        let weight = 1000 + step as u32;
+        match kind % 6 {
+            0 => {
+                g.add_node(weight);
+            }
+            1 if !nodes.is_empty() => {
+                let (x, y) = (nodes[a.index(nodes.len())], nodes[b.index(nodes.len())]);
+                let _ = g.add_edge(x, y, weight);
+            }
+            2 if !edges.is_empty() => {
+                g.remove_edge(edges[a.index(edges.len())]);
+            }
+            3 if !edges.is_empty() && !nodes.is_empty() => {
+                let e = edges[a.index(edges.len())];
+                let _ = g.retarget_edge(e, nodes[b.index(nodes.len())]);
+            }
+            4 if nodes.len() > 1 => {
+                g.remove_node(nodes[a.index(nodes.len())]);
+            }
+            5 if !nodes.is_empty() => {
+                *g.node_mut(nodes[a.index(nodes.len())]).unwrap() = weight;
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Everything observable about a graph: bounds, counts, live ids with
+/// their weights and adjacency order, and every edge's endpoints.
+fn observe(g: &DiGraph<u32, u32>) -> String {
+    let nodes: Vec<_> = g
+        .nodes()
+        .map(|(n, w)| {
+            let out: Vec<_> = g.out_edges(n).collect();
+            let inc: Vec<_> = g.in_edges(n).collect();
+            (n, *w, out, inc)
+        })
+        .collect();
+    let edges: Vec<_> = g.edges().map(|e| (e.id, e.src, e.dst, *e.weight)).collect();
+    format!(
+        "{} {} {} {} {nodes:?} {edges:?}",
+        g.node_bound(),
+        g.edge_bound(),
+        g.node_count(),
+        g.edge_count()
+    )
+}
+
 proptest! {
+    #[test]
+    fn clone_from_equals_a_fresh_clone(
+        base in arb_dag(12),
+        unrelated in arb_dag(12),
+        edits in proptest::collection::vec(
+            (0u8..6, any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            0..12,
+        ),
+        after in proptest::collection::vec(
+            (0u8..6, any::<prop::sample::Index>(), any::<prop::sample::Index>()),
+            1..6,
+        ),
+    ) {
+        let mut fork = base.clone();
+        edit(&mut fork, &edits);
+        // Refresh each kind of spare from each source: the fork back to its
+        // base, the base's clone forward to the fork, and a graph sharing
+        // nothing with either.
+        for src in [&base, &fork] {
+            for spare in [&base, &fork, &unrelated] {
+                let mut dst = spare.clone();
+                dst.clone_from(src);
+                prop_assert_eq!(observe(&dst), observe(&src.clone()));
+                prop_assert_eq!(dst.shared_node_slots(src), src.node_count());
+                prop_assert!(dst.cow_delta(src).is_empty());
+                let before = observe(src);
+                edit(&mut dst, &after);
+                prop_assert_eq!(observe(src), before);
+            }
+        }
+    }
+
     #[test]
     fn region_check_agrees_with_a_full_sort_of_the_region(
         g in arb_dag(20),

@@ -111,33 +111,56 @@ const NULLFILTER_RESIDUAL: f64 = 0.05;
 const DEDUP_RESIDUAL: f64 = 0.02;
 const CROSSCHECK_RESIDUAL: f64 = 0.10;
 
+/// One input of a node: the predecessor and the rows it sends along the
+/// edge. A partition splits its output across its successors and a router
+/// sends each branch half of it; everything else sends its full output.
+#[derive(Clone, Copy)]
+struct Input {
+    node: etl_model::NodeId,
+    rows: f64,
+}
+
+/// Fills `inputs` with `n`'s inputs, one per incoming edge in the graph's
+/// order, reading each predecessor's operation and out-degree once.
+fn gather_inputs(flow: &EtlFlow, n: etl_model::NodeId, est: &[NodeEst], inputs: &mut Vec<Input>) {
+    inputs.clear();
+    inputs.extend(flow.graph.predecessors(n).map(|p| {
+        let rows = est[p.index()].rows;
+        let rows = match flow.op(p).expect("live node").kind {
+            OpKind::Partition => rows / flow.graph.out_degree(p).max(1) as f64,
+            OpKind::Router { .. } => rows / 2.0,
+            _ => rows,
+        };
+        Input { node: p, rows }
+    }));
+}
+
 /// One node's estimate and its expected-redo contribution, computed from its
-/// operation and its predecessors' already-filled entries in `est`. The
-/// single definition of per-node estimator semantics; [`estimate`] calls it
-/// once per node in topological order.
+/// operation, its `inputs` (see [`gather_inputs`]) and their already-filled
+/// entries in `est`. The single definition of per-node estimator semantics;
+/// [`estimate`] calls it once per node in topological order.
 fn compute_node_est(
     flow: &EtlFlow,
     n: etl_model::NodeId,
+    inputs: &[Input],
     est: &[NodeEst],
     stats: &HashMap<String, SourceStats>,
     model: &CostModel,
 ) -> (NodeEst, f64) {
     let op = flow.op(n).expect("live node");
-    // Every reduction walks the predecessors in the graph's order, so the
-    // float sums come out the same on every call.
-    let preds = || flow.graph.predecessors(n);
-    let is_source = flow.graph.in_degree(n) == 0;
+    // Every reduction walks the inputs in the graph's order, so the float
+    // sums come out the same on every call.
+    let preds = || inputs.iter().map(|i| &est[i.node.index()]);
+    let is_source = inputs.is_empty();
 
-    let in_rows: f64 = preds().map(|p| branch_rows(est, flow, p)).sum();
+    let in_rows: f64 = inputs.iter().map(|i| i.rows).sum();
     let agg = |f: fn(&NodeEst) -> f64| -> f64 {
         if is_source {
             0.0
         } else {
             // row-weighted mean over inputs
-            let total: f64 = preds()
-                .map(|p| f(&est[p.index()]) * est[p.index()].rows.max(1.0))
-                .sum();
-            let w: f64 = preds().map(|p| est[p.index()].rows.max(1.0)).sum();
+            let total: f64 = preds().map(|p| f(p) * p.rows.max(1.0)).sum();
+            let w: f64 = preds().map(|p| p.rows.max(1.0)).sum();
             total / w
         }
     };
@@ -146,10 +169,8 @@ fn compute_node_est(
         null_rate: agg(|x| x.null_rate),
         dup_rate: agg(|x| x.dup_rate),
         corrupt_rate: agg(|x| x.corrupt_rate),
-        staleness_s: preds()
-            .map(|p| est[p.index()].staleness_s)
-            .fold(0.0f64, f64::max),
-        depth: preds().map(|p| est[p.index()].depth + 1).max().unwrap_or(0),
+        staleness_s: preds().map(|p| p.staleness_s).fold(0.0f64, f64::max),
+        depth: preds().map(|p| p.depth + 1).max().unwrap_or(0),
         ..NodeEst::default()
     };
 
@@ -183,9 +204,7 @@ fn compute_node_est(
         }
         OpKind::Join { .. } => {
             // equi-join on surrogate-ish keys: bounded by the larger input
-            let m = preds()
-                .map(|p| branch_rows(est, flow, p))
-                .fold(0.0f64, f64::max);
+            let m = inputs.iter().map(|i| i.rows).fold(0.0f64, f64::max);
             m * op.selectivity()
         }
         _ => in_rows * op.selectivity(),
@@ -193,19 +212,17 @@ fn compute_node_est(
 
     // timing — the simulator's cost model over the expected rows
     let service = model.service_ms(op, in_rows, e.rows);
-    let ready = preds()
-        .map(|p| est[p.index()].done_ms)
-        .fold(0.0f64, f64::max);
+    let ready = preds().map(|p| p.done_ms).fold(0.0f64, f64::max);
     e.done_ms = ready + service;
-    e.latency_ms = preds()
-        .map(|p| est[p.index()].latency_ms)
-        .fold(0.0f64, f64::max)
-        + model.latency_step_ms(op);
-    // Partition rows are split across successors; handled in branch_rows
-    // via out-degree division, so `e.rows` stores the total.
+    e.latency_ms = preds().map(|p| p.latency_ms).fold(0.0f64, f64::max) + model.latency_step_ms(op);
+    // Partition rows are split across successors in `gather_inputs`, so
+    // `e.rows` stores the total.
     e.redo_span_ms = CostModel::redo_span_ms(
         service,
-        preds().map(|p| (flow.op(p).expect("live node"), est[p.index()].redo_span_ms)),
+        inputs.iter().map(|i| {
+            let p = i.node;
+            (flow.op(p).expect("live node"), est[p.index()].redo_span_ms)
+        }),
     );
     (e, CostModel::expected_redo_ms(op, e.redo_span_ms))
 }
@@ -217,9 +234,9 @@ fn compute_node_est(
 ///
 /// One topological walk computes every node's estimate and, with it, the
 /// longest path that [`evaluate_static`] would derive from a second sort.
-/// The per-node vectors and the sort's buffers are per-thread and reused
-/// across calls, so an estimate allocates nothing for them once they have
-/// grown to the flow's size.
+/// The per-node vectors, the sort's buffers and the gathered inputs are
+/// per-thread and reused across calls, so an estimate allocates nothing for
+/// them once they have grown to the flow's size.
 pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> MeasureVector {
     thread_local! {
         static BUFFERS: RefCell<Buffers> = const { RefCell::new(Buffers::new()) };
@@ -231,6 +248,7 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
             indeg,
             queue,
             order,
+            inputs,
         } = b;
         if flowgraph::topo_sort_into(&flow.graph, indeg, queue, order).is_err() {
             return evaluate_static(flow);
@@ -243,7 +261,8 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
         redo_contrib.resize(bound, 0.0);
         let mut longest_path = 0;
         for &n in order.iter() {
-            let (e, c) = compute_node_est(flow, n, est, stats, &model);
+            gather_inputs(flow, n, est, inputs);
+            let (e, c) = compute_node_est(flow, n, inputs, est, stats, &model);
             longest_path = longest_path.max(e.depth);
             est[n.index()] = e;
             redo_contrib[n.index()] = c;
@@ -253,13 +272,15 @@ pub fn estimate(flow: &EtlFlow, stats: &HashMap<String, SourceStats>) -> Measure
 }
 
 /// [`estimate`]'s per-thread state: the per-node estimates and redo
-/// contributions, and the topological sort's in-degrees, queue and order.
+/// contributions, the topological sort's in-degrees, queue and order, and
+/// the current node's inputs.
 struct Buffers {
     est: Vec<NodeEst>,
     redo_contrib: Vec<f64>,
     indeg: Vec<usize>,
     queue: Vec<etl_model::NodeId>,
     order: Vec<etl_model::NodeId>,
+    inputs: Vec<Input>,
 }
 
 impl Buffers {
@@ -270,6 +291,7 @@ impl Buffers {
             indeg: Vec::new(),
             queue: Vec::new(),
             order: Vec::new(),
+            inputs: Vec::new(),
         }
     }
 }
@@ -375,19 +397,6 @@ fn finalize(
         crate::runtime::monetary_cost(cycle, flow),
     );
     v
-}
-
-/// Rows a successor receives from predecessor `from`: partitioned parents split
-/// their output across successors, everything else sends its full output.
-fn branch_rows(est: &[NodeEst], flow: &EtlFlow, from: etl_model::NodeId) -> f64 {
-    let op = flow.op(from).expect("live node");
-    let out_deg = flow.graph.out_degree(from).max(1) as f64;
-    let rows = est[from.index()].rows;
-    match op.kind {
-        OpKind::Partition => rows / out_deg,
-        OpKind::Router { .. } => rows / 2.0,
-        _ => rows,
-    }
 }
 
 #[cfg(test)]

@@ -319,14 +319,13 @@ impl<'a> P<'a> {
         while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             self.pos += 1;
         }
-        let v: i64 = self.s[start..self.pos]
-            .parse()
-            .map_err(|_| self.err("expected an integer"))?;
+        let v = signed_int(&self.s[start..self.pos], neg)
+            .ok_or_else(|| self.err("expected an integer"))?;
         self.ws();
         if !self.eat(")") {
             return Err(self.err("expected `)`"));
         }
-        Ok(if neg { -v } else { v })
+        Ok(v)
     }
 
     fn number(&mut self, negative: bool) -> Result<Expr, ExprParseError> {
@@ -361,8 +360,8 @@ impl<'a> P<'a> {
             let v: f64 = raw.parse().map_err(|_| self.err("bad float"))?;
             Ok(Expr::lit_f(sign * v))
         } else {
-            let v: i64 = raw.parse().map_err(|_| self.err("bad integer"))?;
-            Ok(Expr::lit_i(if negative { -v } else { v }))
+            let v = signed_int(raw, negative).ok_or_else(|| self.err("bad integer"))?;
+            Ok(Expr::lit_i(v))
         }
     }
 
@@ -389,6 +388,25 @@ impl<'a> P<'a> {
             }
         }
     }
+}
+
+/// The `i64` that the ASCII `digits` spell, negated when `negative`, or
+/// `None` when there are none or the value is out of range. The signed
+/// value is accumulated directly, so `i64::MIN`, whose magnitude is no
+/// `i64`, reads back.
+fn signed_int(digits: &str, negative: bool) -> Option<i64> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0i64, |acc, d| {
+        let d = i64::from(d - b'0');
+        let acc = acc.checked_mul(10)?;
+        if negative {
+            acc.checked_sub(d)
+        } else {
+            acc.checked_add(d)
+        }
+    })
 }
 
 #[cfg(test)]
@@ -449,6 +467,22 @@ mod tests {
                     (NOT (h IS NULL)))";
         assert_eq!(e.to_string(), text);
         roundtrip(&e);
+    }
+
+    #[test]
+    fn extreme_integers_roundtrip() {
+        for v in [i64::MIN, i64::MAX] {
+            roundtrip(&Expr::lit_i(v));
+            roundtrip(&Expr::Lit(Value::Date(v)));
+            roundtrip(&Expr::Lit(Value::Timestamp(v)));
+        }
+        // one past `i64::MIN` is still a typed error in every form
+        let below = "-9223372036854775809";
+        assert_eq!(parse_expr(below).unwrap_err().message, "bad integer");
+        for call in ["DATE", "TS"] {
+            let err = parse_expr(&format!("{call}({below})")).unwrap_err();
+            assert_eq!(err.message, "expected an integer");
+        }
     }
 
     #[test]
