@@ -190,10 +190,6 @@ pub struct PlanRequest {
     /// Keep dominated alternatives (full scatter-plot) or only the
     /// frontier (O(frontier) memory).
     pub retain_dominated: bool,
-    /// Selects nothing: estimation and simulation are both deterministic.
-    /// Kept on the wire so existing requests and session files still
-    /// decode to the same bytes.
-    pub seed: u64,
     /// The quality objective.
     pub objective: ObjectiveSpec,
 }
@@ -207,7 +203,6 @@ impl Default for PlanRequest {
             simulate: false,
             workers: config.workers,
             retain_dominated: config.retain_dominated,
-            seed: config.seed,
             objective: ObjectiveSpec::from_objective(&config.objective),
         }
     }
@@ -226,7 +221,6 @@ impl PlanRequest {
             simulate: config.eval_mode == EvalMode::Simulate,
             workers: config.workers,
             retain_dominated: config.retain_dominated,
-            seed: config.seed,
             objective: ObjectiveSpec::from_objective(&config.objective),
         }
     }
@@ -247,7 +241,6 @@ impl PlanRequest {
             })
             .workers(self.workers)
             .retain_dominated(self.retain_dominated)
-            .seed(self.seed)
             .objective(self.objective.to_objective()?))
     }
 }
@@ -260,9 +253,6 @@ impl ToJson for PlanRequest {
             ("simulate", self.simulate.to_json()),
             ("workers", self.workers.to_json()),
             ("retain_dominated", self.retain_dominated.to_json()),
-            // a u64 does not fit f64 losslessly past 2^53, so the seed
-            // travels as a decimal string
-            ("seed", self.seed.to_string().to_json()),
             ("objective", self.objective.to_json()),
         ])
     }
@@ -276,10 +266,6 @@ impl FromJson for PlanRequest {
             simulate: v.field("simulate")?,
             workers: v.field("workers")?,
             retain_dominated: v.field("retain_dominated")?,
-            seed: v
-                .field::<String>("seed")?
-                .parse()
-                .map_err(|_| JsonError("seed: expected a decimal u64 string".into()))?,
             objective: v.field("objective")?,
         })
     }
@@ -802,7 +788,6 @@ mod tests {
             simulate: true,
             workers: 3,
             retain_dominated: false,
-            seed: 99,
             ..PlanRequest::default()
         };
         let builder = request.apply(SessionBuilder::new()).unwrap();

@@ -14,6 +14,10 @@ use fcp::{ApplicationPoint, AppliedPattern, PatternContext, PatternError};
 /// preserves boundary edges, so later candidates' points stay valid unless
 /// genuinely conflicting, in which case the pattern itself reports
 /// [`PatternError::NotApplicable`] and the whole combination is discarded.
+///
+/// This is the from-base reference application: the manual baseline
+/// (`baseline.rs`) and the planner's test oracle use it, while the planner
+/// itself applies every combination incrementally on a `PrefixStack`.
 pub fn apply_combination(
     base: &EtlFlow,
     combo: &[&Candidate],
@@ -29,9 +33,9 @@ pub fn apply_combination(
         applied.push(c.pattern.apply(&mut flow, c.point)?);
     }
     // Each `apply` checks its pattern's preconditions on the flow it edits.
-    // Validity of the result is checked by the planner's static post-screen
-    // (`PlannerConfig::prescreen`), not asserted here: a pattern that breaks
-    // the flow must surface as a counted rejection, never a panic.
+    // Validity of the result is not asserted here: a caller that needs it
+    // screens the result (`analysis::screen`), so a pattern that breaks the
+    // flow surfaces as a counted rejection, never a panic.
     Ok((flow, applied))
 }
 

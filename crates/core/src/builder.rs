@@ -84,15 +84,6 @@ impl SessionBuilder {
         SessionBuilder::default()
     }
 
-    /// Seeds every configuration knob from an existing [`PlannerConfig`]
-    /// (how the legacy `Planner::new` routes through the builder).
-    pub fn from_config(config: PlannerConfig) -> Self {
-        SessionBuilder {
-            config,
-            ..SessionBuilder::default()
-        }
-    }
-
     /// The initial ETL flow to redesign (required).
     pub fn flow(mut self, flow: EtlFlow) -> Self {
         self.flow = Some(flow);
@@ -158,13 +149,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Sets [`PlannerConfig::seed`], which selects nothing: estimation and
-    /// simulation are both deterministic.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
     /// The configuration accumulated so far (what
     /// [`build_planner`](Self::build_planner) will hand the planner).
     pub fn config(&self) -> &PlannerConfig {
@@ -198,19 +182,6 @@ impl SessionBuilder {
     /// Validates the inputs and builds the session.
     pub fn build(self) -> Result<Session, PoiesisError> {
         Ok(Session::new(self.build_planner()?))
-    }
-
-    /// Unvalidated assembly for the legacy `Planner::new` path, which was
-    /// always infallible (its errors surface at plan time). Panics only if
-    /// flow or catalog were never provided — `Planner::new` always
-    /// provides both.
-    pub(crate) fn assemble_planner(self) -> Planner {
-        let flow = self.flow.expect("assemble_planner requires a flow");
-        let catalog = self.catalog.expect("assemble_planner requires a catalog");
-        let registry = self
-            .registry
-            .unwrap_or_else(|| PatternRegistry::standard_for_catalog(&catalog));
-        Planner::from_parts(flow, catalog, registry, self.config)
     }
 }
 
@@ -311,7 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_planner_new_still_works_and_routes_through_the_builder() {
+    fn legacy_planner_new_still_works() {
         let (f, cat) = flow_and_catalog();
         let reg = PatternRegistry::standard_for_catalog(&cat);
         let p = Planner::new(f, cat, reg, PlannerConfig::default());

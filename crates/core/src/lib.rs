@@ -69,6 +69,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+// The planner's unit tests share the integration tests' oracle, which names
+// this crate by its public path.
+#[cfg(test)]
+extern crate self as poiesis;
+
 pub mod api;
 pub mod apply;
 pub mod baseline;

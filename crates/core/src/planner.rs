@@ -12,7 +12,7 @@
 //! O(frontier) instead of O(space) and the budget can grow by orders of
 //! magnitude.
 
-use crate::apply::{apply_combination, CarriedTable, LabelTable, PrefixStack};
+use crate::apply::{CarriedTable, LabelTable, PrefixStack};
 use crate::error::PoiesisError;
 use crate::eval::{characteristic_scores, evaluate_flow, Alternative, EvalMode};
 use crate::explore::{theoretical_space, SpaceStats};
@@ -59,31 +59,13 @@ pub struct PlannerConfig {
     /// `dimensions` list and the implicit score-sum ranking.
     pub objective: Objective,
     /// Selects nothing: estimation and simulation are both deterministic.
-    /// Kept because the wire's `seed` and existing configurations set it.
+    /// Kept because existing configurations set it.
     pub seed: u64,
-    /// Statically screen every applied combination before evaluation: an
-    /// applied flow that no longer validates is counted in
-    /// [`PlannerOutcome::statically_rejected`] instead of failing inside
-    /// the (much more expensive) evaluation. Pattern preconditions are not
-    /// screened here: each application checks its pattern's
-    /// [`applicable`](fcp::Pattern::applicable) on the flow it edits. On by
-    /// default; turning it off restores the historical fail-at-evaluation
-    /// behaviour.
+    /// Selects nothing: every applied combination is statically screened
+    /// before evaluation. Kept because existing configurations set it.
     pub prescreen: bool,
-    /// Incremental application and screening. The base flow's
-    /// `Arc`-shared schema table is computed once per cycle; each worker
-    /// applies combinations on a prefix stack that keeps the applied state
-    /// a combination shares with its predecessor, so a combination costs
-    /// about one pattern application plus one schema repair by
-    /// [`etl_model::repair_table`] (re-propagated from scratch when a
-    /// repair reports `false`). The post-screen then checks only the
-    /// patched region's structure ([`analysis::screen_delta_structural`]).
-    /// Every fork is scored from scratch in either mode, by
-    /// [`quality::estimate`] or by simulation ([`EvalMode`]). The resulting
-    /// alternatives are bit-identical to the non-incremental path (enforced
-    /// by tests), so this is on by default; turning it off restores
-    /// [`apply_combination`] plus a full [`analysis::screen`] per
-    /// combination, the oracle the tests compare against.
+    /// Selects nothing: every combination is applied incrementally on its
+    /// worker's prefix stack. Kept because existing configurations set it.
     pub delta_eval: bool,
     /// Bound-based dominance pre-pruning: before a combination is even
     /// forked, its sound optimistic score bound (the patterns'
@@ -155,10 +137,9 @@ pub struct PlannerOutcome {
     /// aborting the cycle, so one bad simulation no longer discards
     /// thousands of good designs.
     pub failed_evaluations: usize,
-    /// Combinations dropped by the static post-screen
-    /// ([`PlannerConfig::prescreen`]) before any evaluation: the applied
-    /// result failed flow validation. A candidate whose preconditions do
-    /// not hold fails its application and counts in
+    /// Combinations dropped by the static post-screen before any
+    /// evaluation: the applied result failed flow validation. A candidate
+    /// whose preconditions do not hold fails its application and counts in
     /// [`failed_applications`](Self::failed_applications) instead.
     pub statically_rejected: usize,
     /// Combinations skipped by the bound-based dominance pre-pruner
@@ -262,22 +243,18 @@ pub struct Planner {
 impl Planner {
     /// Creates a planner for an initial flow over a source catalog.
     ///
-    /// This is the legacy entry point, kept working for existing callers;
-    /// it routes through the [`SessionBuilder`](crate::SessionBuilder)
-    /// internally (without the builder's up-front validation — errors
-    /// surface at [`plan`](Self::plan) time, as they always did). New code
-    /// should start from [`Poiesis::session`](crate::Poiesis::session).
+    /// This is the legacy entry point, kept working for existing callers.
+    /// It skips the [`SessionBuilder`](crate::SessionBuilder)'s up-front
+    /// validation: errors surface at [`plan`](Self::plan) time, as they
+    /// always did. New code should start from
+    /// [`Poiesis::session`](crate::Poiesis::session).
     pub fn new(
         flow: EtlFlow,
         catalog: Catalog,
         registry: PatternRegistry,
         config: PlannerConfig,
     ) -> Self {
-        crate::builder::SessionBuilder::from_config(config)
-            .flow(flow)
-            .catalog(catalog)
-            .registry(registry)
-            .assemble_planner()
+        Planner::from_parts(flow, catalog, registry, config)
     }
 
     /// The unchecked constructor both [`new`](Self::new) and the builder
@@ -332,10 +309,9 @@ impl Planner {
     /// Runs one full planning cycle with an explicit (possibly
     /// user-defined) search strategy — the streaming engine.
     pub fn plan_with(&self, strategy: &dyn SearchStrategy) -> Result<PlannerOutcome, PoiesisError> {
-        let (baseline, candidates, schemas) = self.prepare()?;
         // `prepare` propagated the table once for the whole cycle; the
         // incremental apply carries it from there.
-        let schemas = self.config.delta_eval.then_some(schemas);
+        let (baseline, candidates, schemas) = self.prepare()?;
         let labels = LabelTable::new(&candidates);
         // The pruner activates only where a skipped combination is provably
         // unobservable — see [`PlannerConfig::bound_prune`].
@@ -375,57 +351,45 @@ impl Planner {
         ))
     }
 
-    /// The apply → post-screen pipeline of one combination: forks and
-    /// applies the combination — incrementally on `stack` when the cycle
-    /// carries the base's schema table (`schemas`) — and screens the
-    /// applied result. Each application checks its pattern's
-    /// [`applicable`](fcp::Pattern::applicable) against the flow it edits,
-    /// so a candidate whose preconditions do not hold fails here as an
-    /// application. The applied flow is unnamed: nothing before the
-    /// skyline reads the name, so only a kept design is named.
+    /// The apply → post-screen pipeline of one combination. The
+    /// combination is applied on the worker's `stack` to a fork of the
+    /// base, left unnamed because nothing before the skyline reads the
+    /// name, so only a kept design is named. The base's schema table (`schemas`, propagated once
+    /// per cycle) is carried across the applications and repaired by
+    /// [`etl_model::repair_table`] (re-propagated from scratch when a
+    /// repair reports `false`), and the stack reuses the steps shared with
+    /// the previous combination, so a combination costs about one pattern
+    /// application plus one schema repair. Each application checks its
+    /// pattern's [`applicable`](fcp::Pattern::applicable) against the flow
+    /// it edits, so a candidate whose preconditions do not hold fails here
+    /// as an application. The post-screen then rejects a result whose
+    /// carried schema verdict is broken or whose patched region no longer
+    /// validates structurally ([`analysis::screen_delta_structural`]): such
+    /// a flow would only fail later, and more expensively, inside
+    /// evaluation. The result is bit-identical to [`apply_combination`]
+    /// plus a full [`analysis::screen`], which the tests hold it to.
+    ///
+    /// [`apply_combination`]: crate::apply::apply_combination
     fn realize_combination(
         &self,
         stack: &mut PrefixStack,
         combo: &[usize],
         candidates: &[Candidate],
-        schemas: Option<&etl_model::SchemaTable>,
+        schemas: &etl_model::SchemaTable,
     ) -> Realization {
-        // With the base schema table, apply incrementally: the table is
-        // carried across the combination's applications (O(patch) per step)
-        // instead of re-propagated from scratch inside each pattern, and
-        // the stack reuses the steps shared with the previous combination.
-        let (flow, records, carried) = match schemas {
-            Some(schemas) => match stack.apply(&self.flow, schemas, candidates, combo) {
-                Some((f, last, c)) => (f, Records::Stacked(last), Some(c)),
-                None => return Realization::ApplyFailed,
-            },
-            None => {
-                let refs: Vec<&Candidate> = combo.iter().map(|&i| &candidates[i]).collect();
-                match apply_combination(&self.flow, &refs, String::new()) {
-                    Ok((f, a)) => (f, Records::Owned(a), None),
-                    Err(_) => return Realization::ApplyFailed,
-                }
-            }
+        let Some((flow, last, carried)) = stack.apply(&self.flow, schemas, candidates, combo)
+        else {
+            return Realization::ApplyFailed;
         };
-        // structural screen: an applied flow that no longer validates would
-        // only fail later (and more expensively) inside evaluation. The
-        // incremental apply has already settled the schema verdict and
-        // computed the fork's copy-on-write delta, so only the patched
-        // region's structure is checked there.
-        if self.config.prescreen {
-            let invalid = match carried {
-                Some(CarriedTable::Broken(_)) => true,
-                Some(CarriedTable::Exact { cow }) => {
-                    analysis::screen_delta_structural(&flow, &cow).is_some()
-                }
-                None => analysis::screen(&flow).is_some(),
-            };
-            if invalid {
-                stack.recycle(flow);
-                return Realization::Screened;
-            }
+        let invalid = match carried {
+            CarriedTable::Broken(_) => true,
+            CarriedTable::Exact { cow } => analysis::screen_delta_structural(&flow, &cow).is_some(),
+        };
+        if invalid {
+            stack.recycle(flow);
+            return Realization::Screened;
         }
-        Realization::Ready { flow, records }
+        Realization::Ready { flow, last }
     }
 
     /// Scores one realized combination from scratch: [`quality::estimate`]
@@ -472,35 +436,19 @@ impl Planner {
 /// Outcome of [`Planner::realize_combination`]: an applied flow ready for
 /// evaluation, or a rejection the engine counts.
 enum Realization {
-    /// Applied and screened; evaluate it.
-    Ready { flow: EtlFlow, records: Records },
+    /// Applied and screened; evaluate it. `last` is the last step's
+    /// applied pattern (`None` for an empty combination); the steps before
+    /// it are the worker stack's [`prefix_records`](PrefixStack::prefix_records).
+    Ready {
+        flow: EtlFlow,
+        last: Option<AppliedPattern>,
+    },
     /// Dropped by the static post-screen: the applied flow does not
     /// validate.
     Screened,
     /// The application itself failed: a candidate was not applicable on
     /// the flow it would edit, or its edit errored.
     ApplyFailed,
-}
-
-/// The applied patterns of a realized combination.
-enum Records {
-    /// All of them, in application order, from the one-shot apply.
-    Owned(Vec<AppliedPattern>),
-    /// The last step's (`None` for an empty combination); the steps before
-    /// it are the worker stack's [`prefix_records`](PrefixStack::prefix_records).
-    Stacked(Option<AppliedPattern>),
-}
-
-impl Records {
-    /// One `"pattern point"` line per applied pattern, in application
-    /// order, reading a stacked prefix from `stack`.
-    fn describe(&self, stack: &PrefixStack) -> Vec<String> {
-        let line = |a: &AppliedPattern| format!("{} {}", a.pattern, a.point);
-        match self {
-            Records::Owned(all) => all.iter().map(line).collect(),
-            Records::Stacked(last) => stack.prefix_records().chain(last).map(line).collect(),
-        }
-    }
 }
 
 // --------------------------------------------------------- streaming engine
@@ -539,10 +487,8 @@ struct StreamingEngine<'a> {
     /// Goal axes, resolved from the objective once per cycle.
     dimensions: Vec<Characteristic>,
     retain_dominated: bool,
-    /// The base flow's schema table, carried by the incremental apply
-    /// ([`PlannerConfig::delta_eval`]); `None` when it does not apply to
-    /// this cycle.
-    schemas: Option<etl_model::SchemaTable>,
+    /// The base flow's schema table, carried by the incremental apply.
+    schemas: etl_model::SchemaTable,
     /// Candidate labels, derived and ranked once per cycle.
     labels: LabelTable,
     /// Per-candidate static gain profiles, present iff the bound-based
@@ -570,7 +516,7 @@ impl<'a> StreamingEngine<'a> {
         planner: &'a Planner,
         baseline: &'a MeasureVector,
         candidates: &'a [Candidate],
-        schemas: Option<etl_model::SchemaTable>,
+        schemas: etl_model::SchemaTable,
         labels: LabelTable,
         bound_prune: bool,
     ) -> Self {
@@ -636,13 +582,11 @@ impl<'a> StreamingEngine<'a> {
                 return None;
             }
         }
-        let (flow, records) = match self.planner.realize_combination(
-            stack,
-            combo,
-            self.candidates,
-            self.schemas.as_ref(),
-        ) {
-            Realization::Ready { flow, records } => (flow, records),
+        let realized =
+            self.planner
+                .realize_combination(stack, combo, self.candidates, &self.schemas);
+        let (flow, last) = match realized {
+            Realization::Ready { flow, last } => (flow, last),
             Realization::Screened => {
                 self.statically_rejected.fetch_add(1, Ordering::Relaxed);
                 return None;
@@ -686,7 +630,11 @@ impl<'a> StreamingEngine<'a> {
             Alternative {
                 name,
                 flow,
-                applied: records.describe(stack),
+                applied: stack
+                    .prefix_records()
+                    .chain(&last)
+                    .map(|a| format!("{} {}", a.pattern, a.point))
+                    .collect(),
                 combo: combo.to_vec(),
                 measures,
                 scores,
@@ -762,6 +710,10 @@ impl CombinationSink for EngineSink<'_, '_> {
         )
     }
 }
+
+#[cfg(test)]
+#[path = "../tests/oracle/mod.rs"]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1142,38 +1094,24 @@ mod tests {
 
     #[test]
     fn prescreening_preserves_the_frontier() {
-        // The pre-screen must be invisible on valid workloads: identical
-        // skyline and space accounting with and without it, on both demo
-        // flows (the acceptance bar for turning it on by default).
-        let screened = planner(PlannerConfig::default()).plan().unwrap();
-        let unscreened = planner(PlannerConfig {
-            prescreen: false,
-            ..PlannerConfig::default()
-        })
-        .plan()
-        .unwrap();
-        assert_eq!(screened.skyline_names(), unscreened.skyline_names());
-        assert_eq!(screened.alternatives.len(), unscreened.alternatives.len());
-        assert_eq!(screened.stats, unscreened.stats);
+        // The post-screen must be invisible on valid workloads: the planner
+        // equals the unscreened oracle exactly, on both demo flows.
+        let p = planner(PlannerConfig::default());
+        let screened = p.plan().unwrap();
+        oracle::assert_matches(&screened, &oracle::plan_unscreened(&p));
         assert_eq!(screened.statically_rejected, 0);
-        assert_eq!(unscreened.statically_rejected, 0);
 
-        let tpch = |prescreen: bool| {
-            let (f, _) = tpch_flow();
-            let cat = tpch_catalog(120, &DirtProfile::demo(), 5);
-            let reg = PatternRegistry::standard_for_catalog(&cat);
-            let config = PlannerConfig {
-                prescreen,
-                max_alternatives: 2_000,
-                ..PlannerConfig::default()
-            };
-            Planner::new(f, cat, reg, config).plan().unwrap()
+        let (f, _) = tpch_flow();
+        let cat = tpch_catalog(120, &DirtProfile::demo(), 5);
+        let reg = PatternRegistry::standard_for_catalog(&cat);
+        let config = PlannerConfig {
+            max_alternatives: 2_000,
+            ..PlannerConfig::default()
         };
-        let on = tpch(true);
-        let off = tpch(false);
-        assert_eq!(on.skyline_names(), off.skyline_names());
-        assert_eq!(on.alternatives.len(), off.alternatives.len());
-        assert_eq!(on.statically_rejected, 0);
+        let p = Planner::new(f, cat, reg, config);
+        let screened = p.plan().unwrap();
+        oracle::assert_matches(&screened, &oracle::plan_unscreened(&p));
+        assert_eq!(screened.statically_rejected, 0);
     }
 
     #[test]
@@ -1266,29 +1204,35 @@ mod tests {
         }
     }
 
+    /// A Fig. 2 planner with [`GhostColumn`] beside the standard palette.
+    fn ghost_planner(config: PlannerConfig) -> Planner {
+        let (f, _) = purchases_flow();
+        let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
+        let mut reg = PatternRegistry::standard_for_catalog(&cat);
+        reg.register(GhostColumn);
+        Planner::new(f, cat, reg, config)
+    }
+
+    const STRATEGIES: [SearchStrategyKind; 3] = [
+        SearchStrategyKind::Exhaustive,
+        SearchStrategyKind::Beam { width: 6 },
+        SearchStrategyKind::GreedyHillClimb,
+    ];
+
     #[test]
     fn invalid_applications_are_prescreened_before_evaluation() {
         // A pattern whose application breaks the flow (rewrites the filter
-        // predicate over a column that does not exist). With the structural
-        // screen on, the broken designs are counted as static rejections
-        // and evaluation never sees them; with it off, the same workload
-        // pays for the failures at evaluation time.
-        let run = |prescreen: bool| {
-            let (f, _) = purchases_flow();
-            let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
-            let mut reg = PatternRegistry::standard_for_catalog(&cat);
-            reg.register(GhostColumn);
-            let config = PlannerConfig {
-                eval_mode: EvalMode::Simulate,
-                max_alternatives: 500,
-                policy: DeploymentPolicy::exhaustive(1),
-                prescreen,
-                ..PlannerConfig::default()
-            };
-            Planner::new(f, cat, reg, config).plan().unwrap()
-        };
-
-        let screened = run(true);
+        // predicate over a column that does not exist). The structural
+        // screen counts the broken designs as static rejections and
+        // evaluation never sees them; the unscreened oracle pays for the
+        // same failures at evaluation time.
+        let p = ghost_planner(PlannerConfig {
+            eval_mode: EvalMode::Simulate,
+            max_alternatives: 500,
+            policy: DeploymentPolicy::exhaustive(1),
+            ..PlannerConfig::default()
+        });
+        let screened = p.plan().unwrap();
         assert!(
             screened.statically_rejected > 0,
             "broken flows must be pruned"
@@ -1302,110 +1246,76 @@ mod tests {
             "good designs must survive"
         );
 
-        let unscreened = run(false);
+        let unscreened = oracle::plan_unscreened(&p);
         assert_eq!(unscreened.statically_rejected, 0);
-        assert!(
-            unscreened.failed_evaluations > 0,
-            "without the screen the same workload fails at evaluation time"
+        assert_eq!(
+            unscreened.failed_evaluations, screened.statically_rejected,
+            "without the screen the same designs fail at evaluation time"
         );
-        assert_eq!(screened.skyline_names(), unscreened.skyline_names());
+        assert_eq!(unscreened.skyline, screened.skyline);
+        oracle::assert_matches(&screened, &oracle::plan(&p));
     }
 
     #[test]
     fn delta_evaluation_is_bit_identical_to_full() {
-        // The tentpole's acceptance bar: with `delta_eval` on (default)
-        // every alternative's MeasureVector equals the from-scratch value
-        // exactly — not approximately — and the frontier is unchanged.
-        let run = |delta_eval: bool| {
-            planner(PlannerConfig {
-                delta_eval,
+        // Every alternative's MeasureVector equals the from-base oracle's
+        // exactly — not approximately — and so do the frontier and every
+        // counter, under every strategy.
+        for strategy in STRATEGIES {
+            let p = planner(PlannerConfig {
+                strategy,
                 ..PlannerConfig::default()
-            })
-            .plan()
-            .unwrap()
-        };
-        let fast = run(true);
-        let slow = run(false);
-        assert_eq!(fast.skyline_names(), slow.skyline_names());
-        assert_eq!(fast.skyline, slow.skyline);
-        assert_eq!(fast.alternatives.len(), slow.alternatives.len());
-        for (a, b) in fast.alternatives.iter().zip(&slow.alternatives) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(
-                a.measures, b.measures,
-                "delta-evaluated measures must be bit-identical for {}",
-                a.name
-            );
+            });
+            let out = p.plan().unwrap();
+            assert!(!out.alternatives.is_empty(), "{strategy}");
+            oracle::assert_matches(&out, &oracle::plan(&p));
         }
-        assert_eq!(fast.statically_rejected, slow.statically_rejected);
-        assert_eq!(fast.failed_applications, slow.failed_applications);
-        assert_eq!(fast.failed_evaluations, slow.failed_evaluations);
     }
 
     #[test]
     fn delta_evaluation_screens_broken_applications_identically() {
         // The delta post-screen must reject exactly the combinations the
-        // full screen rejects (a pattern whose application breaks schema
-        // consistency), with identical counters.
-        let run = |delta_eval: bool| {
-            let (f, _) = purchases_flow();
-            let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
-            let mut reg = PatternRegistry::standard_for_catalog(&cat);
-            reg.register(GhostColumn);
-            let config = PlannerConfig {
+        // oracle's full screen rejects (a pattern whose application breaks
+        // schema consistency), with identical counters.
+        for strategy in STRATEGIES {
+            let p = ghost_planner(PlannerConfig {
+                strategy,
                 max_alternatives: 500,
                 policy: DeploymentPolicy::exhaustive(2),
-                delta_eval,
                 ..PlannerConfig::default()
-            };
-            Planner::new(f, cat, reg, config).plan().unwrap()
-        };
-        let fast = run(true);
-        let slow = run(false);
-        assert!(fast.statically_rejected > 0, "broken flows must be pruned");
-        assert_eq!(fast.statically_rejected, slow.statically_rejected);
-        assert_eq!(fast.failed_evaluations, 0);
-        assert_eq!(fast.skyline_names(), slow.skyline_names());
+            });
+            let out = p.plan().unwrap();
+            assert!(
+                out.statically_rejected > 0,
+                "{strategy}: broken flows must be pruned"
+            );
+            assert_eq!(out.failed_evaluations, 0);
+            oracle::assert_matches(&out, &oracle::plan(&p));
+        }
     }
 
     #[test]
     fn simulate_cycles_on_the_prefix_stack_equal_the_oracle() {
         // Simulate cycles apply on the prefix stack too. They must equal the
-        // `delta_eval: false` oracle (`apply_combination` plus a full
-        // screen) exactly, broken applications included.
-        let run = |delta_eval: bool| {
-            let (f, _) = purchases_flow();
-            let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
-            let mut reg = PatternRegistry::standard_for_catalog(&cat);
-            reg.register(GhostColumn);
-            let config = PlannerConfig {
+        // oracle (`apply_combination` plus a full screen) exactly, broken
+        // applications included.
+        for strategy in STRATEGIES {
+            let p = ghost_planner(PlannerConfig {
+                strategy,
                 eval_mode: EvalMode::Simulate,
                 policy: DeploymentPolicy::exhaustive(2),
-                delta_eval,
                 ..PlannerConfig::default()
-            };
-            Planner::new(f, cat, reg, config).plan().unwrap()
-        };
-        let stack = run(true);
-        let oracle = run(false);
-        assert!(!stack.stats.truncated, "the whole space is walked");
-        assert!(stack.statically_rejected > 0, "broken flows must be pruned");
-        assert_eq!(stack.stats, oracle.stats);
-        assert_eq!(stack.skyline, oracle.skyline);
-        assert_eq!(stack.alternatives.len(), oracle.alternatives.len());
-        let bits = |m: &MeasureVector| -> Vec<(MeasureId, u64)> {
-            m.iter().map(|(id, v)| (id, v.to_bits())).collect()
-        };
-        for (a, b) in stack.alternatives.iter().zip(&oracle.alternatives) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(bits(&a.measures), bits(&b.measures), "for {}", a.name);
+            });
+            let out = p.plan().unwrap();
+            assert!(
+                !out.stats.truncated,
+                "{strategy}: the whole space is walked"
+            );
+            assert!(
+                out.statically_rejected > 0,
+                "{strategy}: broken flows must be pruned"
+            );
+            oracle::assert_matches(&out, &oracle::plan(&p));
         }
-        assert_eq!(stack.statically_rejected, oracle.statically_rejected);
-        assert_eq!(stack.failed_applications, oracle.failed_applications);
-        assert_eq!(stack.failed_evaluations, oracle.failed_evaluations);
-        assert_eq!(
-            stack.rejected_by_constraints,
-            oracle.rejected_by_constraints
-        );
     }
 }

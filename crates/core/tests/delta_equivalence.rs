@@ -1,8 +1,11 @@
-//! Cross-crate properties of the incremental-evaluation tentpole: delta
-//! (copy-on-write + cached-baseline) planning must be *bit-identical* to
-//! from-scratch planning — same measure vectors, same Pareto frontier —
-//! across every demo workload and every search strategy, and forked flows
-//! must actually share their untouched storage.
+//! Cross-crate properties of incremental planning: the planner, which
+//! applies every combination on copy-on-write forks of a prefix stack, must
+//! be *bit-identical* to the from-base oracle (`oracle/mod.rs`) — same
+//! measure vectors, same Pareto frontier, same counters — across every
+//! demo workload and every search strategy, and forked flows must actually
+//! share their untouched storage.
+
+mod oracle;
 
 use datagen::fig2::{purchases_catalog, purchases_flow};
 use datagen::tpcds::{tpcds_catalog, tpcds_flow};
@@ -45,19 +48,16 @@ impl Workload {
     }
 }
 
-fn plan(workload: Workload, strategy: SearchStrategyKind, delta_eval: bool) -> PlannerOutcome {
+fn planner(workload: Workload, strategy: SearchStrategyKind) -> Planner {
     let (flow, catalog) = workload.build(80);
     let registry = PatternRegistry::standard_for_catalog(&catalog);
     let config = PlannerConfig {
         strategy,
-        delta_eval,
         max_alternatives: 600,
         policy: DeploymentPolicy::exhaustive(2),
         ..PlannerConfig::default()
     };
     Planner::new(flow, catalog, registry, config)
-        .plan()
-        .unwrap()
 }
 
 /// An exhaustive policy of `depth` over the two fittest points per
@@ -83,21 +83,13 @@ fn deep_planner(
     Planner::new(flow, catalog, registry, config)
 }
 
-/// The equality the whole PR hangs on: every retained alternative carries a
-/// measure vector equal *to the bit* in both modes, and the frontier is the
-/// same set of designs.
-fn assert_bit_identical(fast: &PlannerOutcome, slow: &PlannerOutcome) {
-    assert_eq!(fast.skyline_names(), slow.skyline_names());
-    assert_eq!(fast.skyline, slow.skyline);
-    assert_eq!(fast.alternatives.len(), slow.alternatives.len());
-    for (a, b) in fast.alternatives.iter().zip(&slow.alternatives) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.measures, b.measures, "measures diverged for {}", a.name);
-        assert_eq!(a.scores, b.scores, "scores diverged for {}", a.name);
-    }
-    assert_eq!(fast.statically_rejected, slow.statically_rejected);
-    assert_eq!(fast.failed_applications, slow.failed_applications);
-    assert_eq!(fast.failed_evaluations, slow.failed_evaluations);
+/// Plans one cycle and asserts it equals the oracle's to the bit: every
+/// retained alternative's name and measure vector, the frontier and every
+/// counter.
+fn plan_checked(planner: &Planner) -> PlannerOutcome {
+    let out = planner.plan().unwrap();
+    oracle::assert_matches(&out, &oracle::plan(planner));
+    out
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -117,7 +109,8 @@ fn arb_strategy() -> impl Strategy<Value = SearchStrategyKind> {
 }
 
 proptest! {
-    // Each case runs two full planning cycles; keep the case count modest.
+    // Each case runs a planning cycle and the oracle's; keep the case
+    // count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -125,9 +118,7 @@ proptest! {
         workload in arb_workload(),
         strategy in arb_strategy(),
     ) {
-        let fast = plan(workload, strategy, true);
-        let slow = plan(workload, strategy, false);
-        assert_bit_identical(&fast, &slow);
+        plan_checked(&planner(workload, strategy));
     }
 }
 
@@ -140,10 +131,8 @@ fn delta_matches_scratch_on_every_workload_and_strategy() {
             SearchStrategyKind::Beam { width: 4 },
             SearchStrategyKind::GreedyHillClimb,
         ] {
-            let fast = plan(workload, strategy, true);
-            let slow = plan(workload, strategy, false);
-            assert!(!fast.alternatives.is_empty(), "{workload:?}/{strategy}");
-            assert_bit_identical(&fast, &slow);
+            let out = plan_checked(&planner(workload, strategy));
+            assert!(!out.alternatives.is_empty(), "{workload:?}/{strategy}");
         }
     }
 }
@@ -189,7 +178,7 @@ fn delta_matches_scratch_with_a_custom_pattern() {
     // A user-defined pattern's edit runs on the incremental path too: its
     // `apply_unchecked` configures the interposed op from the carried
     // schema table, which must agree to the bit with a from-scratch plan.
-    fn plan_with_custom(strategy: SearchStrategyKind, delta_eval: bool) -> PlannerOutcome {
+    fn plan_with_custom(strategy: SearchStrategyKind) -> PlannerOutcome {
         let (flow, catalog) = Workload::Demo.build(80);
         let mut registry = PatternRegistry::standard_for_catalog(&catalog);
         registry.register(CustomPattern::new(
@@ -209,14 +198,11 @@ fn delta_matches_scratch_with_a_custom_pattern() {
         ));
         let config = PlannerConfig {
             strategy,
-            delta_eval,
             max_alternatives: 600,
             policy: DeploymentPolicy::exhaustive(2),
             ..PlannerConfig::default()
         };
-        Planner::new(flow, catalog, registry, config)
-            .plan()
-            .unwrap()
+        plan_checked(&Planner::new(flow, catalog, registry, config))
     }
 
     for strategy in [
@@ -224,15 +210,13 @@ fn delta_matches_scratch_with_a_custom_pattern() {
         SearchStrategyKind::Beam { width: 4 },
         SearchStrategyKind::GreedyHillClimb,
     ] {
-        let fast = plan_with_custom(strategy, true);
-        let slow = plan_with_custom(strategy, false);
+        let out = plan_with_custom(strategy);
         assert!(
-            fast.alternatives
+            out.alternatives
                 .iter()
                 .any(|a| a.applied.iter().any(|p| p.contains("SortEarly"))),
             "{strategy}: the custom pattern was never applied"
         );
-        assert_bit_identical(&fast, &slow);
     }
 }
 
@@ -282,20 +266,17 @@ impl fcp::Pattern for AuditStamp {
 
 #[test]
 fn delta_matches_scratch_with_an_in_place_editing_pattern() {
-    fn plan_with_stamp(strategy: SearchStrategyKind, delta_eval: bool) -> PlannerOutcome {
+    fn plan_with_stamp(strategy: SearchStrategyKind) -> PlannerOutcome {
         let (flow, catalog) = Workload::Demo.build(80);
         let mut registry = PatternRegistry::standard_for_catalog(&catalog);
         registry.register(AuditStamp);
         let config = PlannerConfig {
             strategy,
-            delta_eval,
             max_alternatives: 600,
             policy: DeploymentPolicy::exhaustive(2),
             ..PlannerConfig::default()
         };
-        Planner::new(flow, catalog, registry, config)
-            .plan()
-            .unwrap()
+        plan_checked(&Planner::new(flow, catalog, registry, config))
     }
 
     for strategy in [
@@ -303,15 +284,13 @@ fn delta_matches_scratch_with_an_in_place_editing_pattern() {
         SearchStrategyKind::Beam { width: 4 },
         SearchStrategyKind::GreedyHillClimb,
     ] {
-        let fast = plan_with_stamp(strategy, true);
-        let slow = plan_with_stamp(strategy, false);
+        let out = plan_with_stamp(strategy);
         assert!(
-            fast.alternatives
+            out.alternatives
                 .iter()
                 .any(|a| a.applied.iter().any(|p| p.contains("AuditStamp"))),
             "{strategy}: no combination with the in-place edit reached evaluation"
         );
-        assert_bit_identical(&fast, &slow);
     }
 }
 
@@ -326,21 +305,16 @@ fn delta_matches_scratch_at_depths_three_and_four() {
                 SearchStrategyKind::Beam { width: 4 },
                 SearchStrategyKind::GreedyHillClimb,
             ] {
-                let run = |delta_eval: bool| {
-                    let config = PlannerConfig {
-                        strategy,
-                        delta_eval,
-                        max_alternatives: 600,
-                        policy: deep_policy(depth),
-                        ..PlannerConfig::default()
-                    };
-                    deep_planner(workload, |_| {}, config).plan().unwrap()
+                let config = PlannerConfig {
+                    strategy,
+                    max_alternatives: 600,
+                    policy: deep_policy(depth),
+                    ..PlannerConfig::default()
                 };
-                let fast = run(true);
-                assert_bit_identical(&fast, &run(false));
+                let out = plan_checked(&deep_planner(workload, |_| {}, config));
                 if strategy == SearchStrategyKind::Exhaustive {
                     assert!(
-                        fast.alternatives.iter().any(|a| a.combo.len() == depth),
+                        out.alternatives.iter().any(|a| a.combo.len() == depth),
                         "{workload:?}/{strategy}: no depth-{depth} alternative"
                     );
                 }
@@ -352,26 +326,25 @@ fn delta_matches_scratch_at_depths_three_and_four() {
 #[test]
 fn delta_outcomes_do_not_depend_on_the_worker_count() {
     // Each worker applies on its own prefix stack over contiguous chunks;
-    // the outcome must be the single-worker scratch outcome at any width.
+    // the outcome must be the sequential oracle's at any width.
     for strategy in [
         SearchStrategyKind::Exhaustive,
         SearchStrategyKind::Beam { width: 8 },
         SearchStrategyKind::GreedyHillClimb,
     ] {
-        let run = |delta_eval: bool, workers: usize| {
+        let planner = |workers: usize| {
             let config = PlannerConfig {
                 strategy,
-                delta_eval,
                 workers,
                 max_alternatives: 600,
                 policy: deep_policy(3),
                 ..PlannerConfig::default()
             };
-            deep_planner(Workload::Tpch, |_| {}, config).plan().unwrap()
+            deep_planner(Workload::Tpch, |_| {}, config)
         };
-        let slow = run(false, 1);
+        let expected = oracle::plan(&planner(1));
         for workers in [1, 2, 4] {
-            assert_bit_identical(&run(true, workers), &slow);
+            oracle::assert_matches(&planner(workers).plan().unwrap(), &expected);
         }
     }
 }
@@ -383,24 +356,17 @@ fn beam_extensions_of_survivors_match_scratch() {
     // (A width-1 beam keeps the best singleton, which may have no
     // higher-indexed candidate to extend it with.)
     for width in [3, 8] {
-        let run = |delta_eval: bool| {
-            let config = PlannerConfig {
-                strategy: SearchStrategyKind::Beam { width },
-                delta_eval,
-                max_alternatives: 2000,
-                policy: DeploymentPolicy::exhaustive(4),
-                ..PlannerConfig::default()
-            };
-            deep_planner(Workload::Tpcds, |_| {}, config)
-                .plan()
-                .unwrap()
+        let config = PlannerConfig {
+            strategy: SearchStrategyKind::Beam { width },
+            max_alternatives: 2000,
+            policy: DeploymentPolicy::exhaustive(4),
+            ..PlannerConfig::default()
         };
-        let fast = run(true);
+        let out = plan_checked(&deep_planner(Workload::Tpcds, |_| {}, config));
         assert!(
-            fast.alternatives.iter().any(|a| a.combo.len() == 4),
+            out.alternatives.iter().any(|a| a.combo.len() == 4),
             "beam:{width} never extended to depth 4"
         );
-        assert_bit_identical(&fast, &run(false));
     }
 }
 
@@ -432,29 +398,26 @@ fn delta_matches_scratch_with_custom_in_place_edits_at_depth_three() {
         SearchStrategyKind::Beam { width: 4 },
         SearchStrategyKind::GreedyHillClimb,
     ] {
-        let run = |delta_eval: bool| {
-            let config = PlannerConfig {
-                strategy,
-                delta_eval,
-                max_alternatives: 600,
-                policy: deep_policy(3),
-                ..PlannerConfig::default()
-            };
-            deep_planner(Workload::Demo, register_custom_patterns, config)
-                .plan()
-                .unwrap()
+        let config = PlannerConfig {
+            strategy,
+            max_alternatives: 600,
+            policy: deep_policy(3),
+            ..PlannerConfig::default()
         };
-        let fast = run(true);
+        let out = plan_checked(&deep_planner(
+            Workload::Demo,
+            register_custom_patterns,
+            config,
+        ));
         if strategy == SearchStrategyKind::Exhaustive {
             assert!(
-                fast.alternatives
+                out.alternatives
                     .iter()
                     .any(|a| a.combo.len() == 3
                         && a.applied.iter().any(|p| p.contains("AuditStamp"))),
                 "no depth-3 combination with the in-place edit"
             );
         }
-        assert_bit_identical(&fast, &run(false));
     }
 }
 

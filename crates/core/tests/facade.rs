@@ -246,19 +246,15 @@ fn arb_request() -> impl Strategy<Value = PlanRequest> {
         1..100_000usize,
         (any::<bool>(), any::<bool>()),
         1..32usize,
-        // full-range u64: seeds above 2^53 must survive (they travel as
-        // decimal strings, not f64)
-        any::<u64>(),
         objective,
     )
         .prop_map(
-            |(strategy, budget, (simulate, retain), workers, seed, objective)| PlanRequest {
+            |(strategy, budget, (simulate, retain), workers, objective)| PlanRequest {
                 strategy,
                 budget,
                 simulate,
                 workers,
                 retain_dominated: retain,
-                seed,
                 objective,
             },
         )

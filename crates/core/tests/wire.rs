@@ -21,7 +21,7 @@ const DEFAULT_REQUEST: &str = concat!(
     r#"{"characteristic":"performance","direction":"max","weight":1},"#,
     r#"{"characteristic":"data_quality","direction":"max","weight":1},"#,
     r#"{"characteristic":"reliability","direction":"max","weight":1}]},"#,
-    r#""retain_dominated":true,"seed":"48879","simulate":false,"strategy":"exhaustive","workers":4}"#
+    r#""retain_dominated":true,"simulate":false,"strategy":"exhaustive","workers":4}"#
 );
 
 #[test]
@@ -55,23 +55,51 @@ fn a_decode_error_names_the_path_to_the_member_that_failed() {
         with_objective(r#"{"goals":[{"characteristic":"cost","weight":1}],"constraints":[]}"#),
         "objective: goals: missing field `direction`"
     );
-    assert_eq!(
-        PlanRequest::from_json_str(&DEFAULT_REQUEST.replace("\"48879\"", "48879"))
-            .unwrap_err()
-            .0,
-        "seed: expected string, got number"
-    );
 }
 
 #[test]
-fn a_request_with_the_largest_seed_and_constraints_is_pinned() {
+fn a_request_or_session_file_still_carrying_the_dropped_seed_decodes_as_without_it() {
+    // Requests and session files written before `seed` left the wire carry
+    // it as a decimal string; the decoder skips it, whatever it holds, and
+    // the re-encoded bytes no longer name it.
+    let with_seed = |seed: &str| {
+        DEFAULT_REQUEST.replacen(
+            r#""simulate":"#,
+            &format!(r#""seed":{seed},"simulate":"#),
+            1,
+        )
+    };
+    for seed in [r#""48879""#, r#""18446744073709551615""#, "48879", "null"] {
+        let old = with_seed(seed);
+        assert_ne!(old, DEFAULT_REQUEST);
+        let request = PlanRequest::from_json_str(&old).unwrap();
+        assert_eq!(request, PlanRequest::default(), "seed {seed}");
+        assert_eq!(request.to_json_string(), DEFAULT_REQUEST);
+    }
+    let snapshot = SessionSnapshot {
+        id: 2,
+        base_name: "s_purchases".into(),
+        flow_xlm: "<xlm/>".into(),
+        request: PlanRequest::default(),
+        history: vec![record()],
+    };
+    let old = format!(
+        r#"{{"base_name":"s_purchases","flow_xlm":"<xlm/>","history":[{RECORD}],"id":2,"request":{}}}"#,
+        with_seed(r#""48879""#)
+    );
+    let back = SessionSnapshot::from_json_str(&old).unwrap();
+    assert_eq!(back, snapshot);
+    assert_eq!(back.to_json_string(), old.replace(r#""seed":"48879","#, ""));
+}
+
+#[test]
+fn a_request_with_constraints_is_pinned() {
     let mut request = PlanRequest {
         strategy: "beam:8".into(),
         budget: 500,
         simulate: true,
         workers: 2,
         retain_dominated: false,
-        seed: u64::MAX,
         ..PlanRequest::default()
     };
     request.objective.goals.truncate(2);
@@ -95,7 +123,7 @@ fn a_request_with_the_largest_seed_and_constraints_is_pinned() {
             r#"{"measure":"monetary_cost","ratio_vs_baseline":0.1}],"goals":["#,
             r#"{"characteristic":"performance","direction":"max","weight":2.5},"#,
             r#"{"characteristic":"data_quality","direction":"min","weight":1}]},"#,
-            r#""retain_dominated":false,"seed":"18446744073709551615","simulate":true,"#,
+            r#""retain_dominated":false,"simulate":true,"#,
             r#""strategy":"beam:8","workers":2}"#
         ),
     );

@@ -258,8 +258,11 @@ impl Expr {
 
 /// Writes the xLM expression grammar (`xlm::expr_text`), which parses
 /// back to the same tree: binary operations, `NOT` and `IS NULL` are fully
-/// parenthesised, strings single-quoted with `''` escaping, floats always
-/// keep a decimal point or an exponent.
+/// parenthesised, strings single-quoted with `''` escaping, finite floats
+/// always keep a decimal point or an exponent. A non-finite float is never
+/// written as a name: ±∞ is `1e999` / `-1e999`, which overflows back to
+/// it, and a NaN is `NAN(<its bit pattern as an i64>)`, so that every NaN
+/// reads back bit for bit.
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -269,6 +272,10 @@ impl fmt::Display for Expr {
                 Value::Bool(true) => write!(f, "TRUE"),
                 Value::Bool(false) => write!(f, "FALSE"),
                 Value::Int(i) => write!(f, "{i}"),
+                Value::Float(x) if x.is_nan() => write!(f, "NAN({})", x.to_bits() as i64),
+                Value::Float(x) if x.is_infinite() => {
+                    write!(f, "{}1e999", if *x < 0.0 { "-" } else { "" })
+                }
                 Value::Float(x) => write!(f, "{x:?}"),
                 Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
                 Value::Date(d) => write!(f, "DATE({d})"),

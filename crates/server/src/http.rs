@@ -826,6 +826,7 @@ mod tests {
             body_cuts in prop::collection::vec(any::<prop::sample::Index>(), 8),
             slack in -8i64..8,
             over in prop_oneof![1usize..=1 << 20, Just(usize::MAX)],
+            flip in (any::<prop::sample::Index>(), any::<u8>()),
         ) {
             let raw = &wire.raw;
             let mut cuts: Vec<usize> = cuts.iter().map(|i| 1 + i.index(raw.len() - 1)).collect();
@@ -859,6 +860,18 @@ mod tests {
                 let declared = wire.body.len();
                 let limit = max_body_bytes;
                 prop_assert_eq!(read, Err(HttpError::PayloadTooLarge { declared, limit }));
+            }
+
+            // any one byte of the head replaced: `Ok` or a typed error,
+            // never a panic, and the same verdict however the bytes arrive
+            let (at, byte) = (flip.0.index(head_len), flip.1);
+            let mut flipped = raw.clone();
+            flipped[at] = byte;
+            let whole = read_message(&mut flipped.as_slice(), &Limits::RESPONSE);
+            let segmented = read_message(&mut Segmented::new(&flipped, &cuts), &Limits::RESPONSE);
+            prop_assert_eq!(&segmented, &whole);
+            if byte == raw[at] {
+                prop_assert_eq!(whole, Ok((wire.head.clone(), wire.body.clone())));
             }
 
             // a declared length beyond the cap, with no body behind it, is

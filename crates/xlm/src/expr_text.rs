@@ -16,11 +16,14 @@
 //! postfix := primary ( "IS" "NOT"? "NULL" )*
 //! primary := "(" expr ")" | "COALESCE(" expr ("," expr)* ")"
 //!          | "NULL" | "TRUE" | "FALSE"
-//!          | "DATE(" int ")" | "TS(" int ")"
+//!          | "DATE(" int ")" | "TS(" int ")" | "NAN(" int ")"
 //!          | number | 'string' | identifier
 //! ```
 //!
-//! Strings are single-quoted with `''` escaping. `Display` fully
+//! Strings are single-quoted with `''` escaping. `NAN(b)` is the NaN whose
+//! bit pattern is `b` as an `i64`; `NAN` not followed by `(` is a column,
+//! as is `NaN`. ±∞ needs no form of its own: `1e999` overflows to it.
+//! `Display` fully
 //! parenthesises binary operations, so `parse_expr(&e.to_string())` is the
 //! identity on the AST (verified by property test).
 
@@ -266,6 +269,18 @@ impl<'a> P<'a> {
         if self.keyword("TS") {
             return self.int_call().map(|v| Expr::Lit(Value::Timestamp(v)));
         }
+        let save = self.pos;
+        if self.keyword("NAN") {
+            self.ws();
+            if self.peek() == Some('(') {
+                let x = f64::from_bits(self.int_call()? as u64);
+                if !x.is_nan() {
+                    return Err(self.err("expected the bit pattern of a NaN"));
+                }
+                return Ok(Expr::lit_f(x));
+            }
+            self.pos = save;
+        }
         match self.peek() {
             Some('\'') => self.string_lit(),
             Some(c) if c.is_ascii_digit() => self.number(false),
@@ -483,6 +498,45 @@ mod tests {
             let err = parse_expr(&format!("{call}({below})")).unwrap_err();
             assert_eq!(err.message, "expected an integer");
         }
+    }
+
+    #[test]
+    fn non_finite_floats_roundtrip_bit_for_bit() {
+        let payload = f64::from_bits(0x7ff0_0000_0000_0001);
+        let cases = [
+            (f64::NAN, "NAN(9221120237041090560)"),
+            (-f64::NAN, "NAN(-2251799813685248)"),
+            (payload, "NAN(9218868437227405313)"),
+            (f64::INFINITY, "1e999"),
+            (f64::NEG_INFINITY, "-1e999"),
+        ];
+        for (x, text) in cases {
+            let e = Expr::lit_f(x);
+            assert_eq!(e.to_string(), text);
+            match parse_expr(text) {
+                Ok(Expr::Lit(Value::Float(y))) => assert_eq!(y.to_bits(), x.to_bits(), "{text}"),
+                other => panic!("`{text}` read back as {other:?}"),
+            }
+            // inside an operation too
+            let e = Expr::col("a").sub(Expr::lit_f(x));
+            match parse_expr(&e.to_string()) {
+                Ok(Expr::Bin(BinOp::Sub, a, b)) => {
+                    assert_eq!(*a, Expr::col("a"));
+                    assert!(matches!(*b, Expr::Lit(Value::Float(y)) if y.to_bits() == x.to_bits()));
+                }
+                other => panic!("`{e}` read back as {other:?}"),
+            }
+        }
+        // the names stay columns, and the call takes only NaN bits
+        for name in ["NaN", "NAN", "inf", "nan"] {
+            assert_eq!(parse_expr(name), Ok(Expr::col(name)));
+        }
+        assert_eq!(
+            parse_expr("NAN > 1"),
+            Ok(Expr::col("NAN").gt(Expr::lit_i(1)))
+        );
+        let err = parse_expr("NAN(0)").unwrap_err();
+        assert_eq!(err.message, "expected the bit pattern of a NaN");
     }
 
     #[test]
