@@ -62,10 +62,12 @@ pub struct PlannerConfig {
     /// Kept because existing configurations set it.
     pub seed: u64,
     /// Selects nothing: every applied combination is statically screened
-    /// before evaluation. Kept because existing configurations set it.
+    /// before evaluation, whatever this says. Kept only because perfbench's
+    /// replay reads it; ROADMAP item 3 deletes it.
     pub prescreen: bool,
     /// Selects nothing: every combination is applied incrementally on its
-    /// worker's prefix stack. Kept because existing configurations set it.
+    /// worker's prefix stack, whatever this says. Kept only because
+    /// perfbench's replay reads it; ROADMAP item 3 deletes it.
     pub delta_eval: bool,
     /// Bound-based dominance pre-pruning: before a combination is even
     /// forked, its sound optimistic score bound (the patterns'

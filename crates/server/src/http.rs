@@ -869,10 +869,7 @@ mod tests {
             flipped[at] = byte;
             let whole = read_message(&mut flipped.as_slice(), &Limits::RESPONSE);
             let segmented = read_message(&mut Segmented::new(&flipped, &cuts), &Limits::RESPONSE);
-            prop_assert_eq!(&segmented, &whole);
-            if byte == raw[at] {
-                prop_assert_eq!(whole, Ok((wire.head.clone(), wire.body.clone())));
-            }
+            prop_assert_eq!(segmented, whole);
 
             // a declared length beyond the cap, with no body behind it, is
             // refused from the head alone
