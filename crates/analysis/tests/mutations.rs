@@ -167,91 +167,3 @@ fn carried_source_columns_do_leak() {
         diags.iter().map(|d| d.code).collect::<Vec<_>>()
     );
 }
-
-mod prune_equivalence {
-    use super::*;
-    use fcp::DeploymentPolicy;
-    use poiesis::{Planner, PlannerConfig, PlannerOutcome, SearchStrategyKind};
-
-    /// One small planning cycle over `flow`/`catalog` with the pruner
-    /// toggled; retention off and one worker so the gate can activate and
-    /// the outcome is deterministic.
-    fn run(
-        flow: &etl_model::EtlFlow,
-        catalog: &datagen::Catalog,
-        strategy: SearchStrategyKind,
-        bound_prune: bool,
-    ) -> PlannerOutcome {
-        let config = PlannerConfig {
-            policy: DeploymentPolicy::exhaustive(2),
-            strategy,
-            workers: 1,
-            max_alternatives: 400,
-            retain_dominated: false,
-            bound_prune,
-            ..PlannerConfig::default()
-        };
-        let registry = fcp::PatternRegistry::standard_for_catalog(catalog);
-        Planner::new(flow.clone(), catalog.clone(), registry, config)
-            .plan()
-            .expect("planning cycle")
-    }
-
-    fn scored_skyline(out: &PlannerOutcome) -> Vec<(String, Vec<f64>)> {
-        let mut v: Vec<_> = out
-            .skyline
-            .iter()
-            .map(|&i| {
-                (
-                    out.alternatives[i].name.clone(),
-                    out.alternatives[i].scores.clone(),
-                )
-            })
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(4))]
-
-        /// Dominance pre-pruning is a pure optimisation: on every workload
-        /// × strategy cell the frontier (names *and* scores) is
-        /// bit-identical with the pruner on or off. Steering strategies
-        /// hold the pruner off via the gate, so equality there is trivial
-        /// but still worth pinning.
-        #[test]
-        fn bound_pruning_never_changes_a_skyline(
-            workload in 0usize..3,
-            strategy_pick in 0usize..3,
-        ) {
-            let dirt = datagen::DirtProfile::demo();
-            let (flow, catalog) = match workload {
-                0 => {
-                    let (flow, _) = fig2::purchases_flow();
-                    (flow, fig2::purchases_catalog(20, &dirt, 3))
-                }
-                1 => {
-                    let (flow, _) = datagen::tpch::tpch_flow();
-                    (flow, datagen::tpch::tpch_catalog(20, &dirt, 3))
-                }
-                _ => {
-                    let (flow, _) = datagen::tpcds::tpcds_flow();
-                    (flow, datagen::tpcds::tpcds_catalog(20, &dirt, 3))
-                }
-            };
-            let strategy = match strategy_pick {
-                0 => SearchStrategyKind::Exhaustive,
-                1 => SearchStrategyKind::Beam { width: 8 },
-                _ => SearchStrategyKind::GreedyHillClimb,
-            };
-            let pruned = run(&flow, &catalog, strategy, true);
-            let full = run(&flow, &catalog, strategy, false);
-            prop_assert!(full.bound_pruned == 0, "pruner off must prune nothing");
-            if strategy != SearchStrategyKind::Exhaustive {
-                prop_assert!(pruned.bound_pruned == 0, "steering gate must hold");
-            }
-            prop_assert_eq!(scored_skyline(&pruned), scored_skyline(&full));
-        }
-    }
-}

@@ -9,7 +9,7 @@
 //! snapshot tests pin — and the best run's timing is recorded. The
 //! export carries, per cell: combinations/second, µs per combination,
 //! frontier size, the 16-hex skyline digest, and the planner's
-//! statically-rejected / bound-pruned / constraint-rejected / failed
+//! statically-rejected / constraint-rejected / failed
 //! counters, and the heap allocations per combination (`allocs_per_combo`:
 //! every allocation a run of the cell makes, set-up included, over its
 //! combinations, to one decimal). A counting global allocator supplies the
@@ -67,7 +67,6 @@ struct Cell {
     secs: f64,
     digest: String,
     statically_rejected: usize,
-    bound_pruned: usize,
     rejected_by_constraints: usize,
     failed_applications: usize,
     failed_evaluations: usize,
@@ -94,7 +93,6 @@ impl Cell {
             ("us_per_combo", num(self.us_per_combo())),
             ("digest", Value::String(self.digest.clone())),
             ("statically_rejected", num(self.statically_rejected as f64)),
-            ("bound_pruned", num(self.bound_pruned as f64)),
             (
                 "rejected_by_constraints",
                 num(self.rejected_by_constraints as f64),
@@ -111,7 +109,7 @@ impl Cell {
 
     fn to_csv(&self) -> String {
         format!(
-            "{},{},{},{},{:.4},{:.0},{:.2},{},{},{},{},{},{},{}",
+            "{},{},{},{},{:.4},{:.0},{:.2},{},{},{},{},{},{}",
             self.scenario,
             self.strategy,
             self.enumerated,
@@ -121,7 +119,6 @@ impl Cell {
             self.us_per_combo(),
             self.digest,
             self.statically_rejected,
-            self.bound_pruned,
             self.rejected_by_constraints,
             self.failed_applications,
             self.failed_evaluations,
@@ -131,7 +128,7 @@ impl Cell {
 }
 
 const CSV_HEADER: &str = "scenario,strategy,enumerated,frontier,secs,combos_per_sec,\
-                          us_per_combo,digest,statically_rejected,bound_pruned,\
+                          us_per_combo,digest,statically_rejected,\
                           rejected_by_constraints,failed_applications,failed_evaluations,\
                           allocs_per_combo";
 
@@ -214,14 +211,13 @@ fn main() {
                 secs,
                 digest: a.digest,
                 statically_rejected: out.statically_rejected,
-                bound_pruned: out.bound_pruned,
                 rejected_by_constraints: out.rejected_by_constraints,
                 failed_applications: out.failed_applications,
                 failed_evaluations: out.failed_evaluations,
                 allocs_per_combo: allocs,
             };
             println!(
-                "{:<18} {:<12} {:>7} combos  {:>10.0} combos/s  {:>7.1} µs/combo  frontier {:>2}  digest {}  pruned {:>5}  static {:>4}  allocs/combo {:>6}",
+                "{:<18} {:<12} {:>7} combos  {:>10.0} combos/s  {:>7.1} µs/combo  frontier {:>2}  digest {}  static {:>4}  allocs/combo {:>6}",
                 cell.scenario,
                 cell.strategy,
                 cell.enumerated,
@@ -229,7 +225,6 @@ fn main() {
                 cell.us_per_combo(),
                 cell.frontier,
                 cell.digest,
-                cell.bound_pruned,
                 cell.statically_rejected,
                 cell.allocs_per_combo,
             );

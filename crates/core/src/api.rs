@@ -338,9 +338,6 @@ pub struct PlanResponse {
     /// Combinations whose applied flow failed the static screen, pruned
     /// before evaluation.
     pub statically_rejected: usize,
-    /// Combinations skipped by the bound-based dominance pre-pruner: their
-    /// optimistic score bound was already dominated by the frontier.
-    pub bound_pruned: usize,
     /// The Pareto frontier, best objective first.
     pub skyline: Vec<AlternativeSummary>,
 }
@@ -367,7 +364,6 @@ impl PlanResponse {
             failed_applications: outcome.failed_applications,
             failed_evaluations: outcome.failed_evaluations,
             statically_rejected: outcome.statically_rejected,
-            bound_pruned: outcome.bound_pruned,
             skyline: outcome
                 .skyline_alternatives()
                 .enumerate()
@@ -404,7 +400,11 @@ impl ToJson for PlanResponse {
             ("failed_applications", self.failed_applications.to_json()),
             ("failed_evaluations", self.failed_evaluations.to_json()),
             ("statically_rejected", self.statically_rejected.to_json()),
-            ("bound_pruned", self.bound_pruned.to_json()),
+            // Always 0: the planner no longer skips combinations on a
+            // bound. Still written, and ignored when read, only because
+            // perfbench's `serve_durable` explore digest hashes these
+            // bytes; ROADMAP item 2 re-blesses that digest and drops it.
+            ("bound_pruned", 0usize.to_json()),
             ("skyline", self.skyline.to_json()),
         ])
     }
@@ -423,7 +423,6 @@ impl FromJson for PlanResponse {
             failed_applications: v.field("failed_applications")?,
             failed_evaluations: v.field("failed_evaluations")?,
             statically_rejected: v.field("statically_rejected")?,
-            bound_pruned: v.field("bound_pruned")?,
             skyline: v.field("skyline")?,
         })
     }

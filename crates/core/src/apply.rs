@@ -7,13 +7,14 @@ use fcp::{ApplicationPoint, AppliedPattern, PatternContext, PatternError};
 
 /// Applies a combination of candidates to a fork of `base`, named `name`.
 ///
-/// Structural (node/edge) applications run before graph-level ones so that
-/// graph patterns see the final topology. Within the structural group,
-/// applications run in candidate order — stable ids make this safe: an
-/// interposition keeps the original edge id alive and a node replacement
-/// preserves boundary edges, so later candidates' points stay valid unless
-/// genuinely conflicting, in which case the pattern itself reports
-/// [`PatternError::NotApplicable`] and the whole combination is discarded.
+/// Candidates run in `application_order`: structural (node/edge) ones
+/// before graph-level ones, so that graph patterns see the final topology.
+/// Within the structural group, applications run in candidate order —
+/// stable ids make this safe: an interposition keeps the original edge id
+/// alive and a node replacement preserves boundary edges, so later
+/// candidates' points stay valid unless genuinely conflicting, in which
+/// case the pattern itself reports [`PatternError::NotApplicable`] and the
+/// whole combination is discarded.
 ///
 /// This is the from-base reference application: the manual baseline
 /// (`baseline.rs`) and the planner's test oracle use it, while the planner
@@ -25,11 +26,7 @@ pub fn apply_combination(
 ) -> Result<(EtlFlow, Vec<AppliedPattern>), PatternError> {
     let mut flow = base.fork(name);
     let mut applied = Vec::with_capacity(combo.len());
-    let (structural, graph_level): (Vec<&Candidate>, Vec<&Candidate>) = combo
-        .iter()
-        .copied()
-        .partition(|c| c.point != ApplicationPoint::Graph);
-    for c in structural.into_iter().chain(graph_level) {
+    for c in application_order(combo, |c| c.point == ApplicationPoint::Graph) {
         applied.push(c.pattern.apply(&mut flow, c.point)?);
     }
     // Each `apply` checks its pattern's preconditions on the flow it edits.

@@ -63,16 +63,11 @@
 //! (opaque [`SessionId`] handles, serializable [`api`] DTOs) — the unit
 //! the `poiesis-server` crate exposes over HTTP (see `docs/API.md` for
 //! the wire contract). The legacy `Planner::new(flow, catalog, registry,
-//! config)` constructor keeps working and routes through the builder
-//! internally.
+//! config)` constructor keeps working: it builds the planner directly,
+//! without the builder's up-front validation.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-// The planner's unit tests share the integration tests' oracle, which names
-// this crate by its public path.
-#[cfg(test)]
-extern crate self as poiesis;
 
 pub mod api;
 pub mod apply;

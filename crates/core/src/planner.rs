@@ -69,21 +69,10 @@ pub struct PlannerConfig {
     /// worker's prefix stack, whatever this says. Kept only because
     /// perfbench's replay reads it; ROADMAP item 3 deletes it.
     pub delta_eval: bool,
-    /// Bound-based dominance pre-pruning: before a combination is even
-    /// forked, its sound optimistic score bound (the patterns'
-    /// [`fcp::Pattern::gain_profile`]s folded with
-    /// [`quality::GainProfile::combine`], `100 × cap` per maximised axis)
-    /// is offered to the current frontier;
-    /// if some member already dominates the *best the combination could
-    /// possibly score*, it is skipped unevaluated and counted in
-    /// [`PlannerOutcome::bound_pruned`]. Pruned combinations provably
-    /// cannot enter the skyline, so the frontier is bit-identical with the
-    /// flag on or off (proptest-enforced). Activates only when it cannot
-    /// change any observable output: [`retain_dominated`](Self::retain_dominated)
-    /// off (a pruned flow would otherwise be retained), a non-steering
-    /// strategy ([`SearchStrategy::uses_steering`] false — skipping scores
-    /// would change beam/greedy walks), and [`EvalMode::Estimate`] (the
-    /// bounds are proven against the estimator). On by default.
+    /// Selects nothing: the planner scores every combination it is given
+    /// and never skips one on a bound. Off by default, so perfbench's
+    /// replay, which prunes only when this is on, prunes nothing either.
+    /// Kept only for perfbench's replay; ROADMAP item 3 deletes it.
     pub bound_prune: bool,
 }
 
@@ -108,7 +97,7 @@ impl Default for PlannerConfig {
             seed: 0xBEEF,
             prescreen: true,
             delta_eval: true,
-            bound_prune: true,
+            bound_prune: false,
         }
     }
 }
@@ -144,10 +133,8 @@ pub struct PlannerOutcome {
     /// whose preconditions do not hold fails its application and counts in
     /// [`failed_applications`](Self::failed_applications) instead.
     pub statically_rejected: usize,
-    /// Combinations skipped by the bound-based dominance pre-pruner
-    /// ([`PlannerConfig::bound_prune`]): their optimistic score bound was
-    /// already dominated by the frontier, so they were never forked,
-    /// applied or evaluated.
+    /// Always 0: the planner skips no combination on a bound. Kept only
+    /// for perfbench's replay; ROADMAP item 3 deletes it.
     pub bound_pruned: usize,
     /// `skyline` re-ordered best-objective-first, computed once at
     /// assembly so [`skyline_alternatives`](Self::skyline_alternatives)
@@ -173,7 +160,6 @@ impl PlannerOutcome {
             failed_applications,
             failed_evaluations,
             statically_rejected,
-            bound_pruned,
         } = harvest;
         let mut ranked = skyline.clone();
         ranked.sort_by(|&a, &b| {
@@ -191,7 +177,7 @@ impl PlannerOutcome {
             failed_applications,
             failed_evaluations,
             statically_rejected,
-            bound_pruned,
+            bound_pruned: 0,
             ranked,
         }
     }
@@ -315,14 +301,7 @@ impl Planner {
         // incremental apply carries it from there.
         let (baseline, candidates, schemas) = self.prepare()?;
         let labels = LabelTable::new(&candidates);
-        // The pruner activates only where a skipped combination is provably
-        // unobservable — see [`PlannerConfig::bound_prune`].
-        let bound_prune = self.config.bound_prune
-            && !self.config.retain_dominated
-            && !strategy.uses_steering()
-            && self.config.eval_mode == EvalMode::Estimate;
-        let engine =
-            StreamingEngine::new(self, &baseline, &candidates, schemas, labels, bound_prune);
+        let engine = StreamingEngine::new(self, &baseline, &candidates, schemas, labels);
         let space = SearchSpace {
             candidates: &candidates,
             policy: &self.config.policy,
@@ -473,7 +452,6 @@ struct Harvest {
     failed_applications: usize,
     failed_evaluations: usize,
     statically_rejected: usize,
-    bound_pruned: usize,
 }
 
 /// The streaming generate→apply→evaluate→skyline engine. Each submitted
@@ -493,16 +471,11 @@ struct StreamingEngine<'a> {
     schemas: etl_model::SchemaTable,
     /// Candidate labels, derived and ranked once per cycle.
     labels: LabelTable,
-    /// Per-candidate static gain profiles, present iff the bound-based
-    /// dominance pre-pruner is active for this cycle (see
-    /// [`PlannerConfig::bound_prune`] for the activation conditions).
-    gain_profiles: Option<Vec<quality::GainProfile>>,
     state: Mutex<EngineState>,
     rejected: AtomicUsize,
     failed_applications: AtomicUsize,
     failed_evaluations: AtomicUsize,
     statically_rejected: AtomicUsize,
-    bound_pruned: AtomicUsize,
 }
 
 /// The `&mut`-requiring [`CombinationSink`] face of the engine; owns the
@@ -520,14 +493,7 @@ impl<'a> StreamingEngine<'a> {
         candidates: &'a [Candidate],
         schemas: etl_model::SchemaTable,
         labels: LabelTable,
-        bound_prune: bool,
     ) -> Self {
-        let gain_profiles = bound_prune.then(|| {
-            candidates
-                .iter()
-                .map(|c| c.pattern.gain_profile())
-                .collect()
-        });
         StreamingEngine {
             planner,
             baseline,
@@ -536,7 +502,6 @@ impl<'a> StreamingEngine<'a> {
             retain_dominated: planner.config.retain_dominated,
             schemas,
             labels,
-            gain_profiles,
             state: Mutex::new(EngineState {
                 skyline: SkylineSet::new(),
                 retained: Vec::new(),
@@ -545,7 +510,6 @@ impl<'a> StreamingEngine<'a> {
             failed_applications: AtomicUsize::new(0),
             failed_evaluations: AtomicUsize::new(0),
             statically_rejected: AtomicUsize::new(0),
-            bound_pruned: AtomicUsize::new(0),
         }
     }
 
@@ -553,37 +517,6 @@ impl<'a> StreamingEngine<'a> {
     /// combination; returns its objective, or `None` when it failed or was
     /// rejected.
     fn process(&self, stack: &mut PrefixStack, seq: usize, combo: &[usize]) -> Option<f64> {
-        // Bound-based dominance pre-prune: the combination's sound optimistic
-        // score bound is offered to the live frontier *before* the fork. A
-        // dominated bound proves the real point (never better per axis)
-        // would be rejected as dominated too, so skipping it cannot change
-        // the skyline or the retained (frontier-only) set.
-        if let Some(profiles) = &self.gain_profiles {
-            let gain = combo
-                .iter()
-                .fold(quality::GainProfile::neutral(), |acc, &i| {
-                    acc.combine(&profiles[i])
-                });
-            let objective = &self.planner.config.objective;
-            let bound: Vec<f64> = objective
-                .goals()
-                .iter()
-                .map(|g| match g.direction {
-                    crate::objective::Direction::Maximize => 100.0 * gain.cap(g.characteristic),
-                    // a minimize axis is best served by the worst possible
-                    // score, floored by the estimator's ratio clamp
-                    crate::objective::Direction::Minimize => -100.0 * quality::RATIO_CLAMP_MIN,
-                })
-                .collect();
-            let dominated = {
-                let state = self.state.lock().expect("engine state");
-                state.skyline.dominates_point(&bound)
-            };
-            if dominated {
-                self.bound_pruned.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
         let realized =
             self.planner
                 .realize_combination(stack, combo, self.candidates, &self.schemas);
@@ -694,7 +627,6 @@ impl<'a> StreamingEngine<'a> {
             failed_applications: self.failed_applications.into_inner(),
             failed_evaluations: self.failed_evaluations.into_inner(),
             statically_rejected: self.statically_rejected.into_inner(),
-            bound_pruned: self.bound_pruned.into_inner(),
         }
     }
 }
@@ -712,10 +644,6 @@ impl CombinationSink for EngineSink<'_, '_> {
         )
     }
 }
-
-#[cfg(test)]
-#[path = "../tests/oracle/mod.rs"]
-mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1023,97 +951,7 @@ mod tests {
                 + out.failed_applications
                 + out.rejected_by_constraints
                 + out.statically_rejected
-                + out.bound_pruned
         );
-    }
-
-    #[test]
-    fn bound_pruning_skips_work_but_keeps_the_skyline_bit_identical() {
-        // The tentpole acceptance bar: with the dominance pre-pruner active
-        // (retain_dominated off, exhaustive, estimate) the frontier must be
-        // exactly the unpruned frontier — same names, same scores — while
-        // actually skipping combinations. One worker keeps the submission
-        // order deterministic so the prune count is stable.
-        let run = |bound_prune: bool| {
-            planner(PlannerConfig {
-                retain_dominated: false,
-                workers: 1,
-                bound_prune,
-                ..PlannerConfig::default()
-            })
-            .plan()
-            .unwrap()
-        };
-        let pruned = run(true);
-        let full = run(false);
-        assert!(
-            pruned.bound_pruned > 0,
-            "the demo sweep must prune at least one dominated-by-bound combination"
-        );
-        assert_eq!(full.bound_pruned, 0);
-        assert_eq!(pruned.skyline_names(), full.skyline_names());
-        let score = |out: &PlannerOutcome| -> Vec<(String, Vec<f64>)> {
-            let mut v: Vec<_> = out
-                .skyline
-                .iter()
-                .map(|&i| {
-                    (
-                        out.alternatives[i].name.clone(),
-                        out.alternatives[i].scores.clone(),
-                    )
-                })
-                .collect();
-            v.sort_by(|a, b| a.0.cmp(&b.0));
-            v
-        };
-        assert_eq!(score(&pruned), score(&full));
-        // pruned combinations were still enumerated (submitted), so the
-        // walked space is identical — only the evaluated share shrinks
-        assert_eq!(pruned.stats.enumerated, full.stats.enumerated);
-    }
-
-    #[test]
-    fn bound_pruning_stays_off_where_it_could_be_observed() {
-        // retain_dominated (the default) keeps every evaluated alternative;
-        // pruning would remove dominated ones, so the gate must hold it off.
-        let out = planner(PlannerConfig::default()).plan().unwrap();
-        assert_eq!(out.bound_pruned, 0);
-        // steering strategies must see every score
-        for strategy in [
-            SearchStrategyKind::Beam { width: 6 },
-            SearchStrategyKind::GreedyHillClimb,
-        ] {
-            let out = planner(PlannerConfig {
-                strategy,
-                retain_dominated: false,
-                ..PlannerConfig::default()
-            })
-            .plan()
-            .unwrap();
-            assert_eq!(out.bound_pruned, 0, "{strategy} must not prune");
-        }
-    }
-
-    #[test]
-    fn prescreening_preserves_the_frontier() {
-        // The post-screen must be invisible on valid workloads: the planner
-        // equals the unscreened oracle exactly, on both demo flows.
-        let p = planner(PlannerConfig::default());
-        let screened = p.plan().unwrap();
-        oracle::assert_matches(&screened, &oracle::plan_unscreened(&p));
-        assert_eq!(screened.statically_rejected, 0);
-
-        let (f, _) = tpch_flow();
-        let cat = tpch_catalog(120, &DirtProfile::demo(), 5);
-        let reg = PatternRegistry::standard_for_catalog(&cat);
-        let config = PlannerConfig {
-            max_alternatives: 2_000,
-            ..PlannerConfig::default()
-        };
-        let p = Planner::new(f, cat, reg, config);
-        let screened = p.plan().unwrap();
-        oracle::assert_matches(&screened, &oracle::plan_unscreened(&p));
-        assert_eq!(screened.statically_rejected, 0);
     }
 
     #[test]
@@ -1170,154 +1008,5 @@ mod tests {
         assert_eq!(out.statically_rejected, 0);
         assert_eq!(out.failed_evaluations, 0);
         assert!(!out.alternatives.is_empty(), "good designs must survive");
-    }
-
-    /// A pattern whose application breaks the flow: it rewrites the
-    /// filter predicate over a column that does not exist.
-    struct GhostColumn;
-    impl fcp::Pattern for GhostColumn {
-        fn name(&self) -> &str {
-            "GhostColumn"
-        }
-        fn improves(&self) -> Characteristic {
-            Characteristic::DataQuality
-        }
-        fn prerequisites(&self) -> Vec<fcp::Prerequisite> {
-            vec![]
-        }
-        fn candidate_points(&self, _ctx: &fcp::PatternContext<'_>) -> Vec<fcp::ApplicationPoint> {
-            vec![fcp::ApplicationPoint::Graph]
-        }
-        fn apply_unchecked(
-            &self,
-            flow: &mut EtlFlow,
-            point: fcp::ApplicationPoint,
-            _schemas: &etl_model::SchemaTable,
-        ) -> Result<fcp::AppliedPattern, fcp::PatternError> {
-            let n = flow.ops_of_kind("filter")[0];
-            if let etl_model::OpKind::Filter { predicate } = &mut flow.op_mut(n).unwrap().kind {
-                *predicate = etl_model::expr::Expr::col("__ghost__");
-            }
-            Ok(fcp::AppliedPattern {
-                pattern: "GhostColumn".into(),
-                point,
-                added_nodes: vec![],
-            })
-        }
-    }
-
-    /// A Fig. 2 planner with [`GhostColumn`] beside the standard palette.
-    fn ghost_planner(config: PlannerConfig) -> Planner {
-        let (f, _) = purchases_flow();
-        let cat = purchases_catalog(60, &DirtProfile::demo(), 5);
-        let mut reg = PatternRegistry::standard_for_catalog(&cat);
-        reg.register(GhostColumn);
-        Planner::new(f, cat, reg, config)
-    }
-
-    const STRATEGIES: [SearchStrategyKind; 3] = [
-        SearchStrategyKind::Exhaustive,
-        SearchStrategyKind::Beam { width: 6 },
-        SearchStrategyKind::GreedyHillClimb,
-    ];
-
-    #[test]
-    fn invalid_applications_are_prescreened_before_evaluation() {
-        // A pattern whose application breaks the flow (rewrites the filter
-        // predicate over a column that does not exist). The structural
-        // screen counts the broken designs as static rejections and
-        // evaluation never sees them; the unscreened oracle pays for the
-        // same failures at evaluation time.
-        let p = ghost_planner(PlannerConfig {
-            eval_mode: EvalMode::Simulate,
-            max_alternatives: 500,
-            policy: DeploymentPolicy::exhaustive(1),
-            ..PlannerConfig::default()
-        });
-        let screened = p.plan().unwrap();
-        assert!(
-            screened.statically_rejected > 0,
-            "broken flows must be pruned"
-        );
-        assert_eq!(
-            screened.failed_evaluations, 0,
-            "evaluation must never see them"
-        );
-        assert!(
-            !screened.alternatives.is_empty(),
-            "good designs must survive"
-        );
-
-        let unscreened = oracle::plan_unscreened(&p);
-        assert_eq!(unscreened.statically_rejected, 0);
-        assert_eq!(
-            unscreened.failed_evaluations, screened.statically_rejected,
-            "without the screen the same designs fail at evaluation time"
-        );
-        assert_eq!(unscreened.skyline, screened.skyline);
-        oracle::assert_matches(&screened, &oracle::plan(&p));
-    }
-
-    #[test]
-    fn delta_evaluation_is_bit_identical_to_full() {
-        // Every alternative's MeasureVector equals the from-base oracle's
-        // exactly — not approximately — and so do the frontier and every
-        // counter, under every strategy.
-        for strategy in STRATEGIES {
-            let p = planner(PlannerConfig {
-                strategy,
-                ..PlannerConfig::default()
-            });
-            let out = p.plan().unwrap();
-            assert!(!out.alternatives.is_empty(), "{strategy}");
-            oracle::assert_matches(&out, &oracle::plan(&p));
-        }
-    }
-
-    #[test]
-    fn delta_evaluation_screens_broken_applications_identically() {
-        // The delta post-screen must reject exactly the combinations the
-        // oracle's full screen rejects (a pattern whose application breaks
-        // schema consistency), with identical counters.
-        for strategy in STRATEGIES {
-            let p = ghost_planner(PlannerConfig {
-                strategy,
-                max_alternatives: 500,
-                policy: DeploymentPolicy::exhaustive(2),
-                ..PlannerConfig::default()
-            });
-            let out = p.plan().unwrap();
-            assert!(
-                out.statically_rejected > 0,
-                "{strategy}: broken flows must be pruned"
-            );
-            assert_eq!(out.failed_evaluations, 0);
-            oracle::assert_matches(&out, &oracle::plan(&p));
-        }
-    }
-
-    #[test]
-    fn simulate_cycles_on_the_prefix_stack_equal_the_oracle() {
-        // Simulate cycles apply on the prefix stack too. They must equal the
-        // oracle (`apply_combination` plus a full screen) exactly, broken
-        // applications included.
-        for strategy in STRATEGIES {
-            let p = ghost_planner(PlannerConfig {
-                strategy,
-                eval_mode: EvalMode::Simulate,
-                policy: DeploymentPolicy::exhaustive(2),
-                ..PlannerConfig::default()
-            });
-            let out = p.plan().unwrap();
-            assert!(
-                !out.stats.truncated,
-                "{strategy}: the whole space is walked"
-            );
-            assert!(
-                out.statically_rejected > 0,
-                "{strategy}: broken flows must be pruned"
-            );
-            oracle::assert_matches(&out, &oracle::plan(&p));
-        }
     }
 }

@@ -65,11 +65,9 @@ pub trait SearchStrategy: Send + Sync {
     /// Walks `space`, submitting combinations to `sink`.
     fn run(&self, space: &SearchSpace<'_>, sink: &mut dyn CombinationSink) -> SearchReport;
     /// Whether the walk steers by the per-combination objective scalars the
-    /// sink returns (beam, greedy). Steering strategies cannot tolerate the
-    /// engine silently skipping combinations — a skipped score would change
-    /// the walk itself — so the planner's bound pruner only activates under
-    /// strategies that return `false` here. Defaults to `true` (the
-    /// conservative answer for user-defined walkers).
+    /// sink returns (beam, greedy). Defaults to `true`. The planner reads
+    /// nothing of it; kept only for perfbench's replay, and ROADMAP item 3
+    /// deletes it.
     fn uses_steering(&self) -> bool {
         true
     }
@@ -149,8 +147,7 @@ impl SearchStrategy for Exhaustive {
         "exhaustive"
     }
 
-    /// The exhaustive walk ignores the returned scalars entirely, so the
-    /// engine may skip provably-dominated combinations without changing it.
+    /// The exhaustive walk ignores the returned scalars entirely.
     fn uses_steering(&self) -> bool {
         false
     }

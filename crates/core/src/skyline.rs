@@ -117,9 +117,8 @@ impl SkylineSet {
     }
 
     /// True when some current member strictly dominates `point`. The
-    /// planner's bound pruner asks this about a combination's *optimistic*
-    /// score bound: a dominated bound proves the real (never better) point
-    /// would be rejected too, so the combination can be skipped unevaluated.
+    /// planner asks nothing of it; kept only for perfbench's replay, and
+    /// ROADMAP item 3 deletes it.
     pub fn dominates_point(&self, point: &[f64]) -> bool {
         self.members.iter().any(|(_, p)| dominates(p, point))
     }

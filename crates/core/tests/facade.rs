@@ -287,13 +287,7 @@ fn arb_response() -> impl Strategy<Value = PlanResponse> {
         proptest::collection::vec("[a-z_]{1,16}", 1..4),
         proptest::collection::vec(("[a-z_]{1,16}", 0.0..1e9f64), 0..6),
         (0..10_000usize, 0..10_000usize, 0..10_000usize),
-        (
-            0..100usize,
-            0..100usize,
-            0..100usize,
-            0..100usize,
-            0..100usize,
-        ),
+        (0..100usize, 0..100usize, 0..100usize, 0..100usize),
         proptest::collection::vec(arb_summary(), 0..5),
     )
         .prop_map(
@@ -309,7 +303,6 @@ fn arb_response() -> impl Strategy<Value = PlanResponse> {
                     failed_applications: fails.1,
                     failed_evaluations: fails.2,
                     statically_rejected: fails.3,
-                    bound_pruned: fails.4,
                     skyline,
                 }
             },

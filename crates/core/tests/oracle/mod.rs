@@ -7,8 +7,8 @@
 //! policy and the objective and offered to a [`SkylineSet`], one at a time
 //! on the calling thread.
 //!
-//! Shared by the planner's unit tests and the `delta_equivalence`
-//! integration tests; not every includer uses every item.
+//! Shared by the `delta_equivalence` and `planner_oracle` integration
+//! tests; not every includer uses every item.
 #![allow(dead_code)]
 
 use poiesis::apply::{apply_combination, combination_name};

@@ -61,7 +61,9 @@ fn a_decode_error_names_the_path_to_the_member_that_failed() {
 fn a_request_or_session_file_still_carrying_the_dropped_seed_decodes_as_without_it() {
     // Requests and session files written before `seed` left the wire carry
     // it as a decimal string; the decoder skips it, whatever it holds, and
-    // the re-encoded bytes no longer name it.
+    // the re-encoded bytes no longer name it. A response's `bound_pruned`
+    // is skipped the same way: a body holding any count there, or none,
+    // decodes to the same response, which re-encodes it as the constant 0.
     let with_seed = |seed: &str| {
         DEFAULT_REQUEST.replacen(
             r#""simulate":"#,
@@ -90,6 +92,14 @@ fn a_request_or_session_file_still_carrying_the_dropped_seed_decodes_as_without_
     let back = SessionSnapshot::from_json_str(&old).unwrap();
     assert_eq!(back, snapshot);
     assert_eq!(back.to_json_string(), old.replace(r#""seed":"48879","#, ""));
+    let current = format!("{RESPONSE_HEAD}\"session\":3,{RESPONSE_TAIL}");
+    for member in [r#""bound_pruned":4,"#, ""] {
+        let old = current.replacen(r#""bound_pruned":0,"#, member, 1);
+        assert_ne!(old, current);
+        let back = PlanResponse::from_json_str(&old).unwrap();
+        assert_eq!(back, response(Some(3)));
+        assert_eq!(back.to_json_string(), current);
+    }
 }
 
 #[test]
@@ -144,7 +154,6 @@ fn response(session: Option<u64>) -> PlanResponse {
         failed_applications: 1,
         failed_evaluations: 2,
         statically_rejected: 3,
-        bound_pruned: 4,
         skyline: vec![
             AlternativeSummary {
                 rank: 0,
@@ -174,7 +183,7 @@ const RESPONSE_TAIL: &str = concat!(
 const RESPONSE_HEAD: &str = concat!(
     r#"{"alternatives":80,"axes":["performance","data_quality"],"#,
     r#""baseline":[["cycle_time_ms",18.92],["avg_latency_ms",0.0995]],"#,
-    r#""bound_pruned":4,"candidates":24,"enumerated":87,"failed_applications":1,"#,
+    r#""bound_pruned":0,"candidates":24,"enumerated":87,"failed_applications":1,"#,
     r#""failed_evaluations":2,"rejected_by_constraints":7,"#
 );
 

@@ -256,17 +256,37 @@ impl Expr {
     }
 }
 
+/// The words the expression text reads as syntax wherever a column could
+/// stand, matched case-sensitively.
+const KEYWORDS: [&str; 11] = [
+    "AND", "COALESCE", "DATE", "FALSE", "IS", "NAN", "NOT", "NULL", "OR", "TRUE", "TS",
+];
+
+/// Whether `Display` may write column `name` bare: it is an identifier (a
+/// letter or `_`, then letters, digits and `_`) and no keyword, so the
+/// text reads back as that column. Any other name is written
+/// double-quoted, with `""` for a `"` inside it.
+fn is_bare_column(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars.next().is_some_and(|c| c.is_alphabetic() || c == '_')
+        && chars.all(|c| c.is_alphanumeric() || c == '_')
+        && !KEYWORDS.contains(&name)
+}
+
 /// Writes the xLM expression grammar (`xlm::expr_text`), which parses
 /// back to the same tree: binary operations, `NOT` and `IS NULL` are fully
 /// parenthesised, strings single-quoted with `''` escaping, finite floats
-/// always keep a decimal point or an exponent. A non-finite float is never
-/// written as a name: ±∞ is `1e999` / `-1e999`, which overflows back to
-/// it, and a NaN is `NAN(<its bit pattern as an i64>)`, so that every NaN
-/// reads back bit for bit.
+/// always keep a decimal point or an exponent, and a column is written
+/// bare only where that reads back as the column (see `is_bare_column`),
+/// double-quoted elsewhere. A non-finite float is never written as a
+/// name: ±∞ is `1e999` / `-1e999`, which overflows back to it, and a NaN
+/// is `NAN(<its bit pattern as an i64>)`, so that every NaN reads back bit
+/// for bit.
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Expr::Col(c) => write!(f, "{c}"),
+            Expr::Col(c) if is_bare_column(c) => write!(f, "{c}"),
+            Expr::Col(c) => write!(f, "\"{}\"", c.replace('"', "\"\"")),
             Expr::Lit(v) => match v {
                 Value::Null => write!(f, "NULL"),
                 Value::Bool(true) => write!(f, "TRUE"),

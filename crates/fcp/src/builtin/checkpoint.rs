@@ -6,7 +6,7 @@ use crate::pattern::{interpose_unchecked, AppliedPattern, Pattern, PatternContex
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
 use etl_model::{EtlFlow, OpKind, Operation};
-use quality::{Characteristic, GainProfile, RATIO_CLAMP_MAX};
+use quality::Characteristic;
 
 /// The `AddCheckpoint` pattern (edge application point).
 #[derive(Debug, Default, Clone)]
@@ -24,16 +24,6 @@ impl Pattern for AddCheckpoint {
 
     fn improves(&self) -> Characteristic {
         Characteristic::Reliability
-    }
-
-    /// A savepoint cuts expected redo cost (reliability) and, by splitting a
-    /// long chain, can shift the structural manageability measures; it never
-    /// touches data content, the security config, and only *adds* runtime
-    /// and monetary cost.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::neutral()
-            .with_cap(Characteristic::Reliability, RATIO_CLAMP_MAX)
-            .with_cap(Characteristic::Manageability, RATIO_CLAMP_MAX)
     }
 
     fn prerequisites(&self) -> Vec<Prerequisite> {

@@ -11,7 +11,7 @@ use crate::pattern::{
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
 use etl_model::{EtlFlow, OpKind, Operation};
-use quality::{Characteristic, GainProfile};
+use quality::Characteristic;
 use std::sync::Arc;
 
 /// Shared fitness: cleaning is encouraged near the sources.
@@ -69,13 +69,6 @@ impl Pattern for FilterNullValues {
 
     fn improves(&self) -> Characteristic {
         Characteristic::DataQuality
-    }
-
-    /// Dropping null rows can improve everything downstream of the data
-    /// (quality, speed, cost, redo time) — but never the security score,
-    /// which depends only on the graph configuration and encrypt ops.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::unbounded().with_cap(Characteristic::Security, 1.0)
     }
 
     fn prerequisites(&self) -> Vec<Prerequisite> {
@@ -137,11 +130,6 @@ impl Pattern for RemoveDuplicateEntries {
 
     fn improves(&self) -> Characteristic {
         Characteristic::DataQuality
-    }
-
-    /// Deduplication shrinks the data, so any axis but security may gain.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::unbounded().with_cap(Characteristic::Security, 1.0)
     }
 
     fn prerequisites(&self) -> Vec<Prerequisite> {
@@ -220,17 +208,6 @@ impl Pattern for CrosscheckSources {
 
     fn improves(&self) -> Characteristic {
         Characteristic::DataQuality
-    }
-
-    /// Repairing values from a reference source improves data quality; the
-    /// inserted crosscheck can also shift the structural (manageability)
-    /// and recovery measures. It never drops rows, so the performance/cost
-    /// axes only pay, and the security config is untouched.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::neutral()
-            .with_cap(Characteristic::DataQuality, quality::RATIO_CLAMP_MAX)
-            .with_cap(Characteristic::Reliability, quality::RATIO_CLAMP_MAX)
-            .with_cap(Characteristic::Manageability, quality::RATIO_CLAMP_MAX)
     }
 
     fn prerequisites(&self) -> Vec<Prerequisite> {

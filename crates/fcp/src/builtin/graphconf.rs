@@ -8,7 +8,7 @@ use crate::pattern::{AppliedPattern, Pattern, PatternContext, PatternError};
 use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
 use etl_model::{EtlFlow, ResourceClass};
-use quality::{Characteristic, GainProfile, RATIO_CLAMP_MAX};
+use quality::Characteristic;
 
 /// Helper shared by graph-level patterns: the caller has already verified
 /// applicability on this exact flow state, so the configuration change runs
@@ -41,11 +41,6 @@ impl Pattern for EncryptChannels {
     fn improves(&self) -> Characteristic {
         Characteristic::Security
     }
-    /// Encryption only flips `config.encrypted`: the security score rises,
-    /// every other measure stays put or worsens (the performance tax).
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::neutral().with_cap(Characteristic::Security, RATIO_CLAMP_MAX)
-    }
     fn prerequisites(&self) -> Vec<Prerequisite> {
         vec![Prerequisite::IsGraph, Prerequisite::NotEncrypted]
     }
@@ -72,11 +67,6 @@ impl Pattern for EnableAccessControl {
     }
     fn improves(&self) -> Characteristic {
         Characteristic::Security
-    }
-    /// Access control only flips `config.role_based_access`: no measure
-    /// outside the security score can move upward.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::neutral().with_cap(Characteristic::Security, RATIO_CLAMP_MAX)
     }
     fn prerequisites(&self) -> Vec<Prerequisite> {
         vec![Prerequisite::IsGraph, Prerequisite::NoAccessControl]
@@ -137,12 +127,6 @@ impl Pattern for IncreaseRecurrence {
     }
     fn improves(&self) -> Characteristic {
         Characteristic::DataQuality
-    }
-    /// Halving the recurrence period improves freshness (data quality) and
-    /// doubles monetary cost; structure, performance, reliability and
-    /// security are untouched.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::neutral().with_cap(Characteristic::DataQuality, RATIO_CLAMP_MAX)
     }
     fn prerequisites(&self) -> Vec<Prerequisite> {
         vec![Prerequisite::IsGraph]

@@ -8,7 +8,7 @@ use crate::point::ApplicationPoint;
 use crate::prereq::Prerequisite;
 use etl_model::{Channel, EtlFlow, OpKind, Operation};
 use flowgraph::DiGraph;
-use quality::{Characteristic, GainProfile};
+use quality::Characteristic;
 use std::sync::Arc;
 
 /// Operator kinds that can be replaced by row-partitioned replicas without
@@ -52,13 +52,6 @@ impl Pattern for ParallelizeTask {
 
     fn improves(&self) -> Characteristic {
         Characteristic::Performance
-    }
-
-    /// Splitting a task across branches can speed up, restructure, and
-    /// thereby improve most axes — but never the security score, which
-    /// depends only on the graph configuration and encrypt ops.
-    fn gain_profile(&self) -> GainProfile {
-        GainProfile::unbounded().with_cap(Characteristic::Security, 1.0)
     }
 
     fn prerequisites(&self) -> Vec<Prerequisite> {

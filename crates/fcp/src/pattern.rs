@@ -185,14 +185,10 @@ pub trait Pattern: Send + Sync {
     /// (Fig. 6's "related quality attribute" column).
     fn improves(&self) -> Characteristic;
 
-    /// A sound optimistic cap on how much one application can improve each
-    /// characteristic score — the static metadata behind the planner's
-    /// bound-based dominance pruning. The default is
-    /// [`GainProfile::unbounded`]: sound for any pattern, useless for
-    /// pruning. Built-ins tighten the axes they provably never improve
-    /// (e.g. `EncryptChannels` caps everything but security at `1.0`).
-    /// Implementations must stay *optimistic*: claiming `1.0` on an axis a
-    /// pattern can actually improve would make pruning unsound.
+    /// A cap on how much one application can improve each characteristic
+    /// score. The planner reads nothing of it, and no built-in overrides
+    /// the default [`GainProfile::unbounded`]. Kept only for perfbench's
+    /// replay; ROADMAP item 3 deletes it.
     fn gain_profile(&self) -> GainProfile {
         GainProfile::unbounded()
     }

@@ -158,83 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn gain_profiles_admit_the_improved_characteristic() {
-        // Soundness floor for the bound pruner: every builtin must at least
-        // allow gains on the axis it claims to improve, and no cap may ever
-        // fall below 1.0 (a profile bounds gains, never claims regressions).
-        let r = PatternRegistry::standard(vec![("pu_id".into(), "ref_purchases".into())]);
-        for p in r.iter() {
-            let g = p.gain_profile();
-            assert!(
-                g.cap(p.improves()) > 1.0,
-                "{} caps its own improved axis at 1.0",
-                p.name()
-            );
-            for c in Characteristic::ALL {
-                assert!(g.cap(c) >= 1.0, "{} cap below 1.0 on {c}", p.name());
-            }
-        }
-        // The security-only patterns are the sharp ones: nothing else moves.
-        for name in ["EncryptChannels", "EnableAccessControl"] {
-            let g = r.by_name(name).unwrap().gain_profile();
-            for c in Characteristic::ALL {
-                if c != Characteristic::Security {
-                    assert_eq!(g.cap(c), 1.0, "{name} should not claim gains on {c}");
-                }
-            }
-        }
-        // In-flow patterns can never move the config-derived security score.
-        for name in [
-            "FilterNullValues",
-            "RemoveDuplicateEntries",
-            "CrosscheckSources",
-            "ParallelizeTask",
-            "AddCheckpoint",
-        ] {
-            let g = r.by_name(name).unwrap().gain_profile();
-            assert_eq!(g.cap(Characteristic::Security), 1.0, "{name}");
-        }
-    }
-
-    #[test]
-    fn bounds_are_sound_on_the_demo_flow() {
-        // The bound pruner's soundness on a real flow: apply each builtin at
-        // its first candidate point on the Fig. 2 flow and check no
-        // estimated characteristic score exceeds `100 × cap` of its profile.
-        use crate::PatternContext;
-        use datagen::fig2::{purchases_catalog, purchases_flow};
-        use datagen::DirtProfile;
-        use quality::{estimate, source_stats};
-
-        let (flow, _) = purchases_flow();
-        let catalog = purchases_catalog(500, &DirtProfile::clean(), 3);
-        let stats = source_stats(&catalog);
-        let base = estimate(&flow, &stats);
-        let r = PatternRegistry::standard(vec![("pu_id".into(), "ref_purchases".into())]);
-        for p in r.iter() {
-            let ctx = PatternContext::new(&flow).unwrap();
-            let Some(point) = p.candidate_points(&ctx).first().copied() else {
-                continue;
-            };
-            let mut fork = flow.fork("bound-check");
-            if p.apply(&mut fork, point).is_err() {
-                continue;
-            }
-            let after = estimate(&fork, &stats);
-            let gain = p.gain_profile();
-            for c in Characteristic::ALL {
-                let score = after.characteristic_score(&base, c);
-                let bound = 100.0 * gain.cap(c);
-                assert!(
-                    score <= bound + 1e-9,
-                    "{}: estimated {c} score {score} exceeds its bound {bound}",
-                    p.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn filter_by_characteristic() {
         let r = PatternRegistry::standard(vec![]);
         let dq = r.filtered(&[Characteristic::DataQuality]);

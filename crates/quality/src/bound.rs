@@ -1,16 +1,13 @@
-//! Static gain bounds: the abstract domain behind planner dominance pruning.
+//! Static gain bounds. The planner no longer prunes on them: this module is
+//! kept only for perfbench's replay, and ROADMAP item 3 deletes it.
 //!
 //! A [`GainProfile`] is a sound *optimistic* cap on how much one pattern
 //! application can improve each quality characteristic, expressed as a
 //! multiplier on the characteristic score (baseline = 100). The clamp in
 //! [`MeasureVector::improvement_ratio`](crate::MeasureVector::improvement_ratio)
 //! guarantees no score exceeds `100 × RATIO_CLAMP_MAX`, so an all-
-//! [`RATIO_CLAMP_MAX`] profile is always sound — that's the conservative
-//! default for patterns that declare nothing. Patterns that provably leave a
-//! characteristic untouched (e.g. `EncryptChannels` never changes data
-//! quality) tighten the cap to `1.0`, and the planner can discard a
-//! combination whose combined caps are dominated by the current skyline
-//! *before* forking and evaluating it.
+//! [`RATIO_CLAMP_MAX`] profile is always sound — that's the default every
+//! pattern returns.
 
 use crate::measure::{Characteristic, RATIO_CLAMP_MAX};
 

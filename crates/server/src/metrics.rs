@@ -112,7 +112,6 @@ pub struct Metrics {
     snapshot_errors: AtomicU64,
     snapshot_quarantines: AtomicU64,
     static_rejections: AtomicU64,
-    bound_pruned: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -129,7 +128,6 @@ impl Default for Metrics {
             snapshot_errors: AtomicU64::new(0),
             snapshot_quarantines: AtomicU64::new(0),
             static_rejections: AtomicU64::new(0),
-            bound_pruned: AtomicU64::new(0),
         }
     }
 }
@@ -186,14 +184,6 @@ impl Metrics {
         if n > 0 {
             self.static_rejections
                 .fetch_add(n as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts combinations skipped by the bound-based dominance
-    /// pre-pruner during one explore cycle.
-    pub fn record_bound_pruned(&self, n: usize) {
-        if n > 0 {
-            self.bound_pruned.fetch_add(n as u64, Ordering::Relaxed);
         }
     }
 
@@ -287,12 +277,6 @@ impl Metrics {
             "poiesis_static_rejections_total",
             "Combinations whose applied flow failed the static screen before evaluation.",
             load(&self.static_rejections),
-        );
-        scalar(
-            &mut out,
-            "poiesis_bound_pruned_total",
-            "Combinations skipped by the bound-based dominance pre-pruner.",
-            load(&self.bound_pruned),
         );
         scalar(
             &mut out,
@@ -425,7 +409,6 @@ mod tests {
             "poiesis_snapshot_errors_total",
             "poiesis_snapshot_quarantined_total",
             "poiesis_static_rejections_total",
-            "poiesis_bound_pruned_total",
             "poiesis_uptime_seconds",
         ] {
             assert!(text.contains(family), "missing {family}");
@@ -440,16 +423,6 @@ mod tests {
         m.record_static_rejections(3);
         m.record_static_rejections(2);
         assert!(m.render(0).contains("poiesis_static_rejections_total 5"));
-    }
-
-    #[test]
-    fn bound_pruned_accumulates() {
-        let m = Metrics::new();
-        m.record_bound_pruned(0);
-        assert!(m.render(0).contains("poiesis_bound_pruned_total 0"));
-        m.record_bound_pruned(4);
-        m.record_bound_pruned(1);
-        assert!(m.render(0).contains("poiesis_bound_pruned_total 5"));
     }
 
     /// The full scrape of a fixed registry state, byte for byte, up to the
@@ -471,7 +444,6 @@ mod tests {
         m.record_snapshot_write(false, Duration::from_millis(30));
         m.record_snapshot_quarantine();
         m.record_static_rejections(4);
-        m.record_bound_pruned(7);
         let _in_flight = m.in_flight_guard();
         let text = m.render(5);
         let (pinned, uptime) = text
@@ -547,9 +519,6 @@ poiesis_snapshot_quarantined_total 1
 # HELP poiesis_static_rejections_total Combinations whose applied flow failed the static screen before evaluation.
 # TYPE poiesis_static_rejections_total counter
 poiesis_static_rejections_total 4
-# HELP poiesis_bound_pruned_total Combinations skipped by the bound-based dominance pre-pruner.
-# TYPE poiesis_bound_pruned_total counter
-poiesis_bound_pruned_total 7
 # HELP poiesis_uptime_seconds Seconds since the server started.
 # TYPE poiesis_uptime_seconds gauge
 "#;

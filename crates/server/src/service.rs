@@ -326,7 +326,6 @@ impl PlanningService {
                 self.metrics.observe_cycle(start.elapsed());
                 self.metrics
                     .record_static_rejections(response.statically_rejected);
-                self.metrics.record_bound_pruned(response.bound_pruned);
                 Response::json(200, response.to_json_string())
             }
             Err(e) => plan_error(&e),

@@ -17,10 +17,13 @@
 //! primary := "(" expr ")" | "COALESCE(" expr ("," expr)* ")"
 //!          | "NULL" | "TRUE" | "FALSE"
 //!          | "DATE(" int ")" | "TS(" int ")" | "NAN(" int ")"
-//!          | number | 'string' | identifier
+//!          | number | 'string' | identifier | "column"
 //! ```
 //!
-//! Strings are single-quoted with `''` escaping. `NAN(b)` is the NaN whose
+//! Strings are single-quoted with `''` escaping. A column is written as a
+//! bare identifier when it is one and is no keyword of the grammar;
+//! otherwise (`"NULL"`, `"order id"`) it is double-quoted, with `""`
+//! escaping. `NAN(b)` is the NaN whose
 //! bit pattern is `b` as an `i64`; `NAN` not followed by `(` is a column,
 //! as is `NaN`. ±∞ needs no form of its own: `1e999` overflows to it.
 //! `Display` fully
@@ -282,7 +285,8 @@ impl<'a> P<'a> {
             self.pos = save;
         }
         match self.peek() {
-            Some('\'') => self.string_lit(),
+            Some('\'') => self.quoted("string literal").map(Expr::lit_s),
+            Some('"') => self.quoted("quoted column").map(Expr::Col),
             Some(c) if c.is_ascii_digit() => self.number(false),
             // unary minus on a numeric literal
             Some('-') => {
@@ -380,26 +384,29 @@ impl<'a> P<'a> {
         }
     }
 
-    fn string_lit(&mut self) -> Result<Expr, ExprParseError> {
-        debug_assert_eq!(self.peek(), Some('\''));
-        self.pos += 1;
+    /// The text between the quote character at the cursor and its closing
+    /// twin, a doubled quote standing for one; `what` names the form in
+    /// the error for a missing close.
+    fn quoted(&mut self, what: &str) -> Result<String, ExprParseError> {
+        let quote = self.peek().expect("a quote at the cursor");
+        self.pos += quote.len_utf8();
         let mut out = String::new();
         loop {
             match self.peek() {
-                Some('\'') => {
-                    self.pos += 1;
-                    if self.peek() == Some('\'') {
-                        out.push('\'');
-                        self.pos += 1;
+                Some(c) if c == quote => {
+                    self.pos += c.len_utf8();
+                    if self.peek() == Some(quote) {
+                        out.push(quote);
+                        self.pos += quote.len_utf8();
                     } else {
-                        return Ok(Expr::lit_s(out));
+                        return Ok(out);
                     }
                 }
                 Some(c) => {
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
-                None => return Err(self.err("unterminated string literal")),
+                None => return Err(self.err(format!("unterminated {what}"))),
             }
         }
     }
@@ -541,17 +548,31 @@ mod tests {
 
     #[test]
     fn operators_roundtrip() {
-        let e = Expr::col("a")
-            .add(Expr::col("b").mul(Expr::lit_i(2)))
-            .sub(Expr::lit_f(0.5))
-            .gt(Expr::lit_i(0))
-            .and(
-                Expr::col("s")
-                    .eq(Expr::lit_s("HIGH"))
-                    .or(Expr::col("x").is_null()),
-            )
-            .not();
-        roundtrip(&e);
+        // keyword-named columns and one that is no identifier at all are
+        // quoted, and read back as columns wherever they stand
+        for name in [
+            "a", "NULL", "TRUE", "FALSE", "NOT", "AND", "OR", "IS", "DATE", "TS", "COALESCE",
+            "NAN", "a \"b\"",
+        ] {
+            let e = Expr::col(name)
+                .add(Expr::col("b").mul(Expr::lit_i(2)))
+                .sub(Expr::lit_f(0.5))
+                .gt(Expr::lit_i(0))
+                .and(
+                    Expr::col("s")
+                        .eq(Expr::lit_s("HIGH"))
+                        .or(Expr::col(name).is_null()),
+                )
+                .not();
+            roundtrip(&e);
+            roundtrip(&Expr::col(name));
+            roundtrip(&Expr::Coalesce(vec![
+                Expr::col(name),
+                Expr::col(name).not(),
+            ]));
+        }
+        assert_eq!(Expr::col("NULL").to_string(), r#""NULL""#);
+        assert_eq!(Expr::col("a \"b\"").to_string(), r#""a ""b""""#);
     }
 
     #[test]
